@@ -1,12 +1,9 @@
 //! CI validator for the observability artifacts: checks that a JSONL
-//! event log, a Chrome trace-event file, the committed BENCH tables,
-//! and/or a Prometheus text exposition are well-formed without any
-//! external tooling.
+//! event log, a Chrome trace-event file and/or a Prometheus text
+//! exposition are well-formed without any external tooling.
 //!
 //! ```bash
-//! trace_validate --jsonl trace.jsonl --chrome trace.json \
-//!                --bench-sweep BENCH_sweep.json --bench-guard BENCH_guard.json \
-//!                --bench-serve BENCH_serve.json --prom metrics.prom
+//! trace_validate --jsonl trace.jsonl --chrome trace.json --prom metrics.prom
 //! ```
 //!
 //! Exits non-zero with a diagnostic on the first violation. Checks:
@@ -17,10 +14,6 @@
 //! * Chrome: the whole file parses as a JSON array; every event is a
 //!   `ph: "M"` metadata or `ph: "X"` complete event with numeric
 //!   `ts`/`dur`; `ts` is monotonically non-decreasing per `(pid, tid)`.
-//! * BENCH tables: every row carries its kind's required keys with the
-//!   right JSON types; multi-threaded `extended_mt` rows must publish
-//!   the proof/commit/wait/idle utilization fractions (each in [0, 1])
-//!   and one per-worker breakdown entry per configured worker.
 //! * Prometheus: every sample line parses as `name[{labels}] value`,
 //!   every series is preceded by its `# TYPE` declaration, and each
 //!   histogram exposes cumulative `_bucket` series ending in `+Inf`
@@ -174,286 +167,6 @@ fn validate_chrome(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The JSON type a BENCH-row key must have.
-#[derive(Clone, Copy)]
-enum Ty {
-    U64,
-    I64,
-    F64,
-    Str,
-    Bool,
-}
-
-fn check_key(row: &Json, key: &str, ty: Ty) -> Result<(), String> {
-    let v = row.get(key).ok_or_else(|| format!("missing key {key:?}"))?;
-    let ok = match ty {
-        Ty::U64 => v.as_u64().is_some(),
-        Ty::I64 => v.as_i64().is_some(),
-        Ty::F64 => v.as_f64().is_some(),
-        Ty::Str => v.as_str().is_some(),
-        Ty::Bool => v.as_bool().is_some(),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("key {key:?} has the wrong type"))
-    }
-}
-
-fn check_keys(row: &Json, keys: &[(&str, Ty)]) -> Result<(), String> {
-    for &(key, ty) in keys {
-        check_key(row, key, ty)?;
-    }
-    Ok(())
-}
-
-/// Required keys of the multi-threaded utilization block (satellite of
-/// the metrics layer): per-stage fractions plus a per-worker breakdown.
-fn check_mt_util(row: &Json, threads: u64) -> Result<(), String> {
-    for key in ["proof_frac", "commit_frac", "wait_frac", "idle_frac"] {
-        let v = row
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("extended_mt threads={threads}: missing {key}"))?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{key} = {v} outside [0, 1]"));
-        }
-    }
-    check_keys(row, &[("util_wall_secs", Ty::F64), ("epochs", Ty::U64)])?;
-    let workers = row
-        .get("workers")
-        .and_then(Json::as_array)
-        .ok_or("extended_mt row missing workers array")?;
-    if workers.len() as u64 != threads {
-        return Err(format!(
-            "workers array has {} entries for threads={threads}",
-            workers.len()
-        ));
-    }
-    for (i, w) in workers.iter().enumerate() {
-        check_keys(
-            w,
-            &[
-                ("worker", Ty::U64),
-                ("proof_ns", Ty::U64),
-                ("wait_ns", Ty::U64),
-                ("idle_ns", Ty::U64),
-                ("pairs", Ty::U64),
-            ],
-        )
-        .map_err(|e| format!("worker entry {i}: {e}"))?;
-    }
-    Ok(())
-}
-
-fn validate_bench_sweep(text: &str) -> Result<(), String> {
-    let v = Json::parse(text).map_err(|e| format!("BENCH_sweep: {e}"))?;
-    let rows = v.as_array().ok_or("BENCH_sweep is not a JSON array")?;
-    if rows.is_empty() {
-        return Err("BENCH_sweep is empty".into());
-    }
-    let mut mt_util_rows = 0usize;
-    let mut discovery_rows = 0usize;
-    for (i, row) in rows.iter().enumerate() {
-        let res = match row.get("kind").and_then(Json::as_str) {
-            None => {
-                // Engine-vs-legacy and extended_mt scaling rows.
-                check_keys(
-                    row,
-                    &[
-                        ("mode", Ty::Str),
-                        ("discovery", Ty::Str),
-                        ("threads", Ty::U64),
-                        ("host_cpus", Ty::U64),
-                        ("nodes", Ty::U64),
-                        ("pairs", Ty::U64),
-                        ("legacy_secs", Ty::F64),
-                        ("engine_secs", Ty::F64),
-                        ("legacy_candidates_per_s", Ty::F64),
-                        ("engine_candidates_per_s", Ty::F64),
-                        ("speedup", Ty::F64),
-                        ("substitutions", Ty::U64),
-                        ("literal_gain", Ty::I64),
-                        ("sim_pairs_screened", Ty::U64),
-                        ("sim_pairs_refuted", Ty::U64),
-                        ("sim_false_passes", Ty::U64),
-                        ("sim_refinements", Ty::U64),
-                        ("sim_patterns", Ty::U64),
-                    ],
-                )
-                .and_then(|()| {
-                    let mode = row.get("mode").and_then(Json::as_str).unwrap_or("");
-                    let threads = row.get("threads").and_then(Json::as_u64).unwrap_or(1);
-                    if mode == "extended_mt" && threads >= 2 {
-                        mt_util_rows += 1;
-                        check_mt_util(row, threads)
-                    } else {
-                        Ok(())
-                    }
-                })
-            }
-            Some("node_sweep") => check_keys(
-                row,
-                &[
-                    ("mode", Ty::Str),
-                    ("family", Ty::Str),
-                    ("target_nodes", Ty::U64),
-                    ("nodes", Ty::U64),
-                    ("discovery", Ty::Str),
-                    ("gen_secs", Ty::F64),
-                    ("sweep_secs", Ty::F64),
-                    ("pairs", Ty::U64),
-                    ("candidates_per_s", Ty::F64),
-                    ("substitutions", Ty::U64),
-                    ("literal_gain", Ty::I64),
-                    ("peak_cover_cubes", Ty::U64),
-                    ("interrupted", Ty::Bool),
-                ],
-            ),
-            Some("discovery") => {
-                discovery_rows += 1;
-                check_keys(
-                    row,
-                    &[
-                        ("mode", Ty::Str),
-                        ("family", Ty::Str),
-                        ("target_nodes", Ty::U64),
-                        ("nodes", Ty::U64),
-                        ("discovery", Ty::Str),
-                        ("deadline_secs", Ty::F64),
-                        ("gen_secs", Ty::F64),
-                        ("sweep_secs", Ty::F64),
-                        ("pairs", Ty::U64),
-                        ("candidates_per_s", Ty::F64),
-                        ("proposed", Ty::U64),
-                        ("bucket_hits", Ty::U64),
-                        ("proofs_run", Ty::U64),
-                        ("accepted", Ty::U64),
-                        ("substitutions", Ty::U64),
-                        ("literal_gain", Ty::I64),
-                        ("guard_rejections", Ty::U64),
-                        ("guard_pass_sampled", Ty::U64),
-                        ("interrupted", Ty::Bool),
-                    ],
-                )
-                .and_then(|()| {
-                    let disc = row.get("discovery").and_then(Json::as_str).unwrap_or("");
-                    if matches!(disc, "overlap" | "signature") {
-                        Ok(())
-                    } else {
-                        Err(format!("unknown resolved discovery {disc:?}"))
-                    }
-                })
-            }
-            Some(other) => Err(format!("unknown row kind {other:?}")),
-        };
-        res.map_err(|e| format!("row {i}: {e}"))?;
-    }
-    if mt_util_rows == 0 {
-        return Err("no multi-threaded extended_mt utilization rows".into());
-    }
-    if discovery_rows == 0 {
-        return Err("no discovery crossover rows".into());
-    }
-    println!(
-        "bench-sweep ok: {} rows, {mt_util_rows} with worker utilization, \
-         {discovery_rows} discovery",
-        rows.len()
-    );
-    Ok(())
-}
-
-fn validate_bench_guard(text: &str) -> Result<(), String> {
-    let v = Json::parse(text).map_err(|e| format!("BENCH_guard: {e}"))?;
-    let rows = v.as_array().ok_or("BENCH_guard is not a JSON array")?;
-    if rows.is_empty() {
-        return Err("BENCH_guard is empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let kind = row.get("kind").and_then(Json::as_str).unwrap_or("");
-        if kind != "guard_latency" {
-            return Err(format!("row {i}: kind {kind:?} is not guard_latency"));
-        }
-        check_keys(
-            row,
-            &[
-                ("tier_policy", Ty::Str),
-                ("family", Ty::Str),
-                ("nodes", Ty::U64),
-                ("guard_checks", Ty::U64),
-                ("guard_secs", Ty::F64),
-                ("avg_check_ms", Ty::F64),
-                ("guard_sim", Ty::U64),
-                ("guard_bdd", Ty::U64),
-                ("guard_sat", Ty::U64),
-                ("guard_sampled", Ty::U64),
-                ("substitutions", Ty::U64),
-                ("interrupted", Ty::Bool),
-            ],
-        )
-        .map_err(|e| format!("row {i}: {e}"))?;
-    }
-    println!("bench-guard ok: {} rows", rows.len());
-    Ok(())
-}
-
-fn validate_bench_serve(text: &str) -> Result<(), String> {
-    let v = Json::parse(text).map_err(|e| format!("BENCH_serve: {e}"))?;
-    let rows = v.as_array().ok_or("BENCH_serve is not a JSON array")?;
-    if rows.is_empty() {
-        return Err("BENCH_serve is empty".into());
-    }
-    let mut worker_counts: Vec<u64> = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let kind = row.get("kind").and_then(Json::as_str).unwrap_or("");
-        if kind != "serve" {
-            return Err(format!("row {i}: kind {kind:?} is not serve"));
-        }
-        check_keys(
-            row,
-            &[
-                ("workers", Ty::U64),
-                ("host_cpus", Ty::U64),
-                ("jobs", Ty::U64),
-                ("concurrency", Ty::U64),
-                ("wall_secs", Ty::F64),
-                ("throughput_jobs_per_s", Ty::F64),
-                ("p50_ms", Ty::U64),
-                ("p99_ms", Ty::U64),
-                ("shed_429", Ty::U64),
-                ("shed_rate", Ty::F64),
-                ("done", Ty::U64),
-                ("failed", Ty::U64),
-                ("quarantined", Ty::U64),
-                ("chaos", Ty::Bool),
-            ],
-        )
-        .map_err(|e| format!("row {i}: {e}"))?;
-        let workers = row.get("workers").and_then(Json::as_u64).unwrap_or(0);
-        if workers == 0 {
-            return Err(format!("row {i}: workers label must be >= 1"));
-        }
-        if !worker_counts.contains(&workers) {
-            worker_counts.push(workers);
-        }
-        let p50 = row.get("p50_ms").and_then(Json::as_u64).unwrap_or(0);
-        let p99 = row.get("p99_ms").and_then(Json::as_u64).unwrap_or(0);
-        if p99 < p50 {
-            return Err(format!("row {i}: p99 {p99} < p50 {p50}"));
-        }
-    }
-    if worker_counts.len() < 2 {
-        return Err(format!(
-            "need rows at >= 2 distinct worker counts, got {worker_counts:?}"
-        ));
-    }
-    println!(
-        "bench-serve ok: {} rows over worker counts {worker_counts:?}",
-        rows.len()
-    );
-    Ok(())
-}
-
 /// True iff `name` is a legal Prometheus metric/series name.
 fn prom_name_ok(name: &str) -> bool {
     let mut chars = name.chars();
@@ -593,9 +306,6 @@ fn run() -> Result<(), String> {
         let (flag, validate): (&str, Validator) = match a.as_str() {
             "--jsonl" => ("--jsonl", validate_jsonl),
             "--chrome" => ("--chrome", validate_chrome),
-            "--bench-sweep" => ("--bench-sweep", validate_bench_sweep),
-            "--bench-guard" => ("--bench-guard", validate_bench_guard),
-            "--bench-serve" => ("--bench-serve", validate_bench_serve),
             "--prom" => ("--prom", validate_prom),
             other => return Err(format!("unknown argument {other:?}")),
         };
@@ -607,8 +317,7 @@ fn run() -> Result<(), String> {
     if !checked {
         return Err(
             "usage: trace_validate [--jsonl <trace.jsonl>] [--chrome <trace.json>] \
-             [--bench-sweep <BENCH_sweep.json>] [--bench-guard <BENCH_guard.json>] \
-             [--bench-serve <BENCH_serve.json>] [--prom <metrics.prom>]"
+             [--prom <metrics.prom>]"
                 .into(),
         );
     }
@@ -622,5 +331,93 @@ fn main() -> ExitCode {
             eprintln!("trace_validate: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pair_line(omit: Option<&str>) -> String {
+        let stages: Vec<String> = STAGE_FIELDS
+            .iter()
+            .filter(|f| Some(**f) != omit)
+            .map(|f| format!(",\"{f}\":1"))
+            .collect();
+        format!(
+            "{{\"type\":\"pair\",\"outcome\":\"{}\"{}}}",
+            Outcome::AcceptedSop.name(),
+            stages.concat()
+        )
+    }
+
+    const META: &str = "{\"type\":\"meta\",\"mode\":\"ext\",\"discovery\":\"overlap\"}";
+
+    #[test]
+    fn jsonl_accepts_a_well_formed_stream() {
+        let text = format!(
+            "{META}\n{}\n{{\"type\":\"pass\",\"dur_ns\":5}}\n",
+            pair_line(None)
+        );
+        assert_eq!(validate_jsonl(&text), Ok(()));
+    }
+
+    #[test]
+    fn jsonl_rejects_a_pair_missing_a_stage_field() {
+        let text = format!("{META}\n{}\n", pair_line(Some("divide_ns")));
+        let err = validate_jsonl(&text).unwrap_err();
+        assert!(err.contains("pair missing divide_ns"), "{err}");
+    }
+
+    #[test]
+    fn jsonl_rejects_a_stream_without_a_leading_meta_line() {
+        let err = validate_jsonl(&format!("{}\n", pair_line(None))).unwrap_err();
+        assert!(err.contains("meta line"), "{err}");
+    }
+
+    fn chrome(ts: [u32; 2]) -> String {
+        format!(
+            "[{{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\"}},\
+             {{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":2}},\
+             {{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":2}}]",
+            ts[0], ts[1]
+        )
+    }
+
+    #[test]
+    fn chrome_accepts_monotonic_timestamps() {
+        assert_eq!(validate_chrome(&chrome([10, 20])), Ok(()));
+    }
+
+    #[test]
+    fn chrome_rejects_a_regressing_timestamp() {
+        let err = validate_chrome(&chrome([20, 10])).unwrap_err();
+        assert!(err.contains("regresses"), "{err}");
+    }
+
+    fn prom(count: u32) -> String {
+        format!(
+            "# TYPE jobs counter\njobs 3\n\
+             # TYPE lat histogram\n\
+             lat_bucket{{le=\"1\"}} 1\nlat_bucket{{le=\"+Inf\"}} 3\n\
+             lat_sum 4.5\nlat_count {count}\n"
+        )
+    }
+
+    #[test]
+    fn prom_accepts_a_consistent_histogram() {
+        assert_eq!(validate_prom(&prom(3)), Ok(()));
+    }
+
+    #[test]
+    fn prom_rejects_an_inf_bucket_that_disagrees_with_count() {
+        let err = validate_prom(&prom(4)).unwrap_err();
+        assert!(err.contains("+Inf bucket 3 != _count 4"), "{err}");
+    }
+
+    #[test]
+    fn prom_rejects_a_sample_without_a_type_declaration() {
+        let err = validate_prom("jobs 3\n").unwrap_err();
+        assert!(err.contains("without a TYPE"), "{err}");
     }
 }

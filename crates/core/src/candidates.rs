@@ -319,61 +319,3 @@ pub(crate) fn build_source(discovery: Discovery) -> Box<dyn CandidateSource> {
         Discovery::Signature => Box::new(SignatureClasses::new()),
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use boolsubst_cube::parse_sop;
-
-    fn sample() -> (Network, NodeId, NodeId) {
-        let mut net = Network::new("cand_t");
-        let a = net.add_input("a").expect("a");
-        let b = net.add_input("b").expect("b");
-        let c = net.add_input("c").expect("c");
-        let f = net
-            .add_node(
-                "f",
-                vec![a, b, c],
-                parse_sop(3, "ab + ac + bc'").expect("p"),
-            )
-            .expect("f");
-        let d = net
-            .add_node("d", vec![a, b, c], parse_sop(3, "ab + c").expect("p"))
-            .expect("d");
-        net.add_output("f", f).expect("o");
-        net.add_output("d", d).expect("o");
-        (net, f, d)
-    }
-
-    /// The trait impl must reproduce the deprecated engine entry points
-    /// exactly — same candidates, same skipped count.
-    #[test]
-    #[allow(deprecated)]
-    fn overlap_source_matches_deprecated_engine_shims() {
-        let (mut net, f, d) = sample();
-        let bound = net.id_bound();
-        let mut engine = crate::engine::SubstEngine::new(&mut net, crate::SubstOptions::basic());
-        for target in [f, d] {
-            for cursor in [None, Some(f)] {
-                let via_shim = engine.candidates(target, bound, cursor);
-                let skipped0 = engine.stats().filtered_by_index;
-                engine.count_skipped(via_shim.len(), bound, cursor);
-                let shim_skipped = engine.stats().filtered_by_index - skipped0;
-                let ctx = SourceCtx {
-                    net: &*engine.net,
-                    side: &engine.side,
-                    sim: None,
-                };
-                let mut source = OverlapIndex;
-                let iter = source.candidates(&ctx, target, bound, cursor);
-                assert_eq!(iter.bucket_hits(), 0);
-                let via_trait = iter.into_vec();
-                assert_eq!(via_trait, via_shim);
-                assert_eq!(
-                    source.skipped(&ctx, via_trait.len(), bound, cursor),
-                    shim_skipped
-                );
-            }
-        }
-    }
-}

@@ -31,7 +31,7 @@
 //! past the accepted divisor — reproducing the legacy visit sequence
 //! exactly.
 
-use crate::candidates::{build_source, CandidateSource, OverlapIndex, SourceCtx};
+use crate::candidates::{build_source, CandidateSource, SourceCtx};
 use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
@@ -541,40 +541,6 @@ impl<'a> SubstEngine<'a> {
             );
         }
         Some(decision)
-    }
-
-    /// Divisor candidates for `target` from the hard-wired support-overlap
-    /// index: the fanouts of its fanins, restricted to ids below `bound`
-    /// and above `cursor`, sorted ascending.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `SubstOptions::with_discovery` and the `crate::candidates::CandidateSource` trait; the engine enumerates through its configured source"
-    )]
-    #[must_use]
-    pub fn candidates(&self, target: NodeId, bound: usize, cursor: Option<NodeId>) -> Vec<NodeId> {
-        let ctx = SourceCtx {
-            net: &*self.net,
-            side: &self.side,
-            sim: self.sim.as_ref(),
-        };
-        OverlapIndex::enumerate(&ctx, target, bound, cursor)
-    }
-
-    /// Books into `stats.filtered_by_index` the internal nodes the legacy
-    /// sweep would have visited in the same range that the overlap index
-    /// skipped.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `SubstOptions::with_discovery` and the `crate::candidates::CandidateSource` trait; the engine enumerates through its configured source"
-    )]
-    pub fn count_skipped(&mut self, candidates: usize, bound: usize, cursor: Option<NodeId>) {
-        let ctx = SourceCtx {
-            net: &*self.net,
-            side: &self.side,
-            sim: self.sim.as_ref(),
-        };
-        self.stats.filtered_by_index +=
-            OverlapIndex::count_skipped(&ctx, candidates, bound, cursor);
     }
 
     /// One candidate enumeration through the configured

@@ -20,8 +20,6 @@
 //!   selected by [`SubstOptions::with_discovery`];
 //! * [`session`] — the [`Session`] builder, the one blessed entry point
 //!   for running a sweep (tracing, thread count, options);
-//! * [`legacy`] — `#[deprecated]` shims for the pre-`Session` free
-//!   functions;
 //! * [`netcircuit`] — whole-network gate materialization for the global
 //!   don't-care mode;
 //! * [`txn`] — transactional snapshots powering the checked-apply mode's
@@ -48,7 +46,6 @@ pub mod division;
 pub mod dontcare;
 pub mod engine;
 pub mod extended;
-pub mod legacy;
 mod metrics;
 pub mod netcircuit;
 pub mod paper;
@@ -82,8 +79,5 @@ pub use subst::{
     all_configs, boolean_substitute_legacy, Acceptance, Discovery, SubstMode, SubstOptions,
     SubstStats,
 };
-
-#[allow(deprecated)]
-pub use legacy::{boolean_substitute, boolean_substitute_engine, boolean_substitute_traced};
 pub use txn::TxnSnapshot;
 pub use verify::{network_bdds, networks_equivalent, networks_equivalent_modulo_dc};

@@ -1,11 +1,8 @@
 //! The unified substitution entry point: one builder for every way of
 //! running the sweep.
 //!
-//! Historically the crate grew one free function per feature —
-//! `boolean_substitute`, `boolean_substitute_traced`,
-//! `boolean_substitute_engine` — each a thin spelling of "construct a
-//! [`SubstEngine`], maybe attach things, run". [`Session`] collapses them
-//! into a single builder:
+//! Every run is "construct a [`SubstEngine`], maybe attach things, run";
+//! [`Session`] spells that as a single builder:
 //!
 //! ```
 //! use boolsubst_core::{Session, SubstOptions};
@@ -20,9 +17,6 @@
 //!     .threads(4)
 //!     .run();
 //! ```
-//!
-//! The old free functions survive as `#[deprecated]` shims in
-//! [`crate::legacy`].
 
 use crate::engine::SubstEngine;
 use crate::subst::{SubstOptions, SubstStats};

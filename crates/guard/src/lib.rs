@@ -208,7 +208,7 @@ impl GuardDecision {
     /// The tier that produced the decision: `"sim"`, `"bdd"`, `"sat"`,
     /// `"sampled"` (no exact tier had budget), or `"deadline"` (tier C
     /// refused for lack of remaining time). Stable labels, used by the
-    /// trace exporters and BENCH_guard.json.
+    /// trace exporters.
     #[must_use]
     pub fn tier_name(&self) -> &'static str {
         match self {

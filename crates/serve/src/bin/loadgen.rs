@@ -5,8 +5,7 @@
 //! ```text
 //! loadgen --addr H:P --wait-ready 10                 # block until /healthz
 //! loadgen --addr H:P --jobs 50 --concurrency 8 \
-//!         [--chaos] [--bench-out BENCH_serve.json --workers-label 2] \
-//!         [--scrape-metrics out.prom]                # drive load, measure
+//!         [--chaos] [--scrape-metrics out.prom]      # drive load, measure
 //! loadgen --addr H:P --shutdown                      # graceful drain
 //! loadgen --audit jobs.jsonl --expect-jobs 50        # zero-loss audit
 //! ```
@@ -18,7 +17,6 @@
 
 use boolsubst_serve::client::{Client, JobRequest};
 use boolsubst_serve::journal;
-use boolsubst_trace::json::{json_array_pretty, Json, JsonObj};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -30,8 +28,6 @@ struct Args {
     chaos: bool,
     tenant: String,
     deadline_ms: u64,
-    bench_out: Option<String>,
-    workers_label: u64,
     scrape_metrics: Option<String>,
     wait_ready_secs: Option<u64>,
     shutdown: bool,
@@ -48,8 +44,6 @@ fn parse_args() -> Result<Args, String> {
         chaos: false,
         tenant: "loadgen".to_string(),
         deadline_ms: 10_000,
-        bench_out: None,
-        workers_label: 0,
         scrape_metrics: None,
         wait_ready_secs: None,
         shutdown: false,
@@ -83,12 +77,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--deadline-ms: {e}"))?;
             }
-            "--bench-out" => args.bench_out = Some(value("--bench-out")?),
-            "--workers-label" => {
-                args.workers_label = value("--workers-label")?
-                    .parse()
-                    .map_err(|e| format!("--workers-label: {e}"))?;
-            }
             "--scrape-metrics" => args.scrape_metrics = Some(value("--scrape-metrics")?),
             "--wait-ready" => {
                 args.wait_ready_secs = Some(
@@ -109,7 +97,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: loadgen [--addr H:P] [--jobs N] [--concurrency C] [--chaos] \
-                     [--tenant T] [--deadline-ms MS] [--bench-out F --workers-label W] \
+                     [--tenant T] [--deadline-ms MS] \
                      [--scrape-metrics F] [--wait-ready SECS] [--shutdown] \
                      [--audit JOURNAL --expect-jobs N]"
                 );
@@ -276,7 +264,6 @@ fn drive_load(args: &Args) -> Result<(), String> {
     let p99 = percentile(&t.latencies_ms, 0.99);
     let finished = t.done + t.failed + t.quarantined;
     let throughput = finished as f64 / wall.as_secs_f64().max(1e-9);
-    let shed_rate = shed_429 as f64 / (args.jobs as f64).max(1.0);
     println!(
         "loadgen: {} jobs ({} done, {} failed, {} quarantined) in {:.2}s \
          ({throughput:.1} jobs/s) p50 {p50}ms p99 {p99}ms shed(429) {shed_429}",
@@ -296,28 +283,6 @@ fn drive_load(args: &Args) -> Result<(), String> {
         println!("loadgen: metrics scraped to {path}");
     }
 
-    if let Some(path) = &args.bench_out {
-        let mut row = JsonObj::new();
-        let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        row.str("kind", "serve")
-            .u64("workers", args.workers_label)
-            .u64("host_cpus", host_cpus as u64)
-            .u64("jobs", args.jobs as u64)
-            .u64("concurrency", args.concurrency as u64)
-            .f64("wall_secs", wall.as_secs_f64(), 3)
-            .f64("throughput_jobs_per_s", throughput, 2)
-            .u64("p50_ms", p50)
-            .u64("p99_ms", p99)
-            .u64("shed_429", shed_429)
-            .f64("shed_rate", shed_rate, 4)
-            .u64("done", t.done as u64)
-            .u64("failed", t.failed as u64)
-            .u64("quarantined", t.quarantined as u64)
-            .bool("chaos", args.chaos);
-        append_bench_row(path, row.finish()).map_err(|e| format!("bench-out: {e}"))?;
-        println!("loadgen: bench row appended to {path}");
-    }
-
     let lost = args.jobs - finished;
     if lost > 0 {
         return Err(format!("{lost} jobs never reached a terminal state"));
@@ -332,58 +297,6 @@ fn prom_counter(text: &str, name: &str) -> Option<u64> {
         .and_then(|line| line.split_whitespace().nth(1))
         .and_then(|v| v.parse::<f64>().ok())
         .map(|v| v as u64)
-}
-
-/// Appends one row to a JSON-array bench file, preserving existing rows.
-fn append_bench_row(path: &str, row: String) -> Result<(), String> {
-    let mut rows: Vec<String> = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        if let Ok(Json::Arr(existing)) = Json::parse(&text) {
-            for item in existing {
-                if let Json::Obj(members) = &item {
-                    let mut o = JsonObj::new();
-                    for (k, v) in members {
-                        o.raw(k, &render_json(v));
-                    }
-                    rows.push(o.finish());
-                }
-            }
-        }
-    }
-    rows.push(row);
-    std::fs::write(path, json_array_pretty(rows)).map_err(|e| e.to_string())
-}
-
-/// Re-renders a parsed JSON value (good enough for bench-row scalars).
-fn render_json(j: &Json) -> String {
-    match j {
-        Json::Null => "null".to_string(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Json::Str(s) => {
-            let mut out = String::from('"');
-            boolsubst_trace::json::escape_into(&mut out, s);
-            out.push('"');
-            out
-        }
-        Json::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render_json).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Json::Obj(members) => {
-            let mut o = JsonObj::new();
-            for (k, v) in members {
-                o.raw(k, &render_json(v));
-            }
-            o.finish()
-        }
-    }
 }
 
 fn run_audit(path: &str, expect_jobs: Option<usize>) -> Result<(), String> {

@@ -1,8 +1,7 @@
 //! Minimal std-only JSON plumbing, shared across the workspace: an
-//! escaping single-line object writer (used by the trace exporters and by
-//! the bench binaries' `BENCH_sweep.json` emission, replacing their
-//! hand-rolled string formatting) and a small recursive-descent parser
-//! (used by the exporter tests and the `trace_validate` CI binary).
+//! escaping single-line object writer (used by the trace exporters and
+//! the metrics JSON sink) and a small recursive-descent parser (used by
+//! the exporter tests and the `trace_validate` CI binary).
 
 use std::fmt::Write as _;
 
@@ -117,7 +116,7 @@ impl JsonObj {
 }
 
 /// Renders pre-serialized rows as a pretty JSON array: one row per line,
-/// two-space indent, trailing newline — the `BENCH_sweep.json` shape.
+/// two-space indent, trailing newline — the Chrome trace export's shape.
 #[must_use]
 pub fn json_array_pretty<I: IntoIterator<Item = String>>(rows: I) -> String {
     let rows: Vec<String> = rows.into_iter().collect();
