@@ -10,6 +10,7 @@
 //!   the node's value cannot reach any primary output. Computed exactly
 //!   with the BDD oracle by enumerating fanin assignments.
 
+use crate::verify::{build_node_fns, node_bdd};
 use boolsubst_bdd::{Bdd, Ref};
 use boolsubst_cube::{simplify, Cover, Cube, Lit, Phase, SimplifyOptions};
 use boolsubst_network::{Network, NodeId};
@@ -48,25 +49,7 @@ fn all_node_bdds(net: &Network) -> (Bdd, Vec<Option<Ref>>) {
     for (i, &pi) in net.inputs().iter().enumerate() {
         node_fn[pi.index()] = Some(bdd.var(i));
     }
-    for id in net.topo_order() {
-        let node = net.node(id);
-        let Some(cover) = node.cover() else { continue };
-        let mut acc = bdd.zero();
-        for cube in cover.cubes() {
-            let mut term = bdd.one();
-            for l in cube.lits() {
-                let fan = node.fanins()[l.var];
-                let f = node_fn[fan.index()].expect("topo order");
-                let lit = match l.phase {
-                    Phase::Pos => f,
-                    Phase::Neg => bdd.not(f),
-                };
-                term = bdd.and(term, lit);
-            }
-            acc = bdd.or(acc, term);
-        }
-        node_fn[id.index()] = Some(acc);
-    }
+    build_node_fns(&mut bdd, net, &mut node_fn);
     (bdd, node_fn)
 }
 
@@ -159,25 +142,7 @@ fn external_dc_bdds(net: &Network, bdd: &mut Bdd) -> Vec<(String, Ref)> {
         };
         node_fn[pi.index()] = Some(bdd.var(pos));
     }
-    for id in dc.topo_order() {
-        let node = dc.node(id);
-        let Some(cover) = node.cover() else { continue };
-        let mut acc = bdd.zero();
-        for cube in cover.cubes() {
-            let mut term = bdd.one();
-            for l in cube.lits() {
-                let fan = node.fanins()[l.var];
-                let f = node_fn[fan.index()].expect("topo order");
-                let lit = match l.phase {
-                    Phase::Pos => f,
-                    Phase::Neg => bdd.not(f),
-                };
-                term = bdd.and(term, lit);
-            }
-            acc = bdd.or(acc, term);
-        }
-        node_fn[id.index()] = Some(acc);
-    }
+    build_node_fns(bdd, dc, &mut node_fn);
     dc.outputs()
         .iter()
         .map(|(name, o)| (name.clone(), node_fn[o.index()].expect("built")))
@@ -201,22 +166,9 @@ fn cone_with_forced(
             continue;
         }
         let n = net.node(id);
-        let Some(cover) = n.cover() else { continue };
-        let mut acc = bdd.zero();
-        for cube in cover.cubes() {
-            let mut term = bdd.one();
-            for l in cube.lits() {
-                let fan = n.fanins()[l.var];
-                let f = forced[fan.index()].expect("topo order");
-                let lit = match l.phase {
-                    Phase::Pos => f,
-                    Phase::Neg => bdd.not(f),
-                };
-                term = bdd.and(term, lit);
-            }
-            acc = bdd.or(acc, term);
+        if n.cover().is_some() {
+            forced[id.index()] = Some(node_bdd(bdd, n, &forced));
         }
-        forced[id.index()] = Some(acc);
     }
     net.outputs()
         .iter()

@@ -2,7 +2,7 @@
 
 use boolsubst_bdd::{Bdd, Ref};
 use boolsubst_cube::Phase;
-use boolsubst_network::Network;
+use boolsubst_network::{Network, Node};
 
 /// Builds BDDs (over the primary inputs, in declaration order) for every
 /// primary output of the network.
@@ -18,31 +18,37 @@ pub fn network_bdds(net: &Network) -> (Bdd, Vec<(String, Ref)>) {
     for (i, &pi) in net.inputs().iter().enumerate() {
         node_fn[pi.index()] = Some(bdd.var(i));
     }
-    for id in net.topo_order() {
-        let node = net.node(id);
-        let Some(cover) = node.cover() else { continue };
-        let mut acc = bdd.zero();
-        for cube in cover.cubes() {
-            let mut term = bdd.one();
-            for l in cube.lits() {
-                let fan = node.fanins()[l.var];
-                let f = node_fn[fan.index()].expect("topo order");
-                let lit = match l.phase {
-                    Phase::Pos => f,
-                    Phase::Neg => bdd.not(f),
-                };
-                term = bdd.and(term, lit);
-            }
-            acc = bdd.or(acc, term);
-        }
-        node_fn[id.index()] = Some(acc);
-    }
+    build_node_fns(&mut bdd, net, &mut node_fn);
     let outputs = net
         .outputs()
         .iter()
         .map(|(name, o)| (name.clone(), node_fn[o.index()].expect("driver built")))
         .collect();
     (bdd, outputs)
+}
+
+/// BDD of one node's cover over its fanins' functions (`node_fn` is
+/// indexed by `NodeId::index`).
+pub(crate) fn node_bdd(bdd: &mut Bdd, node: &Node, node_fn: &[Option<Ref>]) -> Ref {
+    let cover = node.cover().expect("internal node");
+    let cubes = cover.cubes().iter().map(|cube| {
+        cube.lits().map(|l| {
+            let f = node_fn[node.fanins()[l.var].index()].expect("topo order");
+            (f, l.phase == Phase::Pos)
+        })
+    });
+    bdd.sop(cubes, None).expect("no node limit")
+}
+
+/// Fills `node_fn` with the BDD of every internal node of `net`, in
+/// topological order. The primary inputs' entries must be set.
+pub(crate) fn build_node_fns(bdd: &mut Bdd, net: &Network, node_fn: &mut [Option<Ref>]) {
+    for id in net.topo_order() {
+        let node = net.node(id);
+        if node.cover().is_some() {
+            node_fn[id.index()] = Some(node_bdd(bdd, node, node_fn));
+        }
+    }
 }
 
 /// Exact equivalence of two networks: same primary-input names, same
@@ -71,38 +77,17 @@ pub fn networks_equivalent(a: &Network, b: &Network) -> bool {
     // i meaning a's i-th input (b's inputs permuted to match by name).
     let n = a_inputs.len();
     let mut bdd = Bdd::new(n);
-    let mut node_fn_a: Vec<Option<boolsubst_bdd::Ref>> = vec![None; a.id_bound()];
+    let mut node_fn_a: Vec<Option<Ref>> = vec![None; a.id_bound()];
     for (i, &pi) in a.inputs().iter().enumerate() {
         node_fn_a[pi.index()] = Some(bdd.var(i));
     }
-    let mut node_fn_b: Vec<Option<boolsubst_bdd::Ref>> = vec![None; b.id_bound()];
+    let mut node_fn_b: Vec<Option<Ref>> = vec![None; b.id_bound()];
     for (bi, &pi) in b.inputs().iter().enumerate() {
         let ai = perm.iter().position(|&p| p == bi).expect("bijection");
         node_fn_b[pi.index()] = Some(bdd.var(ai));
     }
-    let build = |bdd: &mut Bdd, net: &Network, node_fn: &mut Vec<Option<Ref>>| {
-        for id in net.topo_order() {
-            let node = net.node(id);
-            let Some(cover) = node.cover() else { continue };
-            let mut acc = bdd.zero();
-            for cube in cover.cubes() {
-                let mut term = bdd.one();
-                for l in cube.lits() {
-                    let fan = node.fanins()[l.var];
-                    let f = node_fn[fan.index()].expect("topo order");
-                    let lit = match l.phase {
-                        Phase::Pos => f,
-                        Phase::Neg => bdd.not(f),
-                    };
-                    term = bdd.and(term, lit);
-                }
-                acc = bdd.or(acc, term);
-            }
-            node_fn[id.index()] = Some(acc);
-        }
-    };
-    build(&mut bdd, a, &mut node_fn_a);
-    build(&mut bdd, b, &mut node_fn_b);
+    build_node_fns(&mut bdd, a, &mut node_fn_a);
+    build_node_fns(&mut bdd, b, &mut node_fn_b);
 
     let outs = |net: &Network, node_fn: &[Option<Ref>]| -> Option<Vec<(String, Ref)>> {
         let mut v: Vec<(String, Ref)> = net
@@ -162,25 +147,7 @@ pub fn networks_equivalent_modulo_dc(a: &Network, b: &Network) -> bool {
             }
             node_fn[pi.index()] = Some(bdd.var(var_of_name(name)));
         }
-        for id in net.topo_order() {
-            let node = net.node(id);
-            let Some(cover) = node.cover() else { continue };
-            let mut acc = bdd.zero();
-            for cube in cover.cubes() {
-                let mut term = bdd.one();
-                for l in cube.lits() {
-                    let fan = node.fanins()[l.var];
-                    let f = node_fn[fan.index()].expect("topo order");
-                    let lit = match l.phase {
-                        Phase::Pos => f,
-                        Phase::Neg => bdd.not(f),
-                    };
-                    term = bdd.and(term, lit);
-                }
-                acc = bdd.or(acc, term);
-            }
-            node_fn[id.index()] = Some(acc);
-        }
+        build_node_fns(bdd, net, &mut node_fn);
         Some(
             net.outputs()
                 .iter()

@@ -36,7 +36,7 @@
 use boolsubst_bdd::{Bdd, Ref};
 use boolsubst_cube::Phase;
 use boolsubst_metrics::{Counter, Histogram, MetricsHandle};
-use boolsubst_network::{Network, NodeId};
+use boolsubst_network::Network;
 use boolsubst_sat::miter::EquivResult;
 use boolsubst_sat::SatOptions;
 use boolsubst_sim::{PatternPool, SimTable};
@@ -260,11 +260,13 @@ impl GuardMetrics {
 }
 
 /// The guard pipeline: owns its pattern pools (one per input count, built
-/// lazily and reused across checks) and a few diagnostic counters.
+/// lazily and reused across checks), the tier B BDD manager (reset, not
+/// rebuilt, for every check) and a few diagnostic counters.
 #[derive(Debug, Clone)]
 pub struct Guard {
     config: GuardConfig,
     pools: HashMap<usize, PatternPool>,
+    bdd: Bdd,
     checks: u64,
     exact_runs: u64,
     sat_runs: u64,
@@ -316,6 +318,7 @@ impl Guard {
         Guard {
             config,
             pools: HashMap::new(),
+            bdd: Bdd::new(0),
             checks: 0,
             exact_runs: 0,
             sat_runs: 0,
@@ -502,7 +505,7 @@ impl Guard {
         if let Some(m) = &self.metrics {
             m.escalations_bdd.inc();
         }
-        match outputs_equal_exact(pre, post, self.config.bdd_node_budget) {
+        match outputs_equal_exact(&mut self.bdd, pre, post, self.config.bdd_node_budget) {
             Ok(None) => Some(GuardDecision::PassExact),
             Ok(Some(output)) => Some(GuardDecision::RefutedExact { output }),
             Err(BddOverBudget) => {
@@ -595,20 +598,22 @@ fn nanos_f64(d: Duration) -> f64 {
 /// reaching a verdict.
 struct BddOverBudget;
 
-/// Shared-manager BDD comparison of primary-output functions. Inputs are
-/// matched positionally: `pre` is a rolled-back clone of `post`, so input
-/// `i` of one *is* input `i` of the other. Returns the name of the first
-/// differing output, `None` when all outputs agree, or
-/// [`BddOverBudget`] when the manager grew past `node_budget` nodes
-/// mid-build (`0` = unlimited).
+/// Shared-manager BDD comparison of primary-output functions, in `bdd`
+/// after a [`Bdd::reset`]. Inputs are matched positionally: `pre` is a
+/// rolled-back clone of `post`, so input `i` of one *is* input `i` of the
+/// other. Returns the name of the first differing output, `None` when all
+/// outputs agree, or [`BddOverBudget`] when the manager grew past
+/// `node_budget` nodes mid-build (`0` = unlimited; checked after every
+/// cube).
 fn outputs_equal_exact(
+    bdd: &mut Bdd,
     pre: &Network,
     post: &Network,
     node_budget: usize,
 ) -> Result<Option<String>, BddOverBudget> {
-    let n = pre.inputs().len();
-    let mut bdd = Bdd::new(n);
-    let build = |bdd: &mut Bdd, net: &Network| -> Result<Vec<Option<Ref>>, BddOverBudget> {
+    bdd.reset(pre.inputs().len());
+    let limit = (node_budget != 0).then_some(node_budget);
+    let mut build = |net: &Network| -> Result<Vec<Option<Ref>>, BddOverBudget> {
         let mut node_fn: Vec<Option<Ref>> = vec![None; net.id_bound()];
         for (i, &pi) in net.inputs().iter().enumerate() {
             node_fn[pi.index()] = Some(bdd.var(i));
@@ -616,29 +621,19 @@ fn outputs_equal_exact(
         for id in net.topo_order() {
             let node = net.node(id);
             let Some(cover) = node.cover() else { continue };
-            let mut acc = bdd.zero();
-            for cube in cover.cubes() {
-                let mut term = bdd.one();
-                for l in cube.lits() {
-                    let fan: NodeId = node.fanins()[l.var];
-                    let f = node_fn[fan.index()].expect("topo order");
-                    let lit = match l.phase {
-                        Phase::Pos => f,
-                        Phase::Neg => bdd.not(f),
-                    };
-                    term = bdd.and(term, lit);
-                }
-                acc = bdd.or(acc, term);
-            }
-            if node_budget != 0 && bdd.node_count() > node_budget {
-                return Err(BddOverBudget);
-            }
-            node_fn[id.index()] = Some(acc);
+            let cubes = cover.cubes().iter().map(|cube| {
+                cube.lits().map(|l| {
+                    let f = node_fn[node.fanins()[l.var].index()].expect("topo order");
+                    (f, l.phase == Phase::Pos)
+                })
+            });
+            let f = bdd.sop(cubes, limit).ok_or(BddOverBudget)?;
+            node_fn[id.index()] = Some(f);
         }
         Ok(node_fn)
     };
-    let pre_fn = build(&mut bdd, pre)?;
-    let post_fn = build(&mut bdd, post)?;
+    let pre_fn = build(pre)?;
+    let post_fn = build(post)?;
     for (k, (name, o)) in pre.outputs().iter().enumerate() {
         let (_, post_o) = &post.outputs()[k];
         let a = pre_fn[o.index()].expect("driver built");
@@ -653,7 +648,8 @@ fn outputs_equal_exact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use boolsubst_cube::parse_sop;
+    use boolsubst_cube::{parse_sop, Cover, Cube, Lit};
+    use boolsubst_network::NodeId;
 
     fn small_pair() -> (Network, Network) {
         let build = |flip: bool| {
@@ -978,5 +974,265 @@ mod tests {
         guard.check(&pre, &pre.clone());
         assert_eq!(guard.pools.len(), 2);
         assert_eq!(guard.checks(), 3);
+    }
+
+    /// `Σ x_i·x_{i+10}` over 20 inputs, one node: under the order
+    /// `x0 < … < x19` its BDD needs about 2^11 nodes, built cube by cube.
+    fn wide_cover_net() -> Network {
+        let mut net = Network::new("wide_cover");
+        let pis: Vec<NodeId> = (0..20)
+            .map(|k| net.add_input(format!("x{k}")).expect("pi"))
+            .collect();
+        let cubes = (0..10)
+            .map(|i| Cube::from_lits(20, &[Lit::pos(i), Lit::pos(i + 10)]))
+            .collect();
+        let f = net
+            .add_node("f", pis, Cover::from_cubes(20, cubes))
+            .expect("f");
+        net.add_output("f", f).expect("of");
+        net
+    }
+
+    #[test]
+    fn wide_cover_trips_the_node_budget_mid_node() {
+        let net = wide_cover_net();
+        let config = GuardConfig {
+            tier: TierPolicy::Bdd,
+            ..GuardConfig::default()
+        };
+        let mut unlimited = Guard::new(GuardConfig {
+            bdd_node_budget: 0,
+            ..config
+        });
+        assert_eq!(
+            unlimited.check(&net, &net.clone()),
+            GuardDecision::PassExact
+        );
+        let whole = unlimited.bdd.node_count();
+        assert!(whole > 2000, "the whole cover builds {whole} nodes");
+
+        let mut capped = Guard::new(GuardConfig {
+            bdd_node_budget: 64,
+            ..config
+        });
+        assert_eq!(capped.check(&net, &net.clone()), GuardDecision::PassSampled);
+        assert_eq!(capped.bdd_over_budget(), 1);
+        let stopped = capped.bdd.node_count();
+        assert!(
+            stopped > 64 && stopped <= 4 * 64,
+            "the build must stop within a cube of the budget, not after the \
+             whole {whole}-node cover (stopped at {stopped})"
+        );
+    }
+
+    /// Seeded xorshift64* for the differential test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound as u64) as usize
+        }
+    }
+
+    /// A cube over `n` variables with `lits` distinct random literals.
+    fn random_cube(rng: &mut Rng, n: usize, lits: usize) -> Cube {
+        let mut vars: Vec<usize> = (0..n).collect();
+        let lits: Vec<Lit> = (0..lits.min(n))
+            .map(|_| {
+                let v = vars.swap_remove(rng.below(vars.len()));
+                if rng.below(3) == 0 {
+                    Lit::neg(v)
+                } else {
+                    Lit::pos(v)
+                }
+            })
+            .collect();
+        Cube::from_lits(n, &lits)
+    }
+
+    /// A random multi-level network with three outputs. The last is a
+    /// wide AND, which makes changes under it rarely observable, so a
+    /// small random pool misses many of them.
+    fn random_net(rng: &mut Rng, inputs: usize, nodes: usize) -> Network {
+        let mut net = Network::new("rnd");
+        let mut pool: Vec<NodeId> = (0..inputs)
+            .map(|i| net.add_input(format!("x{i}")).expect("pi"))
+            .collect();
+        for k in 0..=nodes {
+            let arity = if k == nodes { 5 } else { 2 + rng.below(3) };
+            let mut fanins: Vec<NodeId> = Vec::new();
+            while fanins.len() < arity {
+                let f = pool[rng.below(pool.len())];
+                if !fanins.contains(&f) {
+                    fanins.push(f);
+                }
+            }
+            let cubes = if k == nodes {
+                vec![random_cube(rng, arity, arity)]
+            } else {
+                (0..1 + rng.below(3))
+                    .map(|_| {
+                        let lits = 1 + rng.below(arity);
+                        random_cube(rng, arity, lits)
+                    })
+                    .collect()
+            };
+            let id = net
+                .add_node(format!("n{k}"), fanins, Cover::from_cubes(arity, cubes))
+                .expect("node");
+            pool.push(id);
+        }
+        let last = pool.len() - 1;
+        for (o, at) in [last - 1, inputs + rng.below(nodes), last]
+            .into_iter()
+            .enumerate()
+        {
+            net.add_output(format!("o{o}"), pool[at]).expect("output");
+        }
+        net
+    }
+
+    /// Rewrites the cover of one random node under the wide-AND output.
+    /// Even `kind`s preserve the node's function; odd ones (usually)
+    /// change it.
+    fn rewrite_one_cone(rng: &mut Rng, net: &Network, kind: usize) -> Network {
+        let mut out = net.clone();
+        let (_, wide) = net.outputs()[2];
+        let internal: Vec<NodeId> = std::iter::once(wide)
+            .chain(net.tfi(wide))
+            .filter(|&id| !net.node(id).is_input())
+            .collect();
+        let id = internal[rng.below(internal.len())];
+        let node = net.node(id);
+        let cover = node.cover().expect("internal");
+        let n = cover.num_vars();
+        let mut cubes = cover.cubes().to_vec();
+        let c = rng.below(cubes.len());
+        let lits: Vec<Lit> = cubes[c].lits().collect();
+        match kind % 6 {
+            // Shannon split of a cube on a free variable: c = c·x + c·x'.
+            0 => {
+                if let Some(v) = (0..n).find(|&v| !lits.iter().any(|l| l.var == v)) {
+                    let mut hi = cubes[c].clone();
+                    hi.restrict(Lit::pos(v));
+                    cubes[c].restrict(Lit::neg(v));
+                    cubes.push(hi);
+                } else {
+                    cubes.reverse();
+                }
+            }
+            // A contained (redundant) cube plus reordering.
+            2 => {
+                let extra = random_cube(rng, n, n);
+                cubes.push(cubes[c].and(&extra));
+                cubes.rotate_left(1);
+            }
+            4 => cubes.reverse(),
+            // Drop a literal.
+            1 => {
+                let keep: Vec<Lit> = lits.iter().skip(1).copied().collect();
+                cubes[c] = Cube::from_lits(n, &keep);
+            }
+            // Flip a literal's phase.
+            3 if !lits.is_empty() => {
+                let l = lits[rng.below(lits.len())];
+                let rest: Vec<Lit> = lits.iter().copied().filter(|x| *x != l).collect();
+                let mut cube = Cube::from_lits(n, &rest);
+                cube.restrict(l.negated());
+                cubes[c] = cube;
+            }
+            // Drop a cube, or add a literal when there is only one.
+            _ => {
+                if cubes.len() > 1 {
+                    cubes.remove(c);
+                } else {
+                    cubes[c] = cubes[c].and(&random_cube(rng, n, 1));
+                }
+            }
+        }
+        let fanins = node.fanins().to_vec();
+        out.replace_function(id, fanins, Cover::from_cubes(n, cubes))
+            .expect("same fanins");
+        out
+    }
+
+    /// ROADMAP's differential guard test: on every check, the exhaustive
+    /// tier A verdict, tier B (`TierPolicy::Bdd`) and tier C
+    /// (`TierPolicy::Sat`) agree. One guard per tier is reused across
+    /// networks of 4 to 12 inputs, so state leaking through a reused
+    /// manager or pool would show up as a disagreement.
+    #[test]
+    fn exhaustive_bdd_and_sat_verdicts_agree_on_random_rewrites() {
+        let mut rng = Rng(0x5EED_D1FF);
+        let mut exhaustive = Guard::new(GuardConfig::default());
+        // A one-word random pool, so tier A misses most subtle changes
+        // and the exact tiers have to decide them.
+        let sampled = GuardConfig {
+            exhaustive_inputs: 0,
+            words: 1,
+            ..GuardConfig::default()
+        };
+        let mut bdd = Guard::new(GuardConfig {
+            tier: TierPolicy::Bdd,
+            ..sampled
+        });
+        let mut sat = Guard::new(GuardConfig {
+            tier: TierPolicy::Sat,
+            ..sampled
+        });
+        let (mut refuted_exact, mut passed_exact, mut refuted_sat) = (0, 0, 0);
+        for case in 0..600 {
+            let inputs = 4 + rng.below(9);
+            let nodes = 6 + rng.below(14);
+            let pre = random_net(&mut rng, inputs, nodes);
+            let post = rewrite_one_cone(&mut rng, &pre, case);
+            let truth = exhaustive.check(&pre, &post);
+            assert!(truth.exact() || matches!(truth, GuardDecision::RefutedSim { .. }));
+            let b = bdd.check(&pre, &post);
+            let s = sat.check(&pre, &post);
+            assert_eq!(
+                b.passed(),
+                truth.passed(),
+                "case {case}: {b:?} vs {truth:?}"
+            );
+            assert_eq!(
+                s.passed(),
+                truth.passed(),
+                "case {case}: {s:?} vs {truth:?}"
+            );
+            assert!(matches!(b.tier_name(), "sim" | "bdd"), "case {case}: {b:?}");
+            assert!(matches!(s.tier_name(), "sim" | "sat"), "case {case}: {s:?}");
+            match b {
+                GuardDecision::RefutedExact { ref output } => {
+                    assert_eq!(
+                        truth,
+                        GuardDecision::RefutedSim {
+                            output: output.clone()
+                        }
+                    );
+                    refuted_exact += 1;
+                }
+                GuardDecision::PassExact => passed_exact += 1,
+                _ => {}
+            }
+            if matches!(s, GuardDecision::RefutedSat { .. }) {
+                refuted_sat += 1;
+            }
+        }
+        assert!(
+            refuted_exact >= 8,
+            "tier B refuted only {refuted_exact} sampled misses"
+        );
+        assert!(
+            passed_exact >= 200,
+            "tier B proved only {passed_exact} rewrites"
+        );
+        assert!(
+            refuted_sat >= 8,
+            "tier C refuted only {refuted_sat} sampled misses"
+        );
     }
 }
