@@ -215,6 +215,17 @@ impl Circuit {
         out
     }
 
+    /// Fanout lists for every gate, as sink gates (one entry per wire).
+    pub(crate) fn fanouts(&self) -> Vec<Vec<GateId>> {
+        let mut out = vec![Vec::new(); self.gates.len()];
+        for (i, gate) in self.gates.iter().enumerate() {
+            for &f in &gate.fanins {
+                out[f.0].push(GateId(i));
+            }
+        }
+        out
+    }
+
     /// Removes pin `w.pin` from gate `w.gate`. Later pins shift down by
     /// one. The gate's semantics must make the removal meaningful (the
     /// caller proves redundancy first).

@@ -4,7 +4,7 @@
 //! implication/search substrate, and a useful diagnostic for circuits the
 //! division engine produces.
 
-use crate::{find_test, Circuit, Fault, TestSearch, Wire};
+use crate::{Circuit, Fault, FaultChecker, TestSearch, Wire};
 
 /// Enumerates every input-pin stuck-at fault of the circuit (two per
 /// wire).
@@ -115,11 +115,12 @@ pub fn fault_coverage(
     }
 
     // Deterministic phase.
+    let mut checker = FaultChecker::new(circuit.clone());
     for (fi, fault) in faults.iter().enumerate() {
         if classes[fi].is_some() {
             continue;
         }
-        classes[fi] = Some(match find_test(circuit, *fault, search_budget) {
+        classes[fi] = Some(match checker.find_test(*fault, search_budget) {
             TestSearch::Testable(v) => FaultClass::DetectedSearch(v),
             TestSearch::Untestable => FaultClass::Redundant,
             TestSearch::Aborted => FaultClass::Aborted,

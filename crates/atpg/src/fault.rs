@@ -1,8 +1,7 @@
-//! Stuck-at fault analysis: mandatory assignments via dominators, the
-//! implication-based untestability (= redundancy) check, and an exhaustive
-//! oracle for small circuits.
+//! Stuck-at faults, the one-shot implication-based untestability (=
+//! redundancy) check, and an exhaustive oracle for small circuits.
 
-use crate::{Circuit, GateId, Implier, ImplyOptions, Value, Wire};
+use crate::{Circuit, FaultChecker, ImplyOptions, Value, Wire};
 
 /// A single stuck-at fault on a wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,178 +54,21 @@ impl FaultStatus {
     }
 }
 
-/// Gates through which *every* path from `from` to *any* observation point
-/// passes (the observability dominators of `from`, including the sink gate
-/// of each such path segment but excluding `from` itself). Returns `None`
-/// if no observation point is reachable.
-#[must_use]
-pub fn observability_dominators(circuit: &Circuit, from: GateId) -> Option<Vec<GateId>> {
-    let n = circuit.len();
-    let tfo = circuit.tfo_mask(from);
-    // Region: gates in TFO(from) that still reach an output, plus `from`.
-    let reaches_out = {
-        let fanouts = circuit.fanout_wires();
-        let mut mask = vec![false; n];
-        // Reverse reachability from outputs within TFO ∪ {from}.
-        let mut stack: Vec<GateId> = circuit
-            .outputs()
-            .iter()
-            .copied()
-            .filter(|o| tfo[o.index()] || *o == from)
-            .collect();
-        for o in &stack {
-            mask[o.index()] = true;
-        }
-        // Walk fanins backwards.
-        while let Some(g) = stack.pop() {
-            for &f in circuit.fanins(g) {
-                if (tfo[f.index()] || f == from) && !mask[f.index()] {
-                    mask[f.index()] = true;
-                    stack.push(f);
-                }
-            }
-        }
-        let _ = fanouts;
-        mask
-    };
-    if !reaches_out[from.index()] {
-        return None;
-    }
-
-    // SD(g): bitset of gates on every path from `from` to g, for g in the
-    // region, processed in topological (creation) order.
-    let words = n.div_ceil(64);
-    let full: Vec<u64> = vec![!0u64; words];
-    let mut sd: Vec<Option<Vec<u64>>> = vec![None; n];
-    let mut self_set = vec![0u64; words];
-    self_set[from.index() / 64] |= 1 << (from.index() % 64);
-    sd[from.index()] = Some(self_set);
-    for g in circuit.gate_ids() {
-        if g == from || !tfo[g.index()] || !reaches_out[g.index()] {
-            continue;
-        }
-        let mut acc: Option<Vec<u64>> = None;
-        for &f in circuit.fanins(g) {
-            let Some(fs) = sd[f.index()].as_ref() else {
-                continue;
-            };
-            acc = Some(match acc {
-                None => fs.clone(),
-                Some(mut a) => {
-                    for (x, y) in a.iter_mut().zip(fs) {
-                        *x &= y;
-                    }
-                    a
-                }
-            });
-        }
-        if let Some(mut a) = acc {
-            a[g.index() / 64] |= 1 << (g.index() % 64);
-            sd[g.index()] = Some(a);
-        }
-    }
-
-    // Intersect SD over reachable outputs (virtual sink).
-    let mut acc: Option<Vec<u64>> = None;
-    for &o in circuit.outputs() {
-        if o == from {
-            // Fault observed directly at an output: nothing must dominate.
-            return Some(Vec::new());
-        }
-        let Some(os) = sd[o.index()].as_ref() else {
-            continue;
-        };
-        acc = Some(match acc {
-            None => os.clone(),
-            Some(mut a) => {
-                for (x, y) in a.iter_mut().zip(os) {
-                    *x &= y;
-                }
-                a
-            }
-        });
-    }
-    let acc = acc.unwrap_or(full);
-    let mut doms = Vec::new();
-    for g in circuit.gate_ids() {
-        if g == from {
-            continue;
-        }
-        if acc[g.index() / 64] >> (g.index() % 64) & 1 == 1 && tfo[g.index()] {
-            doms.push(g);
-        }
-    }
-    Some(doms)
-}
-
-/// Computes the mandatory assignments of a fault: activation at the source
-/// gate plus non-controlling values on the side inputs of every
-/// observability dominator. Returns `None` if the fault is trivially
-/// untestable (unobservable).
-#[must_use]
-pub fn mandatory_assignments(circuit: &Circuit, fault: Fault) -> Option<Vec<(GateId, bool)>> {
-    let source = circuit.fanins(fault.wire.gate)[fault.wire.pin];
-    let mut mas = vec![(source, !fault.stuck)];
-
-    // The sink gate of the faulted wire behaves like a dominator for its
-    // own side inputs (the fault enters through one specific pin).
-    let sink = fault.wire.gate;
-    let tfo_sink = circuit.tfo_mask(sink);
-    if let Some(ctrl) = circuit.kind(sink).controlling() {
-        for (pin, &f) in circuit.fanins(sink).iter().enumerate() {
-            if pin != fault.wire.pin {
-                mas.push((f, !ctrl));
-            }
-        }
-    }
-
-    // Observability dominators of the *sink* gate (the fault effect
-    // appears at the sink's output).
-    if circuit.outputs().contains(&sink) {
-        return Some(mas);
-    }
-    let doms = observability_dominators(circuit, sink)?;
-    for d in doms {
-        let Some(ctrl) = circuit.kind(d).controlling() else {
-            continue;
-        };
-        for &f in circuit.fanins(d) {
-            // Side inputs = fanins not affected by the fault.
-            if f != sink && !tfo_sink[f.index()] {
-                mas.push((f, !ctrl));
-            }
-        }
-    }
-    Some(mas)
-}
-
 /// Implication-based untestability check for a stuck-at fault: seeds the
 /// mandatory assignments and runs the implication engine (with optional
 /// recursive learning). A conflict proves the fault untestable, i.e. the
 /// wire may be replaced by the stuck value.
 ///
 /// The check is *sound but incomplete*: `PossiblyTestable` does not
-/// guarantee a test exists.
+/// guarantee a test exists. This is the one-shot form of
+/// [`FaultChecker::check`]; callers checking several faults of one
+/// circuit should build the checker once instead.
 #[must_use]
 pub fn check_fault(circuit: &Circuit, fault: Fault, opts: ImplyOptions) -> FaultStatus {
-    let Some(mas) = mandatory_assignments(circuit, fault) else {
-        return FaultStatus::Untestable(UntestableReason::Unobservable);
-    };
-    let implier = Implier::new(circuit);
-    let mut values = vec![Value::Unknown; circuit.len()];
-    for (g, v) in mas {
-        if implier
-            .assign_and_imply(&mut values, g, v, ImplyOptions::default())
-            .is_err()
-        {
-            return FaultStatus::Untestable(UntestableReason::ImplicationConflict);
-        }
+    match FaultChecker::new(circuit.clone()).check(fault, opts) {
+        Ok(values) => FaultStatus::PossiblyTestable(values.to_vec()),
+        Err(reason) => FaultStatus::Untestable(reason),
     }
-    // One full pass with the requested learning depth.
-    if implier.imply(&mut values, opts).is_err() {
-        return FaultStatus::Untestable(UntestableReason::ImplicationConflict);
-    }
-    FaultStatus::PossiblyTestable(values)
 }
 
 /// Exhaustive testability oracle: simulates all `2^n` input assignments of
@@ -261,6 +103,7 @@ pub fn is_testable_exhaustive(circuit: &Circuit, fault: Fault) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GateId;
 
     /// The classical irredundant/redundant pair: f = ab + a'c, adding the
     /// consensus cube bc makes each of its wires redundant.
@@ -387,22 +230,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dominators_of_chain() {
-        let mut c = Circuit::new();
-        let a = c.add_input();
-        let b = c.add_input();
-        let x = c.add_and(vec![a, b]);
-        let y = c.add_or(vec![x, a]);
-        let z = c.add_and(vec![y, b]);
-        c.add_output(z);
-        let doms = observability_dominators(&c, x).expect("reachable");
-        assert_eq!(doms, vec![y, z]);
-        let doms_a = observability_dominators(&c, a).expect("reachable");
-        // From a there are two paths (via x and via y directly): only y, z
-        // dominate.
-        assert_eq!(doms_a, vec![y, z]);
     }
 }

@@ -2,7 +2,7 @@
 //! learning (Kunz–Pradhan style), the workhorse behind redundancy
 //! identification.
 
-use crate::{Circuit, GateId, GateKind, Wire};
+use crate::{Circuit, GateId, GateKind};
 
 /// Three-valued logic value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -76,7 +76,7 @@ pub struct ImplyOptions {
 #[derive(Debug)]
 pub struct Implier<'c> {
     circuit: &'c Circuit,
-    fanouts: Vec<Vec<Wire>>,
+    fanouts: Vec<Vec<GateId>>,
     constants: Vec<(GateId, Value)>,
 }
 
@@ -94,22 +94,16 @@ impl<'c> Implier<'c> {
             .collect();
         Implier {
             circuit,
-            fanouts: circuit.fanout_wires(),
+            fanouts: circuit.fanouts(),
             constants,
         }
     }
 
-    /// Seeds constant-gate values into a table (conflict only if the caller
-    /// pre-assigned a contradictory value).
-    fn seed_constants(
-        &self,
-        values: &mut [Value],
-        queue: &mut Vec<GateId>,
-    ) -> Result<(), Conflict> {
-        for &(g, v) in &self.constants {
-            Self::assign(values, g, v, queue, &self.fanouts)?;
+    fn rules(&self) -> Rules<'_> {
+        Rules {
+            circuit: self.circuit,
+            fanouts: &self.fanouts,
         }
-        Ok(())
     }
 
     /// The circuit this engine works on.
@@ -128,17 +122,7 @@ impl<'c> Implier<'c> {
     ///
     /// Returns [`Conflict`] if the seeds are contradictory.
     pub fn imply(&self, values: &mut [Value], opts: ImplyOptions) -> Result<(), Conflict> {
-        assert_eq!(
-            values.len(),
-            self.circuit.len(),
-            "value table size mismatch"
-        );
-        let mut queue: Vec<GateId> = self.circuit.gate_ids().collect();
-        self.propagate(values, &mut queue)?;
-        if opts.learn_depth > 0 {
-            self.learn(values, opts.learn_depth)?;
-        }
-        Ok(())
+        self.rules().imply(values, opts)
     }
 
     /// Assigns `v` to gate `g` and runs implications from there.
@@ -153,9 +137,41 @@ impl<'c> Implier<'c> {
         v: bool,
         opts: ImplyOptions,
     ) -> Result<(), Conflict> {
+        let rules = self.rules();
         let mut queue = Vec::new();
-        self.seed_constants(values, &mut queue)?;
-        Self::assign(values, g, Value::from_bool(v), &mut queue, &self.fanouts)?;
+        // Seeding the constants conflicts only if the caller pre-assigned
+        // a contradictory value.
+        for &(c, cv) in &self.constants {
+            rules.assign(values, c, cv, &mut queue)?;
+        }
+        rules.assign(values, g, Value::from_bool(v), &mut queue)?;
+        rules.propagate(values, &mut queue)?;
+        if opts.learn_depth > 0 {
+            rules.learn(values, opts.learn_depth)?;
+        }
+        Ok(())
+    }
+}
+
+/// The implication rules over one circuit and its gate-level fanout
+/// lists. [`Implier`] and [`FaultChecker`](crate::FaultChecker) own the
+/// lists and lend them here, so both run the same rules.
+#[derive(Clone, Copy)]
+pub(crate) struct Rules<'a> {
+    pub(crate) circuit: &'a Circuit,
+    pub(crate) fanouts: &'a [Vec<GateId>],
+}
+
+impl Rules<'_> {
+    /// Full pass: queues every gate, propagates to fixpoint, then runs
+    /// recursive learning at `opts.learn_depth`.
+    pub(crate) fn imply(self, values: &mut [Value], opts: ImplyOptions) -> Result<(), Conflict> {
+        assert_eq!(
+            values.len(),
+            self.circuit.len(),
+            "value table size mismatch"
+        );
+        let mut queue: Vec<GateId> = self.circuit.gate_ids().collect();
         self.propagate(values, &mut queue)?;
         if opts.learn_depth > 0 {
             self.learn(values, opts.learn_depth)?;
@@ -163,21 +179,21 @@ impl<'c> Implier<'c> {
         Ok(())
     }
 
-    fn assign(
+    /// Sets `g` to `v` and queues it with its fanouts; a no-op if `g`
+    /// already holds `v`.
+    pub(crate) fn assign(
+        self,
         values: &mut [Value],
         g: GateId,
         v: Value,
         queue: &mut Vec<GateId>,
-        fanouts: &[Vec<Wire>],
     ) -> Result<(), Conflict> {
         debug_assert_ne!(v, Value::Unknown);
         match values[g.index()] {
             Value::Unknown => {
                 values[g.index()] = v;
                 queue.push(g);
-                for w in &fanouts[g.index()] {
-                    queue.push(w.gate);
-                }
+                queue.extend_from_slice(&self.fanouts[g.index()]);
                 Ok(())
             }
             old if old == v => Ok(()),
@@ -186,7 +202,11 @@ impl<'c> Implier<'c> {
     }
 
     /// Worklist fixpoint of direct (forward + backward) implications.
-    fn propagate(&self, values: &mut [Value], queue: &mut Vec<GateId>) -> Result<(), Conflict> {
+    pub(crate) fn propagate(
+        self,
+        values: &mut [Value],
+        queue: &mut Vec<GateId>,
+    ) -> Result<(), Conflict> {
         while let Some(g) = queue.pop() {
             self.imply_at(values, g, queue)?;
         }
@@ -195,7 +215,7 @@ impl<'c> Implier<'c> {
 
     /// Local implication rules at gate `g`.
     fn imply_at(
-        &self,
+        self,
         values: &mut [Value],
         g: GateId,
         queue: &mut Vec<GateId>,
@@ -231,7 +251,7 @@ impl<'c> Implier<'c> {
             }
         };
         if forward != Value::Unknown {
-            Self::assign(values, g, forward, queue, &self.fanouts)?;
+            self.assign(values, g, forward, queue)?;
         }
 
         // Backward implication: derive fanin values from a known output.
@@ -245,19 +265,19 @@ impl<'c> Implier<'c> {
         }
         match (kind, out) {
             (GateKind::Buf, v) => {
-                Self::assign(values, fanins[0], v, queue, &self.fanouts)?;
+                self.assign(values, fanins[0], v, queue)?;
             }
             (GateKind::Not, v) => {
-                Self::assign(values, fanins[0], v.not(), queue, &self.fanouts)?;
+                self.assign(values, fanins[0], v.not(), queue)?;
             }
             (GateKind::And, Value::One) => {
                 for &f in fanins {
-                    Self::assign(values, f, Value::One, queue, &self.fanouts)?;
+                    self.assign(values, f, Value::One, queue)?;
                 }
             }
             (GateKind::Or, Value::Zero) => {
                 for &f in fanins {
-                    Self::assign(values, f, Value::Zero, queue, &self.fanouts)?;
+                    self.assign(values, f, Value::Zero, queue)?;
                 }
             }
             (GateKind::And, Value::Zero) => {
@@ -283,7 +303,7 @@ impl<'c> Implier<'c> {
                     }
                 }
                 if let Some(f) = unknown {
-                    Self::assign(values, f, Value::Zero, queue, &self.fanouts)?;
+                    self.assign(values, f, Value::Zero, queue)?;
                 } else if all_one && !fanins.is_empty() {
                     // All fanins 1 but output 0: contradiction (forward
                     // implication also catches this; keep for clarity).
@@ -314,7 +334,7 @@ impl<'c> Implier<'c> {
                     }
                 }
                 if let Some(f) = unknown {
-                    Self::assign(values, f, Value::One, queue, &self.fanouts)?;
+                    self.assign(values, f, Value::One, queue)?;
                 } else if all_zero && !fanins.is_empty() {
                     return Err(Conflict { gate: g });
                 } else if fanins.is_empty() {
@@ -333,7 +353,7 @@ impl<'c> Implier<'c> {
     /// unjustified gate, try each justification; values common to all
     /// non-conflicting branches are learned, and if every branch conflicts
     /// the current assignment is itself contradictory.
-    fn learn(&self, values: &mut [Value], depth: u8) -> Result<(), Conflict> {
+    pub(crate) fn learn(self, values: &mut [Value], depth: u8) -> Result<(), Conflict> {
         loop {
             let mut learned_any = false;
             for g in self.circuit.gate_ids() {
@@ -348,7 +368,8 @@ impl<'c> Implier<'c> {
                         learn_depth: depth - 1,
                     };
                     let mut queue = Vec::new();
-                    let r = Self::assign(&mut trial, *f, *v, &mut queue, &self.fanouts)
+                    let r = self
+                        .assign(&mut trial, *f, *v, &mut queue)
                         .and_then(|()| self.propagate(&mut trial, &mut queue))
                         .and_then(|()| {
                             if depth > 1 {
@@ -377,7 +398,7 @@ impl<'c> Implier<'c> {
                     let mut queue = Vec::new();
                     for (i, &newv) in common.iter().enumerate() {
                         if newv != Value::Unknown && values[i] == Value::Unknown {
-                            Self::assign(values, GateId(i), newv, &mut queue, &self.fanouts)?;
+                            self.assign(values, GateId(i), newv, &mut queue)?;
                             learned_any = true;
                         }
                     }
@@ -393,7 +414,7 @@ impl<'c> Implier<'c> {
     /// If gate `g` is *unjustified* (its known output is not yet forced by
     /// its fanins), returns the list of single-fanin assignments that could
     /// justify it. Returns `None` for justified or undetermined gates.
-    fn justification_options(&self, values: &[Value], g: GateId) -> Option<Vec<(GateId, Value)>> {
+    fn justification_options(self, values: &[Value], g: GateId) -> Option<Vec<(GateId, Value)>> {
         let out = values[g.index()].to_bool()?;
         let fanins = self.circuit.fanins(g);
         match (self.circuit.kind(g), out) {

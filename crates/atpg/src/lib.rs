@@ -4,9 +4,11 @@
 //! The ATPG-flavoured substrate of the paper: a gate-level circuit view
 //! ([`Circuit`]), an event-driven three-valued implication engine with
 //! optional recursive learning ([`Implier`]), stuck-at fault analysis with
-//! dominator-based mandatory assignments ([`check_fault`]), and the greedy
-//! redundancy-removal loop ([`remove_redundant_wires`]) that performs the
-//! actual minimization in Boolean division.
+//! dominator-based mandatory assignments ([`FaultChecker`], built once per
+//! circuit and reused for every check; [`check_fault`] is its one-shot
+//! form), and the greedy redundancy-removal loop
+//! ([`remove_redundant_wires`]) that performs the actual minimization in
+//! Boolean division.
 //!
 //! The untestability check is *sound but incomplete*: a wire is removed
 //! only when implications prove its stuck-at fault untestable, so every
@@ -28,20 +30,21 @@
 //! assert!(check_fault(&c, fault, ImplyOptions::default()).is_untestable());
 //! ```
 
+mod checker;
 mod circuit;
 mod coverage;
 mod fault;
 mod imply;
 mod rar;
 mod redundancy;
+#[cfg(test)]
+mod reference;
 mod search;
 
+pub use checker::FaultChecker;
 pub use circuit::{Circuit, GateId, GateKind, Wire};
 pub use coverage::{collapse_faults, enumerate_faults, fault_coverage, CoverageReport, FaultClass};
-pub use fault::{
-    check_fault, is_testable_exhaustive, mandatory_assignments, observability_dominators, Fault,
-    FaultStatus, UntestableReason,
-};
+pub use fault::{check_fault, is_testable_exhaustive, Fault, FaultStatus, UntestableReason};
 pub use imply::{Conflict, Implier, ImplyOptions, Value};
 pub use rar::{rar_optimize, RarOptions, RarStats};
 pub use redundancy::{

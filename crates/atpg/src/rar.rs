@@ -10,7 +10,7 @@
 //! on.
 
 use crate::{
-    check_fault, CandidateWire, Circuit, Fault, GateId, GateKind, ImplyOptions, RemovalOptions,
+    CandidateWire, Circuit, Fault, FaultChecker, GateId, GateKind, ImplyOptions, RemovalOptions,
     Wire,
 };
 
@@ -69,18 +69,20 @@ fn all_candidate_wires(circuit: &Circuit) -> Vec<CandidateWire> {
 /// Proves the fault of wire (driver → sink, stuck at the sink's
 /// non-controlling value) untestable, using implications plus the bounded
 /// exact search.
-fn wire_is_redundant(circuit: &Circuit, w: Wire, opts: &RarOptions) -> bool {
-    let stuck = match circuit.kind(w.gate) {
+fn wire_is_redundant(checker: &mut FaultChecker, w: Wire, opts: &RarOptions) -> bool {
+    let stuck = match checker.circuit().kind(w.gate) {
         GateKind::And => true,
         GateKind::Or => false,
         _ => return false,
     };
     let fault = Fault { wire: w, stuck };
-    if check_fault(circuit, fault, opts.imply).is_untestable() {
+    if checker.check(fault, opts.imply).is_err() {
         return true;
     }
     opts.addition_budget > 0
-        && crate::check_fault_exact(circuit, fault, opts.addition_budget) == Some(false)
+        && checker
+            .find_test(fault, opts.addition_budget)
+            .is_untestable()
 }
 
 /// One greedy RAR pass over the circuit: first remove directly redundant
@@ -133,17 +135,16 @@ pub fn rar_optimize(circuit: &mut Circuit, opts: &RarOptions) -> RarStats {
                     gate: dst,
                     pin: trial.fanins(dst).len() - 1,
                 };
-                if !wire_is_redundant(&trial, added, opts) {
+                let mut checker = FaultChecker::new(trial);
+                if !wire_is_redundant(&mut checker, added, opts) {
                     continue;
                 }
                 // How many *other* wires become removable?
-                let others: Vec<CandidateWire> = all_candidate_wires(&trial)
+                let others: Vec<CandidateWire> = all_candidate_wires(checker.circuit())
                     .into_iter()
                     .filter(|c| !(c.sink == dst && c.driver == src))
                     .collect();
-                let mut scratch = trial;
-                let outcome = crate::remove_redundant_wires_with(
-                    &mut scratch,
+                let outcome = checker.remove_redundant_wires(
                     &others,
                     &RemovalOptions {
                         imply: opts.imply,
@@ -153,7 +154,7 @@ pub fn rar_optimize(circuit: &mut Circuit, opts: &RarOptions) -> RarStats {
                     2,
                 );
                 if outcome.removed.len() >= 2 {
-                    *circuit = scratch;
+                    *circuit = checker.into_circuit();
                     stats.additions += 1;
                     stats.removals += outcome.removed.len();
                 }

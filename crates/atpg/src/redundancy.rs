@@ -1,8 +1,7 @@
 //! Redundancy removal: greedy deletion of wires whose stuck-at fault is
 //! proven untestable by the implication engine.
 
-use crate::search::check_fault_exact;
-use crate::{check_fault, Circuit, Fault, GateId, GateKind, ImplyOptions, Wire};
+use crate::{Circuit, Fault, FaultChecker, GateId, GateKind, ImplyOptions, Wire};
 
 /// A candidate wire for removal, identified by sink gate and driver gate
 /// (robust against pin shifting as other wires are deleted). The sink's
@@ -22,7 +21,7 @@ pub struct RemovalOptions {
     /// Implication options for the conservative untestability check.
     pub imply: ImplyOptions,
     /// When non-zero, wires the conservative check cannot decide are
-    /// additionally tried with the bounded exact search ([`check_fault_exact`])
+    /// additionally tried with the bounded exact search ([`crate::check_fault_exact`])
     /// under this decision-node budget.
     pub exact_budget: usize,
     /// When non-zero, the removal loop stops (soundly: a less-simplified
@@ -82,59 +81,69 @@ pub fn remove_redundant_wires_with(
     opts: &RemovalOptions,
     max_passes: usize,
 ) -> RemovalOutcome {
-    let mut outcome = RemovalOutcome::default();
-    let mut live: Vec<CandidateWire> = candidates.to_vec();
-    for _ in 0..max_passes.max(1) {
-        let mut removed_this_pass = false;
-        let mut still: Vec<CandidateWire> = Vec::with_capacity(live.len());
-        for cand in live {
-            if opts.max_checks > 0 && outcome.checks >= opts.max_checks {
-                outcome.budget_exhausted = true;
-                still.push(cand);
-                continue;
-            }
-            let kind = circuit.kind(cand.sink);
-            let stuck = match kind {
-                GateKind::And => true,
-                GateKind::Or => false,
-                other => panic!("candidate sink must be AND/OR, got {other:?}"),
-            };
-            let Some(pin) = circuit
-                .fanins(cand.sink)
-                .iter()
-                .position(|&f| f == cand.driver)
-            else {
-                continue; // already gone
-            };
-            let fault = Fault {
-                wire: Wire {
-                    gate: cand.sink,
-                    pin,
-                },
-                stuck,
-            };
-            outcome.checks += 1;
-            let mut redundant = check_fault(circuit, fault, opts.imply).is_untestable();
-            if !redundant && opts.exact_budget > 0 {
-                redundant = check_fault_exact(circuit, fault, opts.exact_budget) == Some(false);
-            }
-            if redundant {
-                circuit.remove_wire(Wire {
-                    gate: cand.sink,
-                    pin,
-                });
-                outcome.removed.push(cand);
-                removed_this_pass = true;
-            } else {
-                still.push(cand);
-            }
-        }
-        live = still;
-        if outcome.budget_exhausted || !removed_this_pass {
-            break;
-        }
-    }
+    let mut checker = FaultChecker::new(std::mem::take(circuit));
+    let outcome = checker.remove_redundant_wires(candidates, opts, max_passes);
+    *circuit = checker.into_circuit();
     outcome
+}
+
+impl FaultChecker {
+    /// [`remove_redundant_wires_with`] on the checker's own circuit.
+    pub(crate) fn remove_redundant_wires(
+        &mut self,
+        candidates: &[CandidateWire],
+        opts: &RemovalOptions,
+        max_passes: usize,
+    ) -> RemovalOutcome {
+        let mut outcome = RemovalOutcome::default();
+        let mut live: Vec<CandidateWire> = candidates.to_vec();
+        for _ in 0..max_passes.max(1) {
+            let mut removed_this_pass = false;
+            let mut still: Vec<CandidateWire> = Vec::with_capacity(live.len());
+            for cand in live {
+                if opts.max_checks > 0 && outcome.checks >= opts.max_checks {
+                    outcome.budget_exhausted = true;
+                    still.push(cand);
+                    continue;
+                }
+                let stuck = match self.circuit().kind(cand.sink) {
+                    GateKind::And => true,
+                    GateKind::Or => false,
+                    other => panic!("candidate sink must be AND/OR, got {other:?}"),
+                };
+                let Some(pin) = self
+                    .circuit()
+                    .fanins(cand.sink)
+                    .iter()
+                    .position(|&f| f == cand.driver)
+                else {
+                    continue; // already gone
+                };
+                let wire = Wire {
+                    gate: cand.sink,
+                    pin,
+                };
+                let fault = Fault { wire, stuck };
+                outcome.checks += 1;
+                let mut redundant = self.check(fault, opts.imply).is_err();
+                if !redundant && opts.exact_budget > 0 {
+                    redundant = self.find_test(fault, opts.exact_budget).is_untestable();
+                }
+                if redundant {
+                    self.remove_wire(wire);
+                    outcome.removed.push(cand);
+                    removed_this_pass = true;
+                } else {
+                    still.push(cand);
+                }
+            }
+            live = still;
+            if outcome.budget_exhausted || !removed_this_pass {
+                break;
+            }
+        }
+        outcome
+    }
 }
 
 #[cfg(test)]

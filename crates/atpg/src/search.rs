@@ -4,9 +4,8 @@
 //! trade-off; this module is the exact end of that spectrum, used for
 //! small cones and for cross-validating the conservative checker.
 
-use crate::{
-    mandatory_assignments, Circuit, Fault, GateId, GateKind, Implier, ImplyOptions, Value,
-};
+use crate::imply::Rules;
+use crate::{Circuit, Fault, FaultChecker, GateId, GateKind, ImplyOptions, Value};
 
 /// Outcome of a bounded test search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,28 +30,11 @@ impl TestSearch {
 /// Searches for a test for `fault`, exploring at most `budget` decision
 /// nodes. Mandatory assignments seed the search and the implication
 /// engine prunes each branch; leaves are validated by explicit good/faulty
-/// simulation, so `Testable` vectors are always genuine tests.
+/// simulation, so `Testable` vectors are always genuine tests. One-shot
+/// form of [`FaultChecker::find_test`].
 #[must_use]
 pub fn find_test(circuit: &Circuit, fault: Fault, budget: usize) -> TestSearch {
-    let Some(mas) = mandatory_assignments(circuit, fault) else {
-        return TestSearch::Untestable;
-    };
-    let implier = Implier::new(circuit);
-    let mut values = vec![Value::Unknown; circuit.len()];
-    for (g, v) in mas {
-        if implier
-            .assign_and_imply(&mut values, g, v, ImplyOptions::default())
-            .is_err()
-        {
-            return TestSearch::Untestable;
-        }
-    }
-    let inputs: Vec<GateId> = circuit
-        .gate_ids()
-        .filter(|&g| circuit.kind(g) == GateKind::Input)
-        .collect();
-    let mut budget = budget;
-    search(circuit, &implier, fault, &values, &inputs, &mut budget)
+    FaultChecker::new(circuit.clone()).find_test(fault, budget)
 }
 
 /// Convenience wrapper: `Some(true)` testable, `Some(false)` untestable,
@@ -66,9 +48,26 @@ pub fn check_fault_exact(circuit: &Circuit, fault: Fault, budget: usize) -> Opti
     }
 }
 
+impl FaultChecker {
+    /// Bounded exact test search on the checker's circuit (see
+    /// [`find_test`]), seeded by the checker's mandatory assignments.
+    pub fn find_test(&mut self, fault: Fault, budget: usize) -> TestSearch {
+        if !self.collect_mandatory(fault) || self.imply_mandatory(ImplyOptions::default()).is_err()
+        {
+            return TestSearch::Untestable;
+        }
+        let circuit = self.circuit();
+        let inputs: Vec<GateId> = circuit
+            .gate_ids()
+            .filter(|&g| circuit.kind(g) == GateKind::Input)
+            .collect();
+        let mut budget = budget;
+        search(self.rules(), fault, self.values(), &inputs, &mut budget)
+    }
+}
+
 fn search(
-    circuit: &Circuit,
-    implier: &Implier<'_>,
+    rules: Rules<'_>,
     fault: Fault,
     values: &[Value],
     inputs: &[GateId],
@@ -86,6 +85,7 @@ fn search(
         .find(|g| values[g.index()] == Value::Unknown);
     let Some(pick) = next else {
         // Fully decided: simulate and compare observation points.
+        let circuit = rules.circuit;
         let assignment: Vec<bool> = inputs
             .iter()
             .map(|g| values[g.index()].to_bool().expect("decided"))
@@ -104,15 +104,18 @@ fn search(
     };
 
     let mut aborted = false;
+    let mut queue = Vec::new();
     for v in [false, true] {
         let mut trial = values.to_vec();
-        if implier
-            .assign_and_imply(&mut trial, pick, v, ImplyOptions::default())
+        queue.clear();
+        if rules
+            .assign(&mut trial, pick, Value::from_bool(v), &mut queue)
+            .and_then(|()| rules.propagate(&mut trial, &mut queue))
             .is_err()
         {
             continue; // contradicts the mandatory assignments
         }
-        match search(circuit, implier, fault, &trial, inputs, budget) {
+        match search(rules, fault, &trial, inputs, budget) {
             TestSearch::Testable(t) => return TestSearch::Testable(t),
             TestSearch::Aborted => aborted = true,
             TestSearch::Untestable => {}

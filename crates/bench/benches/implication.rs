@@ -1,8 +1,9 @@
-//! Microbenchmarks of the implication engine: direct implications vs.
-//! recursive learning, and full redundancy checks on chains of growing
-//! depth — the paper's run-time/quality knob.
+//! Microbenchmarks of the implication engine: one-shot redundancy checks
+//! (direct implications vs. recursive learning) on chains of growing
+//! depth — the paper's run-time/quality knob — and a sweep over every
+//! fault of a division-shaped region through one reused checker.
 
-use boolsubst_atpg::{check_fault, Circuit, Fault, GateId, ImplyOptions, Wire};
+use boolsubst_atpg::{check_fault, Circuit, Fault, FaultChecker, GateId, ImplyOptions, Wire};
 use boolsubst_bench::timing::Harness;
 use std::hint::black_box;
 
@@ -58,14 +59,17 @@ fn main() {
         }
         let root = circuit.add_or(cube_gates.clone());
         circuit.add_output(root);
+        let faults: Vec<Fault> = cube_gates
+            .iter()
+            .flat_map(|&g| (0..circuit.fanins(g).len()).map(move |pin| Wire { gate: g, pin }))
+            .map(Fault::sa1)
+            .collect();
+        let mut checker = FaultChecker::new(circuit);
         group.bench(&format!("all_faults/{cubes}"), || {
             let mut untestable = 0usize;
-            for &g in &cube_gates {
-                for pin in 0..circuit.fanins(g).len() {
-                    let fault = Fault::sa1(Wire { gate: g, pin });
-                    if check_fault(&circuit, fault, ImplyOptions::default()).is_untestable() {
-                        untestable += 1;
-                    }
+            for &fault in &faults {
+                if checker.check(fault, ImplyOptions::default()).is_err() {
+                    untestable += 1;
                 }
             }
             black_box(untestable)

@@ -5,7 +5,7 @@
 //! is selected by a maximal-clique search on the intersection graph.
 
 use crate::division::{basic_divide_covers, DivisionOptions, DivisionResult};
-use boolsubst_atpg::{check_fault, Circuit, Fault, FaultStatus, GateId, Value, Wire};
+use boolsubst_atpg::{Circuit, Fault, FaultChecker, GateId, Value, Wire};
 use boolsubst_cube::{Cover, Lit, Phase};
 
 /// A dividend wire: literal `lit` inside cube `cube_index` of `f`.
@@ -166,20 +166,26 @@ pub fn compute_vote_table_masked(
     if let Some(mask) = skip_cube {
         assert_eq!(mask.len(), f.len(), "skip mask length mismatch");
     }
-    let vc = VoteCircuit::build(f, d);
+    let VoteCircuit {
+        circuit,
+        lit_gates,
+        f_cube_gates,
+        divisor_cube_gates,
+    } = VoteCircuit::build(f, d);
+    let mut checker = FaultChecker::new(circuit);
     let mut rows = Vec::new();
     for (ci, cube) in f.cubes().iter().enumerate() {
         if skip_cube.is_some_and(|mask| mask[ci] || !d.cubes().iter().any(|k| k.contains(cube))) {
             continue;
         }
-        let cube_gate = vc.f_cube_gates[ci];
+        let cube_gate = f_cube_gates[ci];
         for lit in cube.lits() {
             let driver = match lit.phase {
-                Phase::Pos => vc.lit_gates[lit.var].0,
-                Phase::Neg => vc.lit_gates[lit.var].1,
+                Phase::Pos => lit_gates[lit.var].0,
+                Phase::Neg => lit_gates[lit.var].1,
             };
-            let Some(pin) = vc
-                .circuit
+            let Some(pin) = checker
+                .circuit()
                 .fanins(cube_gate)
                 .iter()
                 .position(|&g| g == driver)
@@ -194,16 +200,15 @@ pub fn compute_vote_table_masked(
                 cube_index: ci,
                 lit,
             };
-            match check_fault(&vc.circuit, fault, opts.imply) {
-                FaultStatus::Untestable(_) => rows.push(VoteRow {
+            match checker.check(fault, opts.imply) {
+                Err(_) => rows.push(VoteRow {
                     wire,
                     candidates: Vec::new(),
                     always_removable: true,
                     sos_valid: false,
                 }),
-                FaultStatus::PossiblyTestable(values) => {
-                    let candidates: Vec<usize> = vc
-                        .divisor_cube_gates
+                Ok(values) => {
+                    let candidates: Vec<usize> = divisor_cube_gates
                         .iter()
                         .enumerate()
                         .filter_map(|(ki, &g)| (values[g.index()] == Value::Zero).then_some(ki))
@@ -589,6 +594,7 @@ pub fn compute_vote_tables_pooled(
         let _ = circuit.add_or(gates.clone());
         divisor_gates.push(gates);
     }
+    let mut checker = FaultChecker::new(circuit);
 
     let mut tables: Vec<VoteTable> = divisors
         .iter()
@@ -598,7 +604,12 @@ pub fn compute_vote_tables_pooled(
         let cube_gate = f_cube_gates[ci];
         for lit in cube.lits() {
             let driver = lit_gate(&lit_gates, lit);
-            let Some(pin) = circuit.fanins(cube_gate).iter().position(|&g| g == driver) else {
+            let Some(pin) = checker
+                .circuit()
+                .fanins(cube_gate)
+                .iter()
+                .position(|&g| g == driver)
+            else {
                 continue;
             };
             let fault = Fault::sa1(Wire {
@@ -609,8 +620,8 @@ pub fn compute_vote_tables_pooled(
                 cube_index: ci,
                 lit,
             };
-            match check_fault(&circuit, fault, opts.imply) {
-                FaultStatus::Untestable(_) => {
+            match checker.check(fault, opts.imply) {
+                Err(_) => {
                     for table in &mut tables {
                         table.rows.push(VoteRow {
                             wire,
@@ -620,7 +631,7 @@ pub fn compute_vote_tables_pooled(
                         });
                     }
                 }
-                FaultStatus::PossiblyTestable(values) => {
+                Ok(values) => {
                     for ((table, gates), d) in tables.iter_mut().zip(&divisor_gates).zip(divisors) {
                         let candidates: Vec<usize> = gates
                             .iter()

@@ -61,7 +61,8 @@ impl Shed {
 /// Everything the server remembers about one job.
 #[derive(Debug, Clone)]
 pub struct JobRecord {
-    /// The accepted request.
+    /// The accepted request. Its payload is cleared once the job is
+    /// terminal; the journal keeps the copy replay needs.
     pub spec: JobSpec,
     /// Current position in the state machine.
     pub status: JobStatus,
@@ -265,6 +266,9 @@ impl State {
             let tenant = record.spec.tenant.clone();
             record.status = status;
             record.result = result;
+            // The input is dead weight once the job is terminal: replay
+            // reads the journal, not this record, and polls clone it.
+            record.spec.payload = Vec::new();
             if let Some(n) = inner.tenant_inflight.get_mut(&tenant) {
                 *n = n.saturating_sub(1);
             }

@@ -204,6 +204,55 @@ fn journal_replay_finishes_jobs_the_previous_daemon_left_behind() {
 }
 
 #[test]
+fn finished_jobs_drop_their_payload_but_keep_result_and_journal() {
+    let config = test_config("payload-drop");
+    let journal = config.journal_path.clone();
+    let server = Server::start(config).expect("start");
+    let mut client = Client::new(server.local_addr().to_string());
+
+    let golden = random_network(44, &GeneratorParams::default());
+    let input = write_blif(&golden).into_bytes();
+    let view = client
+        .submit_and_wait(&JobRequest::new(input.clone()), Duration::from_secs(60))
+        .expect("job terminal");
+    assert_eq!(view.state, "done", "error: {:?}", view.error);
+
+    // The finished record no longer holds the input netlist...
+    let record = server.state().job(view.id).expect("record");
+    assert!(
+        record.spec.payload.is_empty(),
+        "payload kept after completion"
+    );
+    // ...while GET /jobs/<id>/result still serves the optimized one.
+    let bytes = client.result(view.id).expect("result bytes");
+    let optimized = ingest(&bytes, Format::Blif, "optimized").expect("parse result");
+    assert!(networks_equivalent(&golden, &optimized));
+    assert!(server.join(), "drain within deadline");
+
+    // Replay reads the journal: the job is terminal there...
+    let replayed = boolsubst::serve::replay(&journal).expect("replay");
+    assert_eq!(replayed.accepted, 1);
+    assert!(replayed.requeue.is_empty());
+    assert_eq!(
+        replayed.terminal.get(&view.id).map(String::as_str),
+        Some("done")
+    );
+    // ...and its accepted event still carries the full input: with the
+    // later events cut off, replay re-queues the job with its payload.
+    let text = std::fs::read_to_string(&journal).expect("read journal");
+    let accepted_only: String = text
+        .lines()
+        .filter(|l| l.contains("\"accepted\""))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(&journal, accepted_only).expect("rewrite journal");
+    let replayed = boolsubst::serve::replay(&journal).expect("replay");
+    assert_eq!(replayed.requeue.len(), 1);
+    assert_eq!(replayed.requeue[0].0.payload, input);
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
 fn malformed_requests_get_typed_4xx_answers() {
     let config = test_config("http-reject");
     let journal = config.journal_path.clone();
