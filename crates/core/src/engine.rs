@@ -30,6 +30,12 @@
 //! candidate set is re-enumerated from the target's *new* fanins, resuming
 //! past the accepted divisor — reproducing the legacy visit sequence
 //! exactly.
+//!
+//! Two paths touch a pair. `attempt` commits: it proves the pair and
+//! applies the rewrite in place. The read-only speculation in `parallel`
+//! evaluates a pair without committing it; it serves parallel first-gain
+//! epochs and every best-gain dry run, at any thread count. Both run the
+//! same cheap filter chain (`cheap_filters`).
 
 use crate::candidates::{build_source, CandidateSource, SourceCtx};
 use crate::metrics::EngineMetrics;
@@ -194,6 +200,51 @@ fn node_names(net: &Network) -> Vec<String> {
         names[id.index()] = net.node(id).name().to_string();
     }
     names
+}
+
+/// The cheap filter chain every pair passes before its division proof,
+/// shared by [`SubstEngine::attempt`] (memoizing `in_tfo`) and the
+/// read-only speculation (frozen `in_tfo`): quarantine, structural,
+/// cycle, divisor size and joint space. Books the matching `filtered_*`
+/// counter and returns the reject outcome, or the pair's joint space.
+pub(crate) fn cheap_filters(
+    net: &Network,
+    quarantine: &HashSet<(NodeId, NodeId)>,
+    opts: &SubstOptions,
+    stats: &mut SubstStats,
+    target: NodeId,
+    divisor: NodeId,
+    in_tfo: impl FnOnce() -> bool,
+) -> Result<JointSpace, Outcome> {
+    if quarantine.contains(&(target, divisor)) {
+        return Err(Outcome::GuardRejected);
+    }
+    // Candidates are fanouts, hence internal; only the self-pair and
+    // existing-fanin checks remain from the legacy structural filter.
+    if target == divisor || net.node(target).fanins().contains(&divisor) {
+        stats.filtered_structural += 1;
+        return Err(Outcome::RejectedStructural);
+    }
+    if in_tfo() {
+        stats.filtered_tfo += 1;
+        return Err(Outcome::RejectedTfo);
+    }
+    // Candidates come from fanout lists, so a missing cover means the
+    // index and the network disagree — reject rather than panic.
+    let Some(d_cover_len) = net.node(divisor).cover().map(Cover::len) else {
+        stats.filtered_structural += 1;
+        return Err(Outcome::RejectedStructural);
+    };
+    if d_cover_len == 0 || d_cover_len > opts.max_divisor_cubes.get() {
+        stats.filtered_divisor_size += 1;
+        return Err(Outcome::RejectedDivisorSize);
+    }
+    let space = JointSpace::union_of_fanins(net, &[target, divisor]);
+    if space.len() > opts.max_joint_vars {
+        stats.filtered_joint_space += 1;
+        return Err(Outcome::RejectedJointSpace);
+    }
+    Ok(space)
 }
 
 /// The cached per-target GDC snapshot, tagged with the network version it
@@ -543,6 +594,21 @@ impl<'a> SubstEngine<'a> {
         Some(decision)
     }
 
+    /// Folds pending refinement patterns into the signatures, booking the
+    /// sim time. Bucket keys and frozen speculation views must never see
+    /// half-simulated tail words.
+    pub(crate) fn flush_sim(&mut self) {
+        if let Some(sim) = self.sim.as_mut().filter(|s| !s.is_flushed()) {
+            let ts = Instant::now();
+            sim.flush(self.net);
+            let dts = nanos(ts);
+            self.stats.sim_nanos += dts;
+            if let Some(t) = self.tracer.as_deref_mut() {
+                t.stage(Stage::Sim, dts);
+            }
+        }
+    }
+
     /// One candidate enumeration through the configured
     /// [`CandidateSource`]: flushes the sim filter first when signature
     /// discovery needs current bucket keys, books the per-source funnel
@@ -555,17 +621,7 @@ impl<'a> SubstEngine<'a> {
         cursor: Option<NodeId>,
     ) -> Vec<NodeId> {
         if self.stats.discovery == Discovery::Signature {
-            if let Some(sim) = self.sim.as_mut() {
-                // Bucket keys must never bake in half-simulated tail
-                // words; fold pending refinement patterns in first.
-                let ts = Instant::now();
-                sim.flush(self.net);
-                let dts = nanos(ts);
-                self.stats.sim_nanos += dts;
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.stage(Stage::Sim, dts);
-                }
-            }
+            self.flush_sim();
         }
         let t0 = Instant::now();
         let (cands, bucket_hits, skipped) = {
@@ -592,85 +648,35 @@ impl<'a> SubstEngine<'a> {
     }
 
     fn visit_target(&mut self, target: NodeId) {
-        if self.opts.threads.get() > 1 {
-            // Epoch-parallel speculative sweep; bit-identical rewrites,
-            // see `crate::parallel`.
-            return self.visit_target_parallel(target);
+        match self.opts.acceptance {
+            // Speculate every candidate, commit the best; see
+            // `crate::parallel`.
+            Acceptance::BestGain => return self.best_gain_visit(target),
+            // Epoch-parallel speculative sweep; bit-identical rewrites.
+            Acceptance::FirstGain if self.opts.threads.get() > 1 => {
+                return self.parallel_first_gain(target)
+            }
+            Acceptance::FirstGain => {}
         }
         let bound = self.net.id_bound();
-        match self.opts.acceptance {
-            Acceptance::FirstGain => {
-                let mut cursor: Option<NodeId> = None;
-                'resume: loop {
-                    let cands = self.discover(target, bound, cursor);
-                    for divisor in cands {
-                        if self.deadline_expired() {
-                            return;
-                        }
-                        let before = self.stats.substitutions;
-                        self.attempt(target, divisor);
-                        if self.stats.substitutions != before {
-                            // The target's fanins changed: re-enumerate
-                            // candidates and resume past this divisor,
-                            // like the legacy loop continuing in place.
-                            cursor = Some(divisor);
-                            continue 'resume;
-                        }
-                    }
-                    break;
+        let mut cursor: Option<NodeId> = None;
+        'resume: loop {
+            let cands = self.discover(target, bound, cursor);
+            for divisor in cands {
+                if self.deadline_expired() {
+                    return;
+                }
+                let before = self.stats.substitutions;
+                self.attempt(target, divisor);
+                if self.stats.substitutions != before {
+                    // The target's fanins changed: re-enumerate
+                    // candidates and resume past this divisor, like the
+                    // legacy loop continuing in place.
+                    cursor = Some(divisor);
+                    continue 'resume;
                 }
             }
-            Acceptance::BestGain => {
-                let cands = self.discover(target, bound, None);
-                // Dry-run every candidate on a scratch copy, then apply
-                // only the best one for real.
-                let mut best: Option<(NodeId, i64)> = None;
-                for &divisor in &cands {
-                    if self.deadline_expired() {
-                        return;
-                    }
-                    let mut scratch = self.net.clone();
-                    let mut scratch_stats = SubstStats::default();
-                    let dry = if self.opts.checked {
-                        // Dry runs mutate only the scratch clone, so a
-                        // panicking attempt is discarded wholesale; the
-                        // pair is quarantined so the real sweep skips it.
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            crate::subst::try_pair(
-                                &mut scratch,
-                                target,
-                                divisor,
-                                &self.opts,
-                                &mut scratch_stats,
-                            )
-                        }));
-                        match caught {
-                            Ok(gain) => gain,
-                            Err(_) => {
-                                self.stats.engine_faults += 1;
-                                self.quarantine_pair(target, divisor);
-                                None
-                            }
-                        }
-                    } else {
-                        crate::subst::try_pair(
-                            &mut scratch,
-                            target,
-                            divisor,
-                            &self.opts,
-                            &mut scratch_stats,
-                        )
-                    };
-                    if let Some(gain) = dry {
-                        if best.is_none_or(|(_, g)| gain > g) {
-                            best = Some((divisor, gain));
-                        }
-                    }
-                }
-                if let Some((divisor, _)) = best {
-                    self.attempt(target, divisor);
-                }
-            }
+            break;
         }
     }
 
@@ -699,8 +705,6 @@ impl<'a> SubstEngine<'a> {
         }
     }
 
-    /// One engine-side pair attempt: cached filters, then the shared
-    /// division core, then local side-table patching on acceptance.
     /// Books a filter reject: counts the stage time and, when tracing,
     /// closes the open pair span with the reject outcome.
     fn filter_reject(&mut self, t0: Instant, outcome: Outcome) {
@@ -715,6 +719,8 @@ impl<'a> SubstEngine<'a> {
         }
     }
 
+    /// One engine-side pair attempt: cached filters, then the shared
+    /// division core, then local side-table patching on acceptance.
     pub(crate) fn attempt(&mut self, target: NodeId, divisor: NodeId) -> Option<i64> {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.begin_pair(id32(target), id32(divisor));
@@ -724,40 +730,22 @@ impl<'a> SubstEngine<'a> {
         }
         let t0 = Instant::now();
         self.stats.candidates_enumerated += 1;
-        if self.quarantine.contains(&(target, divisor)) {
-            self.filter_reject(t0, Outcome::GuardRejected);
-            return None;
-        }
-        // Candidates are fanouts, hence internal; only the self-pair and
-        // existing-fanin checks remain from the legacy structural filter.
-        if target == divisor || self.net.node(target).fanins().contains(&divisor) {
-            self.stats.filtered_structural += 1;
-            self.filter_reject(t0, Outcome::RejectedStructural);
-            return None;
-        }
-        if self.side.in_tfo(self.net, divisor, target) {
-            self.stats.filtered_tfo += 1;
-            self.filter_reject(t0, Outcome::RejectedTfo);
-            return None;
-        }
-        // Candidates come from fanout lists, so a missing cover means the
-        // index and the network disagree — reject rather than panic.
-        let Some(d_cover_len) = self.net.node(divisor).cover().map(Cover::len) else {
-            self.stats.filtered_structural += 1;
-            self.filter_reject(t0, Outcome::RejectedStructural);
-            return None;
+        let filtered = cheap_filters(
+            self.net,
+            &self.quarantine,
+            &self.opts,
+            &mut self.stats,
+            target,
+            divisor,
+            || self.side.in_tfo(self.net, divisor, target),
+        );
+        let space = match filtered {
+            Ok(space) => space,
+            Err(outcome) => {
+                self.filter_reject(t0, outcome);
+                return None;
+            }
         };
-        if d_cover_len == 0 || d_cover_len > self.opts.max_divisor_cubes.get() {
-            self.stats.filtered_divisor_size += 1;
-            self.filter_reject(t0, Outcome::RejectedDivisorSize);
-            return None;
-        }
-        let space = JointSpace::union_of_fanins(self.net, &[target, divisor]);
-        if space.len() > self.opts.max_joint_vars {
-            self.stats.filtered_joint_space += 1;
-            self.filter_reject(t0, Outcome::RejectedJointSpace);
-            return None;
-        }
         let dt = nanos(t0);
         self.stats.filter_nanos += dt;
         if let Some(t) = self.tracer.as_deref_mut() {
@@ -1045,6 +1033,26 @@ mod tests {
                 opts.mode
             );
         }
+    }
+
+    #[test]
+    fn best_gain_skips_a_quarantined_best_pair() {
+        // f = ab + ac + bc' with d1 = ab + c (gain 1) and d2 = b + c
+        // (gain 2): with (f, d2) quarantined, d1 must still be applied.
+        let mut net = small_net();
+        let f = net.find("f").expect("f");
+        let d1 = net.find("d").expect("d");
+        let fanins = net.node(f).fanins().to_vec();
+        let d2 = net
+            .add_node("d2", fanins, parse_sop(3, "b + c").expect("p"))
+            .expect("d2");
+        net.add_output("d2", d2).expect("o");
+        let opts = SubstOptions::basic().with_acceptance(Acceptance::BestGain);
+        let mut engine = SubstEngine::new(&mut net, opts);
+        engine.quarantine.insert((f, d2));
+        let stats = engine.run();
+        assert_eq!((stats.substitutions, stats.literal_gain), (1, 1));
+        assert!(net.node(f).fanins().contains(&d1));
     }
 
     #[test]

@@ -1,64 +1,74 @@
-//! The epoch-parallel speculative sweep: proofs fan out, commits stay
-//! serial, results stay bit-identical to the sequential engine.
+//! Read-only pair speculation: the epoch-parallel first-gain sweep and
+//! the best-gain visit. Proofs fan out, commits stay serial, results stay
+//! bit-identical to the sequential engine.
 //!
 //! # Protocol
 //!
 //! Between two accepted rewrites the sequential engine never mutates the
 //! network — every rejected pair attempt is read-only. That window is an
 //! **epoch**: the committer (the engine thread) enumerates one candidate
-//! slice exactly as the sequential sweep would, then a scoped pool of
-//! workers speculatively evaluates the pairs against the shared, frozen
+//! slice exactly as the sequential sweep would, then one drain
+//! speculatively evaluates the pairs against the shared, frozen
 //! `&Network` using the read-only halves of the machinery:
 //!
-//! * [`SideTables::in_tfo_frozen`] for the cycle filter (no memo writes),
+//! * the engine's cheap filter chain with [`SideTables::in_tfo_frozen`]
+//!   for the cycle filter (no memo writes),
 //! * [`SimView`] over the shared signature table for the refute-only
-//!   screen (no refinement, so nothing is ever pending),
+//!   screen (flushed first, so nothing is ever pending),
 //! * [`plan_pair_core`] for the proof pipeline, producing a [`SubstPlan`]
 //!   instead of mutating.
 //!
-//! Workers pull indices from an atomic cursor and publish a monotone
-//! "lowest accepting index" bound; indices above the bound are skipped
-//! (their evaluation is dead — the sequential sweep would never have
-//! reached them in this enumeration). Every index at or below the final
-//! bound is guaranteed evaluated.
+//! The drain runs on the committer alone when there is one worker or the
+//! epoch is smaller than [`PAR_MIN_PAIRS`]; otherwise a scoped pool joins
+//! it. Workers pull indices from an atomic cursor. Under first-gain they
+//! publish a monotone "lowest accepting index" bound; indices above the
+//! bound are skipped (their evaluation is dead — the sequential sweep
+//! would never have reached them in this enumeration). Every index at or
+//! below the final bound is guaranteed evaluated.
 //!
 //! # Commit
 //!
-//! The committer then replays the epoch in pair order: the stat deltas of
-//! every rejected pair below the winner are merged (they are exactly what
-//! the sequential engine would have recorded — the network is identical),
-//! and the winning pair is re-run **live** through the ordinary
-//! [`SubstEngine::attempt`] path. That re-validates the plan against the
-//! live network and reuses the whole txn/guard/side-patching machinery,
-//! so a stale or refuted speculation (e.g. a checked-mode guard
-//! rejection) is dropped exactly as the sequential engine would drop it,
-//! and the sweep resumes at the next pair of the same enumeration.
+//! Under [`Acceptance::FirstGain`] the committer replays the epoch in pair
+//! order: the stat deltas of every rejected pair below the winner are
+//! merged (they are exactly what the sequential engine would have
+//! recorded — the network is identical), and the winning pair is re-run
+//! **live** through the ordinary [`SubstEngine::attempt`] path. That
+//! re-validates the plan against the live network and reuses the whole
+//! txn/guard/side-patching machinery, so a stale or refuted speculation
+//! (e.g. a checked-mode guard rejection) is dropped exactly as the
+//! sequential engine would drop it, and the sweep resumes at the next pair
+//! of the same enumeration.
+//!
+//! Under [`Acceptance::BestGain`], at every thread count, one untraced
+//! epoch speculates every candidate with no early exit. These are dry
+//! runs: their stat deltas are discarded, and only a fault is booked (the
+//! pair is quarantined). The lowest-index best gain is then committed
+//! through `attempt`. No dry run clones the network.
 //!
 //! # Determinism contract
 //!
-//! Under [`Acceptance::FirstGain`] the winner is the *lowest-index*
-//! accepting pair of each epoch, so the commit sequence — and therefore
-//! the final network — is bit-identical to the sequential engine for any
-//! thread count (`tests/parallel_parity.rs`, `tests/engine_parity.rs`).
-//! This is why `FirstGain` needs ordered commit: accepting any other
-//! index first would rewrite the target before pairs the sequential
-//! sweep evaluates earlier. Counters not derived from commits
-//! (`sim_false_passes`, `sim_refinements`, `rar_checks`) may differ from
-//! a 1-thread run because parallel sweeps do not refine the pattern pool
-//! mid-pass; they are identical across parallel runs of any width.
+//! Under first-gain the winner is the *lowest-index* accepting pair of
+//! each epoch, so the commit sequence — and therefore the final network —
+//! is bit-identical to the sequential engine for any thread count
+//! (`tests/parallel_parity.rs`, `tests/engine_parity.rs`). This is why
+//! first-gain needs ordered commit: accepting any other index first would
+//! rewrite the target before pairs the sequential sweep evaluates earlier.
+//! Counters not derived from commits (`sim_false_passes`,
+//! `sim_refinements`, `rar_checks`) may differ from a 1-thread run because
+//! parallel sweeps do not refine the pattern pool mid-pass; they are
+//! identical across parallel runs of any width. Best-gain evaluates every
+//! candidate against the same frozen state whatever the width, so its
+//! commits are width-independent too.
 //!
-//! Worker panics are always caught (parallel mode implies per-pair panic
-//! isolation): the pair is booked as an engine fault, quarantined, and
-//! the committer keeps going — a dying worker cannot poison the shared
-//! state because speculation never mutates it.
+//! Speculation panics are always caught: the pair is booked as an engine
+//! fault, quarantined, and the committer keeps going — a dying worker
+//! cannot poison the shared state because speculation never mutates it.
 
-use crate::engine::{id32, nanos, ShadowEntry, SubstEngine};
+use crate::engine::{cheap_filters, id32, nanos, ShadowEntry, SubstEngine};
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
     plan_pair_core, Acceptance, GdcScope, PlanKind, SubstMode, SubstOptions, SubstPlan, SubstStats,
 };
-use boolsubst_algebraic::JointSpace;
-use boolsubst_cube::Cover;
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimView;
 use boolsubst_trace::{Outcome, PairRecord, Stage, StageNanos};
@@ -68,8 +78,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Epochs smaller than this are evaluated inline by the committer: a
-/// thread spawn costs more than a couple of pair proofs.
+/// Epochs smaller than this are drained by the committer alone: a thread
+/// spawn costs more than a couple of pair proofs.
 const PAR_MIN_PAIRS: usize = 16;
 
 /// How one speculated pair ended.
@@ -83,11 +93,12 @@ enum SpecVerdict {
     Fault,
 }
 
-/// One worker-evaluated pair: the verdict, the stat delta the sequential
-/// engine would have recorded for it, and (when tracing) a replayable
-/// span record.
+/// One worker-evaluated pair: the verdict, the plan's gain (0 unless
+/// accepted), the stat delta the sequential engine would have recorded
+/// for it, and (when tracing) a replayable span record.
 struct PairEval {
     verdict: SpecVerdict,
+    gain: i64,
     delta: SubstStats,
     rec: Option<PairRecord>,
 }
@@ -116,91 +127,65 @@ fn speculate_pair(
     delta.candidates_enumerated += 1;
 
     let t0 = Instant::now();
-    let mut space: Option<JointSpace> = None;
-    let filtered: Option<Outcome> = 'filters: {
-        if quarantine.contains(&(target, divisor)) {
-            break 'filters Some(Outcome::GuardRejected);
-        }
-        if target == divisor || net.node(target).fanins().contains(&divisor) {
-            delta.filtered_structural += 1;
-            break 'filters Some(Outcome::RejectedStructural);
-        }
-        if side.in_tfo_frozen(net, divisor, target) {
-            delta.filtered_tfo += 1;
-            break 'filters Some(Outcome::RejectedTfo);
-        }
-        let Some(d_cover_len) = net.node(divisor).cover().map(Cover::len) else {
-            delta.filtered_structural += 1;
-            break 'filters Some(Outcome::RejectedStructural);
-        };
-        if d_cover_len == 0 || d_cover_len > opts.max_divisor_cubes.get() {
-            delta.filtered_divisor_size += 1;
-            break 'filters Some(Outcome::RejectedDivisorSize);
-        }
-        let js = JointSpace::union_of_fanins(net, &[target, divisor]);
-        if js.len() > opts.max_joint_vars {
-            delta.filtered_joint_space += 1;
-            break 'filters Some(Outcome::RejectedJointSpace);
-        }
-        space = Some(js);
-        None
-    };
+    let filtered = cheap_filters(net, quarantine, opts, &mut delta, target, divisor, || {
+        side.in_tfo_frozen(net, divisor, target)
+    });
     let dt0 = nanos(t0);
     delta.filter_nanos += dt0;
     stages.add(Stage::Filter, dt0);
 
-    let (verdict, outcome) = if let Some(outcome) = filtered {
-        (SpecVerdict::Reject, outcome)
-    } else {
-        let space = space.expect("space is set when every filter passes");
-        // Mirrors `attempt`: the pair survived every cheap filter.
-        delta.discovery_proofs_run += 1;
-        let t1 = Instant::now();
-        let sim_nanos0 = delta.sim_nanos;
-        let planned = catch_unwind(AssertUnwindSafe(|| {
-            let scope = match shadow {
-                Some(base) => GdcScope::Shadow(base),
-                None => GdcScope::Rebuild,
-            };
-            plan_pair_core(
-                net,
-                target,
-                divisor,
-                &space,
-                opts,
-                &mut delta,
-                &scope,
-                sim.map(|v| v.filter()),
-                None,
-            )
-        }));
-        let dt1 = nanos(t1);
-        delta.divide_nanos += dt1;
-        let sim_delta = delta.sim_nanos - sim_nanos0;
-        stages.add(Stage::Sim, sim_delta);
-        stages.add(Stage::Divide, dt1.saturating_sub(sim_delta));
-        match planned {
-            Ok(Some(plan)) => {
-                gain = plan.gain();
-                let outcome = match &plan {
-                    SubstPlan::Replace {
-                        kind: PlanKind::Pos,
-                        ..
-                    } => Outcome::AcceptedPos,
-                    SubstPlan::Replace { .. } => Outcome::AcceptedSop,
-                    SubstPlan::Extended(_) => Outcome::AcceptedExtended,
+    let (verdict, outcome) = match filtered {
+        Err(outcome) => (SpecVerdict::Reject, outcome),
+        Ok(space) => {
+            // Mirrors `attempt`: the pair survived every cheap filter.
+            delta.discovery_proofs_run += 1;
+            let t1 = Instant::now();
+            let sim_nanos0 = delta.sim_nanos;
+            let planned = catch_unwind(AssertUnwindSafe(|| {
+                let scope = match shadow {
+                    Some(base) => GdcScope::Shadow(base),
+                    None => GdcScope::Rebuild,
                 };
-                (SpecVerdict::Accept, outcome)
+                plan_pair_core(
+                    net,
+                    target,
+                    divisor,
+                    &space,
+                    opts,
+                    &mut delta,
+                    &scope,
+                    sim.map(|v| v.filter()),
+                    None,
+                )
+            }));
+            let dt1 = nanos(t1);
+            delta.divide_nanos += dt1;
+            let sim_delta = delta.sim_nanos - sim_nanos0;
+            stages.add(Stage::Sim, sim_delta);
+            stages.add(Stage::Divide, dt1.saturating_sub(sim_delta));
+            match planned {
+                Ok(Some(plan)) => {
+                    gain = plan.gain();
+                    let outcome = match &plan {
+                        SubstPlan::Replace {
+                            kind: PlanKind::Pos,
+                            ..
+                        } => Outcome::AcceptedPos,
+                        SubstPlan::Replace { .. } => Outcome::AcceptedSop,
+                        SubstPlan::Extended(_) => Outcome::AcceptedExtended,
+                    };
+                    (SpecVerdict::Accept, outcome)
+                }
+                Ok(None) => {
+                    let outcome = if delta.sim_pairs_refuted > 0 {
+                        Outcome::RejectedSimRefuted
+                    } else {
+                        Outcome::RejectedNoGain
+                    };
+                    (SpecVerdict::Reject, outcome)
+                }
+                Err(_) => (SpecVerdict::Fault, Outcome::EngineFault),
             }
-            Ok(None) => {
-                let outcome = if delta.sim_pairs_refuted > 0 {
-                    Outcome::RejectedSimRefuted
-                } else {
-                    Outcome::RejectedNoGain
-                };
-                (SpecVerdict::Reject, outcome)
-            }
-            Err(_) => (SpecVerdict::Fault, Outcome::EngineFault),
         }
     };
     let rec = record.then(|| PairRecord {
@@ -215,21 +200,13 @@ fn speculate_pair(
     });
     PairEval {
         verdict,
+        gain,
         delta,
         rec,
     }
 }
 
 impl SubstEngine<'_> {
-    /// Parallel replacement for the sequential target visit; dispatched
-    /// from `visit_target` when `opts.threads > 1`.
-    pub(crate) fn visit_target_parallel(&mut self, target: NodeId) {
-        match self.opts.acceptance {
-            Acceptance::FirstGain => self.parallel_first_gain(target),
-            Acceptance::BestGain => self.parallel_best_gain(target),
-        }
-    }
-
     /// If the GDC shadow snapshot is missing or stale, builds it now so
     /// workers can share it — but does *not* book the cache miss yet.
     /// Returns the build duration; the miss is booked when (if) the
@@ -294,11 +271,17 @@ impl SubstEngine<'_> {
     }
 
     /// One epoch: speculative evaluation of `cands` against the frozen
-    /// network. Returns one slot per candidate; a `None` slot was skipped
-    /// because its index lies beyond the epoch's lowest accepting index
-    /// (the sequential sweep would never have evaluated it either).
-    fn speculate_epoch(&self, target: NodeId, cands: &[NodeId]) -> Vec<Option<PairEval>> {
-        let record = self.tracer.is_some();
+    /// network through one drain. Returns one slot per candidate; under
+    /// first-gain a `None` slot was skipped because its index lies beyond
+    /// the epoch's lowest accepting index (the sequential sweep would
+    /// never have evaluated it either). Best-gain dry runs evaluate every
+    /// slot and are never traced.
+    fn speculate_epoch(&mut self, target: NodeId, cands: &[NodeId]) -> Vec<Option<PairEval>> {
+        // `attempt` may have harvested refinement patterns; a frozen view
+        // needs them folded in.
+        self.flush_sim();
+        let first_gain = self.opts.acceptance == Acceptance::FirstGain;
+        let record = first_gain && self.tracer.is_some();
         let net: &Network = self.net;
         let side = &self.side;
         let quarantine = &self.quarantine;
@@ -312,31 +295,11 @@ impl SubstEngine<'_> {
         if let Some(m) = metrics {
             m.sweep_epochs.inc();
         }
-        let workers = opts.threads.get().min(cands.len());
-        if workers <= 1 || cands.len() < PAR_MIN_PAIRS {
-            // Tiny epoch: a spawn costs more than the proofs. Inline
-            // evaluation with the same early exit is bit-identical.
-            let mut out: Vec<Option<PairEval>> = Vec::with_capacity(cands.len());
-            for &divisor in cands {
-                let tp = metrics.map(|_| Instant::now());
-                let eval = speculate_pair(
-                    net, side, quarantine, shadow, sim, opts, target, divisor, record, 0,
-                );
-                if let (Some(m), Some(tp)) = (metrics, tp) {
-                    let dt = nanos(tp);
-                    m.workers[0].proof_ns.add(dt);
-                    m.workers[0].pairs.inc();
-                    m.sweep_proof_ns.add(dt);
-                }
-                let stop = eval.verdict == SpecVerdict::Accept;
-                out.push(Some(eval));
-                if stop {
-                    break;
-                }
-            }
-            out.resize_with(cands.len(), || None);
-            return out;
-        }
+        let workers = if cands.len() < PAR_MIN_PAIRS {
+            1
+        } else {
+            opts.threads.get().min(cands.len())
+        };
         let next = AtomicUsize::new(0);
         let best = AtomicUsize::new(usize::MAX);
         let found = Mutex::new(Vec::<(usize, PairEval)>::with_capacity(cands.len()));
@@ -386,7 +349,7 @@ impl SubstEngine<'_> {
                     proof_ns += nanos(tp);
                     pairs += 1;
                 }
-                if eval.verdict == SpecVerdict::Accept {
+                if first_gain && eval.verdict == SpecVerdict::Accept {
                     best.fetch_min(idx, Ordering::AcqRel);
                 }
                 let tw = metrics.map(|_| Instant::now());
@@ -428,9 +391,33 @@ impl SubstEngine<'_> {
         out
     }
 
+    /// Re-runs a speculated winner live through [`SubstEngine::attempt`]
+    /// (txn, guard, side patching, live tracing) and reports whether it
+    /// committed. An unconsumed epoch shadow build is the one the
+    /// sequential engine's lazy `ensure_shadow` would have made here, so
+    /// the warm-cache hit `attempt` books is swapped for that miss.
+    fn commit(&mut self, target: NodeId, divisor: NodeId, pending_build: Option<u64>) -> bool {
+        if let Some(ns) = pending_build {
+            if let Some(t) = self.tracer.as_deref_mut() {
+                t.shadow_build(id32(target), ns);
+            }
+        }
+        let before = self.stats.substitutions;
+        let tc = self.metrics.as_ref().map(|_| Instant::now());
+        self.attempt(target, divisor);
+        if let (Some(m), Some(tc)) = (&self.metrics, tc) {
+            m.sweep_commit_ns.add(nanos(tc));
+        }
+        if pending_build.is_some() {
+            self.stats.shadow_cache_hits -= 1;
+            self.stats.shadow_cache_misses += 1;
+        }
+        self.stats.substitutions != before
+    }
+
     /// The parallel first-gain visit: epochs of speculation, ordered
     /// commits, sequential re-validation of each winner.
-    fn parallel_first_gain(&mut self, target: NodeId) {
+    pub(crate) fn parallel_first_gain(&mut self, target: NodeId) {
         let bound = self.net.id_bound();
         let mut cursor: Option<NodeId> = None;
         'resume: loop {
@@ -471,29 +458,7 @@ impl SubstEngine<'_> {
                     break 'resume;
                 };
                 let divisor = slice[w];
-                // Sequentially re-validate and apply the winner through
-                // the ordinary attempt path (txn, guard, side patching,
-                // live tracing). If the winner is the epoch's first
-                // filter survivor, the sequential engine would have built
-                // the shadow *here* — swap the warm-cache hit `attempt`
-                // books for the miss it would have counted.
-                let pending_was = pending_build.take();
-                if let Some(ns) = pending_was {
-                    if let Some(t) = self.tracer.as_deref_mut() {
-                        t.shadow_build(id32(target), ns);
-                    }
-                }
-                let before = self.stats.substitutions;
-                let tc = self.metrics.as_ref().map(|_| Instant::now());
-                self.attempt(target, divisor);
-                if let (Some(m), Some(tc)) = (&self.metrics, tc) {
-                    m.sweep_commit_ns.add(nanos(tc));
-                }
-                if pending_was.is_some() {
-                    self.stats.shadow_cache_hits -= 1;
-                    self.stats.shadow_cache_misses += 1;
-                }
-                if self.stats.substitutions != before {
+                if self.commit(target, divisor, pending_build) {
                     // Committed: the target's fanins changed, re-enumerate
                     // and resume past this divisor.
                     cursor = Some(divisor);
@@ -507,117 +472,34 @@ impl SubstEngine<'_> {
         }
     }
 
-    /// The parallel best-gain visit: dry-runs fan out over scratch
-    /// clones (their stats are discarded, as in the sequential loop),
-    /// then the lowest-index best gain is applied for real.
-    fn parallel_best_gain(&mut self, target: NodeId) {
-        let bound = self.net.id_bound();
-        let cands = self.discover(target, bound, None);
-        if self.deadline_expired() {
+    /// The best-gain visit at every thread count: one epoch dry-runs every
+    /// candidate, faulting pairs are quarantined, and the lowest-index
+    /// best gain is committed.
+    pub(crate) fn best_gain_visit(&mut self, target: NodeId) {
+        let cands = self.discover(target, self.net.id_bound(), None);
+        if cands.is_empty() || self.deadline_expired() {
             return;
         }
-        let results = {
-            let net: &Network = self.net;
-            let opts = &self.opts;
-            let metrics = self.metrics.as_ref();
-            if let Some(m) = metrics {
-                m.sweep_epochs.inc();
-            }
-            let next = AtomicUsize::new(0);
-            let found = Mutex::new(Vec::<(usize, Result<Option<i64>, ()>)>::with_capacity(
-                cands.len(),
-            ));
-            #[cfg(feature = "chaos")]
-            let chaos_cfg = crate::chaos::current_config();
-            let workers = opts.threads.get().min(cands.len()).max(1);
-            let drain = |worker: usize| {
-                #[cfg(feature = "chaos")]
-                if worker != 0 {
-                    if let Some(cfg) = chaos_cfg {
-                        crate::chaos::configure(cfg);
-                    }
-                }
-                let t_drain = metrics.map(|_| Instant::now());
-                let mut proof_ns = 0u64;
-                let mut wait_ns = 0u64;
-                let mut pairs = 0u64;
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= cands.len() {
-                        break;
-                    }
-                    let divisor = cands[idx];
-                    let tp = metrics.map(|_| Instant::now());
-                    let mut scratch = net.clone();
-                    let mut scratch_stats = SubstStats::default();
-                    let dry = catch_unwind(AssertUnwindSafe(|| {
-                        crate::subst::try_pair(
-                            &mut scratch,
-                            target,
-                            divisor,
-                            opts,
-                            &mut scratch_stats,
-                        )
-                    }))
-                    .map_err(|_| ());
-                    if let Some(tp) = tp {
-                        proof_ns += nanos(tp);
-                        pairs += 1;
-                    }
-                    let tw = metrics.map(|_| Instant::now());
-                    let mut slots = found.lock().expect("dry-run result lock");
-                    if let Some(tw) = tw {
-                        wait_ns += nanos(tw);
-                    }
-                    slots.push((idx, dry));
-                }
-                if let (Some(m), Some(t_drain)) = (metrics, t_drain) {
-                    let idle = nanos(t_drain)
-                        .saturating_sub(proof_ns)
-                        .saturating_sub(wait_ns);
-                    let wm = &m.workers[worker];
-                    wm.proof_ns.add(proof_ns);
-                    wm.wait_ns.add(wait_ns);
-                    wm.idle_ns.add(idle);
-                    wm.pairs.add(pairs);
-                    m.sweep_proof_ns.add(proof_ns);
-                    m.sweep_wait_ns.add(wait_ns);
-                    m.sweep_idle_ns.add(idle);
-                }
-            };
-            std::thread::scope(|s| {
-                let drain = &drain;
-                for w in 1..workers {
-                    s.spawn(move || drain(w));
-                }
-                drain(0);
-            });
-            let mut results = found.into_inner().expect("dry-run result lock");
-            results.sort_unstable_by_key(|&(idx, _)| idx);
-            results
-        };
+        let pending_build = self.prepare_epoch_shadow(target);
+        let evals = self.speculate_epoch(target, &cands);
         let mut best: Option<(NodeId, i64)> = None;
-        for (idx, dry) in results {
-            match dry {
-                Err(()) => {
-                    // A panicking dry run touched only its scratch clone;
-                    // book the fault and never retry the pair.
+        for (&divisor, eval) in cands.iter().zip(evals) {
+            let eval = eval.expect("best-gain evaluates every candidate");
+            match eval.verdict {
+                SpecVerdict::Fault => {
                     self.stats.engine_faults += 1;
-                    self.quarantine_pair(target, cands[idx]);
+                    self.quarantine_pair(target, divisor);
                 }
-                Ok(Some(gain)) => {
-                    if best.is_none_or(|(_, g)| gain > g) {
-                        best = Some((cands[idx], gain));
-                    }
+                SpecVerdict::Accept if best.is_none_or(|(_, g)| eval.gain > g) => {
+                    best = Some((divisor, eval.gain));
                 }
-                Ok(None) => {}
+                _ => {}
             }
         }
+        // The dry runs may have outlived the deadline.
         if let Some((divisor, _)) = best {
-            let tc = self.metrics.as_ref().map(|_| Instant::now());
-            self.attempt(target, divisor);
-            if let (Some(m), Some(tc)) = (&self.metrics, tc) {
-                m.sweep_commit_ns.add(nanos(tc));
+            if !self.deadline_expired() {
+                self.commit(target, divisor, pending_build);
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use boolsubst::core::chaos::{configure, counts, disarm, ChaosConfig, ChaosCounts};
 use boolsubst::core::verify::networks_equivalent;
-use boolsubst::core::{Session, SubstOptions, SubstStats};
+use boolsubst::core::{Acceptance, Session, SubstOptions, SubstStats};
 use boolsubst::network::Network;
 use boolsubst::workloads::generator::{random_network, GeneratorParams};
 
@@ -106,6 +106,35 @@ fn panics_at_pair_entry_are_isolated() {
         stats.engine_faults > 0,
         "caught panics were not recorded as faults: {stats:?}"
     );
+}
+
+/// A best-gain dry run that faults quarantines its pair, and a
+/// quarantined pair is never dry-run again: across passes every fault is
+/// one quarantine.
+#[test]
+fn best_gain_dry_run_faults_are_counted_once() {
+    for threads in [1usize, 4] {
+        for seed in SEEDS {
+            let mut net = random_network(seed, &GeneratorParams::default());
+            configure(ChaosConfig {
+                panic_entry_rate: 2,
+                seed,
+                ..ChaosConfig::default()
+            });
+            let opts = SubstOptions::extended()
+                .with_acceptance(Acceptance::BestGain)
+                .with_checked(true)
+                .with_max_passes(3)
+                .with_threads(threads);
+            let stats = Session::new(&mut net, opts).run();
+            let _ = disarm();
+            assert!(stats.engine_faults > 0, "seed {seed} t{threads}: no faults");
+            assert_eq!(
+                stats.engine_faults, stats.quarantined,
+                "seed {seed} t{threads}: faults re-counted"
+            );
+        }
+    }
 }
 
 #[test]

@@ -181,25 +181,51 @@ fn cached_tfo_filter_matches_recomputed_decisions() {
     check_all(&net, &mut side);
 }
 
+/// Multi-pass first-gain and best-gain against the legacy reference at
+/// every width: every configuration at 1, 2 and 4 threads, unchecked and
+/// checked, on the random and planted networks.
 #[test]
 fn engine_matches_legacy_under_best_gain_and_multipass() {
-    let base = random_network(29, &GeneratorParams::default());
-    for acceptance in [Acceptance::FirstGain, Acceptance::BestGain] {
-        let opts = SubstOptions::extended()
-            .with_acceptance(acceptance)
-            .with_max_passes(3);
-        let mut legacy_net = base.clone();
-        let legacy = boolean_substitute_legacy(&mut legacy_net, &opts);
-        let mut engine_net = base.clone();
-        let engine = Session::new(&mut engine_net, opts.clone()).run();
-        assert_eq!(
-            write_blif(&engine_net),
-            write_blif(&legacy_net),
-            "{acceptance:?}: rewrites diverged"
-        );
-        assert_eq!(engine.substitutions, legacy.substitutions, "{acceptance:?}");
-        assert_eq!(engine.literal_gain, legacy.literal_gain, "{acceptance:?}");
-        assert_eq!(engine.passes, legacy.passes, "{acceptance:?}");
+    let mut nets: Vec<Network> = [29u64, 11, 23, 47]
+        .iter()
+        .map(|&seed| random_network(seed, &GeneratorParams::default()))
+        .collect();
+    nets.extend([5u64, 9].iter().map(|&seed| {
+        planted_network(
+            seed,
+            &PlantedParams {
+                inputs: 8,
+                hidden: 2,
+                targets: 5,
+                divisor_extra_cubes: 1,
+            },
+        )
+    }));
+    for (i, base) in nets.iter().enumerate() {
+        for (name, opts) in modes() {
+            for acceptance in [Acceptance::FirstGain, Acceptance::BestGain] {
+                let opts = opts.clone().with_acceptance(acceptance).with_max_passes(3);
+                let mut legacy_net = base.clone();
+                let legacy = boolean_substitute_legacy(&mut legacy_net, &opts);
+                for threads in [1usize, 2, 4] {
+                    for checked in [false, true] {
+                        let case = format!("net {i} {name} {acceptance:?} t{threads} c{checked}");
+                        let opts = opts.clone().with_threads(threads).with_checked(checked);
+                        let mut engine_net = base.clone();
+                        let engine = Session::new(&mut engine_net, opts).run();
+                        assert_eq!(
+                            write_blif(&engine_net),
+                            write_blif(&legacy_net),
+                            "{case}: rewrites diverged"
+                        );
+                        assert_eq!(engine.substitutions, legacy.substitutions, "{case}");
+                        assert_eq!(engine.literal_gain, legacy.literal_gain, "{case}");
+                        assert_eq!(engine.passes, legacy.passes, "{case}");
+                        assert_eq!(engine.quarantined, 0, "{case}");
+                    }
+                }
+            }
+        }
     }
 }
 

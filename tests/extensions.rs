@@ -97,6 +97,42 @@ fn best_gain_never_worse_than_first_gain_on_planted() {
     );
 }
 
+/// Quality pin: factored-literal totals of `full_suite()` after
+/// `script_a`, per configuration and acceptance policy (the
+/// `ablation_acceptance` totals row).
+#[test]
+fn acceptance_literal_totals_are_pinned_on_the_full_suite() {
+    let configs = [
+        ("basic", SubstOptions::basic(), [1364, 1359]),
+        ("ext", SubstOptions::extended(), [1312, 1313]),
+        ("ext-gdc", SubstOptions::extended_gdc(), [1291, 1294]),
+    ];
+    let suite: Vec<_> = boolsubst::workloads::full_suite()
+        .into_iter()
+        .map(|mut net| {
+            script_a(&mut net);
+            net
+        })
+        .collect();
+    for (name, opts, expected) in configs {
+        for (acceptance, want) in [Acceptance::FirstGain, Acceptance::BestGain]
+            .into_iter()
+            .zip(expected)
+        {
+            let opts = opts.clone().with_acceptance(acceptance);
+            let total: usize = suite
+                .iter()
+                .map(|net| {
+                    let mut trial = net.clone();
+                    Session::new(&mut trial, opts.clone()).run();
+                    network_factored_literals(&trial)
+                })
+                .sum();
+            assert_eq!(total, want, "{name} {acceptance:?}");
+        }
+    }
+}
+
 #[test]
 fn fx_extraction_preserves_and_reduces() {
     for seed in [91u64, 92] {
