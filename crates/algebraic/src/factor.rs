@@ -209,6 +209,36 @@ pub fn factored_literals(f: &Cover) -> usize {
     factor(f).literal_count()
 }
 
+/// A lower bound on [`factored_literals`] that needs no factoring: the
+/// number of distinct literals of a cover in which no cube contains
+/// another (what [`Cover::remove_contained_cubes`] leaves). Factoring such
+/// a cover keeps every one of its literals at least once. Any other
+/// cover — one with a universe cube among others, a duplicate or empty
+/// cube, or a cube inside a larger one — gets the trivial bound 0, since
+/// factoring may drop its literals (`ab + abc + d` factors to `ab + d`).
+#[must_use]
+pub fn factored_literals_lower_bound(f: &Cover) -> usize {
+    let cubes = f.cubes();
+    let irredundant = cubes.iter().enumerate().all(|(i, c)| {
+        !c.is_empty()
+            && cubes
+                .iter()
+                .enumerate()
+                .all(|(j, other)| i == j || !other.contains(c))
+    });
+    if !irredundant {
+        return 0;
+    }
+    let mut seen = vec![[false; 2]; f.num_vars()];
+    let mut distinct = 0;
+    for l in cubes.iter().flat_map(Cube::lits) {
+        let slot = &mut seen[l.var][usize::from(l.phase == Phase::Neg)];
+        distinct += usize::from(!*slot);
+        *slot = true;
+    }
+    distinct
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +317,71 @@ mod tests {
         let f = parse_sop(3, "ab + ac").expect("p");
         let tree = factor(&f);
         assert_eq!(tree.to_string(), "a(b + c)");
+    }
+
+    /// Seeded xorshift64: std-only and reproducible.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random cover over `n` variables; some get a universe cube, a
+    /// duplicate cube or a cube inside another one.
+    fn random_cover(state: &mut u64, n: usize) -> Cover {
+        let mut f = Cover::new(n);
+        for _ in 0..1 + next(state) % 8 {
+            let mut c = Cube::universe(n);
+            for v in 0..n {
+                match next(state) % 4 {
+                    0 => c.restrict(Lit::pos(v)),
+                    1 => c.restrict(Lit::neg(v)),
+                    _ => {}
+                }
+            }
+            f.push(c);
+        }
+        match next(state) % 6 {
+            0 => f.push(Cube::universe(n)),
+            1 => f.push(f.cubes()[0].clone()),
+            2 => {
+                let mut inner = f.cubes()[0].clone();
+                let v = (next(state) % n as u64) as usize;
+                if inner.var_state(v) == boolsubst_cube::VarState::DontCare {
+                    inner.restrict(Lit::pos(v));
+                    f.push(inner);
+                }
+            }
+            _ => {}
+        }
+        f
+    }
+
+    #[test]
+    fn lower_bound_never_exceeds_factored_literals() {
+        let mut state = 0xFAC7_0B0D_u64;
+        let (mut tight, mut positive) = (0usize, 0usize);
+        for round in 0..3000 {
+            let n = 1 + round % 7;
+            let f = random_cover(&mut state, n);
+            let mut minimal = f.clone();
+            minimal.remove_contained_cubes();
+            for cover in [&f, &minimal] {
+                let bound = factored_literals_lower_bound(cover);
+                let lits = factored_literals(cover);
+                assert!(bound <= lits, "{cover}: bound {bound} > {lits}");
+            }
+            // The bound is not vacuous on what the engine feeds it.
+            let bound = factored_literals_lower_bound(&minimal);
+            positive += usize::from(bound > 0);
+            tight += usize::from(bound == factored_literals(&minimal));
+        }
+        assert!(positive > 1200 && tight > 1500, "{positive} {tight}");
+        // A contained cube voids the bound: factoring drops literal c.
+        let f = parse_sop(4, "ab + abc + d").expect("parse");
+        assert_eq!(factored_literals(&f), 3);
+        assert_eq!(factored_literals_lower_bound(&f), 0);
     }
 
     #[test]

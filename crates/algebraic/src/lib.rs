@@ -31,7 +31,7 @@ mod space;
 
 pub use division::{common_cube, divide_by_cube, make_cube_free, weak_divide, AlgebraicDivision};
 pub use extract::{gcx, gkx, ExtractOptions, ExtractStats};
-pub use factor::{factor, factored_literals, FactorTree};
+pub use factor::{factor, factored_literals, factored_literals_lower_bound, FactorTree};
 pub use fx::{fx, FxOptions, FxStats};
 pub use kernels::{kernels, level0_kernels, Kernel};
 pub use resub::{

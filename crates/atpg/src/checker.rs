@@ -136,6 +136,16 @@ impl FaultChecker {
         }
     }
 
+    /// Fanout lists of the current circuit, one sink entry per wire.
+    pub(crate) fn fanouts(&self) -> &[Vec<GateId>] {
+        &self.fanouts
+    }
+
+    /// True if `g` is an observation point.
+    pub(crate) fn is_output(&self, g: GateId) -> bool {
+        self.is_output[g.index()]
+    }
+
     pub(crate) fn rules(&self) -> Rules<'_> {
         Rules {
             circuit: &self.circuit,
@@ -285,6 +295,7 @@ impl FaultChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::screen::TruthScreen;
     use crate::{
         is_testable_exhaustive, reference, remove_redundant_wires_with, CandidateWire, FaultStatus,
         RemovalOptions,
@@ -321,8 +332,14 @@ mod tests {
     /// A random circuit with constants, NOT/BUF gates, fanin-less AND/OR
     /// gates and one to three outputs (some of them internal).
     fn random_circuit(rng: &mut Rng) -> Circuit {
+        let inputs = 2 + rng.below(4);
+        random_circuit_over(rng, inputs)
+    }
+
+    /// [`random_circuit`] with `inputs` free inputs.
+    fn random_circuit_over(rng: &mut Rng, inputs: usize) -> Circuit {
         let mut c = Circuit::new();
-        let mut pool: Vec<GateId> = (0..2 + rng.below(4)).map(|_| c.add_input()).collect();
+        let mut pool: Vec<GateId> = (0..inputs).map(|_| c.add_input()).collect();
         if rng.below(2) == 0 {
             pool.push(c.add_const(rng.below(2) == 0));
         }
@@ -482,13 +499,70 @@ mod tests {
         );
     }
 
+    /// Every AND/OR wire of the circuit: the removal candidates.
+    fn removable_wires(c: &Circuit) -> Vec<Wire> {
+        all_faults(c)
+            .into_iter()
+            .filter(|f| f.stuck && matches!(c.kind(f.wire.gate), GateKind::And | GateKind::Or))
+            .map(|f| f.wire)
+            .collect()
+    }
+
+    /// The truth-table screen calls a removal testable exactly when
+    /// exhaustive simulation finds a test for its fault, on one- and
+    /// multi-word tables and across removals that empty gates into
+    /// constants.
+    #[test]
+    fn truth_screen_matches_exhaustive_testability() {
+        let mut rng = Rng(0x7AB1_E5C4_EE17);
+        let mut verdicts = [0usize; 2];
+        for _ in 0..120 {
+            let inputs = 1 + rng.below(10);
+            let mut checker = FaultChecker::new(random_circuit_over(&mut rng, inputs));
+            let mut screen = TruthScreen::new(checker.circuit()).expect("at most ten inputs");
+            for _ in 0..4 {
+                let wires = removable_wires(checker.circuit());
+                for &wire in &wires {
+                    let stuck = checker.circuit().kind(wire.gate) == GateKind::And;
+                    let want = is_testable_exhaustive(checker.circuit(), Fault { wire, stuck });
+                    assert_eq!(
+                        screen.removal_is_testable(&checker, wire),
+                        want,
+                        "{wire:?} over {inputs} inputs"
+                    );
+                    verdicts[usize::from(want)] += 1;
+                }
+                if wires.is_empty() {
+                    break;
+                }
+                // Remove a few wires, sound or not; the tables follow.
+                for _ in 0..3 {
+                    let w = wires[rng.below(wires.len())];
+                    if w.pin < checker.circuit().fanins(w.gate).len() {
+                        checker.remove_wire(w);
+                        screen.resimulate(&checker, w.gate);
+                    }
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 200), "{verdicts:?}");
+        let mut wide = Circuit::new();
+        let ins: Vec<GateId> = (0..11).map(|_| wide.add_input()).collect();
+        let g = wide.add_and(ins);
+        wide.add_output(g);
+        assert!(
+            TruthScreen::new(&wide).is_none(),
+            "eleven inputs are not screened"
+        );
+    }
+
     /// A random SOP division region in the paper's shape: literal gates,
     /// a divisor `d` and a dividend `f'` as AND–OR structures, and the
     /// output `f'·d`, with the literal and cube wires of `f'` as removal
     /// candidates.
     fn random_region(rng: &mut Rng) -> (Circuit, Vec<CandidateWire>) {
         let mut c = Circuit::new();
-        let inputs: Vec<GateId> = (0..3 + rng.below(3)).map(|_| c.add_input()).collect();
+        let inputs: Vec<GateId> = (0..3 + rng.below(10)).map(|_| c.add_input()).collect();
         let mut lits = inputs.clone();
         for &i in &inputs {
             lits.push(c.add_not(i));
@@ -528,10 +602,10 @@ mod tests {
         for _ in 0..300 {
             let (circuit, candidates) = random_region(&mut rng);
             for learn_depth in [0, 1] {
-                for max_checks in [0, 3] {
+                for (max_checks, exact_budget) in [(0, 0), (3, 0), (0, 64), (3, 64)] {
                     let opts = RemovalOptions {
                         imply: ImplyOptions { learn_depth },
-                        exact_budget: 0,
+                        exact_budget,
                         max_checks,
                     };
                     let mut want_c = circuit.clone();

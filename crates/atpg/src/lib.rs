@@ -12,7 +12,13 @@
 //!
 //! The untestability check is *sound but incomplete*: a wire is removed
 //! only when implications prove its stuck-at fault untestable, so every
-//! removal preserves the observed functions exactly.
+//! removal preserves the observed functions exactly. On circuits with at
+//! most ten inputs the removal loop first re-simulates exhaustive truth
+//! tables (up to 16 `u64` words per gate) with the candidate wire dropped:
+//! if an output changes, the wire is testable, the sound check could not
+//! have removed it, and the check is skipped. Wires the simulation cannot
+//! rule out still need the implication proof, so the removals, the check
+//! counts and the budgets are exactly those of the implication-only loop.
 //!
 //! ```
 //! use boolsubst_atpg::{Circuit, Fault, Wire, check_fault, ImplyOptions};
@@ -39,6 +45,7 @@ mod rar;
 mod redundancy;
 #[cfg(test)]
 mod reference;
+mod screen;
 mod search;
 
 pub use checker::FaultChecker;

@@ -1,6 +1,7 @@
 //! Redundancy removal: greedy deletion of wires whose stuck-at fault is
 //! proven untestable by the implication engine.
 
+use crate::screen::TruthScreen;
 use crate::{Circuit, Fault, FaultChecker, GateId, GateKind, ImplyOptions, Wire};
 
 /// A candidate wire for removal, identified by sink gate and driver gate
@@ -89,6 +90,12 @@ pub fn remove_redundant_wires_with(
 
 impl FaultChecker {
     /// [`remove_redundant_wires_with`] on the checker's own circuit.
+    ///
+    /// On circuits with at most ten inputs an exhaustive truth-table
+    /// screen runs first: a wire whose removal changes an output is
+    /// testable, so the sound check could not remove it and is skipped.
+    /// Screened wires still count in [`RemovalOutcome::checks`], so the
+    /// budget and the verdicts are those of the plain loop.
     pub(crate) fn remove_redundant_wires(
         &mut self,
         candidates: &[CandidateWire],
@@ -97,6 +104,7 @@ impl FaultChecker {
     ) -> RemovalOutcome {
         let mut outcome = RemovalOutcome::default();
         let mut live: Vec<CandidateWire> = candidates.to_vec();
+        let mut screen = TruthScreen::new(self.circuit());
         for _ in 0..max_passes.max(1) {
             let mut removed_this_pass = false;
             let mut still: Vec<CandidateWire> = Vec::with_capacity(live.len());
@@ -125,12 +133,22 @@ impl FaultChecker {
                 };
                 let fault = Fault { wire, stuck };
                 outcome.checks += 1;
+                if screen
+                    .as_mut()
+                    .is_some_and(|s| s.removal_is_testable(self, wire))
+                {
+                    still.push(cand);
+                    continue;
+                }
                 let mut redundant = self.check(fault, opts.imply).is_err();
                 if !redundant && opts.exact_budget > 0 {
                     redundant = self.find_test(fault, opts.exact_budget).is_untestable();
                 }
                 if redundant {
                     self.remove_wire(wire);
+                    if let Some(s) = screen.as_mut() {
+                        s.resimulate(self, cand.sink);
+                    }
                     outcome.removed.push(cand);
                     removed_this_pass = true;
                 } else {

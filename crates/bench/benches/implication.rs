@@ -1,9 +1,14 @@
 //! Microbenchmarks of the implication engine: one-shot redundancy checks
 //! (direct implications vs. recursive learning) on chains of growing
-//! depth — the paper's run-time/quality knob — and a sweep over every
-//! fault of a division-shaped region through one reused checker.
+//! depth — the paper's run-time/quality knob — and, on a division-shaped
+//! region, a sweep over every fault through one reused checker and the
+//! redundancy-removal loop (truth-table screen included: the region has
+//! ten inputs).
 
-use boolsubst_atpg::{check_fault, Circuit, Fault, FaultChecker, GateId, ImplyOptions, Wire};
+use boolsubst_atpg::{
+    check_fault, remove_redundant_wires_with, CandidateWire, Circuit, Fault, FaultChecker, GateId,
+    ImplyOptions, RemovalOptions, Wire,
+};
 use boolsubst_bench::timing::Harness;
 use std::hint::black_box;
 
@@ -64,6 +69,24 @@ fn main() {
             .flat_map(|&g| (0..circuit.fanins(g).len()).map(move |pin| Wire { gate: g, pin }))
             .map(Fault::sa1)
             .collect();
+        let candidates: Vec<CandidateWire> = cube_gates
+            .iter()
+            .flat_map(|&sink| {
+                let literals = circuit
+                    .fanins(sink)
+                    .iter()
+                    .map(move |&driver| CandidateWire { sink, driver });
+                literals.chain([CandidateWire {
+                    sink: root,
+                    driver: sink,
+                }])
+            })
+            .collect();
+        let opts = RemovalOptions::default();
+        group.bench(&format!("removal/{cubes}"), || {
+            let mut region = circuit.clone();
+            black_box(remove_redundant_wires_with(&mut region, &candidates, &opts, 3).checks)
+        });
         let mut checker = FaultChecker::new(circuit);
         group.bench(&format!("all_faults/{cubes}"), || {
             let mut untestable = 0usize;

@@ -299,6 +299,9 @@ pub struct PosDivisionResult {
     pub remainder_compl: Cover,
     /// Wires removed during the dual run.
     pub wires_removed: usize,
+    /// Whether the dual run's redundancy removal stopped early on the
+    /// per-division check budget ([`DivisionOptions::max_checks`]).
+    pub budget_exhausted: bool,
 }
 
 impl PosDivisionResult {
@@ -357,6 +360,7 @@ pub fn pos_divide_precomplemented(
         quotient_compl: r.quotient,
         remainder_compl: r.remainder,
         wires_removed: r.wires_removed,
+        budget_exhausted: r.budget_exhausted,
     }
 }
 

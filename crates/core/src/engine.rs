@@ -21,6 +21,9 @@
 //! * a per-target **shadow circuit** ([`ShadowBase`]) for the GDC mode —
 //!   the network minus the target's cone is materialized once per target
 //!   and each attempt patches only the dirty region;
+//! * per-target **dividend forms** (`TargetForms`) — the target's old
+//!   factored-literal count and its complement, computed once per target
+//!   visit instead of once per divisor;
 //! * stage-level [`SubstStats`] observability.
 //!
 //! The engine is pinned to the legacy sweep: it visits the same surviving
@@ -42,6 +45,7 @@ use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
     try_pair_core, Acceptance, Discovery, GdcScope, SubstMode, SubstOptions, SubstStats,
+    TargetForms,
 };
 use crate::txn::TxnSnapshot;
 use boolsubst_algebraic::JointSpace;
@@ -266,6 +270,9 @@ pub struct SubstEngine<'a> {
     pub(crate) side: SideTables,
     pub(crate) stats: SubstStats,
     pub(crate) shadow: Option<ShadowEntry>,
+    /// The current target's divisor-independent dividend forms, shared by
+    /// every divisor of the visit (see [`SubstEngine::ensure_forms`]).
+    pub(crate) forms: Option<TargetForms>,
     /// Simulation-signature pre-filter (built when `opts.sim.enabled`);
     /// patched alongside the side tables after every acceptance.
     pub(crate) sim: Option<SimFilter>,
@@ -341,6 +348,7 @@ impl<'a> SubstEngine<'a> {
             side,
             stats,
             shadow: None,
+            forms: None,
             sim,
             tracer: None,
             guard,
@@ -705,6 +713,18 @@ impl<'a> SubstEngine<'a> {
         }
     }
 
+    /// Replaces the cached dividend forms if they belong to a different
+    /// target or a stale network version (every commit bumps it).
+    pub(crate) fn ensure_forms(&mut self, target: NodeId) {
+        let valid = self
+            .forms
+            .as_ref()
+            .is_some_and(|t| t.target == target && t.version == self.net.version());
+        if !valid {
+            self.forms = Some(TargetForms::new(self.net, target));
+        }
+    }
+
     /// Books a filter reject: counts the stage time and, when tracing,
     /// closes the open pair span with the reject outcome.
     fn filter_reject(&mut self, t0: Instant, outcome: Outcome) {
@@ -755,6 +775,7 @@ impl<'a> SubstEngine<'a> {
         if self.opts.mode == SubstMode::ExtendedGdc {
             self.ensure_shadow(target);
         }
+        self.ensure_forms(target);
         let mut sim_fault = false;
         if let Some(sim) = self.sim.as_mut() {
             // Fold any patterns harvested by earlier refinements into the
@@ -824,6 +845,7 @@ impl<'a> SubstEngine<'a> {
                     &self.opts,
                     &mut self.stats,
                     &scope,
+                    self.forms.as_ref(),
                     self.sim.as_ref(),
                     self.tracer.as_deref_mut(),
                 )

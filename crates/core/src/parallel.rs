@@ -15,6 +15,9 @@
 //!   for the cycle filter (no memo writes),
 //! * [`SimView`] over the shared signature table for the refute-only
 //!   screen (flushed first, so nothing is ever pending),
+//! * the committer's [`TargetForms`] for the target (old literal count
+//!   and complement; each is computed once, by whichever worker needs it
+//!   first, and equals the per-call value),
 //! * [`plan_pair_core`] for the proof pipeline, producing a [`SubstPlan`]
 //!   instead of mutating.
 //!
@@ -68,6 +71,7 @@ use crate::engine::{cheap_filters, id32, nanos, ShadowEntry, SubstEngine};
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
     plan_pair_core, Acceptance, GdcScope, PlanKind, SubstMode, SubstOptions, SubstPlan, SubstStats,
+    TargetForms,
 };
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimView;
@@ -113,6 +117,7 @@ fn speculate_pair(
     side: &SideTables,
     quarantine: &HashSet<(NodeId, NodeId)>,
     shadow: Option<&ShadowBase>,
+    forms: &TargetForms,
     sim: Option<SimView<'_>>,
     opts: &SubstOptions,
     target: NodeId,
@@ -154,6 +159,7 @@ fn speculate_pair(
                     opts,
                     &mut delta,
                     &scope,
+                    Some(forms),
                     sim.map(|v| v.filter()),
                     None,
                 )
@@ -280,6 +286,7 @@ impl SubstEngine<'_> {
         // `attempt` may have harvested refinement patterns; a frozen view
         // needs them folded in.
         self.flush_sim();
+        self.ensure_forms(target);
         let first_gain = self.opts.acceptance == Acceptance::FirstGain;
         let record = first_gain && self.tracer.is_some();
         let net: &Network = self.net;
@@ -290,6 +297,7 @@ impl SubstEngine<'_> {
             Some(e) if opts.mode == SubstMode::ExtendedGdc => Some(&e.base),
             _ => None,
         };
+        let forms = self.forms.as_ref().expect("ensured above");
         let sim = self.sim.as_ref().map(SimView::freeze);
         let metrics = self.metrics.as_ref();
         if let Some(m) = metrics {
@@ -338,6 +346,7 @@ impl SubstEngine<'_> {
                     side,
                     quarantine,
                     shadow,
+                    forms,
                     sim,
                     opts,
                     target,

@@ -6,7 +6,7 @@
 use crate::division::{basic_divide_covers, pos_divide_precomplemented, DivisionOptions};
 use crate::extended::extended_divide_covers;
 use crate::netcircuit::{NetworkRegion, ShadowBase};
-use boolsubst_algebraic::{factored_literals, JointSpace};
+use boolsubst_algebraic::{factored_literals, factored_literals_lower_bound, JointSpace};
 use boolsubst_atpg::{remove_redundant_wires_with, RemovalOptions};
 use boolsubst_cube::{Cover, Lit, Phase};
 use boolsubst_guard::{GuardConfig, TierPolicy};
@@ -17,6 +17,7 @@ use boolsubst_trace::json::JsonObj;
 use boolsubst_trace::{Outcome, Tracer};
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Which of the paper's configurations to run.
@@ -749,13 +750,74 @@ fn assemble(
     project(&new_cover, &fanins)
 }
 
-fn factored_gain(net: &Network, target: NodeId, new_cover: &Cover) -> i64 {
-    // A target without a cover is a primary input, which the filters
-    // reject; zero gain turns the impossible case into a safe reject.
-    let Some(old) = net.node(target).cover() else {
-        return 0;
-    };
-    factored_literals(old) as i64 - factored_literals(new_cover) as i64
+/// Factored-literal count of `target`'s cover. A target without a cover
+/// is a primary input, which the filters reject; counting it as 0 turns
+/// the impossible case into a safe reject (no cover has negative gain).
+fn target_literals(net: &Network, target: NodeId) -> i64 {
+    net.node(target)
+        .cover()
+        .map_or(0, |old| factored_literals(old) as i64)
+}
+
+/// Gain of replacing a cover of `old` factored literals by `new_cover`.
+/// Returns before factoring when the literal lower bound already rules
+/// out a positive gain; the value is then not the exact gain, but it is
+/// still non-positive, which is all callers test.
+fn factored_gain(old: i64, new_cover: &Cover) -> i64 {
+    let bound = factored_literals_lower_bound(new_cover) as i64;
+    if bound >= old {
+        return old - bound;
+    }
+    old - factored_literals(new_cover) as i64
+}
+
+/// The divisor-independent forms of a dividend: the target's old
+/// factored-literal count and the complement of its cover. The engine
+/// keeps one per target visit, keyed on `(target, net.version())` like
+/// the GDC shadow, so every divisor of the visit shares them; both are
+/// computed on first use. Speculation reads the same instance from every
+/// worker.
+pub(crate) struct TargetForms {
+    pub(crate) target: NodeId,
+    pub(crate) version: u64,
+    old_literals: OnceLock<i64>,
+    /// The target's fanins, sorted, and its complement over them.
+    complement: OnceLock<(Vec<NodeId>, Cover)>,
+}
+
+impl TargetForms {
+    /// Forms of `target` at the network's current version.
+    pub(crate) fn new(net: &Network, target: NodeId) -> TargetForms {
+        TargetForms {
+            target,
+            version: net.version(),
+            old_literals: OnceLock::new(),
+            complement: OnceLock::new(),
+        }
+    }
+
+    fn old_literals(&self, net: &Network) -> i64 {
+        *self
+            .old_literals
+            .get_or_init(|| target_literals(net, self.target))
+    }
+
+    /// The target's complement expressed in `space`, which holds all of
+    /// its fanins. Complemented once in the sorted-fanin space; the
+    /// remap into `space` is monotone, and complementing commutes with
+    /// a monotone remap, so this equals complementing in `space`.
+    fn complement_in(&self, net: &Network, space: &JointSpace) -> Cover {
+        let (vars, compl) = self.complement.get_or_init(|| {
+            let own = JointSpace::union_of_fanins(net, &[self.target]);
+            let compl = own.cover_of(net, self.target).complement();
+            (own.vars, compl)
+        });
+        let map: Vec<usize> = vars
+            .iter()
+            .map(|&v| space.index_of(v).expect("fanin missing from joint space"))
+            .collect();
+        compl.remapped(space.len(), &map)
+    }
 }
 
 /// How the GDC mode materializes the whole-network circuit for one
@@ -825,6 +887,7 @@ pub(crate) fn try_pair(
         opts,
         stats,
         &GdcScope::Rebuild,
+        None,
         None,
         None,
     )
@@ -912,6 +975,7 @@ pub(crate) fn try_pair_core(
     opts: &SubstOptions,
     stats: &mut SubstStats,
     gdc: &GdcScope<'_>,
+    forms: Option<&TargetForms>,
     sim: Option<&SimFilter>,
     mut tracer: Option<&mut Tracer>,
 ) -> Option<i64> {
@@ -923,6 +987,7 @@ pub(crate) fn try_pair_core(
         opts,
         stats,
         gdc,
+        forms,
         sim,
         tracer.as_deref_mut(),
     )?;
@@ -942,6 +1007,10 @@ pub(crate) fn try_pair_core(
 /// counterexample), so every skipped strategy would have returned no gain
 /// anyway: the accepted rewrites — and the pinned acceptance stats — are
 /// identical with and without a filter.
+///
+/// `forms` carries the target's per-visit [`TargetForms`]; without them
+/// (the legacy `try_pair`) the old literal count and the complement are
+/// computed here, per call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_pair_core(
     net: &Network,
@@ -951,6 +1020,7 @@ pub(crate) fn plan_pair_core(
     opts: &SubstOptions,
     stats: &mut SubstStats,
     gdc: &GdcScope<'_>,
+    forms: Option<&TargetForms>,
     sim: Option<&SimFilter>,
     tracer: Option<&mut Tracer>,
 ) -> Option<SubstPlan> {
@@ -959,6 +1029,7 @@ pub(crate) fn plan_pair_core(
     let f = space.cover_of(net, target);
     let d = space.cover_of(net, divisor);
     stats.divisions_tried += 1;
+    let old_literals = forms.map_or_else(|| target_literals(net, target), |t| t.old_literals(net));
 
     // Refute-only screen of the SOP dividend: per cube, a witness pattern
     // with cube = 1 ∧ d = 0 disproves containment in any divisor cube
@@ -998,13 +1069,14 @@ pub(crate) fn plan_pair_core(
     } else {
         ran_proof = true;
         let r = basic_divide_covers(&f, &d, &opts.division);
+        stats.check_budget_exhausted += usize::from(r.budget_exhausted);
         r.succeeded().then_some((r.quotient, r.remainder))
     };
     if let Some((quotient, remainder)) = division {
         #[cfg(feature = "chaos")]
         let quotient = crate::chaos::corrupt_quotient(quotient);
         let (fanins, cover) = assemble(space, divisor, &quotient, &remainder, Phase::Pos);
-        let gain = factored_gain(net, target, &cover);
+        let gain = factored_gain(old_literals, &cover);
         if gain > 0 {
             #[cfg(feature = "chaos")]
             let cover = crate::chaos::corrupt_cover(cover);
@@ -1027,10 +1099,11 @@ pub(crate) fn plan_pair_core(
         if !d_compl.is_empty() && d_compl.len() <= opts.max_divisor_cubes.get() {
             ran_proof = true;
             let r = basic_divide_covers(&f, d_compl, &opts.division);
+            stats.check_budget_exhausted += usize::from(r.budget_exhausted);
             if r.succeeded() {
                 let (fanins, cover) =
                     assemble(space, divisor, &r.quotient, &r.remainder, Phase::Neg);
-                let gain = factored_gain(net, target, &cover);
+                let gain = factored_gain(old_literals, &cover);
                 if gain > 0 {
                     return Some(SubstPlan::Replace {
                         target,
@@ -1058,9 +1131,10 @@ pub(crate) fn plan_pair_core(
             None => extended_divide_covers(&f, &d, &opts.division),
         };
         if let Some(ext) = ext {
+            stats.check_budget_exhausted += usize::from(ext.division.budget_exhausted);
             // Core == whole divisor means basic already covered it.
             if ext.core_cube_indices.len() < d.len() && ext.division.succeeded() {
-                if let Some(plan) = plan_extended(net, target, divisor, space, &ext) {
+                if let Some(plan) = plan_extended(net, target, divisor, space, &ext, old_literals) {
                     return Some(SubstPlan::Extended(plan));
                 }
             }
@@ -1069,7 +1143,7 @@ pub(crate) fn plan_pair_core(
 
     // --- POS-form attempt ---
     if opts.try_pos {
-        let fc = f.complement();
+        let fc = forms.map_or_else(|| f.complement(), |t| t.complement_in(net, space));
         let dc = d_compl_cache.unwrap_or_else(|| d.complement());
         if !dc.is_empty()
             && dc.len() <= opts.max_divisor_cubes.get()
@@ -1090,6 +1164,7 @@ pub(crate) fn plan_pair_core(
             }
             ran_proof = true;
             let r = pos_divide_precomplemented(&fc, &dc, &opts.division);
+            stats.check_budget_exhausted += usize::from(r.budget_exhausted);
             if r.succeeded() {
                 // f = (d + q)·r ⇔ f' = d'·q̃ + r̃; rebuild f as the
                 // complement of the divided complement, with x_d'.
@@ -1115,7 +1190,7 @@ pub(crate) fn plan_pair_core(
                         map[v] = new_idx;
                     }
                     let new_cover = new_cover.remapped(kept.len(), &map);
-                    let gain = factored_gain(net, target, &new_cover);
+                    let gain = factored_gain(old_literals, &new_cover);
                     if gain > 0 {
                         return Some(SubstPlan::Replace {
                             target,
@@ -1291,13 +1366,15 @@ impl ExtendedPlan {
 }
 
 /// Plans an extended-division rewrite; returns `None` when the total
-/// factored-literal gain would not be positive.
+/// factored-literal gain would not be positive. `target_old` is the
+/// target's current factored-literal count.
 fn plan_extended(
     net: &Network,
     target: NodeId,
     divisor: NodeId,
     space: &JointSpace,
     ext: &crate::extended::ExtendedDivision,
+    target_old: i64,
 ) -> Option<ExtendedPlan> {
     let d_cover = space.cover_of(net, divisor);
     let rest: Cover = Cover::from_cubes(
@@ -1321,7 +1398,6 @@ fn plan_extended(
     //   divisor: old − (rest + 1 literal for x_core);
     //   core node: −lits(core)  ... but those literals previously lived
     //   inside the divisor, so the divisor side nets to −1.
-    let target_old = factored_literals(net.node(target).cover()?) as i64;
     let n = space.len();
     let mut new_target = Cover::new(n + 1);
     for c in quotient.cubes() {
@@ -1490,6 +1566,41 @@ mod tests {
         net.add_output("f", f).expect("o");
         net.add_output("d", d).expect("o");
         (net, f, d)
+    }
+
+    /// The per-visit forms equal the per-call ones cube for cube, also
+    /// for targets whose fanins are not in id order (the complement is
+    /// built over the sorted fanins and remapped monotonically).
+    #[test]
+    fn target_forms_match_per_call_forms() {
+        let mut net = Network::new("forms");
+        let ins: Vec<NodeId> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|&name| net.add_input(name).expect("input"))
+            .collect();
+        let f = net
+            .add_node(
+                "f",
+                vec![ins[3], ins[0], ins[2], ins[1]],
+                parse_sop(4, "ab'd + bc + a'c'd' + b'cd").expect("p"),
+            )
+            .expect("f");
+        let g = net
+            .add_node(
+                "g",
+                vec![ins[4], ins[2], ins[0]],
+                parse_sop(3, "ab + c' + a'b'c").expect("p"),
+            )
+            .expect("g");
+        for (target, divisor) in [(f, g), (g, f)] {
+            let forms = TargetForms::new(&net, target);
+            let space = JointSpace::union_of_fanins(&net, &[target, divisor]);
+            assert_eq!(
+                forms.complement_in(&net, &space),
+                space.cover_of(&net, target).complement()
+            );
+            assert_eq!(forms.old_literals(&net), target_literals(&net, target));
+        }
     }
 
     #[test]

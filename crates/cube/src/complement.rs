@@ -128,6 +128,59 @@ mod tests {
         assert_eq!(comp.to_string(), "a' + b + c'");
     }
 
+    /// Complementing commutes with a monotone (order-preserving) remap
+    /// into a larger space, cube for cube: the split variable and every
+    /// tie-break keep their relative order, and the new variables are
+    /// unused. The engine relies on this to complement a target once in
+    /// its own fanin space and remap the result into each joint space.
+    #[test]
+    fn complement_commutes_with_monotone_remap() {
+        let mut state = 0xC0_4B1E_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..2000 {
+            let n = 1 + round % 6;
+            let mut f = Cover::new(n);
+            for _ in 0..next() % 7 {
+                let mut c = Cube::universe(n);
+                for v in 0..n {
+                    match next() % 3 {
+                        0 => c.restrict(Lit::pos(v)),
+                        1 => c.restrict(Lit::neg(v)),
+                        _ => {}
+                    }
+                }
+                f.push(c);
+            }
+            // A strictly increasing map into n + extra variables.
+            let extra = (next() % 5) as usize;
+            let mut map = Vec::with_capacity(n);
+            let mut at = 0;
+            let mut spare = extra;
+            for _ in 0..n {
+                let skip = if spare > 0 {
+                    (next() % (spare as u64 + 1)) as usize
+                } else {
+                    0
+                };
+                spare -= skip;
+                at += skip;
+                map.push(at);
+                at += 1;
+            }
+            let m = n + extra;
+            assert_eq!(
+                f.remapped(m, &map).complement(),
+                f.complement().remapped(m, &map),
+                "f = {f}, map {map:?}"
+            );
+        }
+    }
+
     #[test]
     fn sharp_subtracts() {
         let f = parse_sop(2, "a").expect("parse");

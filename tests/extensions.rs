@@ -133,6 +133,33 @@ fn acceptance_literal_totals_are_pinned_on_the_full_suite() {
     }
 }
 
+/// Every division of a pair books a check-budget stop, not just the
+/// GDC one: the local SOP, complement, extended and POS divisions are
+/// the ones a per-job check budget (`x-rar-checks` in serve) caps.
+#[test]
+fn check_budget_stops_are_booked_for_local_divisions() {
+    let net = boolsubst::workloads::full_suite()
+        .into_iter()
+        .next()
+        .expect("nonempty suite");
+    for (max_checks, stopped) in [(1, true), (0, false)] {
+        let division = DivisionOptions {
+            max_checks,
+            ..DivisionOptions::paper_default()
+        };
+        let mut trial = net.clone();
+        let stats =
+            Session::new(&mut trial, SubstOptions::extended().with_division(division)).run();
+        assert!(networks_equivalent(&net, &trial));
+        assert_eq!(
+            stats.check_budget_exhausted > 0,
+            stopped,
+            "max_checks {max_checks}: {} budget stops",
+            stats.check_budget_exhausted
+        );
+    }
+}
+
 #[test]
 fn fx_extraction_preserves_and_reduces() {
     for seed in [91u64, 92] {
