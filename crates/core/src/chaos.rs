@@ -127,7 +127,7 @@ fn bump(f: impl Fn(&mut ChaosCounts) -> &mut usize) {
 /// Where an injected panic fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanicSite {
-    /// Top of `try_pair_core`, before any mutation.
+    /// Top of `plan_pair_core`, before any mutation.
     PairEntry,
     /// Right after a successful rewrite was installed.
     PostApply,

@@ -38,14 +38,19 @@
 //! applies the rewrite in place. The read-only speculation in `parallel`
 //! evaluates a pair without committing it; it serves parallel first-gain
 //! epochs and every best-gain dry run, at any thread count. Both run the
-//! same cheap filter chain (`cheap_filters`).
+//! same cheap filter chain (`cheap_filters`), decide the outcome with the
+//! same `core_outcome`, and describe the attempt as one [`PairRecord`]
+//! plus the pair's own [`SubstStats`] delta. `SubstEngine::book` is
+//! the only place either is booked: it folds the delta into the
+//! session's stats and the metrics registry and the record into the
+//! tracer, so the three views cannot disagree.
 
 use crate::candidates::{build_source, CandidateSource, SourceCtx};
 use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    try_pair_core, Acceptance, Discovery, GdcScope, SubstMode, SubstOptions, SubstStats,
-    TargetForms,
+    apply_plan, core_outcome, plan_pair_core, Acceptance, Discovery, GdcScope, SubstMode,
+    SubstOptions, SubstStats, TargetForms,
 };
 use crate::txn::TxnSnapshot;
 use boolsubst_algebraic::JointSpace;
@@ -54,7 +59,7 @@ use boolsubst_guard::{Guard, GuardDecision};
 use boolsubst_metrics::MetricsHandle;
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimFilter;
-use boolsubst_trace::{GuardTier, Outcome, Stage, Tracer};
+use boolsubst_trace::{GuardTier, Outcome, PairRecord, Stage, StageNanos, Tracer};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -66,6 +71,37 @@ pub(crate) fn nanos(since: Instant) -> u64 {
 /// Node ids as the tracer's compact u32 representation.
 pub(crate) fn id32(id: NodeId) -> u32 {
     u32::try_from(id.index()).unwrap_or(u32::MAX)
+}
+
+/// The span record of one finished pair attempt (lane 0, untimed; the
+/// caller sets `worker` and `dur_ns`). Stage shares are read off the
+/// pair's stat delta. `screen_ns` is the sim-screen time the division
+/// window booked in both `sim_nanos` and `divide_nanos`; the span counts
+/// it once, under Sim.
+pub(crate) fn pair_record(
+    target: NodeId,
+    divisor: NodeId,
+    delta: &SubstStats,
+    screen_ns: u64,
+    outcome: Outcome,
+    gain: i64,
+) -> PairRecord {
+    PairRecord {
+        target: id32(target),
+        divisor: id32(divisor),
+        dur_ns: 0,
+        stages: StageNanos {
+            enumerate: delta.enumerate_nanos,
+            filter: delta.filter_nanos,
+            sim: delta.sim_nanos,
+            divide: delta.divide_nanos.saturating_sub(screen_ns),
+            apply: delta.apply_nanos,
+        },
+        outcome,
+        gain,
+        rar_checks: u64::try_from(delta.rar_checks).unwrap_or(u64::MAX),
+        worker: 0,
+    }
 }
 
 /// Cone-restricted guard compare for local-function-preserving rewrites:
@@ -257,6 +293,10 @@ pub(crate) struct ShadowEntry {
     pub(crate) target: NodeId,
     pub(crate) version: u64,
     pub(crate) base: ShadowBase,
+    /// Build time of a snapshot no pair has used yet: the first use books
+    /// the cache miss, so a speculation epoch's build counts exactly when
+    /// the sequential engine's lazy build would have.
+    unbooked: Option<u64>,
 }
 
 /// A persistent Boolean-substitution session over one network.
@@ -277,9 +317,9 @@ pub struct SubstEngine<'a> {
     /// patched alongside the side tables after every acceptance.
     pub(crate) sim: Option<SimFilter>,
     /// Structured trace recorder; `None` unless attached via
-    /// [`SubstEngine::with_tracer`]. The disabled path does no trace work
-    /// beyond these `Option` checks, and attaching a tracer never changes
-    /// the accepted rewrites.
+    /// [`SubstEngine::with_tracer`]. Attaching a tracer never changes the
+    /// accepted rewrites, and with neither a tracer nor metrics attached
+    /// no pair reads the clock beyond its `SubstStats` timers.
     pub(crate) tracer: Option<&'a mut Tracer>,
     /// Post-apply equivalence guard (built when `opts.checked`). A
     /// rewrite the guard refutes is rolled back via [`TxnSnapshot`] and
@@ -290,8 +330,7 @@ pub struct SubstEngine<'a> {
     /// retried for the rest of the session.
     pub(crate) quarantine: HashSet<(NodeId, NodeId)>,
     /// Resolved metric instruments; `None` unless attached via
-    /// [`SubstEngine::attach_metrics`]. Like the tracer, the detached
-    /// path does nothing beyond these `Option` checks and an attached
+    /// [`SubstEngine::attach_metrics`]. Like the tracer, an attached
     /// handle never changes the accepted rewrites.
     pub(crate) metrics: Option<EngineMetrics>,
     /// The divisor-discovery strategy, resolved from
@@ -376,11 +415,14 @@ impl<'a> SubstEngine<'a> {
     /// Attaches a metrics registry: resolves every engine instrument
     /// (including per-worker sweep slots for `opts.threads` workers) and
     /// forwards the handle to the guard and sim filter so their tier and
-    /// funnel counters land in the same registry. Attachment never
-    /// changes the accepted rewrites (pinned by
+    /// funnel counters land in the same registry. Whatever the session
+    /// booked before attachment (the sim filter build) is added up front,
+    /// so the registry reads the same totals as the stats block.
+    /// Attachment never changes the accepted rewrites (pinned by
     /// `metrics_attachment_is_invisible`).
     pub fn attach_metrics(&mut self, handle: &MetricsHandle) {
         let metrics = EngineMetrics::resolve(handle, self.opts.threads.get());
+        metrics.add(&self.stats);
         let nodes = i64::try_from(self.net.node_ids().count()).unwrap_or(i64::MAX);
         metrics.nodes.set(nodes);
         metrics.peak_nodes.max(nodes);
@@ -426,14 +468,17 @@ impl<'a> SubstEngine<'a> {
             if self.deadline_expired() {
                 break;
             }
-            self.stats.passes += 1;
+            self.book(
+                &SubstStats {
+                    passes: 1,
+                    ..SubstStats::default()
+                },
+                None,
+            );
             let before = self.stats.substitutions;
             let gain_before = self.stats.literal_gain;
             if let Some(t) = self.tracer.as_deref_mut() {
                 t.begin_pass(u32::try_from(self.stats.passes).unwrap_or(u32::MAX));
-            }
-            if let Some(m) = &self.metrics {
-                m.passes.inc();
             }
             self.run_pass();
             if let Some(t) = self.tracer.as_deref_mut() {
@@ -441,10 +486,6 @@ impl<'a> SubstEngine<'a> {
                     (self.stats.substitutions - before) as u64,
                     self.stats.literal_gain - gain_before,
                 );
-            }
-            if let Some(m) = self.metrics.as_mut() {
-                let stats = self.stats;
-                m.sync(&stats);
             }
             if self.stats.substitutions == before {
                 break;
@@ -460,11 +501,42 @@ impl<'a> SubstEngine<'a> {
             // name table so exported spans label them properly.
             t.set_node_names(node_names(self.net));
         }
-        if let Some(m) = self.metrics.as_mut() {
-            let stats = self.stats;
-            m.sync(&stats);
-        }
         self.stats
+    }
+
+    /// The one booking path. Folds `delta` into the session's
+    /// [`SubstStats`] and the metrics registry. A finished pair passes its
+    /// `rec`, which goes to the tracer and the pair-latency histogram;
+    /// work booked outside any pair (`rec` is `None`: enumeration, sim
+    /// flushes) is sampled into the tracer's stage histograms instead.
+    pub(crate) fn book(&mut self, delta: &SubstStats, rec: Option<&PairRecord>) {
+        self.stats.merge(delta);
+        if let Some(m) = &self.metrics {
+            m.add(delta);
+            if let Some(rec) = rec {
+                m.pair_ns.observe(rec.dur_ns);
+            }
+            if delta.substitutions > 0 {
+                let nodes = i64::try_from(self.net.node_ids().count()).unwrap_or(i64::MAX);
+                m.nodes.set(nodes);
+                m.peak_nodes.max(nodes);
+            }
+        }
+        if let Some(t) = self.tracer.as_deref_mut() {
+            match rec {
+                Some(rec) => t.record_pair(rec),
+                None => {
+                    for (stage, ns) in [
+                        (Stage::Enumerate, delta.enumerate_nanos),
+                        (Stage::Sim, delta.sim_nanos),
+                    ] {
+                        if ns > 0 {
+                            t.stage(stage, ns);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// One sweep over all targets, largest cover first (matching the
@@ -475,11 +547,13 @@ impl<'a> SubstEngine<'a> {
         targets.sort_by_key(|&id| {
             std::cmp::Reverse(self.net.node(id).cover().map_or(0, Cover::literal_count))
         });
-        let dt = nanos(t0);
-        self.stats.enumerate_nanos += dt;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.stage(Stage::Enumerate, dt);
-        }
+        self.book(
+            &SubstStats {
+                enumerate_nanos: nanos(t0),
+                ..SubstStats::default()
+            },
+            None,
+        );
         if let Some(m) = &self.metrics {
             m.targets_total
                 .set(i64::try_from(targets.len()).unwrap_or(i64::MAX));
@@ -489,13 +563,9 @@ impl<'a> SubstEngine<'a> {
             if self.deadline_expired() {
                 return;
             }
-            if self.net.node_opt(target).is_none() {
-                if let Some(m) = &self.metrics {
-                    m.targets_done.add(1);
-                }
-                continue;
+            if self.net.node_opt(target).is_some() {
+                self.visit_target(target);
             }
-            self.visit_target(target);
             if let Some(m) = &self.metrics {
                 m.targets_done.add(1);
             }
@@ -516,33 +586,37 @@ impl<'a> SubstEngine<'a> {
         self.stats.interrupted
     }
 
-    /// Adds a pair to the quarantine set (once), counting it in stats.
-    pub(crate) fn quarantine_pair(&mut self, target: NodeId, divisor: NodeId) {
+    /// Adds a pair to the quarantine set (once), counting it in `delta`.
+    pub(crate) fn quarantine_pair(
+        &mut self,
+        delta: &mut SubstStats,
+        target: NodeId,
+        divisor: NodeId,
+    ) {
         if self.quarantine.insert((target, divisor)) {
-            self.stats.quarantined += 1;
+            delta.quarantined += 1;
         }
     }
 
-    /// Rolls the live network back to `snap` and restores the acceptance
-    /// counters captured before the attempt (`stats0`); work counters
-    /// (divisions tried, filter tallies, timings) are kept, since that
-    /// work really happened.
-    fn recover(&mut self, snap: &TxnSnapshot, stats0: &SubstStats) {
+    /// Rolls the live network back to `snap` and clears the acceptance
+    /// counters of the attempt's `delta`; work counters (divisions tried,
+    /// filter tallies, timings) are kept, since that work really happened.
+    fn recover(&mut self, snap: &TxnSnapshot, delta: &mut SubstStats) {
         // Rollback only replays covers captured from live nodes and
         // deletes nodes minted after the snapshot; the sweep never
         // deletes pre-existing nodes, so this cannot fail in practice.
         let rolled = snap.rollback(self.net);
         debug_assert!(rolled.is_ok(), "rollback failed: {rolled:?}");
-        self.stats.substitutions = stats0.substitutions;
-        self.stats.pos_substitutions = stats0.pos_substitutions;
-        self.stats.extended_decompositions = stats0.extended_decompositions;
-        self.stats.literal_gain = stats0.literal_gain;
+        delta.substitutions = 0;
+        delta.pos_substitutions = 0;
+        delta.extended_decompositions = 0;
+        delta.literal_gain = 0;
     }
 
     /// Reconstructs the pre-rewrite network (rollback applied to a clone
     /// of the post state) and asks the guard whether the rewrite
     /// preserved every primary-output function. Records the verdict (and
-    /// which tier produced it) in the stats block and on the tracer.
+    /// which tier produced it) in `delta` and on the tracer.
     /// `None` means no guard is installed (unchecked run): the rewrite
     /// stands on the division proof alone.
     ///
@@ -562,6 +636,7 @@ impl<'a> SubstEngine<'a> {
         snap: &TxnSnapshot,
         target: NodeId,
         divisor: NodeId,
+        delta: &mut SubstStats,
     ) -> Option<GuardDecision> {
         let guard = self.guard.as_mut()?;
         let t0 = Instant::now();
@@ -584,9 +659,9 @@ impl<'a> SubstEngine<'a> {
                 guard.check(&pre, self.net)
             }
         };
-        self.stats.guard_sat_runs += usize::try_from(guard.sat_runs() - sat_runs0).unwrap_or(0);
+        delta.guard_sat_runs += usize::try_from(guard.sat_runs() - sat_runs0).unwrap_or(0);
         if decision == GuardDecision::PassSampled {
-            self.stats.guard_pass_sampled += 1;
+            delta.guard_pass_sampled += 1;
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             let tier = GuardTier::from_name(decision.tier_name()).unwrap_or(GuardTier::Sampled);
@@ -609,11 +684,11 @@ impl<'a> SubstEngine<'a> {
         if let Some(sim) = self.sim.as_mut().filter(|s| !s.is_flushed()) {
             let ts = Instant::now();
             sim.flush(self.net);
-            let dts = nanos(ts);
-            self.stats.sim_nanos += dts;
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.stage(Stage::Sim, dts);
-            }
+            let delta = SubstStats {
+                sim_nanos: nanos(ts),
+                ..SubstStats::default()
+            };
+            self.book(&delta, None);
         }
     }
 
@@ -644,14 +719,14 @@ impl<'a> SubstEngine<'a> {
             let skipped = self.source.skipped(&ctx, cands.len(), bound, cursor);
             (cands, bucket_hits, skipped)
         };
-        self.stats.discovery_proposed += cands.len();
-        self.stats.discovery_bucket_hits += bucket_hits;
-        self.stats.filtered_by_index += skipped;
-        let dt = nanos(t0);
-        self.stats.enumerate_nanos += dt;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.stage(Stage::Enumerate, dt);
-        }
+        let delta = SubstStats {
+            discovery_proposed: cands.len(),
+            discovery_bucket_hits: bucket_hits,
+            filtered_by_index: skipped,
+            enumerate_nanos: nanos(t0),
+            ..SubstStats::default()
+        };
+        self.book(&delta, None);
         cands
     }
 
@@ -674,9 +749,7 @@ impl<'a> SubstEngine<'a> {
                 if self.deadline_expired() {
                     return;
                 }
-                let before = self.stats.substitutions;
-                self.attempt(target, divisor);
-                if self.stats.substitutions != before {
+                if self.attempt(target, divisor).is_some() {
                     // The target's fanins changed: re-enumerate
                     // candidates and resume past this divisor, like the
                     // legacy loop continuing in place.
@@ -688,15 +761,15 @@ impl<'a> SubstEngine<'a> {
         }
     }
 
-    /// Rebuilds the per-target shadow snapshot if the cached one is for a
-    /// different target or a stale network version.
-    fn ensure_shadow(&mut self, target: NodeId) {
+    /// Builds the per-target shadow snapshot unless the cached one is for
+    /// this target and the current network version. The build stays
+    /// unbooked until a pair uses it ([`SubstEngine::use_shadow`]).
+    pub(crate) fn prepare_shadow(&mut self, target: NodeId) {
         let valid = self
             .shadow
             .as_ref()
             .is_some_and(|e| e.target == target && e.version == self.net.version());
         if valid {
-            self.stats.shadow_cache_hits += 1;
             return;
         }
         let t0 = Instant::now();
@@ -706,10 +779,22 @@ impl<'a> SubstEngine<'a> {
             target,
             version: self.net.version(),
             base,
+            unbooked: Some(nanos(t0)),
         });
-        self.stats.shadow_cache_misses += 1;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.shadow_build(id32(target), nanos(t0));
+    }
+
+    /// Books one pair's use of the prepared shadow snapshot: the first use
+    /// after a build is the cache miss (and the traced build), every later
+    /// one a hit.
+    pub(crate) fn use_shadow(&mut self, target: NodeId, delta: &mut SubstStats) {
+        match self.shadow.as_mut().and_then(|e| e.unbooked.take()) {
+            Some(ns) => {
+                delta.shadow_cache_misses += 1;
+                if let Some(t) = self.tracer.as_deref_mut() {
+                    t.shadow_build(id32(target), ns);
+                }
+            }
+            None => delta.shadow_cache_hits += 1,
         }
     }
 
@@ -725,55 +810,62 @@ impl<'a> SubstEngine<'a> {
         }
     }
 
-    /// Books a filter reject: counts the stage time and, when tracing,
-    /// closes the open pair span with the reject outcome.
-    fn filter_reject(&mut self, t0: Instant, outcome: Outcome) {
-        let dt = nanos(t0);
-        self.stats.filter_nanos += dt;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.stage(Stage::Filter, dt);
-            t.end_pair_with(outcome, 0);
+    /// One live pair attempt, booked once: [`SubstEngine::try_live`] runs
+    /// it into a fresh stat delta, then the delta and the pair's record
+    /// go through [`SubstEngine::book`]. The record's wall time is only
+    /// measured when a tracer or metrics registry is attached.
+    pub(crate) fn attempt(&mut self, target: NodeId, divisor: NodeId) -> Option<i64> {
+        let t0 = Instant::now();
+        let mut delta = SubstStats::default();
+        let mut screen_ns = 0;
+        let (outcome, result) = self.try_live(target, divisor, t0, &mut delta, &mut screen_ns);
+        let mut rec = pair_record(
+            target,
+            divisor,
+            &delta,
+            screen_ns,
+            outcome,
+            result.unwrap_or(0),
+        );
+        if self.tracer.is_some() || self.metrics.is_some() {
+            rec.dur_ns = nanos(t0);
         }
-        if let Some(m) = &self.metrics {
-            m.pair_ns.observe(dt);
-        }
+        self.book(&delta, Some(&rec));
+        result
     }
 
-    /// One engine-side pair attempt: cached filters, then the shared
-    /// division core, then local side-table patching on acceptance.
-    pub(crate) fn attempt(&mut self, target: NodeId, divisor: NodeId) -> Option<i64> {
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.begin_pair(id32(target), id32(divisor));
-        }
-        if let Some(m) = &self.metrics {
-            m.pairs.inc();
-        }
-        let t0 = Instant::now();
-        self.stats.candidates_enumerated += 1;
+    /// The body of [`SubstEngine::attempt`]: cached filters, then the
+    /// shared division core, the checked-mode guard, and local side-table
+    /// patching on acceptance. Books everything into `delta` (and the
+    /// screen share of the division window into `screen_ns`) and returns
+    /// the outcome with the committed gain.
+    fn try_live(
+        &mut self,
+        target: NodeId,
+        divisor: NodeId,
+        t0: Instant,
+        delta: &mut SubstStats,
+        screen_ns: &mut u64,
+    ) -> (Outcome, Option<i64>) {
+        delta.candidates_enumerated += 1;
         let filtered = cheap_filters(
             self.net,
             &self.quarantine,
             &self.opts,
-            &mut self.stats,
+            delta,
             target,
             divisor,
             || self.side.in_tfo(self.net, divisor, target),
         );
+        delta.filter_nanos += nanos(t0);
         let space = match filtered {
             Ok(space) => space,
-            Err(outcome) => {
-                self.filter_reject(t0, outcome);
-                return None;
-            }
+            Err(outcome) => return (outcome, None),
         };
-        let dt = nanos(t0);
-        self.stats.filter_nanos += dt;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.stage(Stage::Filter, dt);
-        }
 
         if self.opts.mode == SubstMode::ExtendedGdc {
-            self.ensure_shadow(target);
+            self.prepare_shadow(target);
+            self.use_shadow(target, delta);
         }
         self.ensure_forms(target);
         let mut sim_fault = false;
@@ -796,30 +888,21 @@ impl<'a> SubstEngine<'a> {
                     sim_fault = true;
                 }
             }
-            let dts = nanos(ts);
-            self.stats.sim_nanos += dts;
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.stage(Stage::Sim, dts);
-            }
+            delta.sim_nanos += nanos(ts);
         }
         if sim_fault {
-            self.stats.engine_faults += 1;
-            self.quarantine_pair(target, divisor);
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.end_pair_with(Outcome::EngineFault, 0);
-            }
-            return None;
+            delta.engine_faults += 1;
+            self.quarantine_pair(delta, target, divisor);
+            return (Outcome::EngineFault, None);
         }
         // The pair survived every cheap filter: the division proof runs.
-        self.stats.discovery_proofs_run += 1;
+        delta.discovery_proofs_run += 1;
         let t1 = Instant::now();
         let v0 = self.net.version();
         let old_tgt = self.net.node(target).fanins().to_vec();
         let old_div = self.net.node(divisor).fanins().to_vec();
         let old_bound = self.net.id_bound();
-        let false_passes0 = self.stats.sim_false_passes;
-        let sim_nanos0 = self.stats.sim_nanos;
-        let rar_checks0 = self.stats.rar_checks;
+        let sim_nanos0 = delta.sim_nanos;
         // Checked mode snapshots the minimal pre-state (the two covers
         // this pair can rewrite plus the id bound for minted nodes) so a
         // faulting or guard-refuted attempt can be undone in O(changed).
@@ -827,9 +910,7 @@ impl<'a> SubstEngine<'a> {
             .opts
             .checked
             .then(|| TxnSnapshot::capture(self.net, &[target, divisor]));
-        let stats0 = self.stats;
-        let mut verdict: Option<Outcome> = None;
-        let mut result = {
+        let ran = {
             let mut core = || {
                 let scope = match &self.shadow {
                     Some(e) if self.opts.mode == SubstMode::ExtendedGdc => {
@@ -837,40 +918,41 @@ impl<'a> SubstEngine<'a> {
                     }
                     _ => GdcScope::Rebuild,
                 };
-                try_pair_core(
-                    &mut *self.net,
+                let plan = plan_pair_core(
+                    self.net,
                     target,
                     divisor,
                     &space,
                     &self.opts,
-                    &mut self.stats,
+                    delta,
                     &scope,
                     self.forms.as_ref(),
                     self.sim.as_ref(),
-                    self.tracer.as_deref_mut(),
-                )
+                );
+                let accepted = core_outcome(plan.as_ref(), delta);
+                // A failed apply books an engine fault, which
+                // `core_outcome` then reports.
+                match plan.and_then(|p| apply_plan(self.net, p, delta)) {
+                    Some(gain) => (accepted, Some(gain)),
+                    None => (core_outcome(None, delta), None),
+                }
             };
             if snap.is_some() {
-                match catch_unwind(AssertUnwindSafe(core)) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        verdict = Some(Outcome::EngineFault);
-                        None
-                    }
-                }
+                catch_unwind(AssertUnwindSafe(core)).ok()
             } else {
-                core()
+                Some(core())
             }
         };
+        let (mut outcome, mut result) = ran.unwrap_or((Outcome::EngineFault, None));
         if let Some(snap) = &snap {
-            if verdict == Some(Outcome::EngineFault) {
+            if ran.is_none() {
                 // A panic escaped the division core, possibly mid-rewrite:
                 // restore the pre-state and never retry the pair.
-                self.recover(snap, &stats0);
-                self.stats.engine_faults += 1;
-                self.quarantine_pair(target, divisor);
+                self.recover(snap, delta);
+                delta.engine_faults += 1;
+                self.quarantine_pair(delta, target, divisor);
             } else if result.is_some() {
-                match self.guard_verdict(snap, target, divisor) {
+                match self.guard_verdict(snap, target, divisor, delta) {
                     Some(GuardDecision::OutOfTime) => {
                         // The remaining deadline window cannot afford an
                         // exact verdict: undo the unproven rewrite and
@@ -879,37 +961,27 @@ impl<'a> SubstEngine<'a> {
                         // out, and the sweep exits with a verified
                         // partial result as if the deadline had expired
                         // between attempts.
-                        self.recover(snap, &stats0);
-                        self.stats.interrupted = true;
-                        verdict = Some(Outcome::GuardRejected);
-                        result = None;
+                        self.recover(snap, delta);
+                        delta.interrupted = true;
+                        (outcome, result) = (Outcome::GuardRejected, None);
                     }
                     Some(decision) if !decision.passed() => {
                         // The rewrite changed a primary-output function:
                         // undo it and quarantine the pair, then keep
                         // sweeping.
-                        self.recover(snap, &stats0);
-                        self.stats.guard_rejections += 1;
-                        self.quarantine_pair(target, divisor);
-                        verdict = Some(Outcome::GuardRejected);
-                        result = None;
+                        self.recover(snap, delta);
+                        delta.guard_rejections += 1;
+                        self.quarantine_pair(delta, target, divisor);
+                        (outcome, result) = (Outcome::GuardRejected, None);
                     }
                     _ => {}
                 }
             }
         }
-        let dt1 = nanos(t1);
-        self.stats.divide_nanos += dt1;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            // The core's screen time lands in `sim_nanos`; attribute it to
-            // the sim stage and only the remainder to division proper.
-            let sim_delta = self.stats.sim_nanos - sim_nanos0;
-            t.stage(Stage::Sim, sim_delta);
-            t.stage(Stage::Divide, dt1.saturating_sub(sim_delta));
-            t.set_rar_checks((self.stats.rar_checks - rar_checks0) as u64);
-        }
+        delta.divide_nanos += nanos(t1);
+        *screen_ns = delta.sim_nanos - sim_nanos0;
 
-        if result.is_none() && self.stats.sim_false_passes > false_passes0 {
+        if result.is_none() && delta.sim_false_passes > 0 {
             // Counterexample-guided refinement: the screen passed a pair
             // the proofs rejected — try to harvest a distinguishing
             // pattern so similar pairs are refuted without proof work.
@@ -918,10 +990,9 @@ impl<'a> SubstEngine<'a> {
                 let refinements0 = sim.refinements();
                 sim.refine_from_false_pass(self.net, target, divisor);
                 let dts = nanos(ts);
-                self.stats.sim_nanos += dts;
-                let grew = sim.refinements() > refinements0;
+                delta.sim_nanos += dts;
                 if let Some(t) = self.tracer.as_deref_mut() {
-                    t.stage(Stage::Sim, dts);
+                    let grew = sim.refinements() > refinements0;
                     t.sim_refine(id32(target), id32(divisor), grew, dts);
                 }
             }
@@ -943,20 +1014,12 @@ impl<'a> SubstEngine<'a> {
                 // so it is still exact — just retag its version.
                 e.version = self.net.version();
             }
-            let dt2 = nanos(t2);
-            self.stats.apply_nanos += dt2;
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.stage(Stage::Apply, dt2);
-            }
+            delta.apply_nanos += nanos(t2);
             let mut changed: Vec<NodeId> = Vec::new();
             if let Some(sim) = self.sim.as_mut() {
                 let ts = Instant::now();
                 changed = sim.patch(self.net, &self.side, &[target, divisor]);
-                let dts = nanos(ts);
-                self.stats.sim_nanos += dts;
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.stage(Stage::Sim, dts);
-                }
+                delta.sim_nanos += nanos(ts);
             }
             // Carry the discovery source across the edit (commit or
             // recovered rollback alike — the changed-row list is exact
@@ -973,32 +1036,14 @@ impl<'a> SubstEngine<'a> {
                 let mut rows = changed.clone();
                 rows.extend([target, divisor]);
                 if !self.source.audit(&ctx, &rows) {
-                    self.stats.engine_faults += 1;
+                    delta.engine_faults += 1;
                 }
             }
         }
-        if let Some(t) = self.tracer.as_deref_mut() {
-            match verdict {
-                // The core may have noted an acceptance before the guard
-                // or panic handler overturned it; the explicit close wins.
-                Some(outcome) => t.end_pair_with(outcome, 0),
-                None => t.end_pair(result.unwrap_or(0)),
-            }
-        }
         if result.is_some() {
-            self.stats.discovery_accepted += 1;
+            delta.discovery_accepted += 1;
         }
-        if let Some(m) = &self.metrics {
-            m.pair_ns.observe(nanos(t0));
-            if let Some(gain) = result {
-                m.accepts.inc();
-                m.literal_gain.add(gain);
-                let nodes = i64::try_from(self.net.node_ids().count()).unwrap_or(i64::MAX);
-                m.nodes.set(nodes);
-                m.peak_nodes.max(nodes);
-            }
-        }
-        result
+        (outcome, result)
     }
 }
 

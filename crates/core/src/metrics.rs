@@ -9,14 +9,13 @@
 //! `sweep.worker.<i>.*` keys exist (at zero) even for workers that
 //! never get to run, keeping the exposition schema stable across runs.
 //!
-//! Two update disciplines coexist:
-//!
-//! - **hot**: pair counts, acceptances, gain, the pair-latency
-//!   histogram, and the sweep utilization counters are bumped inline
-//!   (one relaxed atomic op each) so the heartbeat sees live progress;
-//! - **synced**: per-stage nanosecond attribution and the sim funnel
-//!   are folded in from [`SubstStats`] deltas once per pass via
-//!   [`EngineMetrics::sync`] — zero added cost on the per-pair path.
+//! The counter-derived instruments are bumped by the engine's one
+//! booking path (`SubstEngine::book`): every `SubstStats` delta it folds
+//! into the session's stats goes through [`EngineMetrics::add`] too, so
+//! the registry and the stats block cannot disagree. A pair's booking
+//! also samples its wall time into `engine.pair_ns`. Progress gauges
+//! (targets, nodes) and the sweep utilization counters are bumped where
+//! the sweep does that work. Each bump is one relaxed atomic op.
 
 use boolsubst_metrics::{Counter, Gauge, Histogram, MetricsHandle};
 
@@ -39,10 +38,10 @@ pub(crate) struct WorkerMetrics {
 /// The engine's resolved instrument bundle; see the module docs.
 #[derive(Debug)]
 pub(crate) struct EngineMetrics {
-    pub(crate) pairs: Counter,
-    pub(crate) accepts: Counter,
-    pub(crate) literal_gain: Gauge,
-    pub(crate) passes: Counter,
+    pairs: Counter,
+    accepts: Counter,
+    literal_gain: Gauge,
+    passes: Counter,
     pub(crate) pair_ns: Histogram,
     pub(crate) targets_total: Gauge,
     pub(crate) targets_done: Gauge,
@@ -71,7 +70,6 @@ pub(crate) struct EngineMetrics {
     engine_faults: Gauge,
     shadow_cache_hits: Counter,
     shadow_cache_misses: Counter,
-    last: SubstStats,
 }
 
 impl EngineMetrics {
@@ -119,55 +117,34 @@ impl EngineMetrics {
             engine_faults: handle.gauge("engine.faults"),
             shadow_cache_hits: handle.counter("engine.shadow_cache_hits"),
             shadow_cache_misses: handle.counter("engine.shadow_cache_misses"),
-            last: SubstStats::default(),
         }
     }
 
-    /// Folds the growth of `stats` since the previous sync into the
-    /// delta-based instruments (per-pass cadence; see module docs).
-    pub(crate) fn sync(&mut self, stats: &SubstStats) {
-        let du = |new: usize, old: usize| u64::try_from(new.saturating_sub(old)).unwrap_or(0);
-        self.stage_enumerate_ns.add(
-            stats
-                .enumerate_nanos
-                .saturating_sub(self.last.enumerate_nanos),
-        );
-        self.stage_filter_ns
-            .add(stats.filter_nanos.saturating_sub(self.last.filter_nanos));
-        self.stage_sim_ns
-            .add(stats.sim_nanos.saturating_sub(self.last.sim_nanos));
-        self.stage_divide_ns
-            .add(stats.divide_nanos.saturating_sub(self.last.divide_nanos));
-        self.stage_apply_ns
-            .add(stats.apply_nanos.saturating_sub(self.last.apply_nanos));
-        self.rar_checks
-            .add(du(stats.rar_checks, self.last.rar_checks));
-        self.discovery_proposed
-            .add(du(stats.discovery_proposed, self.last.discovery_proposed));
-        self.discovery_bucket_hits.add(du(
-            stats.discovery_bucket_hits,
-            self.last.discovery_bucket_hits,
-        ));
-        self.discovery_proofs_run.add(du(
-            stats.discovery_proofs_run,
-            self.last.discovery_proofs_run,
-        ));
-        self.discovery_accepted
-            .add(du(stats.discovery_accepted, self.last.discovery_accepted));
-        self.sim_screened
-            .add(du(stats.sim_pairs_screened, self.last.sim_pairs_screened));
-        self.sim_refuted
-            .add(du(stats.sim_pairs_refuted, self.last.sim_pairs_refuted));
-        self.sim_false_passes
-            .add(du(stats.sim_false_passes, self.last.sim_false_passes));
-        self.shadow_cache_hits
-            .add(du(stats.shadow_cache_hits, self.last.shadow_cache_hits));
-        self.shadow_cache_misses
-            .add(du(stats.shadow_cache_misses, self.last.shadow_cache_misses));
-        self.quarantined
-            .set(i64::try_from(stats.quarantined).unwrap_or(i64::MAX));
-        self.engine_faults
-            .set(i64::try_from(stats.engine_faults).unwrap_or(i64::MAX));
-        self.last = *stats;
+    /// Adds one booked `SubstStats` delta to every counter-derived
+    /// instrument.
+    pub(crate) fn add(&self, d: &SubstStats) {
+        let n = |v: usize| u64::try_from(v).unwrap_or(u64::MAX);
+        let g = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
+        self.pairs.add(n(d.candidates_enumerated));
+        self.accepts.add(n(d.substitutions));
+        self.literal_gain.add(d.literal_gain);
+        self.passes.add(n(d.passes));
+        self.stage_enumerate_ns.add(d.enumerate_nanos);
+        self.stage_filter_ns.add(d.filter_nanos);
+        self.stage_sim_ns.add(d.sim_nanos);
+        self.stage_divide_ns.add(d.divide_nanos);
+        self.stage_apply_ns.add(d.apply_nanos);
+        self.rar_checks.add(n(d.rar_checks));
+        self.discovery_proposed.add(n(d.discovery_proposed));
+        self.discovery_bucket_hits.add(n(d.discovery_bucket_hits));
+        self.discovery_proofs_run.add(n(d.discovery_proofs_run));
+        self.discovery_accepted.add(n(d.discovery_accepted));
+        self.sim_screened.add(n(d.sim_pairs_screened));
+        self.sim_refuted.add(n(d.sim_pairs_refuted));
+        self.sim_false_passes.add(n(d.sim_false_passes));
+        self.shadow_cache_hits.add(n(d.shadow_cache_hits));
+        self.shadow_cache_misses.add(n(d.shadow_cache_misses));
+        self.quarantined.add(g(d.quarantined));
+        self.engine_faults.add(g(d.engine_faults));
     }
 }

@@ -31,21 +31,21 @@
 //!
 //! # Commit
 //!
-//! Under [`Acceptance::FirstGain`] the committer replays the epoch in pair
-//! order: the stat deltas of every rejected pair below the winner are
-//! merged (they are exactly what the sequential engine would have
-//! recorded — the network is identical), and the winning pair is re-run
-//! **live** through the ordinary [`SubstEngine::attempt`] path. That
-//! re-validates the plan against the live network and reuses the whole
-//! txn/guard/side-patching machinery, so a stale or refuted speculation
-//! (e.g. a checked-mode guard rejection) is dropped exactly as the
-//! sequential engine would drop it, and the sweep resumes at the next pair
-//! of the same enumeration.
+//! Under [`Acceptance::FirstGain`] the committer books the epoch in pair
+//! order: every rejected pair below the winner goes through
+//! `SubstEngine::book` with its stat delta and record, exactly as the
+//! sequential engine would have booked it (the network is identical).
+//! The winning pair is re-run **live** through the ordinary
+//! [`SubstEngine::attempt`] path. That re-validates the plan against the
+//! live network and reuses the whole txn/guard/side-patching machinery,
+//! so a stale or refuted speculation (e.g. a checked-mode guard
+//! rejection) is dropped exactly as the sequential engine would drop it,
+//! and the sweep resumes at the next pair of the same enumeration.
 //!
-//! Under [`Acceptance::BestGain`], at every thread count, one untraced
-//! epoch speculates every candidate with no early exit. These are dry
-//! runs: their stat deltas are discarded, and only a fault is booked (the
-//! pair is quarantined). The lowest-index best gain is then committed
+//! Under [`Acceptance::BestGain`], at every thread count, one epoch
+//! speculates every candidate with no early exit. These are dry runs:
+//! their deltas and records are discarded, and only a fault is booked
+//! (the pair is quarantined). The lowest-index best gain is then committed
 //! through `attempt`. No dry run clones the network.
 //!
 //! # Determinism contract
@@ -67,15 +67,15 @@
 //! fault, quarantined, and the committer keeps going — a dying worker
 //! cannot poison the shared state because speculation never mutates it.
 
-use crate::engine::{cheap_filters, id32, nanos, ShadowEntry, SubstEngine};
+use crate::engine::{cheap_filters, nanos, pair_record, SubstEngine};
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    plan_pair_core, Acceptance, GdcScope, PlanKind, SubstMode, SubstOptions, SubstPlan, SubstStats,
+    core_outcome, plan_pair_core, Acceptance, GdcScope, SubstMode, SubstOptions, SubstStats,
     TargetForms,
 };
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimView;
-use boolsubst_trace::{Outcome, PairRecord, Stage, StageNanos};
+use boolsubst_trace::{Outcome, PairRecord};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,31 +86,19 @@ use std::time::Instant;
 /// spawn costs more than a couple of pair proofs.
 const PAR_MIN_PAIRS: usize = 16;
 
-/// How one speculated pair ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SpecVerdict {
-    /// A division strategy produced a positive-gain plan.
-    Accept,
-    /// Every strategy rejected (or a filter did).
-    Reject,
-    /// The evaluation panicked; the pair must be quarantined.
-    Fault,
-}
-
-/// One worker-evaluated pair: the verdict, the plan's gain (0 unless
-/// accepted), the stat delta the sequential engine would have recorded
-/// for it, and (when tracing) a replayable span record.
+/// One worker-evaluated pair: the stat delta the sequential engine would
+/// have recorded for it and its span record. An accepting record carries
+/// the plan's gain; an `EngineFault` one means the evaluation panicked.
 struct PairEval {
-    verdict: SpecVerdict,
-    gain: i64,
     delta: SubstStats,
-    rec: Option<PairRecord>,
+    rec: PairRecord,
 }
 
 /// Speculatively evaluates one (target, divisor) pair read-only against
 /// the epoch snapshot, mirroring [`SubstEngine::attempt`]'s filter chain
 /// and stat accounting exactly — minus every mutation (no sim flush or
 /// refinement, no memo writes, no network edit). Always panic-isolated.
+/// The record's wall time is measured only when `timed`.
 #[allow(clippy::too_many_arguments)]
 fn speculate_pair(
     net: &Network,
@@ -122,30 +110,23 @@ fn speculate_pair(
     opts: &SubstOptions,
     target: NodeId,
     divisor: NodeId,
-    record: bool,
+    timed: bool,
     worker: u32,
 ) -> PairEval {
-    let t_all = Instant::now();
-    let mut delta = SubstStats::default();
-    let mut stages = StageNanos::default();
-    let mut gain = 0i64;
-    delta.candidates_enumerated += 1;
-
     let t0 = Instant::now();
+    let mut delta = SubstStats::default();
+    delta.candidates_enumerated += 1;
     let filtered = cheap_filters(net, quarantine, opts, &mut delta, target, divisor, || {
         side.in_tfo_frozen(net, divisor, target)
     });
-    let dt0 = nanos(t0);
-    delta.filter_nanos += dt0;
-    stages.add(Stage::Filter, dt0);
+    delta.filter_nanos += nanos(t0);
 
-    let (verdict, outcome) = match filtered {
-        Err(outcome) => (SpecVerdict::Reject, outcome),
+    let (outcome, gain) = match filtered {
+        Err(outcome) => (outcome, 0),
         Ok(space) => {
             // Mirrors `attempt`: the pair survived every cheap filter.
             delta.discovery_proofs_run += 1;
             let t1 = Instant::now();
-            let sim_nanos0 = delta.sim_nanos;
             let planned = catch_unwind(AssertUnwindSafe(|| {
                 let scope = match shadow {
                     Some(base) => GdcScope::Shadow(base),
@@ -161,119 +142,43 @@ fn speculate_pair(
                     &scope,
                     Some(forms),
                     sim.map(|v| v.filter()),
-                    None,
                 )
             }));
-            let dt1 = nanos(t1);
-            delta.divide_nanos += dt1;
-            let sim_delta = delta.sim_nanos - sim_nanos0;
-            stages.add(Stage::Sim, sim_delta);
-            stages.add(Stage::Divide, dt1.saturating_sub(sim_delta));
+            delta.divide_nanos += nanos(t1);
             match planned {
-                Ok(Some(plan)) => {
-                    gain = plan.gain();
-                    let outcome = match &plan {
-                        SubstPlan::Replace {
-                            kind: PlanKind::Pos,
-                            ..
-                        } => Outcome::AcceptedPos,
-                        SubstPlan::Replace { .. } => Outcome::AcceptedSop,
-                        SubstPlan::Extended(_) => Outcome::AcceptedExtended,
-                    };
-                    (SpecVerdict::Accept, outcome)
-                }
-                Ok(None) => {
-                    let outcome = if delta.sim_pairs_refuted > 0 {
-                        Outcome::RejectedSimRefuted
-                    } else {
-                        Outcome::RejectedNoGain
-                    };
-                    (SpecVerdict::Reject, outcome)
-                }
-                Err(_) => (SpecVerdict::Fault, Outcome::EngineFault),
+                Ok(plan) => (
+                    core_outcome(plan.as_ref(), &delta),
+                    plan.map_or(0, |p| p.gain()),
+                ),
+                Err(_) => (Outcome::EngineFault, 0),
             }
         }
     };
-    let rec = record.then(|| PairRecord {
-        target: id32(target),
-        divisor: id32(divisor),
-        dur_ns: nanos(t_all),
-        stages,
-        outcome,
-        gain,
-        rar_checks: u64::try_from(delta.rar_checks).unwrap_or(u64::MAX),
-        worker,
-    });
-    PairEval {
-        verdict,
-        gain,
-        delta,
-        rec,
+    // Speculation books sim time only in the division window's screen.
+    let mut rec = pair_record(target, divisor, &delta, delta.sim_nanos, outcome, gain);
+    rec.worker = worker + 1;
+    if timed {
+        rec.dur_ns = nanos(t0);
     }
+    PairEval { delta, rec }
 }
 
 impl SubstEngine<'_> {
-    /// If the GDC shadow snapshot is missing or stale, builds it now so
-    /// workers can share it — but does *not* book the cache miss yet.
-    /// Returns the build duration; the miss is booked when (if) the
-    /// first filter-surviving pair consumes it, which is the moment the
-    /// sequential engine's lazy `ensure_shadow` would have built it.
-    fn prepare_epoch_shadow(&mut self, target: NodeId) -> Option<u64> {
-        if self.opts.mode != SubstMode::ExtendedGdc {
-            return None;
-        }
-        let valid = self
-            .shadow
-            .as_ref()
-            .is_some_and(|e| e.target == target && e.version == self.net.version());
-        if valid {
-            return None;
-        }
-        let t0 = Instant::now();
-        let tfo = self.side.tfo(self.net, target).clone();
-        let base = ShadowBase::prepare(self.net, target, &tfo);
-        self.shadow = Some(ShadowEntry {
-            target,
-            version: self.net.version(),
-            base,
-        });
-        Some(nanos(t0))
-    }
-
-    /// Merges one speculated (and sequentially-consumed) pair into the
-    /// live stats: the delta, the shadow-cache accounting the sequential
-    /// `ensure_shadow` would have done, fault quarantine, and the traced
-    /// span replay.
-    fn merge_speculated(
-        &mut self,
-        target: NodeId,
-        divisor: NodeId,
-        eval: PairEval,
-        pending_build: &mut Option<u64>,
-    ) {
+    /// Books one speculated (and sequentially-consumed) pair: its delta,
+    /// the shadow use the sequential `attempt` would have booked, fault
+    /// quarantine, and its record.
+    fn merge_speculated(&mut self, target: NodeId, divisor: NodeId, eval: PairEval) {
+        let PairEval { mut delta, rec } = eval;
         // A pair that reached the division core is one the sequential
-        // engine would have called `ensure_shadow` for.
-        let survivor = eval.delta.divisions_tried > 0;
-        self.stats.merge(&eval.delta);
-        if self.opts.mode == SubstMode::ExtendedGdc && survivor {
-            if let Some(ns) = pending_build.take() {
-                self.stats.shadow_cache_misses += 1;
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.shadow_build(id32(target), ns);
-                }
-            } else {
-                self.stats.shadow_cache_hits += 1;
-            }
+        // engine would have used the shadow for.
+        if self.opts.mode == SubstMode::ExtendedGdc && delta.divisions_tried > 0 {
+            self.use_shadow(target, &mut delta);
         }
-        if eval.verdict == SpecVerdict::Fault {
-            self.stats.engine_faults += 1;
-            self.quarantine_pair(target, divisor);
+        if rec.outcome == Outcome::EngineFault {
+            delta.engine_faults += 1;
+            self.quarantine_pair(&mut delta, target, divisor);
         }
-        if let Some(rec) = eval.rec.as_ref() {
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.record_pair(rec);
-            }
-        }
+        self.book(&delta, Some(&rec));
     }
 
     /// One epoch: speculative evaluation of `cands` against the frozen
@@ -281,14 +186,19 @@ impl SubstEngine<'_> {
     /// first-gain a `None` slot was skipped because its index lies beyond
     /// the epoch's lowest accepting index (the sequential sweep would
     /// never have evaluated it either). Best-gain dry runs evaluate every
-    /// slot and are never traced.
+    /// slot.
     fn speculate_epoch(&mut self, target: NodeId, cands: &[NodeId]) -> Vec<Option<PairEval>> {
+        // Workers share the GDC snapshot; its build is booked by the
+        // first pair that uses it, as in the sequential engine.
+        if self.opts.mode == SubstMode::ExtendedGdc {
+            self.prepare_shadow(target);
+        }
         // `attempt` may have harvested refinement patterns; a frozen view
         // needs them folded in.
         self.flush_sim();
         self.ensure_forms(target);
         let first_gain = self.opts.acceptance == Acceptance::FirstGain;
-        let record = first_gain && self.tracer.is_some();
+        let timed = self.tracer.is_some() || self.metrics.is_some();
         let net: &Network = self.net;
         let side = &self.side;
         let quarantine = &self.quarantine;
@@ -340,7 +250,6 @@ impl SubstEngine<'_> {
                 if idx > best.load(Ordering::Acquire) {
                     continue;
                 }
-                let tp = metrics.map(|_| Instant::now());
                 let eval = speculate_pair(
                     net,
                     side,
@@ -351,14 +260,14 @@ impl SubstEngine<'_> {
                     opts,
                     target,
                     cands[idx],
-                    record,
+                    timed,
                     u32::try_from(worker).unwrap_or(u32::MAX),
                 );
-                if let Some(tp) = tp {
-                    proof_ns += nanos(tp);
+                if metrics.is_some() {
+                    proof_ns += eval.rec.dur_ns;
                     pairs += 1;
                 }
-                if first_gain && eval.verdict == SpecVerdict::Accept {
+                if first_gain && eval.rec.outcome.accepted() {
                     best.fetch_min(idx, Ordering::AcqRel);
                 }
                 let tw = metrics.map(|_| Instant::now());
@@ -401,27 +310,15 @@ impl SubstEngine<'_> {
     }
 
     /// Re-runs a speculated winner live through [`SubstEngine::attempt`]
-    /// (txn, guard, side patching, live tracing) and reports whether it
-    /// committed. An unconsumed epoch shadow build is the one the
-    /// sequential engine's lazy `ensure_shadow` would have made here, so
-    /// the warm-cache hit `attempt` books is swapped for that miss.
-    fn commit(&mut self, target: NodeId, divisor: NodeId, pending_build: Option<u64>) -> bool {
-        if let Some(ns) = pending_build {
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.shadow_build(id32(target), ns);
-            }
-        }
-        let before = self.stats.substitutions;
+    /// (txn, guard, side patching, booking) and reports whether it
+    /// committed.
+    fn commit(&mut self, target: NodeId, divisor: NodeId) -> bool {
         let tc = self.metrics.as_ref().map(|_| Instant::now());
-        self.attempt(target, divisor);
+        let committed = self.attempt(target, divisor).is_some();
         if let (Some(m), Some(tc)) = (&self.metrics, tc) {
             m.sweep_commit_ns.add(nanos(tc));
         }
-        if pending_build.is_some() {
-            self.stats.shadow_cache_hits -= 1;
-            self.stats.shadow_cache_misses += 1;
-        }
-        self.stats.substitutions != before
+        committed
     }
 
     /// The parallel first-gain visit: epochs of speculation, ordered
@@ -446,28 +343,26 @@ impl SubstEngine<'_> {
                 if self.deadline_expired() {
                     return;
                 }
-                let mut pending_build = self.prepare_epoch_shadow(target);
                 let slice = &cands[start..];
                 let mut evals = self.speculate_epoch(target, slice);
-                let winner = evals.iter().position(|e| {
-                    e.as_ref()
-                        .is_some_and(|ev| ev.verdict == SpecVerdict::Accept)
-                });
+                let winner = evals
+                    .iter()
+                    .position(|e| e.as_ref().is_some_and(|ev| ev.rec.outcome.accepted()));
                 let merge_upto = winner.unwrap_or(slice.len());
                 for (i, divisor) in slice.iter().copied().enumerate().take(merge_upto) {
                     let eval = evals[i]
                         .take()
                         .expect("pairs below the winner are evaluated");
-                    self.merge_speculated(target, divisor, eval, &mut pending_build);
+                    self.merge_speculated(target, divisor, eval);
                 }
                 let Some(w) = winner else {
                     // No acceptance anywhere in the enumeration: the
-                    // visit is over (any unconsumed shadow build stays
-                    // uncounted, as the sequential engine never built it).
+                    // visit is over (an unused shadow build stays
+                    // unbooked, as the sequential engine never built it).
                     break 'resume;
                 };
                 let divisor = slice[w];
-                if self.commit(target, divisor, pending_build) {
+                if self.commit(target, divisor) {
                     // Committed: the target's fanins changed, re-enumerate
                     // and resume past this divisor.
                     cursor = Some(divisor);
@@ -489,26 +384,25 @@ impl SubstEngine<'_> {
         if cands.is_empty() || self.deadline_expired() {
             return;
         }
-        let pending_build = self.prepare_epoch_shadow(target);
         let evals = self.speculate_epoch(target, &cands);
         let mut best: Option<(NodeId, i64)> = None;
         for (&divisor, eval) in cands.iter().zip(evals) {
-            let eval = eval.expect("best-gain evaluates every candidate");
-            match eval.verdict {
-                SpecVerdict::Fault => {
-                    self.stats.engine_faults += 1;
-                    self.quarantine_pair(target, divisor);
-                }
-                SpecVerdict::Accept if best.is_none_or(|(_, g)| eval.gain > g) => {
-                    best = Some((divisor, eval.gain));
-                }
-                _ => {}
+            let rec = eval.expect("best-gain evaluates every candidate").rec;
+            if rec.outcome == Outcome::EngineFault {
+                let mut delta = SubstStats {
+                    engine_faults: 1,
+                    ..SubstStats::default()
+                };
+                self.quarantine_pair(&mut delta, target, divisor);
+                self.book(&delta, None);
+            } else if rec.outcome.accepted() && best.is_none_or(|(_, g)| rec.gain > g) {
+                best = Some((divisor, rec.gain));
             }
         }
         // The dry runs may have outlived the deadline.
         if let Some((divisor, _)) = best {
             if !self.deadline_expired() {
-                self.commit(target, divisor, pending_build);
+                self.commit(target, divisor);
             }
         }
     }

@@ -191,6 +191,33 @@ mod tests {
                     handle.counter_value("engine.accepts"),
                     Some(u64::try_from(sm.substitutions).unwrap())
                 );
+                // The registry is a view of the same booking as the stats
+                // block: every pair, live or speculated, is counted once.
+                let pairs = u64::try_from(sm.candidates_enumerated).unwrap();
+                let mode = opts.mode;
+                assert_eq!(
+                    handle.counter_value("engine.pairs"),
+                    Some(pairs),
+                    "{mode:?} threads={threads}: engine.pairs"
+                );
+                assert_eq!(
+                    handle.histogram("engine.pair_ns").count(),
+                    pairs,
+                    "{mode:?} threads={threads}: engine.pair_ns samples"
+                );
+                for (stage, nanos) in [
+                    ("enumerate", sm.enumerate_nanos),
+                    ("filter", sm.filter_nanos),
+                    ("sim", sm.sim_nanos),
+                    ("divide", sm.divide_nanos),
+                    ("apply", sm.apply_nanos),
+                ] {
+                    assert_eq!(
+                        handle.counter_value(&format!("engine.stage.{stage}_ns")),
+                        Some(nanos),
+                        "{mode:?} threads={threads}: engine.stage.{stage}_ns"
+                    );
+                }
             }
         }
     }

@@ -14,7 +14,7 @@ use boolsubst_network::{Network, NodeId};
 use boolsubst_sat::SatOptions;
 use boolsubst_sim::{CoverScreen, SimConfig, SimFilter};
 use boolsubst_trace::json::JsonObj;
-use boolsubst_trace::{Outcome, Tracer};
+use boolsubst_trace::Outcome;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -879,7 +879,7 @@ pub(crate) fn try_pair(
         stats.filtered_support += 1;
         return None;
     }
-    try_pair_core(
+    let plan = plan_pair_core(
         net,
         target,
         divisor,
@@ -889,29 +889,39 @@ pub(crate) fn try_pair(
         &GdcScope::Rebuild,
         None,
         None,
-        None,
-    )
-}
-
-/// Notes the decided outcome on the attached tracer, if any.
-fn note(tracer: &mut Option<&mut Tracer>, outcome: Outcome) {
-    if let Some(t) = tracer.as_deref_mut() {
-        t.note_outcome(outcome);
-    }
+    )?;
+    apply_plan(net, plan, stats)
 }
 
 /// Books a typed apply failure (a `replace_function`/plan error that
 /// previously aborted the process) as an engine fault and rejects the
 /// pair. Every such site is validate-then-mutate or internally rolled
 /// back, so the network is unchanged when this runs.
-fn fault_reject(stats: &mut SubstStats, tracer: &mut Option<&mut Tracer>) -> Option<i64> {
+fn fault_reject(stats: &mut SubstStats) -> Option<i64> {
     stats.engine_faults += 1;
-    note(tracer, Outcome::EngineFault);
     None
 }
 
+/// How a pair that reached the division core ended, decided once for the
+/// live and the speculative path: the plan's kind when one was produced,
+/// otherwise a fault, a pure signature refutation, or no gain, read off
+/// the pair's own stat delta.
+pub(crate) fn core_outcome(plan: Option<&SubstPlan>, delta: &SubstStats) -> Outcome {
+    match plan {
+        Some(SubstPlan::Replace {
+            kind: PlanKind::Pos,
+            ..
+        }) => Outcome::AcceptedPos,
+        Some(SubstPlan::Replace { .. }) => Outcome::AcceptedSop,
+        Some(SubstPlan::Extended(_)) => Outcome::AcceptedExtended,
+        None if delta.engine_faults > 0 => Outcome::EngineFault,
+        None if delta.sim_pairs_refuted > 0 => Outcome::RejectedSimRefuted,
+        None => Outcome::RejectedNoGain,
+    }
+}
+
 /// What kind of single-node rewrite a [`SubstPlan::Replace`] is — decides
-/// the stat counters, the tracer outcome, and (for the chaos harness)
+/// the stat counters, the pair's outcome, and (for the chaos harness)
 /// which fault-injection sites fire on apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PlanKind {
@@ -957,49 +967,15 @@ impl SubstPlan {
     }
 }
 
-/// The filter-free heart of a substitution attempt: divides `target` by
-/// `divisor` over the precomputed joint `space` and applies the first
-/// strategy with positive gain. Callers guarantee the pair already passed
-/// the structural, cycle, size, and support-overlap filters.
-///
-/// Composition of [`plan_pair_core`] (read-only evaluation) and
-/// [`apply_plan`] (the mutation); the sequential engine and the legacy
-/// sweep both go through here, the parallel sweep calls the two halves
-/// separately.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_pair_core(
-    net: &mut Network,
-    target: NodeId,
-    divisor: NodeId,
-    space: &JointSpace,
-    opts: &SubstOptions,
-    stats: &mut SubstStats,
-    gdc: &GdcScope<'_>,
-    forms: Option<&TargetForms>,
-    sim: Option<&SimFilter>,
-    mut tracer: Option<&mut Tracer>,
-) -> Option<i64> {
-    let plan = plan_pair_core(
-        net,
-        target,
-        divisor,
-        space,
-        opts,
-        stats,
-        gdc,
-        forms,
-        sim,
-        tracer.as_deref_mut(),
-    )?;
-    apply_plan(net, plan, stats, tracer)
-}
-
-/// The read-only half of a substitution attempt: evaluates every division
-/// strategy in the fixed order (SOP, complement-SOP, extended, POS) and
+/// The read-only half of a substitution attempt: divides `target` by
+/// `divisor` over the precomputed joint `space`, evaluating every division
+/// strategy in the fixed order (SOP, complement-SOP, extended, POS), and
 /// returns the first plan with positive factored-literal gain — without
-/// mutating the network. Because planning never mutates, "first strategy
-/// that would be applied" and "first strategy with positive gain" are the
-/// same thing, so [`try_pair_core`] behaves exactly as the pre-split code.
+/// mutating the network. Callers guarantee the pair already passed the
+/// structural, cycle, size, and support-overlap filters, and apply the
+/// plan with [`apply_plan`]. Because planning never mutates, "first
+/// strategy that would be applied" and "first strategy with positive
+/// gain" are the same thing.
 ///
 /// When `sim` is given, the dividend is screened against the divisor's
 /// simulation signature first and refuted strategies skip their proof
@@ -1022,7 +998,6 @@ pub(crate) fn plan_pair_core(
     gdc: &GdcScope<'_>,
     forms: Option<&TargetForms>,
     sim: Option<&SimFilter>,
-    tracer: Option<&mut Tracer>,
 ) -> Option<SubstPlan> {
     #[cfg(feature = "chaos")]
     crate::chaos::maybe_panic(crate::chaos::PanicSite::PairEntry);
@@ -1160,7 +1135,7 @@ pub(crate) fn plan_pair_core(
                 sc.refutes_containment_in_complement()
             });
             if pos_refuted {
-                return finish_unhelped(stats, sim.is_some(), ran_proof, tracer);
+                return finish_unhelped(stats, sim.is_some(), ran_proof);
             }
             ran_proof = true;
             let r = pos_divide_precomplemented(&fc, &dc, &opts.division);
@@ -1204,20 +1179,18 @@ pub(crate) fn plan_pair_core(
             }
         }
     }
-    finish_unhelped(stats, sim.is_some(), ran_proof, tracer)
+    finish_unhelped(stats, sim.is_some(), ran_proof)
 }
 
 /// The mutating half of a substitution attempt: applies a plan produced
-/// by [`plan_pair_core`], books the acceptance counters and the tracer
-/// outcome, and returns the gain. A typed apply error (which a healthy
-/// engine never produces) is booked as an engine fault; every apply site
-/// is validate-then-mutate or internally rolled back, so the network is
-/// unchanged on that path.
+/// by [`plan_pair_core`], books the acceptance counters, and returns the
+/// gain. A typed apply error (which a healthy engine never produces) is
+/// booked as an engine fault; every apply site is validate-then-mutate or
+/// internally rolled back, so the network is unchanged on that path.
 pub(crate) fn apply_plan(
     net: &mut Network,
     plan: SubstPlan,
     stats: &mut SubstStats,
-    mut tracer: Option<&mut Tracer>,
 ) -> Option<i64> {
     match plan {
         SubstPlan::Replace {
@@ -1228,33 +1201,27 @@ pub(crate) fn apply_plan(
             kind,
         } => {
             if net.replace_function(target, fanins, cover).is_err() {
-                return fault_reject(stats, &mut tracer);
+                return fault_reject(stats);
             }
             stats.substitutions += 1;
             stats.literal_gain += gain;
-            match kind {
-                PlanKind::Sop => {
-                    note(&mut tracer, Outcome::AcceptedSop);
-                    #[cfg(feature = "chaos")]
-                    crate::chaos::maybe_panic(crate::chaos::PanicSite::PostApply);
-                }
-                PlanKind::SopCompl => note(&mut tracer, Outcome::AcceptedSop),
-                PlanKind::Pos => {
-                    stats.pos_substitutions += 1;
-                    note(&mut tracer, Outcome::AcceptedPos);
-                }
+            if kind == PlanKind::Pos {
+                stats.pos_substitutions += 1;
+            }
+            #[cfg(feature = "chaos")]
+            if kind == PlanKind::Sop {
+                crate::chaos::maybe_panic(crate::chaos::PanicSite::PostApply);
             }
             Some(gain)
         }
         SubstPlan::Extended(plan) => {
             let gain = plan.gain;
             if plan.apply(net).is_err() {
-                return fault_reject(stats, &mut tracer);
+                return fault_reject(stats);
             }
             stats.substitutions += 1;
             stats.extended_decompositions += 1;
             stats.literal_gain += gain;
-            note(&mut tracer, Outcome::AcceptedExtended);
             Some(gain)
         }
     }
@@ -1263,20 +1230,13 @@ pub(crate) fn apply_plan(
 /// Books a pair that produced no gain: with a filter present it either
 /// counts as a pure signature refutation (no proof stage ran) or as a
 /// false pass (at least one proof ran and rejected — refinement fuel for
-/// the engine). A pure refutation is noted on the tracer; a false pass
-/// keeps the default no-gain outcome.
-fn finish_unhelped(
-    stats: &mut SubstStats,
-    screened: bool,
-    ran_proof: bool,
-    mut tracer: Option<&mut Tracer>,
-) -> Option<SubstPlan> {
+/// the engine).
+fn finish_unhelped(stats: &mut SubstStats, screened: bool, ran_proof: bool) -> Option<SubstPlan> {
     if screened {
         if ran_proof {
             stats.sim_false_passes += 1;
         } else {
             stats.sim_pairs_refuted += 1;
-            note(&mut tracer, Outcome::RejectedSimRefuted);
         }
     }
     None

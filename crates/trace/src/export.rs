@@ -143,7 +143,7 @@ const TID_PAIRS: u64 = 0;
 const TID_PASSES: u64 = 1;
 /// Thread ids used in the Chrome export: shadow builds and refinements.
 const TID_AUX: u64 = 2;
-/// Speculative-sweep worker lanes start here: a pair span replayed from
+/// Speculative-sweep worker lanes start here: a pair span measured by
 /// worker `w` (span `worker == w + 1`) lands on tid `TID_AUX + w + 1`,
 /// labelled `worker w` by a `thread_name` metadata row.
 const TID_WORKER_BASE: u64 = TID_AUX;
@@ -366,18 +366,33 @@ pub fn write_chrome_trace<W: Write>(tracers: &[&Tracer], w: &mut W) -> io::Resul
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::span::{Outcome, Stage};
+    use crate::span::{Outcome, StageNanos};
+    use crate::tracer::PairRecord;
+
+    /// A pair record on lane `worker` with the given outcome; the stage
+    /// shares are filter 3 ns, divide 40 ns.
+    fn record(worker: u32, outcome: Outcome, gain: i64, rar_checks: u64) -> PairRecord {
+        PairRecord {
+            target: 1,
+            divisor: 2,
+            dur_ns: 50,
+            stages: StageNanos {
+                filter: 3,
+                divide: 40,
+                ..StageNanos::default()
+            },
+            outcome,
+            gain,
+            rar_checks,
+            worker,
+        }
+    }
 
     fn sample_tracer() -> Tracer {
         let mut t = Tracer::new("ext-gdc");
         t.set_node_names(vec!["n0".into(), "n1".into(), "n2".into()]);
         t.begin_pass(1);
-        t.begin_pair(1, 2);
-        t.stage(Stage::Filter, 3);
-        t.stage(Stage::Divide, 40);
-        t.set_rar_checks(7);
-        t.note_outcome(Outcome::AcceptedSop);
-        t.end_pair(5);
+        t.record_pair(&record(0, Outcome::AcceptedSop, 5, 7));
         t.shadow_build(1, 11);
         t.sim_refine(1, 2, true, 9);
         t.guard_check(1, 2, crate::span::GuardTier::Sat, true, true, 21);
@@ -468,20 +483,9 @@ mod tests {
         let mut t = Tracer::new("ext-gdc");
         t.set_node_names(vec!["n0".into(), "n1".into(), "n2".into()]);
         t.begin_pass(1);
-        // A live pair and two replayed worker records (workers 0 and 2).
-        t.begin_pair(1, 2);
-        t.end_pair(0);
-        for worker in [0, 2] {
-            t.record_pair(&crate::tracer::PairRecord {
-                target: 1,
-                divisor: 2,
-                dur_ns: 10,
-                stages: Default::default(),
-                outcome: Outcome::RejectedStructural,
-                gain: 0,
-                rar_checks: 0,
-                worker,
-            });
+        // A live pair and two worker-measured ones (workers 0 and 2).
+        for lane in [0, 1, 3] {
+            t.record_pair(&record(lane, Outcome::RejectedStructural, 0, 0));
         }
         t.end_pass(0, 0);
 

@@ -224,6 +224,8 @@ impl fmt::Display for TraceReport<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::StageNanos;
+    use crate::tracer::PairRecord;
 
     #[test]
     fn fmt_ns_units() {
@@ -239,14 +241,35 @@ mod tests {
         let mut t = Tracer::new("basic");
         t.set_node_names(vec!["a".into(), "b".into(), "c".into()]);
         t.begin_pass(1);
-        t.begin_pair(0, 1);
-        t.stage(Stage::Filter, 50);
-        t.stage(Stage::Divide, 900);
-        t.note_outcome(Outcome::AcceptedSop);
-        t.end_pair(3);
-        t.begin_pair(2, 1);
-        t.stage(Stage::Filter, 10);
-        t.end_pair_with(Outcome::RejectedTfo, 0);
+        let pair = |target, outcome, gain, stages| PairRecord {
+            target,
+            divisor: 1,
+            dur_ns: 1_000,
+            stages,
+            outcome,
+            gain,
+            rar_checks: 0,
+            worker: 0,
+        };
+        t.record_pair(&pair(
+            0,
+            Outcome::AcceptedSop,
+            3,
+            StageNanos {
+                filter: 50,
+                divide: 900,
+                ..StageNanos::default()
+            },
+        ));
+        t.record_pair(&pair(
+            2,
+            Outcome::RejectedTfo,
+            0,
+            StageNanos {
+                filter: 10,
+                ..StageNanos::default()
+            },
+        ));
         t.end_pass(1, 3);
 
         let text = t.report().to_string();

@@ -176,18 +176,6 @@ pub struct StageNanos {
 }
 
 impl StageNanos {
-    /// Adds `ns` to the given stage, saturating.
-    pub fn add(&mut self, stage: Stage, ns: u64) {
-        let slot = match stage {
-            Stage::Enumerate => &mut self.enumerate,
-            Stage::Filter => &mut self.filter,
-            Stage::Sim => &mut self.sim,
-            Stage::Divide => &mut self.divide,
-            Stage::Apply => &mut self.apply,
-        };
-        *slot = slot.saturating_add(ns);
-    }
-
     /// Reads one stage's nanos.
     #[must_use]
     pub fn get(self, stage: Stage) -> u64 {
@@ -234,7 +222,7 @@ pub struct PairSpan {
     /// RAR/ATPG fault checks the GDC-mode division ran for this pair.
     pub rar_checks: u64,
     /// Sweep lane the attempt ran on: `0` for live (sequential or
-    /// committer) attempts, `w + 1` for a span replayed from
+    /// committer) attempts, `w + 1` for a span measured by
     /// speculative worker `w`. Chrome export maps lanes to named
     /// threads.
     pub worker: u32,
@@ -388,13 +376,15 @@ mod tests {
 
     #[test]
     fn stage_nanos_attribution() {
-        let mut s = StageNanos::default();
-        s.add(Stage::Sim, 5);
-        s.add(Stage::Sim, 7);
-        s.add(Stage::Divide, 100);
+        let mut s = StageNanos {
+            sim: 12,
+            divide: 100,
+            ..StageNanos::default()
+        };
         assert_eq!(s.get(Stage::Sim), 12);
+        assert_eq!(s.get(Stage::Filter), 0);
         assert_eq!(s.total(), 112);
-        s.add(Stage::Apply, u64::MAX);
+        s.apply = u64::MAX;
         assert_eq!(s.total(), u64::MAX, "total saturates");
     }
 }

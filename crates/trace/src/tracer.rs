@@ -8,33 +8,31 @@ use crate::hist::LatencyHistogram;
 use crate::report::TraceReport;
 use crate::span::{GuardTier, Outcome, PairSpan, PassSpan, Stage, StageNanos, TraceEvent};
 
-/// One pair attempt measured off-thread by a parallel-sweep worker.
+/// One finished pair attempt: the only way a pair reaches the tracer.
 ///
-/// Workers cannot share the single [`Tracer`] (it is deliberately
-/// `&mut`-threaded), so they buffer these per-worker and the committer
-/// replays the records of *committed* pairs — in commit order — via
-/// [`Tracer::record_pair`]. The replayed span lands in every aggregate
-/// exactly like a live one; only `start_ns` is synthesised (commit time
-/// minus the measured duration), since the worker clock is not the
-/// tracer's epoch clock.
+/// The engine fills one per attempt, live or speculated, and books it
+/// with [`Tracer::record_pair`]. The tracer's clock is not read while
+/// the pair runs: `start_ns` is synthesised at booking time (now minus
+/// the measured duration), so a worker-measured record lands exactly
+/// like a live one.
 #[derive(Debug, Clone, Copy)]
 pub struct PairRecord {
     /// Target node id (compact u32 form).
     pub target: u32,
     /// Divisor node id (compact u32 form).
     pub divisor: u32,
-    /// Wall-clock duration of the attempt as measured on the worker.
+    /// Wall-clock duration of the attempt.
     pub dur_ns: u64,
-    /// Per-stage attribution measured on the worker.
+    /// Per-stage attribution.
     pub stages: StageNanos,
     /// The decided outcome.
     pub outcome: Outcome,
-    /// Realised factored-literal gain (0 for rejects).
+    /// Factored-literal gain (0 for rejects).
     pub gain: i64,
     /// RAR/ATPG fault checks run by this attempt.
     pub rar_checks: u64,
-    /// Index of the sweep worker that measured the attempt (0 = the
-    /// committer's inline drain).
+    /// Sweep lane of the attempt: `0` for a live attempt, `w + 1` for
+    /// one measured by speculative worker `w` (see [`PairSpan::worker`]).
     pub worker: u32,
 }
 
@@ -98,8 +96,6 @@ pub struct Tracer {
     slowest: Vec<PairSpan>,
     per_target: HashMap<u32, TargetAgg>,
     passes: Vec<PassSpan>,
-    cur: Option<PairSpan>,
-    noted: Option<Outcome>,
     cur_pass: u32,
     pass_start_ns: u64,
     pass_pairs: u64,
@@ -140,8 +136,6 @@ impl Tracer {
             slowest: Vec::new(),
             per_target: HashMap::new(),
             passes: Vec::new(),
-            cur: None,
-            noted: None,
             cur_pass: 0,
             pass_start_ns: 0,
             pass_pairs: 0,
@@ -226,75 +220,16 @@ impl Tracer {
         self.push(TraceEvent::Pass(span));
     }
 
-    /// Opens a pair span for (`target`, `divisor`).
-    pub fn begin_pair(&mut self, target: u32, divisor: u32) {
-        self.cur = Some(PairSpan {
-            pass: self.cur_pass,
-            target,
-            divisor,
-            start_ns: self.now_ns(),
-            dur_ns: 0,
-            stages: Default::default(),
-            outcome: Outcome::RejectedNoGain,
-            gain: 0,
-            rar_checks: 0,
-            worker: 0,
-        });
-        self.noted = None;
-    }
-
-    /// Attributes `ns` to `stage`: always sampled into the per-stage
-    /// histogram, and also onto the open pair span if one exists.
+    /// Samples `ns` of `stage` work booked outside any pair span
+    /// (enumeration, an out-of-pair sim flush) into the stage histogram.
     pub fn stage(&mut self, stage: Stage, ns: u64) {
         self.stage_hist[stage.idx()].record(ns);
-        if let Some(cur) = self.cur.as_mut() {
-            cur.stages.add(stage, ns);
-        }
     }
 
-    /// Records the outcome the division core decided on; consumed by the
-    /// next [`Tracer::end_pair`].
-    pub fn note_outcome(&mut self, outcome: Outcome) {
-        self.noted = Some(outcome);
-    }
-
-    /// Sets the open pair's RAR/ATPG fault-check count.
-    pub fn set_rar_checks(&mut self, checks: u64) {
-        if let Some(cur) = self.cur.as_mut() {
-            cur.rar_checks = checks;
-        }
-    }
-
-    /// Closes the open pair span with the outcome noted since
-    /// [`Tracer::begin_pair`] (default: no-gain reject) and the realised
-    /// literal gain. No-op when no span is open.
-    pub fn end_pair(&mut self, gain: i64) {
-        let outcome = self.noted.take().unwrap_or(Outcome::RejectedNoGain);
-        self.finish_pair(outcome, gain);
-    }
-
-    /// Closes the open pair span with an explicit outcome, overriding
-    /// anything noted (used by the engine's early filter rejects).
-    pub fn end_pair_with(&mut self, outcome: Outcome, gain: i64) {
-        self.noted = None;
-        self.finish_pair(outcome, gain);
-    }
-
-    fn finish_pair(&mut self, outcome: Outcome, gain: i64) {
-        let Some(mut span) = self.cur.take() else {
-            return;
-        };
-        span.dur_ns = self.now_ns().saturating_sub(span.start_ns);
-        span.outcome = outcome;
-        span.gain = gain;
-        self.aggregate_pair(span);
-    }
-
-    /// Replays one worker-measured [`PairRecord`] into this tracer, as if
-    /// the pair had been traced live: per-stage histograms, outcome
-    /// funnel, per-target heat, top-K, and the event ring all see it.
-    /// Call in commit order so exported spans read like the equivalent
-    /// sequential run.
+    /// Books one finished pair attempt: every stage with a non-zero share
+    /// gets one histogram sample, and the outcome funnel, per-target
+    /// heat, top-K and the event ring all see the span. Call in commit
+    /// order so exported spans read like the equivalent sequential run.
     pub fn record_pair(&mut self, rec: &PairRecord) {
         for stage in Stage::ALL {
             let ns = rec.stages.get(stage);
@@ -312,26 +247,20 @@ impl Tracer {
             outcome: rec.outcome,
             gain: rec.gain,
             rar_checks: rec.rar_checks,
-            worker: rec.worker + 1,
+            worker: rec.worker,
         };
-        self.aggregate_pair(span);
-    }
-
-    fn aggregate_pair(&mut self, span: PairSpan) {
-        let outcome = span.outcome;
-        let gain = span.gain;
         self.pairs += 1;
         self.pass_pairs += 1;
-        self.pair_hist.record(span.dur_ns);
-        self.outcome_counts[outcome.idx()] += 1;
-        self.outcome_hist[outcome.idx()].record(span.dur_ns);
+        self.pair_hist.record(rec.dur_ns);
+        self.outcome_counts[rec.outcome.idx()] += 1;
+        self.outcome_hist[rec.outcome.idx()].record(rec.dur_ns);
 
-        let agg = self.per_target.entry(span.target).or_default();
+        let agg = self.per_target.entry(rec.target).or_default();
         agg.pairs += 1;
-        agg.dur_ns = agg.dur_ns.saturating_add(span.dur_ns);
-        if outcome.accepted() {
+        agg.dur_ns = agg.dur_ns.saturating_add(rec.dur_ns);
+        if rec.outcome.accepted() {
             agg.accepts += 1;
-            agg.gain += gain;
+            agg.gain += rec.gain;
         }
 
         // Keep the top-K slowest pairs, sorted by descending duration.
@@ -517,15 +446,20 @@ mod tests {
     use super::*;
 
     fn run_pair(t: &mut Tracer, target: u32, divisor: u32, outcome: Outcome, gain: i64) {
-        t.begin_pair(target, divisor);
-        t.stage(Stage::Filter, 10);
-        t.stage(Stage::Divide, 100);
-        if outcome == Outcome::RejectedNoGain {
-            t.end_pair(gain);
-        } else {
-            t.note_outcome(outcome);
-            t.end_pair(gain);
-        }
+        t.record_pair(&PairRecord {
+            target,
+            divisor,
+            dur_ns: 100 * u64::from(divisor) + 110,
+            stages: StageNanos {
+                filter: 10,
+                divide: 100,
+                ..StageNanos::default()
+            },
+            outcome,
+            gain,
+            rar_checks: 0,
+            worker: 0,
+        });
     }
 
     #[test]
@@ -544,6 +478,11 @@ mod tests {
         let total: u64 = t.funnel().iter().map(|&(_, c)| c).sum();
         assert_eq!(total, 3);
         assert_eq!(t.stage_histogram(Stage::Filter).count(), 3);
+        assert_eq!(
+            t.stage_histogram(Stage::Sim).count(),
+            0,
+            "zero shares are not sampled"
+        );
         assert_eq!(t.pair_histogram().count(), 3);
 
         let passes = t.pass_summaries();
@@ -595,22 +534,11 @@ mod tests {
             },
         );
         t.begin_pass(1);
-        for d in 0..4u32 {
-            // Durations vary with real elapsed time; just check invariants.
+        for d in [2, 0, 3, 1] {
             run_pair(&mut t, 1, d, Outcome::RejectedNoGain, 0);
         }
-        let slowest = t.slowest_pairs();
-        assert_eq!(slowest.len(), 2);
-        assert!(slowest[0].dur_ns >= slowest[1].dur_ns);
-    }
-
-    #[test]
-    fn unmatched_end_pair_is_a_noop() {
-        let mut t = Tracer::new("basic");
-        t.end_pair(0);
-        t.end_pair_with(Outcome::RejectedStructural, 0);
-        assert_eq!(t.pairs(), 0);
-        assert_eq!(t.events().count(), 0);
+        let slowest: Vec<u32> = t.slowest_pairs().iter().map(|s| s.divisor).collect();
+        assert_eq!(slowest, vec![3, 2], "the two longest, slowest first");
     }
 
     #[test]

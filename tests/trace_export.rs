@@ -1,17 +1,18 @@
 //! Exporter-level tests for the trace subsystem: the JSONL stream parses
 //! back field-for-field, the Chrome trace is a valid event array with
-//! monotonic timestamps per thread, and the tracer's reject-reason funnel
-//! reconciles exactly with the engine's `SubstStats` counters.
+//! monotonic timestamps per thread, and the tracer's funnel, the metrics
+//! registry and the engine's `SubstStats` reconcile exactly.
 
-use boolsubst::core::{all_configs, Session, SubstStats};
+use boolsubst::core::{all_configs, Discovery, Session, SubstStats};
 use boolsubst::trace::export::{chrome_trace_string, jsonl_string};
 use boolsubst::trace::json::Json;
-use boolsubst::trace::{Outcome, TraceEvent, Tracer};
+use boolsubst::trace::{Outcome, PairSpan, Stage, TraceEvent, Tracer};
 use boolsubst::workloads::generator::{random_network, GeneratorParams};
+use boolsubst::MetricsHandle;
 use std::collections::HashMap;
 
-/// One traced run per mode on the same generated network.
-fn traced_runs() -> Vec<(Tracer, SubstStats)> {
+/// One traced and metered run per mode on the same generated network.
+fn traced_runs(threads: usize) -> Vec<(Tracer, SubstStats, MetricsHandle)> {
     let base = random_network(11, &GeneratorParams::default());
     ["basic", "ext", "ext-gdc"]
         .into_iter()
@@ -19,15 +20,20 @@ fn traced_runs() -> Vec<(Tracer, SubstStats)> {
         .map(|(name, opts)| {
             let mut net = base.clone();
             let mut tracer = Tracer::new(name);
-            let stats = Session::new(&mut net, opts).tracer(&mut tracer).run();
-            (tracer, stats)
+            let handle = MetricsHandle::new();
+            let stats = Session::new(&mut net, opts)
+                .threads(threads)
+                .tracer(&mut tracer)
+                .metrics(&handle)
+                .run();
+            (tracer, stats, handle)
         })
         .collect()
 }
 
 #[test]
 fn jsonl_roundtrips_field_for_field() {
-    for (tracer, _) in traced_runs() {
+    for (tracer, ..) in traced_runs(1) {
         let text = jsonl_string(&tracer);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
@@ -124,8 +130,8 @@ fn jsonl_roundtrips_field_for_field() {
 
 #[test]
 fn chrome_trace_is_valid_with_monotonic_timestamps() {
-    let runs = traced_runs();
-    let refs: Vec<&Tracer> = runs.iter().map(|(t, _)| t).collect();
+    let runs = traced_runs(1);
+    let refs: Vec<&Tracer> = runs.iter().map(|(t, ..)| t).collect();
     let text = chrome_trace_string(&refs);
     let v = Json::parse(&text).expect("chrome trace parses as JSON");
     let rows = v.as_array().expect("chrome trace is an array");
@@ -167,113 +173,220 @@ fn chrome_trace_is_valid_with_monotonic_timestamps() {
 
 #[test]
 fn funnel_reconciles_with_stats_counters() {
-    for (tracer, stats) in traced_runs() {
-        let mode = tracer.mode().to_string();
-        let count = |o: Outcome| usize::try_from(tracer.outcome_count(o)).expect("count");
-
-        // Every pair the engine examined got exactly one span + outcome.
-        assert_eq!(
-            tracer.pairs() as usize,
-            stats.candidates_enumerated,
-            "{mode}: span count"
-        );
-        let funnel_total: u64 = tracer.funnel().iter().map(|&(_, c)| c).sum();
-        assert_eq!(funnel_total, tracer.pairs(), "{mode}: funnel total");
-
-        // Filter rejects map one-to-one onto the stats counters.
-        assert_eq!(
-            count(Outcome::RejectedStructural),
-            stats.filtered_structural,
-            "{mode}: structural"
-        );
-        assert_eq!(
-            count(Outcome::RejectedTfo),
-            stats.filtered_tfo,
-            "{mode}: tfo"
-        );
-        assert_eq!(
-            count(Outcome::RejectedDivisorSize),
-            stats.filtered_divisor_size,
-            "{mode}: divisor size"
-        );
-        assert_eq!(
-            count(Outcome::RejectedJointSpace),
-            stats.filtered_joint_space,
-            "{mode}: joint space"
-        );
-        // The engine's candidate index implies support overlap, so this
-        // outcome can never fire on the engine path.
-        assert_eq!(count(Outcome::RejectedSupport), 0, "{mode}: support");
-        assert_eq!(
-            count(Outcome::RejectedSimRefuted),
-            stats.sim_pairs_refuted,
-            "{mode}: sim refuted"
-        );
-
-        // Acceptances split by kind.
-        let accepted = count(Outcome::AcceptedSop)
-            + count(Outcome::AcceptedPos)
-            + count(Outcome::AcceptedExtended);
-        assert_eq!(accepted, stats.substitutions, "{mode}: accepted");
-        assert_eq!(
-            count(Outcome::AcceptedPos),
-            stats.pos_substitutions,
-            "{mode}: pos"
-        );
-        assert_eq!(
-            count(Outcome::AcceptedExtended),
-            stats.extended_decompositions,
-            "{mode}: extended"
-        );
-
-        // Whatever survived the filters and wasn't accepted or refuted
-        // fell through every strategy without gain.
-        assert_eq!(
-            count(Outcome::RejectedNoGain),
-            stats.divisions_tried - stats.substitutions - stats.sim_pairs_refuted,
-            "{mode}: no gain"
-        );
-
-        // Histogram sample counts agree with the span count, and the
-        // accepted rewrites carry the total literal gain.
-        assert_eq!(tracer.pair_histogram().count(), tracer.pairs(), "{mode}");
-        let span_gain: i64 = tracer
-            .events()
-            .filter_map(|e| match e {
-                TraceEvent::Pair(p) => Some(p.gain),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(span_gain, stats.literal_gain, "{mode}: gain over spans");
-
-        // The pass summaries cover every pair and acceptance.
-        let pass_pairs: u64 = tracer.pass_summaries().iter().map(|p| p.pairs).sum();
-        let pass_subs: u64 = tracer
-            .pass_summaries()
-            .iter()
-            .map(|p| p.substitutions)
-            .sum();
-        assert_eq!(pass_pairs, tracer.pairs(), "{mode}: pass pairs");
-        assert_eq!(pass_subs as usize, stats.substitutions, "{mode}: pass subs");
-
-        // GDC-only counters stay zero elsewhere.
-        if mode != "ext-gdc" {
-            let rar: u64 = tracer
-                .events()
-                .filter_map(|e| match e {
-                    TraceEvent::Pair(p) => Some(p.rar_checks),
-                    _ => None,
-                })
-                .sum();
-            assert_eq!(rar, 0, "{mode}: rar checks outside GDC");
-            assert_eq!(tracer.shadow_stats().0, 0, "{mode}: shadow builds");
+    for threads in [1, 2] {
+        for (tracer, stats, handle) in traced_runs(threads) {
+            let mode = format!("{} threads={threads}", tracer.mode());
+            reconcile(&mode, &tracer, &stats, &handle);
+            if threads == 1 {
+                // No sim work is booked outside a pair on a sequential
+                // overlap run, so every stage sample is one pair's share.
+                assert_eq!(stats.discovery, Discovery::Overlap, "{mode}");
+                for stage in [Stage::Filter, Stage::Sim, Stage::Divide, Stage::Apply] {
+                    let spans = pair_spans(&tracer)
+                        .filter(|p| p.stages.get(stage) > 0)
+                        .count();
+                    assert_eq!(
+                        tracer.stage_histogram(stage).count(),
+                        spans as u64,
+                        "{mode}: one {} sample per pair span",
+                        stage.name()
+                    );
+                }
+            }
         }
     }
 }
 
+fn pair_spans(tracer: &Tracer) -> impl Iterator<Item = &PairSpan> {
+    tracer.events().filter_map(|e| match e {
+        TraceEvent::Pair(p) => Some(p),
+        _ => None,
+    })
+}
+
+/// The tracer funnel, the metrics registry and `SubstStats` are views of
+/// one per-pair booking: every count they share must agree.
+fn reconcile(mode: &str, tracer: &Tracer, stats: &SubstStats, handle: &MetricsHandle) {
+    let count = |o: Outcome| usize::try_from(tracer.outcome_count(o)).expect("count");
+    let counter = |key: &str| handle.counter_value(key).unwrap_or(0);
+    let n = |v: usize| u64::try_from(v).expect("count");
+    assert_eq!(tracer.dropped(), 0, "{mode}: every span is retained");
+
+    // Every pair the engine examined got exactly one span, outcome and
+    // metrics sample.
+    assert_eq!(
+        tracer.pairs(),
+        n(stats.candidates_enumerated),
+        "{mode}: span count"
+    );
+    assert_eq!(
+        counter("engine.pairs"),
+        tracer.pairs(),
+        "{mode}: engine.pairs"
+    );
+    assert_eq!(
+        handle.histogram("engine.pair_ns").count(),
+        tracer.pairs(),
+        "{mode}: engine.pair_ns samples"
+    );
+    let funnel_total: u64 = tracer.funnel().iter().map(|&(_, c)| c).sum();
+    assert_eq!(funnel_total, tracer.pairs(), "{mode}: funnel total");
+
+    // Filter rejects map one-to-one onto the stats counters.
+    assert_eq!(
+        count(Outcome::RejectedStructural),
+        stats.filtered_structural,
+        "{mode}: structural"
+    );
+    assert_eq!(
+        count(Outcome::RejectedTfo),
+        stats.filtered_tfo,
+        "{mode}: tfo"
+    );
+    assert_eq!(
+        count(Outcome::RejectedDivisorSize),
+        stats.filtered_divisor_size,
+        "{mode}: divisor size"
+    );
+    assert_eq!(
+        count(Outcome::RejectedJointSpace),
+        stats.filtered_joint_space,
+        "{mode}: joint space"
+    );
+    // The engine's candidate index implies support overlap, so this
+    // outcome can never fire on the engine path.
+    assert_eq!(count(Outcome::RejectedSupport), 0, "{mode}: support");
+    assert_eq!(
+        count(Outcome::RejectedSimRefuted),
+        stats.sim_pairs_refuted,
+        "{mode}: sim refuted"
+    );
+    assert_eq!(
+        counter("sim.pairs_refuted"),
+        n(stats.sim_pairs_refuted),
+        "{mode}: sim.pairs_refuted"
+    );
+
+    // Acceptances split by kind.
+    let accepted = count(Outcome::AcceptedSop)
+        + count(Outcome::AcceptedPos)
+        + count(Outcome::AcceptedExtended);
+    assert_eq!(accepted, stats.substitutions, "{mode}: accepted");
+    assert_eq!(
+        counter("engine.accepts"),
+        n(stats.substitutions),
+        "{mode}: engine.accepts"
+    );
+    assert_eq!(
+        count(Outcome::AcceptedPos),
+        stats.pos_substitutions,
+        "{mode}: pos"
+    );
+    assert_eq!(
+        count(Outcome::AcceptedExtended),
+        stats.extended_decompositions,
+        "{mode}: extended"
+    );
+
+    // Whatever survived the filters and wasn't accepted or refuted
+    // fell through every strategy without gain.
+    assert_eq!(
+        count(Outcome::RejectedNoGain),
+        stats.divisions_tried - stats.substitutions - stats.sim_pairs_refuted,
+        "{mode}: no gain"
+    );
+    assert_eq!(
+        counter("discovery.proofs_run"),
+        n(stats.discovery_proofs_run),
+        "{mode}: discovery.proofs_run"
+    );
+
+    // Histogram sample counts agree with the span count, and the
+    // accepted rewrites carry the total literal gain.
+    assert_eq!(tracer.pair_histogram().count(), tracer.pairs(), "{mode}");
+    let span_gain: i64 = pair_spans(tracer).map(|p| p.gain).sum();
+    assert_eq!(span_gain, stats.literal_gain, "{mode}: gain over spans");
+    assert_eq!(
+        handle.gauge_value("engine.literal_gain"),
+        Some(stats.literal_gain),
+        "{mode}: engine.literal_gain"
+    );
+
+    // The pass summaries cover every pair and acceptance.
+    let pass_pairs: u64 = tracer.pass_summaries().iter().map(|p| p.pairs).sum();
+    let pass_subs: u64 = tracer
+        .pass_summaries()
+        .iter()
+        .map(|p| p.substitutions)
+        .sum();
+    assert_eq!(pass_pairs, tracer.pairs(), "{mode}: pass pairs");
+    assert_eq!(pass_subs as usize, stats.substitutions, "{mode}: pass subs");
+
+    // RAR checks and shadow builds: spans, registry and stats agree
+    // (and stay zero outside GDC).
+    let rar: u64 = pair_spans(tracer).map(|p| p.rar_checks).sum();
+    assert_eq!(rar, n(stats.rar_checks), "{mode}: rar checks over spans");
+    assert_eq!(
+        counter("engine.rar_checks"),
+        rar,
+        "{mode}: engine.rar_checks"
+    );
+    assert_eq!(
+        tracer.shadow_stats().0,
+        n(stats.shadow_cache_misses),
+        "{mode}: shadow builds"
+    );
+    assert_eq!(
+        counter("engine.shadow_cache_misses"),
+        n(stats.shadow_cache_misses),
+        "{mode}: engine.shadow_cache_misses"
+    );
+    if !mode.starts_with("ext-gdc") {
+        assert_eq!(rar, 0, "{mode}: rar checks outside GDC");
+        assert_eq!(tracer.shadow_stats().0, 0, "{mode}: shadow builds");
+    }
+
+    // Stage time: the registry holds the `SubstStats` fields. Filter and
+    // apply time is only ever booked inside a pair, enumeration only
+    // outside one. `divide_nanos` also holds the sim-screen time that the
+    // spans count under Sim only.
+    for (key, nanos) in [
+        ("enumerate", stats.enumerate_nanos),
+        ("filter", stats.filter_nanos),
+        ("sim", stats.sim_nanos),
+        ("divide", stats.divide_nanos),
+        ("apply", stats.apply_nanos),
+    ] {
+        assert_eq!(
+            counter(&format!("engine.stage.{key}_ns")),
+            nanos,
+            "{mode}: engine.stage.{key}_ns"
+        );
+    }
+    let span_sum = |stage: Stage| -> u64 { pair_spans(tracer).map(|p| p.stages.get(stage)).sum() };
+    assert_eq!(
+        span_sum(Stage::Filter),
+        stats.filter_nanos,
+        "{mode}: filter"
+    );
+    assert_eq!(span_sum(Stage::Apply), stats.apply_nanos, "{mode}: apply");
+    assert_eq!(span_sum(Stage::Enumerate), 0, "{mode}: enumerate in spans");
+    assert_eq!(
+        tracer.stage_histogram(Stage::Enumerate).sum_ns(),
+        stats.enumerate_nanos,
+        "{mode}: enumerate"
+    );
+    let divide = span_sum(Stage::Divide);
+    assert!(
+        divide <= stats.divide_nanos && stats.divide_nanos <= divide + span_sum(Stage::Sim),
+        "{mode}: span divide {divide} + screen share = divide_nanos {}",
+        stats.divide_nanos
+    );
+}
+
 #[test]
 fn report_renders_funnel_and_stages() {
-    let (tracer, stats) = traced_runs().remove(2); // ext-gdc
+    let (tracer, stats, _) = traced_runs(1).remove(2); // ext-gdc
     let text = tracer.report().to_string();
     assert!(text.contains("mode ext-gdc"));
     assert!(text.contains("-- outcome funnel --"));
