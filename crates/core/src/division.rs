@@ -101,89 +101,117 @@ impl DivisionResult {
     }
 }
 
-/// The gate-level region built for a division, retaining the cube/literal
-/// correspondence needed to read the simplified quotient back.
-pub(crate) struct Region {
-    pub circuit: Circuit,
-    /// Literal input gates: `lit_gate[v]` = (positive gate, negative gate).
-    pub lit_gates: Vec<(GateId, GateId)>,
-    /// AND gate of each kept cube, aligned with `kept.cubes()`.
-    pub kept_gates: Vec<GateId>,
-    /// OR gate over the kept cubes (`f'`).
-    pub fprime_or: GateId,
-    /// The bold AND joining `f'` and the divisor.
-    pub bold: GateId,
+/// Literal rails of a circuit: per variable, the gate carrying it and,
+/// once built, its NOT; [`Rails::cubes`] adds a missing NOT on first
+/// use. Local division and vote circuits get fresh inputs with eager
+/// NOTs. The GDC region rails over network gates with no NOTs, so the
+/// NOTs it adds are private to the region (removal candidates), while
+/// whole-network nodes seed and feed the circuit's shared NOT cache.
+pub(crate) struct Rails(pub(crate) Vec<(GateId, Option<GateId>)>);
+
+impl Rails {
+    /// `n` fresh inputs, each followed by its NOT.
+    pub(crate) fn fresh(circuit: &mut Circuit, n: usize) -> Rails {
+        Rails(
+            (0..n)
+                .map(|_| {
+                    let p = circuit.add_input();
+                    (p, Some(circuit.add_not(p)))
+                })
+                .collect(),
+        )
+    }
+
+    /// The gate of an already built literal.
+    pub(crate) fn gate(&self, l: Lit) -> GateId {
+        let (pos, neg) = self.0[l.var];
+        match l.phase {
+            Phase::Pos => pos,
+            Phase::Neg => neg.expect("negative literal gate"),
+        }
+    }
+
+    /// One AND gate per cube of `cover`, in cube order.
+    pub(crate) fn cubes(&mut self, circuit: &mut Circuit, cover: &Cover) -> Vec<GateId> {
+        cover
+            .cubes()
+            .iter()
+            .map(|c| {
+                let ins = c
+                    .lits()
+                    .map(|l| {
+                        let (pos, neg) = &mut self.0[l.var];
+                        match l.phase {
+                            Phase::Pos => *pos,
+                            Phase::Neg => *neg.get_or_insert_with(|| circuit.add_not(*pos)),
+                        }
+                    })
+                    .collect();
+                circuit.add_and(ins)
+            })
+            .collect()
+    }
+
+    /// The literal a rail gate carries.
+    fn lit_of(&self, g: GateId) -> Option<Lit> {
+        if let Some(v) = self.0.iter().position(|&(p, _)| p == g) {
+            return Some(Lit::pos(v));
+        }
+        self.0.iter().position(|&(_, n)| n == Some(g)).map(Lit::neg)
+    }
 }
 
-impl Region {
-    /// Builds the specialized division configuration: literals, divisor
-    /// cubes + OR, kept cubes + OR, bold AND, remainder cubes and the
-    /// output OR (observation point).
-    pub(crate) fn build(kept: &Cover, divisor: &Cover, remainder: &Cover) -> Region {
-        let n = kept.num_vars();
-        let mut circuit = Circuit::new();
-        let mut lit_gates = Vec::with_capacity(n);
-        for _ in 0..n {
-            let p = circuit.add_input();
-            let ng = circuit.add_not(p);
-            lit_gates.push((p, ng));
-        }
-        let lit_gate = |lg: &Vec<(GateId, GateId)>, l: Lit| match l.phase {
-            Phase::Pos => lg[l.var].0,
-            Phase::Neg => lg[l.var].1,
-        };
+/// The division configuration appended to a circuit,
+/// `(OR(kept) AND d) OR remainder`, with the handles that name its
+/// removal candidates and read the quotient back.
+pub(crate) struct DivisionRegion {
+    rails: Rails,
+    /// AND gate of each kept cube, aligned with `kept.cubes()`.
+    kept_gates: Vec<GateId>,
+    /// OR gate over the kept cubes (`f'`).
+    fprime_or: GateId,
+    /// The bold AND joining `f'` and the divisor.
+    bold: GateId,
+    /// The region's output gate.
+    pub(crate) out: GateId,
+}
 
-        let divisor_gates: Vec<GateId> = divisor
-            .cubes()
-            .iter()
-            .map(|c| {
-                let ins = c.lits().map(|l| lit_gate(&lit_gates, l)).collect();
-                circuit.add_and(ins)
-            })
-            .collect();
-        let d_or = circuit.add_or(divisor_gates.clone());
-
-        let kept_gates: Vec<GateId> = kept
-            .cubes()
-            .iter()
-            .map(|c| {
-                let ins = c.lits().map(|l| lit_gate(&lit_gates, l)).collect();
-                circuit.add_and(ins)
-            })
-            .collect();
+impl DivisionRegion {
+    /// Appends the kept cubes and their OR, the bold AND with the divisor
+    /// gate `d`, the remainder cubes and the output OR.
+    pub(crate) fn append(
+        circuit: &mut Circuit,
+        mut rails: Rails,
+        kept: &Cover,
+        d: GateId,
+        remainder: &Cover,
+    ) -> DivisionRegion {
+        let kept_gates = rails.cubes(circuit, kept);
         let fprime_or = circuit.add_or(kept_gates.clone());
-        let bold = circuit.add_and(vec![fprime_or, d_or]);
-
-        let mut f_out_ins = vec![bold];
-        for c in remainder.cubes() {
-            let ins = c.lits().map(|l| lit_gate(&lit_gates, l)).collect();
-            f_out_ins.push(circuit.add_and(ins));
-        }
-        let f_out = circuit.add_or(f_out_ins);
-        circuit.add_output(f_out);
-
-        let _ = divisor_gates;
-        Region {
-            circuit,
-            lit_gates,
+        let bold = circuit.add_and(vec![fprime_or, d]);
+        let mut out_ins = vec![bold];
+        out_ins.extend(rails.cubes(circuit, remainder));
+        let out = circuit.add_or(out_ins);
+        DivisionRegion {
+            rails,
             kept_gates,
             fprime_or,
             bold,
+            out,
         }
     }
 
     /// Candidate wires inside the `f'` region: every literal wire into a
     /// kept cube, every cube wire into the `f'` OR, and the `f'` wire into
     /// the bold AND (its removal means `q = 1`).
-    pub(crate) fn candidate_wires(&self, kept: &Cover) -> Vec<CandidateWire> {
+    fn candidate_wires(&self, kept: &Cover) -> Vec<CandidateWire> {
         let mut out = Vec::new();
         for (cube, &gate) in kept.cubes().iter().zip(&self.kept_gates) {
             for l in cube.lits() {
-                let driver = match l.phase {
-                    Phase::Pos => self.lit_gates[l.var].0,
-                    Phase::Neg => self.lit_gates[l.var].1,
-                };
-                out.push(CandidateWire { sink: gate, driver });
+                out.push(CandidateWire {
+                    sink: gate,
+                    driver: self.rails.gate(l),
+                });
             }
             out.push(CandidateWire {
                 sink: self.fprime_or,
@@ -197,27 +225,70 @@ impl Region {
         out
     }
 
-    /// Reads the simplified quotient back from the circuit.
-    pub(crate) fn read_quotient(&self, num_vars: usize) -> Cover {
+    /// Reads the simplified quotient back from `circuit`.
+    pub(crate) fn read_quotient(&self, circuit: &Circuit) -> Cover {
+        let num_vars = self.rails.0.len();
         // If the f' wire into the bold AND was removed, the quotient is 1.
-        if !self.circuit.fanins(self.bold).contains(&self.fprime_or) {
+        if !circuit.fanins(self.bold).contains(&self.fprime_or) {
             return Cover::one(num_vars);
         }
         let mut q = Cover::new(num_vars);
-        for &cube_gate in self.circuit.fanins(self.fprime_or) {
+        for &cube_gate in circuit.fanins(self.fprime_or) {
             let mut cube = Cube::universe(num_vars);
-            for &lit_in in self.circuit.fanins(cube_gate) {
-                // Map the gate back to a literal.
-                if let Some(v) = self.lit_gates.iter().position(|&(p, _)| p == lit_in) {
-                    cube.restrict(Lit::pos(v));
-                } else if let Some(v) = self.lit_gates.iter().position(|&(_, ng)| ng == lit_in) {
-                    cube.restrict(Lit::neg(v));
+            for &lit_in in circuit.fanins(cube_gate) {
+                if let Some(l) = self.rails.lit_of(lit_in) {
+                    cube.restrict(l);
                 }
             }
             q.push(cube);
         }
         q.remove_contained_cubes();
         q
+    }
+}
+
+/// The one division step: splits `f` by `d`, builds the circuit and its
+/// division region with `build(kept, remainder)`, removes every provably
+/// redundant region wire and reads the quotient back. Local division
+/// builds a two-level circuit; the GDC mode builds the whole network.
+pub(crate) fn divide_region(
+    f: &Cover,
+    d: &Cover,
+    opts: &DivisionOptions,
+    build: impl FnOnce(&Cover, &Cover) -> (Circuit, DivisionRegion),
+) -> DivisionResult {
+    let (kept, remainder) = split_remainder(f, d);
+    if kept.is_empty() {
+        return DivisionResult {
+            quotient: Cover::new(f.num_vars()),
+            remainder,
+            wires_removed: 0,
+            checks: 0,
+            budget_exhausted: false,
+        };
+    }
+    debug_assert!(
+        is_sos_of(d, &kept),
+        "divisor must be an SOS of the kept part"
+    );
+    let (mut circuit, region) = build(&kept, &remainder);
+    let candidates = region.candidate_wires(&kept);
+    let outcome = remove_redundant_wires_with(
+        &mut circuit,
+        &candidates,
+        &RemovalOptions {
+            imply: opts.imply,
+            exact_budget: opts.exact_budget,
+            max_checks: opts.max_checks,
+        },
+        opts.max_passes.max(1) + 1,
+    );
+    DivisionResult {
+        quotient: region.read_quotient(&circuit),
+        remainder,
+        wires_removed: outcome.removed.len(),
+        checks: outcome.checks,
+        budget_exhausted: outcome.budget_exhausted,
     }
 }
 
@@ -250,41 +321,15 @@ pub fn split_remainder(f: &Cover, d: &Cover) -> (Cover, Cover) {
 pub fn basic_divide_covers(f: &Cover, d: &Cover, opts: &DivisionOptions) -> DivisionResult {
     assert_eq!(f.num_vars(), d.num_vars(), "universe mismatch");
     assert!(!d.is_empty(), "division by the empty cover");
-    let (kept, remainder) = split_remainder(f, d);
-    if kept.is_empty() {
-        return DivisionResult {
-            quotient: Cover::new(f.num_vars()),
-            remainder,
-            wires_removed: 0,
-            checks: 0,
-            budget_exhausted: false,
-        };
-    }
-    debug_assert!(
-        is_sos_of(d, &kept),
-        "divisor must be an SOS of the kept part"
-    );
-
-    let mut region = Region::build(&kept, d, &remainder);
-    let candidates = region.candidate_wires(&kept);
-    let outcome = remove_redundant_wires_with(
-        &mut region.circuit,
-        &candidates,
-        &RemovalOptions {
-            imply: opts.imply,
-            exact_budget: opts.exact_budget,
-            max_checks: opts.max_checks,
-        },
-        opts.max_passes.max(1) + 1,
-    );
-    let quotient = region.read_quotient(f.num_vars());
-    DivisionResult {
-        quotient,
-        remainder,
-        wires_removed: outcome.removed.len(),
-        checks: outcome.checks,
-        budget_exhausted: outcome.budget_exhausted,
-    }
+    divide_region(f, d, opts, |kept, remainder| {
+        let mut circuit = Circuit::new();
+        let mut rails = Rails::fresh(&mut circuit, f.num_vars());
+        let divisor_gates = rails.cubes(&mut circuit, d);
+        let d_or = circuit.add_or(divisor_gates);
+        let region = DivisionRegion::append(&mut circuit, rails, kept, d_or, remainder);
+        circuit.add_output(region.out);
+        (circuit, region)
+    })
 }
 
 /// Result of a product-of-sums division `f = (d + q) · r` (both `q` and

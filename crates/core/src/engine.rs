@@ -73,14 +73,15 @@ pub(crate) fn id32(id: NodeId) -> u32 {
     u32::try_from(id.index()).unwrap_or(u32::MAX)
 }
 
-/// The span record of one finished pair attempt (lane 0, untimed; the
-/// caller sets `worker` and `dur_ns`). Stage shares are read off the
-/// pair's stat delta. `screen_ns` is the sim-screen time the division
-/// window booked in both `sim_nanos` and `divide_nanos`; the span counts
-/// it once, under Sim.
+/// The span record of one finished pair attempt that started at `start`
+/// (lane 0, untimed; the caller sets `worker` and `dur_ns`). Stage
+/// shares are read off the pair's stat delta. `screen_ns` is the
+/// sim-screen time the division window booked in both `sim_nanos` and
+/// `divide_nanos`; the span counts it once, under Sim.
 pub(crate) fn pair_record(
     target: NodeId,
     divisor: NodeId,
+    start: Instant,
     delta: &SubstStats,
     screen_ns: u64,
     outcome: Outcome,
@@ -89,6 +90,7 @@ pub(crate) fn pair_record(
     PairRecord {
         target: id32(target),
         divisor: id32(divisor),
+        start,
         dur_ns: 0,
         stages: StageNanos {
             enumerate: delta.enumerate_nanos,
@@ -822,6 +824,7 @@ impl<'a> SubstEngine<'a> {
         let mut rec = pair_record(
             target,
             divisor,
+            t0,
             &delta,
             screen_ns,
             outcome,

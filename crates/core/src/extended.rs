@@ -4,9 +4,9 @@
 //! is filtered by the SOS validity condition, and the best *core divisor*
 //! is selected by a maximal-clique search on the intersection graph.
 
-use crate::division::{basic_divide_covers, DivisionOptions, DivisionResult};
-use boolsubst_atpg::{Circuit, Fault, FaultChecker, GateId, Value, Wire};
-use boolsubst_cube::{Cover, Lit, Phase};
+use crate::division::{basic_divide_covers, DivisionOptions, DivisionResult, Rails};
+use boolsubst_atpg::{Circuit, Fault, FaultChecker, Value, Wire};
+use boolsubst_cube::{Cover, Lit};
 
 /// A dividend wire: literal `lit` inside cube `cube_index` of `f`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,123 +67,94 @@ pub struct ExtendedDivision {
     pub vote_table: VoteTable,
 }
 
-/// Builds the voting circuit of Fig. 3(a): the dividend `f` as a two-level
-/// AND–OR structure observed at its output, plus the divisor's cube gates
-/// (sharing the literal inputs) so implied values on the `k_i` can be
-/// sampled.
-struct VoteCircuit {
-    circuit: Circuit,
-    lit_gates: Vec<(GateId, GateId)>,
-    f_cube_gates: Vec<GateId>,
-    divisor_cube_gates: Vec<GateId>,
-}
-
-impl VoteCircuit {
-    fn build(f: &Cover, d: &Cover) -> VoteCircuit {
-        let n = f.num_vars();
-        let mut circuit = Circuit::new();
-        let mut lit_gates = Vec::with_capacity(n);
-        for _ in 0..n {
-            let p = circuit.add_input();
-            let ng = circuit.add_not(p);
-            lit_gates.push((p, ng));
-        }
-        let lit_gate = |lg: &Vec<(GateId, GateId)>, l: Lit| match l.phase {
-            Phase::Pos => lg[l.var].0,
-            Phase::Neg => lg[l.var].1,
-        };
-        let f_cube_gates: Vec<GateId> = f
-            .cubes()
-            .iter()
-            .map(|c| {
-                let ins = c.lits().map(|l| lit_gate(&lit_gates, l)).collect();
-                circuit.add_and(ins)
-            })
-            .collect();
-        let f_or = circuit.add_or(f_cube_gates.clone());
-        circuit.add_output(f_or);
-        let divisor_cube_gates: Vec<GateId> = d
-            .cubes()
-            .iter()
-            .map(|c| {
-                let ins = c.lits().map(|l| lit_gate(&lit_gates, l)).collect();
-                circuit.add_and(ins)
-            })
-            .collect();
-        // Keep the divisor's OR for structural fidelity with Fig. 3(a);
-        // it also lets backward implications relate the cubes.
-        let _d_or = circuit.add_or(divisor_cube_gates.clone());
-        VoteCircuit {
-            circuit,
-            lit_gates,
-            f_cube_gates,
-            divisor_cube_gates,
-        }
-    }
-}
-
 /// Computes the vote table for dividend `f` and divisor `d`: one row per
 /// literal wire of `f`, listing the divisor cubes implied to 0 by the
-/// wire's stuck-at-1 fault (Section IV, Table I).
+/// wire's stuck-at-1 fault (Section IV, Table I). A pool of one for
+/// [`compute_vote_tables_pooled`].
 ///
 /// # Panics
 ///
 /// Panics if the universes differ.
 #[must_use]
 pub fn compute_vote_table(f: &Cover, d: &Cover, opts: &DivisionOptions) -> VoteTable {
-    compute_vote_table_masked(f, d, opts, None)
+    let mut tables = vote_sweep(f, std::slice::from_ref(d), opts, None);
+    tables.pop().expect("one table per divisor")
 }
 
-/// [`compute_vote_table`] with an optional per-cube skip mask: no fault
-/// check is run (and no row emitted) for the wires of a cube with
-/// `skip_cube[ci]` set.
-///
-/// Intended for callers holding a *proof* that cube `ci` of `f` is not
-/// contained in any cube of `d` (e.g. a simulation-signature witness): such
-/// a cube's rows could never be `sos_valid`, so [`VoteTable::valid_rows`]
-/// — and therefore core selection — is identical to the unmasked table,
-/// with the per-wire ATPG work saved. Do **not** combine a mask with
-/// [`CoreSelection::NoSosFilter`], which resurrects invalid rows.
-///
-/// Whenever a mask is supplied (even an all-`false` one) the same
-/// reasoning is applied syntactically as well: cubes contained in no
-/// divisor cube are skipped outright, since `sos_valid` demands a
-/// candidate cube that *syntactically* contains the wire's cube. The
-/// unmasked [`compute_vote_table`] keeps every row so that
-/// `NoSosFilter` callers still see the full table.
+/// Pooled vote computation (the paper's Fig. 3(c) generalization): one
+/// implication sweep over the dividend's wires, with the cube gates of
+/// *several* candidate divisor nodes observing simultaneously. Returns one
+/// vote table per divisor, at the cost of a single fault sweep.
 ///
 /// # Panics
 ///
-/// Panics if the universes differ or the mask length is not `f.len()`.
+/// Panics if any universe differs.
 #[must_use]
-pub fn compute_vote_table_masked(
+pub fn compute_vote_tables_pooled(
     f: &Cover,
-    d: &Cover,
+    divisors: &[Cover],
+    opts: &DivisionOptions,
+) -> Vec<VoteTable> {
+    vote_sweep(f, divisors, opts, None)
+}
+
+/// The one vote sweep. Builds the voting circuit of Fig. 3(a)/(c) — the
+/// dividend as a two-level AND–OR structure observed at its output, then
+/// each divisor's cube gates and OR over the same literal rails — and
+/// checks every dividend wire's stuck-at-1 fault once, reading the
+/// implied values of every divisor's cubes.
+///
+/// `skip_cube` is a per-cube skip mask: no fault check is run (and no
+/// row emitted) for the wires of a cube with `skip_cube[ci]` set. It is
+/// meant for callers holding a *proof* that cube `ci` of `f` is not
+/// contained in any divisor cube (e.g. a simulation-signature witness):
+/// such a cube's rows could never be `sos_valid`, so
+/// [`VoteTable::valid_rows`] — and therefore core selection — is
+/// identical to the unmasked table, with the per-wire ATPG work saved.
+/// Whenever a mask is supplied the same reasoning is applied
+/// syntactically as well: cubes contained in no divisor cube are skipped
+/// outright. Without a mask every row is kept, so
+/// [`CoreSelection::NoSosFilter`] callers still see the full table.
+fn vote_sweep(
+    f: &Cover,
+    divisors: &[Cover],
     opts: &DivisionOptions,
     skip_cube: Option<&[bool]>,
-) -> VoteTable {
-    assert_eq!(f.num_vars(), d.num_vars(), "universe mismatch");
+) -> Vec<VoteTable> {
     if let Some(mask) = skip_cube {
         assert_eq!(mask.len(), f.len(), "skip mask length mismatch");
     }
-    let VoteCircuit {
-        circuit,
-        lit_gates,
-        f_cube_gates,
-        divisor_cube_gates,
-    } = VoteCircuit::build(f, d);
+    let mut circuit = Circuit::new();
+    let mut rails = Rails::fresh(&mut circuit, f.num_vars());
+    let f_cube_gates = rails.cubes(&mut circuit, f);
+    let f_or = circuit.add_or(f_cube_gates.clone());
+    circuit.add_output(f_or);
+    let divisor_gates: Vec<_> = divisors
+        .iter()
+        .map(|d| {
+            assert_eq!(d.num_vars(), f.num_vars(), "universe mismatch");
+            let gates = rails.cubes(&mut circuit, d);
+            // The divisor's OR keeps the structure of Fig. 3(a); it also
+            // lets backward implications relate the cubes.
+            circuit.add_or(gates.clone());
+            gates
+        })
+        .collect();
     let mut checker = FaultChecker::new(circuit);
-    let mut rows = Vec::new();
+
+    let mut tables: Vec<VoteTable> = divisors
+        .iter()
+        .map(|_| VoteTable { rows: Vec::new() })
+        .collect();
     for (ci, cube) in f.cubes().iter().enumerate() {
-        if skip_cube.is_some_and(|mask| mask[ci] || !d.cubes().iter().any(|k| k.contains(cube))) {
+        if skip_cube
+            .is_some_and(|mask| mask[ci] || !divisors.iter().any(|d| d.some_cube_contains(cube)))
+        {
             continue;
         }
         let cube_gate = f_cube_gates[ci];
         for lit in cube.lits() {
-            let driver = match lit.phase {
-                Phase::Pos => lit_gates[lit.var].0,
-                Phase::Neg => lit_gates[lit.var].1,
-            };
+            let driver = rails.gate(lit);
             let Some(pin) = checker
                 .circuit()
                 .fanins(cube_gate)
@@ -200,34 +171,36 @@ pub fn compute_vote_table_masked(
                 cube_index: ci,
                 lit,
             };
-            match checker.check(fault, opts.imply) {
-                Err(_) => rows.push(VoteRow {
-                    wire,
-                    candidates: Vec::new(),
-                    always_removable: true,
-                    sos_valid: false,
-                }),
-                Ok(values) => {
-                    let candidates: Vec<usize> = divisor_cube_gates
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(ki, &g)| (values[g.index()] == Value::Zero).then_some(ki))
-                        .collect();
-                    // SOS validity: some candidate cube contains this
-                    // wire's cube, so the wire's cube stays in the kept
-                    // region once the candidate is the core divisor.
-                    let sos_valid = candidates.iter().any(|&ki| d.cubes()[ki].contains(cube));
-                    rows.push(VoteRow {
+            let values = checker.check(fault, opts.imply).ok();
+            for ((table, gates), d) in tables.iter_mut().zip(&divisor_gates).zip(divisors) {
+                let Some(values) = values else {
+                    table.rows.push(VoteRow {
                         wire,
-                        candidates,
-                        always_removable: false,
-                        sos_valid,
+                        candidates: Vec::new(),
+                        always_removable: true,
+                        sos_valid: false,
                     });
-                }
+                    continue;
+                };
+                let candidates: Vec<usize> = gates
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(ki, &g)| (values[g.index()] == Value::Zero).then_some(ki))
+                    .collect();
+                // SOS validity: some candidate cube contains this wire's
+                // cube, so the wire's cube stays in the kept region once
+                // the candidate is the core divisor.
+                let sos_valid = candidates.iter().any(|&ki| d.cubes()[ki].contains(cube));
+                table.rows.push(VoteRow {
+                    wire,
+                    candidates,
+                    always_removable: false,
+                    sos_valid,
+                });
             }
         }
     }
-    VoteTable { rows }
+    tables
 }
 
 /// A clique found on the candidate-intersection graph, with its common
@@ -370,7 +343,6 @@ pub fn extended_divide_covers(
     d: &Cover,
     opts: &DivisionOptions,
 ) -> Option<ExtendedDivision> {
-    assert!(!d.is_empty(), "division by the empty cover");
     extended_divide_covers_with(f, d, opts, CoreSelection::default())
 }
 
@@ -387,8 +359,31 @@ pub fn extended_divide_covers_with(
     opts: &DivisionOptions,
     selection: CoreSelection,
 ) -> Option<ExtendedDivision> {
+    extended_divide(f, d, opts, selection, None)
+}
+
+/// [`extended_divide_covers_with`] with the vote sweep's optional skip
+/// mask (see `vote_sweep` for its contract): fault checks run only for
+/// unmasked cubes, and the selected core — hence the division result —
+/// is identical to the unmasked call. A mask is unsound under
+/// [`CoreSelection::NoSosFilter`], which resurrects invalid rows.
+///
+/// # Panics
+///
+/// Panics if the universes differ, `d` is empty, or the mask length is
+/// not `f.len()`.
+pub(crate) fn extended_divide(
+    f: &Cover,
+    d: &Cover,
+    opts: &DivisionOptions,
+    selection: CoreSelection,
+    skip_cube: Option<&[bool]>,
+) -> Option<ExtendedDivision> {
     assert!(!d.is_empty(), "division by the empty cover");
-    let mut table = compute_vote_table(f, d, opts);
+    debug_assert!(skip_cube.is_none() || selection != CoreSelection::NoSosFilter);
+    let mut table = vote_sweep(f, std::slice::from_ref(d), opts, skip_cube)
+        .pop()
+        .expect("one table per divisor");
     if selection == CoreSelection::NoSosFilter {
         for row in &mut table.rows {
             if !row.always_removable && !row.candidates.is_empty() {
@@ -396,43 +391,12 @@ pub fn extended_divide_covers_with(
             }
         }
     }
-    select_core_and_divide_with(f, d, table, opts, selection)
+    select_core(f, d, table, opts, selection)
 }
 
-/// [`extended_divide_covers`] with a per-cube skip mask (see
-/// [`compute_vote_table_masked`] for the mask contract): fault checks are
-/// run only for unmasked cubes, and the selected core — hence the division
-/// result — is identical to the unmasked call. Always uses the default
-/// [`CoreSelection`] (a mask is unsound under `NoSosFilter`).
-///
-/// # Panics
-///
-/// Panics if the universes differ, `d` is empty, or the mask length is
-/// not `f.len()`.
-#[must_use]
-pub fn extended_divide_covers_masked(
-    f: &Cover,
-    d: &Cover,
-    opts: &DivisionOptions,
-    skip_cube: &[bool],
-) -> Option<ExtendedDivision> {
-    assert!(!d.is_empty(), "division by the empty cover");
-    let table = compute_vote_table_masked(f, d, opts, Some(skip_cube));
-    select_core_and_divide_with(f, d, table, opts, CoreSelection::default())
-}
-
-/// Core-divisor selection and final division for an already-computed vote
-/// table (shared by the single-divisor and pooled entry points).
-fn select_core_and_divide(
-    f: &Cover,
-    d: &Cover,
-    table: VoteTable,
-    opts: &DivisionOptions,
-) -> Option<ExtendedDivision> {
-    select_core_and_divide_with(f, d, table, opts, CoreSelection::default())
-}
-
-fn select_core_and_divide_with(
+/// Core-divisor selection and final division for a computed vote table
+/// (shared by the single-divisor and pooled entry points).
+fn select_core(
     f: &Cover,
     d: &Cover,
     table: VoteTable,
@@ -509,7 +473,7 @@ fn select_core_and_divide_with(
     scored.truncate(8);
 
     // Decide among the finalists by actually dividing.
-    let mut best: Option<(Vec<usize>, usize, DivisionResult)> = None;
+    let mut best: Option<(Vec<usize>, usize, Cover, DivisionResult)> = None;
     for (core_idx, score, _) in scored {
         let core = Cover::from_cubes(
             f.num_vars(),
@@ -519,22 +483,14 @@ fn select_core_and_divide_with(
         if !division.succeeded() {
             continue;
         }
-        let better = match &best {
-            None => true,
-            Some((_, _, bd)) => division.sop_cost() < bd.sop_cost(),
-        };
-        if better {
-            best = Some((core_idx, score, division));
+        if best
+            .as_ref()
+            .is_none_or(|(.., bd)| division.sop_cost() < bd.sop_cost())
+        {
+            best = Some((core_idx, score, core, division));
         }
     }
-    let (core_cube_indices, expected_removals, division) = best?;
-    let core = Cover::from_cubes(
-        f.num_vars(),
-        core_cube_indices
-            .iter()
-            .map(|&k| d.cubes()[k].clone())
-            .collect(),
-    );
+    let (core_cube_indices, expected_removals, core, division) = best?;
     Some(ExtendedDivision {
         core_cube_indices,
         core,
@@ -542,115 +498,6 @@ fn select_core_and_divide_with(
         division,
         vote_table: table,
     })
-}
-
-/// Pooled vote computation (the paper's Fig. 3(c) generalization): one
-/// implication sweep over the dividend's wires, with the cube gates of
-/// *several* candidate divisor nodes observing simultaneously. Returns one
-/// vote table per divisor, at the cost of a single fault sweep.
-///
-/// # Panics
-///
-/// Panics if any universe differs.
-#[must_use]
-pub fn compute_vote_tables_pooled(
-    f: &Cover,
-    divisors: &[Cover],
-    opts: &DivisionOptions,
-) -> Vec<VoteTable> {
-    let n = f.num_vars();
-    let mut circuit = Circuit::new();
-    let mut lit_gates: Vec<(GateId, GateId)> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let p = circuit.add_input();
-        let ng = circuit.add_not(p);
-        lit_gates.push((p, ng));
-    }
-    let lit_gate = |lg: &Vec<(GateId, GateId)>, l: Lit| match l.phase {
-        Phase::Pos => lg[l.var].0,
-        Phase::Neg => lg[l.var].1,
-    };
-    let f_cube_gates: Vec<GateId> = f
-        .cubes()
-        .iter()
-        .map(|c| {
-            let ins = c.lits().map(|l| lit_gate(&lit_gates, l)).collect();
-            circuit.add_and(ins)
-        })
-        .collect();
-    let f_or = circuit.add_or(f_cube_gates.clone());
-    circuit.add_output(f_or);
-    let mut divisor_gates: Vec<Vec<GateId>> = Vec::with_capacity(divisors.len());
-    for d in divisors {
-        assert_eq!(d.num_vars(), n, "universe mismatch");
-        let gates: Vec<GateId> = d
-            .cubes()
-            .iter()
-            .map(|c| {
-                let ins = c.lits().map(|l| lit_gate(&lit_gates, l)).collect();
-                circuit.add_and(ins)
-            })
-            .collect();
-        let _ = circuit.add_or(gates.clone());
-        divisor_gates.push(gates);
-    }
-    let mut checker = FaultChecker::new(circuit);
-
-    let mut tables: Vec<VoteTable> = divisors
-        .iter()
-        .map(|_| VoteTable { rows: Vec::new() })
-        .collect();
-    for (ci, cube) in f.cubes().iter().enumerate() {
-        let cube_gate = f_cube_gates[ci];
-        for lit in cube.lits() {
-            let driver = lit_gate(&lit_gates, lit);
-            let Some(pin) = checker
-                .circuit()
-                .fanins(cube_gate)
-                .iter()
-                .position(|&g| g == driver)
-            else {
-                continue;
-            };
-            let fault = Fault::sa1(Wire {
-                gate: cube_gate,
-                pin,
-            });
-            let wire = DividendWire {
-                cube_index: ci,
-                lit,
-            };
-            match checker.check(fault, opts.imply) {
-                Err(_) => {
-                    for table in &mut tables {
-                        table.rows.push(VoteRow {
-                            wire,
-                            candidates: Vec::new(),
-                            always_removable: true,
-                            sos_valid: false,
-                        });
-                    }
-                }
-                Ok(values) => {
-                    for ((table, gates), d) in tables.iter_mut().zip(&divisor_gates).zip(divisors) {
-                        let candidates: Vec<usize> = gates
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(ki, &g)| (values[g.index()] == Value::Zero).then_some(ki))
-                            .collect();
-                        let sos_valid = candidates.iter().any(|&ki| d.cubes()[ki].contains(cube));
-                        table.rows.push(VoteRow {
-                            wire,
-                            candidates,
-                            always_removable: false,
-                            sos_valid,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    tables
 }
 
 /// Extended division against a *pool* of divisor candidates: computes all
@@ -672,14 +519,13 @@ pub fn extended_divide_pooled(
         if d.is_empty() {
             continue;
         }
-        let Some(ext) = select_core_and_divide(f, d, table, opts) else {
+        let Some(ext) = select_core(f, d, table, opts, CoreSelection::default()) else {
             continue;
         };
-        let better = match &best {
-            None => true,
-            Some((_, b)) => ext.division.sop_cost() < b.division.sop_cost(),
-        };
-        if better {
+        if best
+            .as_ref()
+            .is_none_or(|(_, b)| ext.division.sop_cost() < b.division.sop_cost())
+        {
             best = Some((i, ext));
         }
     }

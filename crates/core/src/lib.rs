@@ -67,12 +67,11 @@ pub use division::{
 pub use dontcare::{full_simplify, odc_cover, sdc_space_and_cover, DontCareOptions, DontCareStats};
 pub use engine::SubstEngine;
 pub use extended::{
-    compute_vote_table, compute_vote_table_masked, compute_vote_tables_pooled, enumerate_cliques,
-    extended_divide_covers, extended_divide_covers_masked, extended_divide_covers_pos,
-    extended_divide_covers_with, extended_divide_pooled, CliqueChoice, CoreSelection, DividendWire,
-    ExtendedDivision, VoteRow, VoteTable, CLIQUE_LIMIT,
+    compute_vote_table, compute_vote_tables_pooled, enumerate_cliques, extended_divide_covers,
+    extended_divide_covers_pos, extended_divide_covers_with, extended_divide_pooled, CliqueChoice,
+    CoreSelection, DividendWire, ExtendedDivision, VoteRow, VoteTable, CLIQUE_LIMIT,
 };
-pub use netcircuit::{network_from_circuit, NetCircuit, NetworkRegion, ShadowBase};
+pub use netcircuit::{network_from_circuit, NetCircuit, ShadowBase};
 pub use session::Session;
 pub use sos::{is_pos_of_compl, is_sos_of, lemma1_holds, lemma2_holds};
 pub use subst::{

@@ -4,8 +4,9 @@
 //! redundancy-removal implications range over the whole circuit and the
 //! observation points are the primary outputs.
 
+use crate::division::{DivisionRegion, Rails};
 use boolsubst_atpg::{Circuit, GateId};
-use boolsubst_cube::{Cover, Cube, Lit, Phase};
+use boolsubst_cube::{Cover, Cube, Lit};
 use boolsubst_network::{Network, NodeId};
 use std::collections::{HashMap, HashSet};
 
@@ -16,24 +17,6 @@ pub struct NetCircuit {
     pub circuit: Circuit,
     /// Output gate of each node, indexed by [`NodeId::index`].
     pub node_gate: Vec<Option<GateId>>,
-}
-
-/// Handles into the division structure embedded in a [`NetCircuit`].
-#[derive(Debug)]
-pub struct NetworkRegion {
-    /// The materialized circuit.
-    pub netc: NetCircuit,
-    /// Joint-space variables (sorted node ids); cover variable `i` of the
-    /// kept/remainder covers corresponds to `var_nodes[i]`.
-    pub var_nodes: Vec<NodeId>,
-    /// Literal gates for the joint space: `lit_gates[i]` = (pos, neg).
-    pub lit_gates: Vec<(GateId, Option<GateId>)>,
-    /// AND gate per kept cube.
-    pub kept_gates: Vec<GateId>,
-    /// OR over the kept cubes.
-    pub fprime_or: GateId,
-    /// The bold AND joining `f'` with the divisor node's output.
-    pub bold: GateId,
 }
 
 /// The mutable state of circuit materialization: the circuit under
@@ -63,43 +46,54 @@ impl BuilderState {
         b
     }
 
-    fn lit_gate(&mut self, node: NodeId, phase: Phase) -> GateId {
-        let g = self.node_gate[node.index()].expect("fanin built before use");
-        match phase {
-            Phase::Pos => g,
-            Phase::Neg => {
-                if let Some(&n) = self.not_cache.get(&g) {
-                    n
-                } else {
-                    let n = self.circuit.add_not(g);
-                    self.not_cache.insert(g, n);
-                    n
-                }
-            }
-        }
-    }
-
     /// Builds the standard AND–OR structure for a node's cover; returns
-    /// the output gate.
+    /// the output gate. Negative literals share one NOT per gate across
+    /// the whole circuit.
     fn build_node(&mut self, net: &Network, id: NodeId) -> GateId {
         let node = net.node(id);
-        if node.is_input() {
+        let Some(cover) = node.cover() else {
             return self.node_gate[id.index()].expect("inputs pre-created");
+        };
+        let mut rails = Rails(
+            node.fanins()
+                .iter()
+                .map(|f| {
+                    let g = self.node_gate[f.index()].expect("fanin built before use");
+                    (g, self.not_cache.get(&g).copied())
+                })
+                .collect(),
+        );
+        let cube_gates = rails.cubes(&mut self.circuit, cover);
+        for (g, not) in rails.0 {
+            if let Some(not) = not {
+                self.not_cache.insert(g, not);
+            }
         }
-        let cover = node.cover().expect("internal").clone();
-        let fanins = node.fanins().to_vec();
-        let cube_gates: Vec<GateId> = cover
-            .cubes()
-            .iter()
-            .map(|c| {
-                let ins: Vec<GateId> = c
-                    .lits()
-                    .map(|l| self.lit_gate(fanins[l.var], l.phase))
-                    .collect();
-                self.circuit.add_and(ins)
-            })
-            .collect();
         self.circuit.add_or(cube_gates)
+    }
+
+    /// Appends the paper's division configuration for a target,
+    /// `(OR(kept) AND divisor) OR remainder`, over rails on the gates of
+    /// the joint-space nodes `var_nodes`.
+    fn append_division(
+        &mut self,
+        var_nodes: &[NodeId],
+        divisor: NodeId,
+        kept: &Cover,
+        remainder: &Cover,
+    ) -> DivisionRegion {
+        let gate = |v: &NodeId| self.node_gate[v.index()].expect("joint var built first");
+        let rails = Rails(var_nodes.iter().map(|v| (gate(v), None)).collect());
+        let d = self.node_gate[divisor.index()].expect("divisor built before target");
+        DivisionRegion::append(&mut self.circuit, rails, kept, d, remainder)
+    }
+
+    /// Observes every primary output.
+    fn attach_outputs(&mut self, net: &Network) {
+        for (_, o) in net.outputs() {
+            let g = self.node_gate[o.index()].expect("output driver built");
+            self.circuit.add_output(g);
+        }
     }
 }
 
@@ -138,74 +132,6 @@ fn order_with_edge(net: &Network, divisor: NodeId, target: NodeId) -> Vec<NodeId
     }
     assert_eq!(order.len(), live, "extra edge created a cycle");
     order
-}
-
-/// Gate handles produced by [`build_division`].
-struct DivisionGates {
-    lit_gates: Vec<(GateId, Option<GateId>)>,
-    kept_gates: Vec<GateId>,
-    fprime_or: GateId,
-    bold: GateId,
-    target_out: GateId,
-}
-
-/// Appends the paper's division configuration for the target:
-/// `target = (OR(kept) AND divisor) OR remainder`, with per-region NOT
-/// gates for negative joint-space literals (deliberately *not* shared
-/// through the global NOT cache — region NOTs are removal candidates).
-fn build_division(
-    state: &mut BuilderState,
-    var_nodes: &[NodeId],
-    divisor: NodeId,
-    kept: &Cover,
-    remainder: &Cover,
-) -> DivisionGates {
-    let mut lit_gates: Vec<(GateId, Option<GateId>)> = var_nodes
-        .iter()
-        .map(|&v| {
-            let pos = state.node_gate[v.index()].expect("joint var built first");
-            (pos, None)
-        })
-        .collect();
-    let lit = |state: &mut BuilderState, lg: &mut Vec<(GateId, Option<GateId>)>, l: Lit| {
-        let (pos, neg) = lg[l.var];
-        match l.phase {
-            Phase::Pos => pos,
-            Phase::Neg => {
-                if let Some(n) = neg {
-                    n
-                } else {
-                    let n = state.circuit.add_not(pos);
-                    lg[l.var].1 = Some(n);
-                    n
-                }
-            }
-        }
-    };
-    let kept_gates: Vec<GateId> = kept
-        .cubes()
-        .iter()
-        .map(|c| {
-            let ins: Vec<GateId> = c.lits().map(|l| lit(state, &mut lit_gates, l)).collect();
-            state.circuit.add_and(ins)
-        })
-        .collect();
-    let fprime_or = state.circuit.add_or(kept_gates.clone());
-    let d_gate = state.node_gate[divisor.index()].expect("divisor built before target");
-    let bold = state.circuit.add_and(vec![fprime_or, d_gate]);
-    let mut f_ins = vec![bold];
-    for c in remainder.cubes() {
-        let ins: Vec<GateId> = c.lits().map(|l| lit(state, &mut lit_gates, l)).collect();
-        f_ins.push(state.circuit.add_and(ins));
-    }
-    let target_out = state.circuit.add_or(f_ins);
-    DivisionGates {
-        lit_gates,
-        kept_gates,
-        fprime_or,
-        bold,
-        target_out,
-    }
 }
 
 /// A per-target snapshot of the materialized circuit for the GDC mode:
@@ -257,39 +183,25 @@ impl ShadowBase {
     /// Materializes one division attempt on top of the snapshot: clone,
     /// append the division structure for the target, rebuild the target's
     /// fanout cone, attach the primary outputs. The result is isomorphic
-    /// to [`NetworkRegion::build`] for the same pair (gate numbering
-    /// differs; structure and therefore RAR verdicts do not).
-    #[must_use]
-    pub fn region(
+    /// to [`network_region`] for the same pair (gate numbering differs;
+    /// structure and therefore RAR verdicts do not).
+    pub(crate) fn region(
         &self,
         net: &Network,
         divisor: NodeId,
-        var_nodes: Vec<NodeId>,
+        var_nodes: &[NodeId],
         kept: &Cover,
         remainder: &Cover,
-    ) -> NetworkRegion {
+    ) -> (Circuit, DivisionRegion) {
         let mut state = self.state.clone();
-        let gates = build_division(&mut state, &var_nodes, divisor, kept, remainder);
-        state.node_gate[self.target.index()] = Some(gates.target_out);
+        let region = state.append_division(var_nodes, divisor, kept, remainder);
+        state.node_gate[self.target.index()] = Some(region.out);
         for &id in &self.tfo_order {
             let g = state.build_node(net, id);
             state.node_gate[id.index()] = Some(g);
         }
-        for (_, o) in net.outputs() {
-            let g = state.node_gate[o.index()].expect("output driver built");
-            state.circuit.add_output(g);
-        }
-        NetworkRegion {
-            netc: NetCircuit {
-                circuit: state.circuit,
-                node_gate: state.node_gate,
-            },
-            var_nodes,
-            lit_gates: gates.lit_gates,
-            kept_gates: gates.kept_gates,
-            fprime_or: gates.fprime_or,
-            bold: gates.bold,
-        }
+        state.attach_outputs(net);
+        (state.circuit, region)
     }
 }
 
@@ -303,10 +215,7 @@ impl NetCircuit {
             let g = b.build_node(net, id);
             b.node_gate[id.index()] = Some(g);
         }
-        for (_, o) in net.outputs() {
-            let g = b.node_gate[o.index()].expect("output driver built");
-            b.circuit.add_output(g);
-        }
+        b.attach_outputs(net);
         NetCircuit {
             circuit: b.circuit,
             node_gate: b.node_gate,
@@ -314,119 +223,42 @@ impl NetCircuit {
     }
 }
 
-impl NetworkRegion {
-    /// Materializes the network with `target` rebuilt in the division
-    /// configuration: `target = (OR(kept) AND divisor_node) OR remainder`,
-    /// where `kept`/`remainder` are covers over the joint space
-    /// `var_nodes`. Observation points are the primary outputs, so
-    /// redundancy checks see the paper's *global* internal don't cares.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is in the transitive fanout of `target`, if a
-    /// joint-space variable is not buildable before `target`, or if ids
-    /// are invalid.
-    #[must_use]
-    pub fn build(
-        net: &Network,
-        target: NodeId,
-        divisor: NodeId,
-        var_nodes: Vec<NodeId>,
-        kept: &Cover,
-        remainder: &Cover,
-    ) -> NetworkRegion {
-        assert!(
-            !net.tfo(target).contains(&divisor),
-            "divisor must not depend on target"
-        );
-        let mut b = BuilderState::new(net);
-        let order = order_with_edge(net, divisor, target);
-        let mut gates: Option<DivisionGates> = None;
-        for id in order {
-            if id != target {
-                let g = b.build_node(net, id);
-                b.node_gate[id.index()] = Some(g);
-                continue;
-            }
-            let dg = build_division(&mut b, &var_nodes, divisor, kept, remainder);
-            b.node_gate[target.index()] = Some(dg.target_out);
-            gates = Some(dg);
-        }
-        for (_, o) in net.outputs() {
-            let g = b.node_gate[o.index()].expect("output driver built");
-            b.circuit.add_output(g);
-        }
-        let gates = gates.expect("target processed");
-        NetworkRegion {
-            netc: NetCircuit {
-                circuit: b.circuit,
-                node_gate: b.node_gate,
-            },
-            var_nodes,
-            lit_gates: gates.lit_gates,
-            kept_gates: gates.kept_gates,
-            fprime_or: gates.fprime_or,
-            bold: gates.bold,
-        }
+/// Materializes the network with `target` rebuilt in the division
+/// configuration: `target = (OR(kept) AND divisor_node) OR remainder`,
+/// where `kept`/`remainder` are covers over the joint space `var_nodes`.
+/// Observation points are the primary outputs, so redundancy checks see
+/// the paper's *global* internal don't cares.
+///
+/// # Panics
+///
+/// Panics if `divisor` is in the transitive fanout of `target`, if a
+/// joint-space variable is not buildable before `target`, or if ids are
+/// invalid.
+pub(crate) fn network_region(
+    net: &Network,
+    target: NodeId,
+    divisor: NodeId,
+    var_nodes: &[NodeId],
+    kept: &Cover,
+    remainder: &Cover,
+) -> (Circuit, DivisionRegion) {
+    assert!(
+        !net.tfo(target).contains(&divisor),
+        "divisor must not depend on target"
+    );
+    let mut b = BuilderState::new(net);
+    let mut region = None;
+    for id in order_with_edge(net, divisor, target) {
+        let g = if id == target {
+            let r = region.insert(b.append_division(var_nodes, divisor, kept, remainder));
+            r.out
+        } else {
+            b.build_node(net, id)
+        };
+        b.node_gate[id.index()] = Some(g);
     }
-
-    /// Candidate wires of the embedded `f'` region (same set as the local
-    /// division region).
-    #[must_use]
-    pub fn candidate_wires(&self, kept: &Cover) -> Vec<boolsubst_atpg::CandidateWire> {
-        use boolsubst_atpg::CandidateWire;
-        let mut out = Vec::new();
-        for (cube, &gate) in kept.cubes().iter().zip(&self.kept_gates) {
-            for l in cube.lits() {
-                let driver = match l.phase {
-                    Phase::Pos => self.lit_gates[l.var].0,
-                    Phase::Neg => self.lit_gates[l.var].1.expect("negative literal gate"),
-                };
-                out.push(CandidateWire { sink: gate, driver });
-            }
-            out.push(CandidateWire {
-                sink: self.fprime_or,
-                driver: gate,
-            });
-        }
-        out.push(CandidateWire {
-            sink: self.bold,
-            driver: self.fprime_or,
-        });
-        out
-    }
-
-    /// Reads the surviving quotient back as a cover over the joint space.
-    #[must_use]
-    pub fn read_quotient(&self) -> Cover {
-        let n = self.var_nodes.len();
-        if !self
-            .netc
-            .circuit
-            .fanins(self.bold)
-            .contains(&self.fprime_or)
-        {
-            return Cover::one(n);
-        }
-        let mut q = Cover::new(n);
-        for &cube_gate in self.netc.circuit.fanins(self.fprime_or) {
-            let mut cube = Cube::universe(n);
-            for &lit_in in self.netc.circuit.fanins(cube_gate) {
-                if let Some(v) = self.lit_gates.iter().position(|&(p, _)| p == lit_in) {
-                    cube.restrict(Lit::pos(v));
-                } else if let Some(v) = self
-                    .lit_gates
-                    .iter()
-                    .position(|&(_, ng)| ng == Some(lit_in))
-                {
-                    cube.restrict(Lit::neg(v));
-                }
-            }
-            q.push(cube);
-        }
-        q.remove_contained_cubes();
-        q
-    }
+    b.attach_outputs(net);
+    (b.circuit, region.expect("target processed"))
 }
 
 /// Converts a gate-level circuit back into a [`Network`]: every gate
@@ -585,24 +417,18 @@ mod tests {
         let vars: Vec<NodeId> = net.inputs().to_vec();
         let kept = parse_sop(3, "ab + ac").expect("p");
         let rem = parse_sop(3, "bc'").expect("p");
-        let region = NetworkRegion::build(&net, f, d, vars, &kept, &rem);
+        let (circuit, region) = network_region(&net, f, d, &vars, &kept, &rem);
         // Before any removal, the circuit must behave like the network
         // (the bold AND is redundant by Lemma 1).
         for m in 0u32..8 {
             let ins: Vec<bool> = (0..3).map(|i| (m >> i) & 1 == 1).collect();
             let want = net.eval_outputs(&ins);
-            let vals = region.netc.circuit.eval(&ins);
-            let got: Vec<bool> = region
-                .netc
-                .circuit
-                .outputs()
-                .iter()
-                .map(|o| vals[o.index()])
-                .collect();
+            let vals = circuit.eval(&ins);
+            let got: Vec<bool> = circuit.outputs().iter().map(|o| vals[o.index()]).collect();
             assert_eq!(got, want, "mismatch at {m:03b}");
         }
         // Read-back without removals reproduces the kept cubes.
-        let q = region.read_quotient();
+        let q = region.read_quotient(&circuit);
         assert!(q.equivalent(&kept));
     }
 }

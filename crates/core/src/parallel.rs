@@ -155,7 +155,7 @@ fn speculate_pair(
         }
     };
     // Speculation books sim time only in the division window's screen.
-    let mut rec = pair_record(target, divisor, &delta, delta.sim_nanos, outcome, gain);
+    let mut rec = pair_record(target, divisor, t0, &delta, delta.sim_nanos, outcome, gain);
     rec.worker = worker + 1;
     if timed {
         rec.dur_ns = nanos(t0);

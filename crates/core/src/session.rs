@@ -13,9 +13,7 @@
 //! # let b = net.add_input("b").unwrap();
 //! # let f = net.add_node("f", vec![a, b], parse_sop(2, "ab").unwrap()).unwrap();
 //! # net.add_output("f", f).unwrap();
-//! let stats = Session::new(&mut net, SubstOptions::extended())
-//!     .threads(4)
-//!     .run();
+//! let stats = Session::new(&mut net, SubstOptions::extended().with_threads(4)).run();
 //! ```
 
 use crate::engine::SubstEngine;
@@ -25,14 +23,14 @@ use boolsubst_metrics::MetricsHandle;
 use boolsubst_network::Network;
 use boolsubst_trace::Tracer;
 
-/// A configured substitution run over one network: options, an optional
-/// trace recorder, an optional metrics registry, and a thread count,
-/// executed by [`Session::run`].
+/// A configured substitution run over one network: options (the thread
+/// count among them), an optional trace recorder and an optional metrics
+/// registry, executed by [`Session::run`].
 ///
 /// The builder borrows the network mutably for its whole life, so a
 /// `Session` cannot outlive or alias the network it rewrites. Attaching a
 /// tracer or a metrics handle never changes the accepted rewrites, and
-/// `threads(1)` (the default) is the plain sequential engine.
+/// one thread (the default) is the plain sequential engine.
 pub struct Session<'n, 't> {
     net: &'n mut Network,
     opts: SubstOptions,
@@ -70,14 +68,6 @@ impl<'n, 't> Session<'n, 't> {
     #[must_use]
     pub fn metrics(mut self, handle: &MetricsHandle) -> Session<'n, 't> {
         self.metrics = Some(handle.clone());
-        self
-    }
-
-    /// Sets the worker-thread count (shorthand for
-    /// [`SubstOptions::with_threads`]); `0` is clamped to `1`.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Session<'n, 't> {
-        self.opts = self.opts.with_threads(threads);
         self
     }
 
@@ -166,13 +156,10 @@ mod tests {
         for opts in crate::subst::all_configs() {
             for threads in [1usize, 4] {
                 let mut plain = small_net();
-                let sp = Session::new(&mut plain, opts.clone())
-                    .threads(threads)
-                    .run();
+                let sp = Session::new(&mut plain, opts.clone().with_threads(threads)).run();
                 let handle = MetricsHandle::new();
                 let mut metered = small_net();
-                let sm = Session::new(&mut metered, opts.clone())
-                    .threads(threads)
+                let sm = Session::new(&mut metered, opts.clone().with_threads(threads))
                     .metrics(&handle)
                     .run();
                 assert_eq!(

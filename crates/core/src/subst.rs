@@ -3,12 +3,13 @@
 //! positive factored-literal gain — the paper's three experimental
 //! configurations (`basic`, `ext`, `ext-GDC`) plus the POS-form attempts.
 
-use crate::division::{basic_divide_covers, pos_divide_precomplemented, DivisionOptions};
-use crate::extended::extended_divide_covers;
-use crate::netcircuit::{NetworkRegion, ShadowBase};
+use crate::division::{
+    basic_divide_covers, divide_region, pos_divide_precomplemented, DivisionOptions,
+};
+use crate::extended::{extended_divide, CoreSelection, ExtendedDivision};
+use crate::netcircuit::{network_region, ShadowBase};
 use boolsubst_algebraic::{factored_literals, factored_literals_lower_bound, JointSpace};
-use boolsubst_atpg::{remove_redundant_wires_with, RemovalOptions};
-use boolsubst_cube::{Cover, Lit, Phase};
+use boolsubst_cube::{Cover, Cube, Lit, Phase};
 use boolsubst_guard::{GuardConfig, TierPolicy};
 use boolsubst_network::{Network, NodeId};
 use boolsubst_sat::SatOptions;
@@ -724,6 +725,28 @@ fn project(cover: &Cover, fanins: &[NodeId]) -> (Vec<NodeId>, Cover) {
     (kept, remapped)
 }
 
+/// `q·x + r` over one more variable than `q` and `r` have: `x` is the new
+/// last variable, in `phase`.
+fn times_new_var(quotient: &Cover, remainder: &Cover, phase: Phase) -> Cover {
+    let n = quotient.num_vars();
+    let mut out = Cover::new(n + 1);
+    for c in quotient.cubes() {
+        let mut c = c.extended(n + 1);
+        c.restrict(Lit { var: n, phase });
+        out.push(c);
+    }
+    out.extend_cover(&remainder.extended(n + 1));
+    out
+}
+
+/// `space`'s variables followed by `extra`: the fanins of a cover built
+/// by [`times_new_var`] over the joint space.
+fn fanins_with(space_vars: &[NodeId], extra: NodeId) -> Vec<NodeId> {
+    let mut fanins = space_vars.to_vec();
+    fanins.push(extra);
+    fanins
+}
+
 /// Builds the new cover for `target` after substitution: `q·x + r` over
 /// `space ∪ {divisor}`, pruning unused variables. Returns (fanins, cover).
 fn assemble(
@@ -733,21 +756,9 @@ fn assemble(
     remainder: &Cover,
     divisor_phase: Phase,
 ) -> (Vec<NodeId>, Cover) {
-    let n = space.len();
-    let mut new_cover = Cover::new(n + 1);
-    for c in quotient.cubes() {
-        let mut c = c.extended(n + 1);
-        c.restrict(Lit {
-            var: n,
-            phase: divisor_phase,
-        });
-        new_cover.push(c);
-    }
-    new_cover.extend_cover(&remainder.extended(n + 1));
+    let mut new_cover = times_new_var(quotient, remainder, divisor_phase);
     new_cover.remove_contained_cubes();
-    let mut fanins = space.vars.clone();
-    fanins.push(divisor);
-    project(&new_cover, &fanins)
+    project(&new_cover, &fanins_with(&space.vars, divisor))
 }
 
 /// Factored-literal count of `target`'s cover. A target without a cover
@@ -1098,18 +1109,18 @@ pub(crate) fn plan_pair_core(
     // refuted cubes are masked out of the fault-check work.
     if opts.mode != SubstMode::Basic && !skip_sop {
         ran_proof = true;
-        let ext = match &screen {
-            Some(sc) => {
-                stats.sim_ext_wires_skipped += sc.wit_div0.iter().filter(|&&w| w).count();
-                crate::extended::extended_divide_covers_masked(&f, &d, &opts.division, &sc.wit_div0)
-            }
-            None => extended_divide_covers(&f, &d, &opts.division),
-        };
+        let mask = screen.as_ref().map(|sc| {
+            stats.sim_ext_wires_skipped += sc.wit_div0.iter().filter(|&&w| w).count();
+            sc.wit_div0.as_slice()
+        });
+        let ext = extended_divide(&f, &d, &opts.division, CoreSelection::default(), mask);
         if let Some(ext) = ext {
             stats.check_budget_exhausted += usize::from(ext.division.budget_exhausted);
             // Core == whole divisor means basic already covered it.
             if ext.core_cube_indices.len() < d.len() && ext.division.succeeded() {
-                if let Some(plan) = plan_extended(net, target, divisor, space, &ext, old_literals) {
+                if let Some(plan) =
+                    plan_extended(net, target, divisor, space, &d, &ext, old_literals)
+                {
                     return Some(SubstPlan::Extended(plan));
                 }
             }
@@ -1143,33 +1154,16 @@ pub(crate) fn plan_pair_core(
             if r.succeeded() {
                 // f = (d + q)·r ⇔ f' = d'·q̃ + r̃; rebuild f as the
                 // complement of the divided complement, with x_d'.
-                let n = space.len();
-                let mut compl_form = Cover::new(n + 1);
-                for c in r.quotient_compl.cubes() {
-                    let mut c = c.extended(n + 1);
-                    c.restrict(Lit {
-                        var: n,
-                        phase: Phase::Neg,
-                    });
-                    compl_form.push(c);
-                }
-                compl_form.extend_cover(&r.remainder_compl.extended(n + 1));
-                let new_cover = compl_form.complement();
+                let new_cover =
+                    times_new_var(&r.quotient_compl, &r.remainder_compl, Phase::Neg).complement();
                 if new_cover.len() <= 4 * f.len().max(4) {
-                    let mut fanins = space.vars.clone();
-                    fanins.push(divisor);
-                    let support = new_cover.support();
-                    let kept: Vec<NodeId> = support.iter().map(|&v| fanins[v]).collect();
-                    let mut map = vec![0usize; n + 1];
-                    for (new_idx, &v) in support.iter().enumerate() {
-                        map[v] = new_idx;
-                    }
-                    let new_cover = new_cover.remapped(kept.len(), &map);
+                    let (fanins, new_cover) =
+                        project(&new_cover, &fanins_with(&space.vars, divisor));
                     let gain = factored_gain(old_literals, &new_cover);
                     if gain > 0 {
                         return Some(SubstPlan::Replace {
                             target,
-                            fanins: kept,
+                            fanins,
                             cover: new_cover,
                             gain,
                             kind: PlanKind::Pos,
@@ -1243,10 +1237,11 @@ fn finish_unhelped(stats: &mut SubstStats, screened: bool, ran_proof: bool) -> O
 }
 
 /// A planned extended-division rewrite: create the core node, re-express
-/// the divisor as `core + rest`, substitute the core into the target.
-/// Produced by [`plan_extended`]; applied with [`ExtendedPlan::apply`].
-/// Splitting planning from application lets the sweep evaluate the gain
-/// without mutating the network.
+/// the divisor as `rest + x_core`, substitute the core into the target as
+/// `q·x_core + r`. Produced by [`plan_extended`], which scores exactly the
+/// covers stored here; applied with [`ExtendedPlan::apply`]. Splitting
+/// planning from application lets the sweep evaluate the gain without
+/// mutating the network.
 pub(crate) struct ExtendedPlan {
     /// Total factored-literal gain across target, divisor, and core
     /// (always positive — zero-gain plans are not produced).
@@ -1254,10 +1249,12 @@ pub(crate) struct ExtendedPlan {
     target: NodeId,
     divisor: NodeId,
     space_vars: Vec<NodeId>,
+    /// The core divisor over the joint space.
     core: Cover,
-    rest: Cover,
-    quotient: Cover,
-    remainder: Cover,
+    /// The new divisor and target covers over the joint space plus the
+    /// core node as the last variable.
+    divisor_cover: Cover,
+    target_cover: Cover,
 }
 
 impl ExtendedPlan {
@@ -1271,7 +1268,6 @@ impl ExtendedPlan {
     /// edits are undone first, so the network is left exactly as it was —
     /// a fail-stop path must not become a silent partial mutation.
     pub fn apply(self, net: &mut Network) -> Result<NodeId, boolsubst_network::NetworkError> {
-        let n = self.space_vars.len();
         let divisor_pre = {
             let node = net.node(self.divisor);
             node.cover().map(|c| (node.fanins().to_vec(), c.clone()))
@@ -1282,18 +1278,10 @@ impl ExtendedPlan {
         let (core_fanins, core_local) = project(&self.core, &self.space_vars);
         let name = net.fresh_name();
         let m = net.add_node(name, core_fanins, core_local)?;
+        let fanins = fanins_with(&self.space_vars, m);
 
         // 2. Divisor = rest + x_core.
-        let mut div_fanins = self.space_vars.clone();
-        div_fanins.push(m);
-        let mut div_cover = Cover::new(n + 1);
-        for c in self.rest.cubes() {
-            div_cover.push(c.extended(n + 1));
-        }
-        let mut xc = boolsubst_cube::Cube::universe(n + 1);
-        xc.restrict(Lit::pos(n));
-        div_cover.push(xc);
-        let (kept, div_cover) = project(&div_cover, &div_fanins);
+        let (kept, div_cover) = project(&self.divisor_cover, &fanins);
         if let Err(e) = net.replace_function(self.divisor, kept, div_cover) {
             // Only the fresh node exists; it has no fanouts yet.
             let _ = net.remove_node(m);
@@ -1302,16 +1290,7 @@ impl ExtendedPlan {
         }
 
         // 3. Target = q·x_core + r.
-        let mut tgt_fanins = self.space_vars;
-        tgt_fanins.push(m);
-        let mut tgt_cover = Cover::new(n + 1);
-        for c in self.quotient.cubes() {
-            let mut c = c.extended(n + 1);
-            c.restrict(Lit::pos(n));
-            tgt_cover.push(c);
-        }
-        tgt_cover.extend_cover(&self.remainder.extended(n + 1));
-        let (kept, tgt_cover) = project(&tgt_cover, &tgt_fanins);
+        let (kept, tgt_cover) = project(&self.target_cover, &fanins);
         if let Err(e) = net.replace_function(self.target, kept, tgt_cover) {
             // Undo the divisor rewrite, then drop the now-orphaned core.
             if let Some((fanins, cover)) = divisor_pre {
@@ -1325,7 +1304,8 @@ impl ExtendedPlan {
     }
 }
 
-/// Plans an extended-division rewrite; returns `None` when the total
+/// Plans an extended-division rewrite of `target` by the divisor whose
+/// cover over the joint space is `d`; returns `None` when the total
 /// factored-literal gain would not be positive. `target_old` is the
 /// target's current factored-literal count.
 fn plan_extended(
@@ -1333,24 +1313,23 @@ fn plan_extended(
     target: NodeId,
     divisor: NodeId,
     space: &JointSpace,
-    ext: &crate::extended::ExtendedDivision,
+    d: &Cover,
+    ext: &ExtendedDivision,
     target_old: i64,
 ) -> Option<ExtendedPlan> {
-    let d_cover = space.cover_of(net, divisor);
-    let rest: Cover = Cover::from_cubes(
-        space.len(),
-        d_cover
-            .cubes()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _c)| !ext.core_cube_indices.contains(&i))
-            .map(|(_i, c)| c.clone())
-            .collect(),
-    );
+    let n = space.len();
+    // New divisor function: rest + x_core.
+    let mut divisor_cover = Cover::new(n + 1);
+    for (i, c) in d.cubes().iter().enumerate() {
+        if !ext.core_cube_indices.contains(&i) {
+            divisor_cover.push(c.extended(n + 1));
+        }
+    }
+    let mut xc = Cube::universe(n + 1);
+    xc.restrict(Lit::pos(n));
+    divisor_cover.push(xc);
     // New target function: q·x_core + r.
-    let core = ext.core.clone();
-    let quotient = ext.division.quotient.clone();
-    let remainder = ext.division.remainder.clone();
+    let target_cover = times_new_var(&ext.division.quotient, &ext.division.remainder, Phase::Pos);
 
     // Gain accounting (factored literals):
     //   target: old − new (new counts one literal per quotient cube for
@@ -1358,29 +1337,10 @@ fn plan_extended(
     //   divisor: old − (rest + 1 literal for x_core);
     //   core node: −lits(core)  ... but those literals previously lived
     //   inside the divisor, so the divisor side nets to −1.
-    let n = space.len();
-    let mut new_target = Cover::new(n + 1);
-    for c in quotient.cubes() {
-        let mut c = c.extended(n + 1);
-        c.restrict(Lit::pos(n));
-        new_target.push(c);
-    }
-    new_target.extend_cover(&remainder.extended(n + 1));
-    let target_new = factored_literals(&new_target) as i64;
-
+    let target_new = factored_literals(&target_cover) as i64;
     let divisor_old = factored_literals(net.node(divisor).cover()?) as i64;
-    let mut new_divisor = Cover::new(n + 1);
-    for c in rest.cubes() {
-        new_divisor.push(c.extended(n + 1));
-    }
-    {
-        let mut xc = boolsubst_cube::Cube::universe(n + 1);
-        xc.restrict(Lit::pos(n));
-        new_divisor.push(xc);
-    }
-    let divisor_new = factored_literals(&new_divisor) as i64;
-    let core_cost = factored_literals(&core) as i64;
-
+    let divisor_new = factored_literals(&divisor_cover) as i64;
+    let core_cost = factored_literals(&ext.core) as i64;
     let gain = (target_old - target_new) + (divisor_old - divisor_new) - core_cost;
     if gain <= 0 {
         return None;
@@ -1391,10 +1351,9 @@ fn plan_extended(
         target,
         divisor,
         space_vars: space.vars.clone(),
-        core,
-        rest,
-        quotient,
-        remainder,
+        core: ext.core.clone(),
+        divisor_cover,
+        target_cover,
     })
 }
 
@@ -1416,33 +1375,13 @@ fn divide_in_network(
     gdc: &GdcScope<'_>,
     stats: &mut SubstStats,
 ) -> Option<(Cover, Cover)> {
-    let (kept, remainder) = crate::division::split_remainder(f, d);
-    if kept.is_empty() {
-        return None;
-    }
-    let mut region = match gdc {
-        GdcScope::Rebuild => {
-            NetworkRegion::build(net, target, divisor, space.vars.clone(), &kept, &remainder)
-        }
-        GdcScope::Shadow(base) => base.region(net, divisor, space.vars.clone(), &kept, &remainder),
-    };
-    let candidates = region.candidate_wires(&kept);
-    let outcome = remove_redundant_wires_with(
-        &mut region.netc.circuit,
-        &candidates,
-        &RemovalOptions {
-            imply: opts.imply,
-            exact_budget: opts.exact_budget,
-            max_checks: opts.max_checks,
-        },
-        opts.max_passes.max(1) + 1,
-    );
-    stats.rar_checks += outcome.checks;
-    if outcome.budget_exhausted {
-        stats.check_budget_exhausted += 1;
-    }
-    let quotient = region.read_quotient();
-    (!quotient.is_empty()).then_some((quotient, remainder))
+    let r = divide_region(f, d, opts, |kept, remainder| match gdc {
+        GdcScope::Rebuild => network_region(net, target, divisor, &space.vars, kept, remainder),
+        GdcScope::Shadow(base) => base.region(net, divisor, &space.vars, kept, remainder),
+    });
+    stats.rar_checks += r.checks;
+    stats.check_budget_exhausted += usize::from(r.budget_exhausted);
+    r.succeeded().then_some((r.quotient, r.remainder))
 }
 
 /// The pre-engine per-pair sweep: every (target, divisor) pair is visited

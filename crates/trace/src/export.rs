@@ -375,6 +375,7 @@ mod tests {
         PairRecord {
             target: 1,
             divisor: 2,
+            start: std::time::Instant::now(),
             dur_ns: 50,
             stages: StageNanos {
                 filter: 3,

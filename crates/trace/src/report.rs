@@ -244,6 +244,7 @@ mod tests {
         let pair = |target, outcome, gain, stages| PairRecord {
             target,
             divisor: 1,
+            start: std::time::Instant::now(),
             dur_ns: 1_000,
             stages,
             outcome,

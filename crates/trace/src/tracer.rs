@@ -11,16 +11,18 @@ use crate::span::{GuardTier, Outcome, PairSpan, PassSpan, Stage, StageNanos, Tra
 /// One finished pair attempt: the only way a pair reaches the tracer.
 ///
 /// The engine fills one per attempt, live or speculated, and books it
-/// with [`Tracer::record_pair`]. The tracer's clock is not read while
-/// the pair runs: `start_ns` is synthesised at booking time (now minus
-/// the measured duration), so a worker-measured record lands exactly
-/// like a live one.
+/// with [`Tracer::record_pair`]. The record carries the instant the
+/// attempt started, and the tracer measures it against its epoch, so a
+/// speculated record booked after its epoch keeps the start it had on
+/// its worker and every lane runs forward in time.
 #[derive(Debug, Clone, Copy)]
 pub struct PairRecord {
     /// Target node id (compact u32 form).
     pub target: u32,
     /// Divisor node id (compact u32 form).
     pub divisor: u32,
+    /// When the attempt started.
+    pub start: Instant,
     /// Wall-clock duration of the attempt.
     pub dur_ns: u64,
     /// Per-stage attribution.
@@ -241,7 +243,8 @@ impl Tracer {
             pass: self.cur_pass,
             target: rec.target,
             divisor: rec.divisor,
-            start_ns: self.now_ns().saturating_sub(rec.dur_ns),
+            start_ns: u64::try_from(rec.start.saturating_duration_since(self.epoch).as_nanos())
+                .unwrap_or(u64::MAX),
             dur_ns: rec.dur_ns,
             stages: rec.stages,
             outcome: rec.outcome,
@@ -449,6 +452,7 @@ mod tests {
         t.record_pair(&PairRecord {
             target,
             divisor,
+            start: Instant::now(),
             dur_ns: 100 * u64::from(divisor) + 110,
             stages: StageNanos {
                 filter: 10,

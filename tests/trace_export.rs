@@ -21,8 +21,7 @@ fn traced_runs(threads: usize) -> Vec<(Tracer, SubstStats, MetricsHandle)> {
             let mut net = base.clone();
             let mut tracer = Tracer::new(name);
             let handle = MetricsHandle::new();
-            let stats = Session::new(&mut net, opts)
-                .threads(threads)
+            let stats = Session::new(&mut net, opts.with_threads(threads))
                 .tracer(&mut tracer)
                 .metrics(&handle)
                 .run();
@@ -130,7 +129,15 @@ fn jsonl_roundtrips_field_for_field() {
 
 #[test]
 fn chrome_trace_is_valid_with_monotonic_timestamps() {
-    let runs = traced_runs(1);
+    for threads in [1, 2] {
+        chrome_trace_is_valid_at(threads);
+    }
+}
+
+/// The Chrome checks at one thread count: at 2 threads the speculative
+/// worker lanes carry spans too, and each lane must run forward in time.
+fn chrome_trace_is_valid_at(threads: usize) {
+    let runs = traced_runs(threads);
     let refs: Vec<&Tracer> = runs.iter().map(|(t, ..)| t).collect();
     let text = chrome_trace_string(&refs);
     let v = Json::parse(&text).expect("chrome trace parses as JSON");
@@ -155,7 +162,8 @@ fn chrome_trace_is_valid_with_monotonic_timestamps() {
                 if let Some(&prev) = last_ts.get(&(pid, tid)) {
                     assert!(
                         ts >= prev,
-                        "event {i}: ts regressed on pid {pid} tid {tid}: {ts} < {prev}"
+                        "threads={threads} event {i}: ts regressed on pid {pid} tid {tid}: \
+                         {ts} < {prev}"
                     );
                 }
                 last_ts.insert((pid, tid), ts);
