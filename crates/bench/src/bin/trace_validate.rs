@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use boolsubst_trace::json::Json;
-use boolsubst_trace::Outcome;
+use boolsubst_trace::{GuardTier, Outcome};
 
 const STAGE_FIELDS: [&str; 5] = [
     "enumerate_ns",
@@ -79,7 +79,7 @@ fn validate_jsonl(text: &str) -> Result<(), String> {
                     }
                 }
             }
-            "pass" | "shadow_build" | "sim_refine" => {
+            "pass" | "shadow_build" => {
                 if v.get("dur_ns").and_then(Json::as_u64).is_none() {
                     return Err(format!("line {}: {ty} missing dur_ns", i + 1));
                 }
@@ -89,7 +89,7 @@ fn validate_jsonl(text: &str) -> Result<(), String> {
                     .get("tier")
                     .and_then(Json::as_str)
                     .ok_or_else(|| format!("line {}: guard without tier", i + 1))?;
-                if !matches!(tier, "sim" | "bdd" | "sat" | "sampled") {
+                if !GuardTier::ALL.iter().any(|t| t.name() == tier) {
                     return Err(format!("line {}: unknown guard tier {tier:?}", i + 1));
                 }
                 for field in ["passed", "exact"] {
@@ -373,6 +373,23 @@ mod tests {
     fn jsonl_rejects_a_stream_without_a_leading_meta_line() {
         let err = validate_jsonl(&format!("{}\n", pair_line(None))).unwrap_err();
         assert!(err.contains("meta line"), "{err}");
+    }
+
+    fn guard_line(tier: &str) -> String {
+        format!(
+            "{{\"type\":\"guard\",\"tier\":\"{tier}\",\"passed\":false,\
+             \"exact\":false,\"dur_ns\":3}}"
+        )
+    }
+
+    #[test]
+    fn jsonl_accepts_every_guard_tier_and_rejects_others() {
+        for tier in GuardTier::ALL {
+            let text = format!("{META}\n{}\n", guard_line(tier.name()));
+            assert_eq!(validate_jsonl(&text), Ok(()), "{}", tier.name());
+        }
+        let err = validate_jsonl(&format!("{META}\n{}\n", guard_line("oracle"))).unwrap_err();
+        assert!(err.contains("unknown guard tier"), "{err}");
     }
 
     fn chrome(ts: [u32; 2]) -> String {

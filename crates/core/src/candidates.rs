@@ -18,9 +18,8 @@
 //! filter chain and division proof, so a wrong or missing proposal can
 //! cost opportunity, never correctness. In exchange the engine promises:
 //!
-//! * [`CandidateSource::candidates`] is called with a flushed sim filter
-//!   (when one is attached) and a side table synchronised with the
-//!   network;
+//! * [`CandidateSource::candidates`] is called with a sim filter (when
+//!   one is attached) and a side table synchronised with the network;
 //! * after every committed rewrite, [`CandidateSource::note_commit`] is
 //!   called exactly once with the pre-commit network version and the
 //!   changed signature rows, before the next `candidates` call;
@@ -43,7 +42,7 @@ pub struct SourceCtx<'a> {
     /// Maintained fanout lists / levels / transitive-fanout memos.
     pub side: &'a SideTables,
     /// The simulation filter, when [`crate::SubstOptions::sim`] enabled
-    /// it. Guaranteed flushed during [`CandidateSource::candidates`].
+    /// it.
     pub sim: Option<&'a SimFilter>,
 }
 

@@ -235,6 +235,17 @@ fn pre_cone(net: &Network, snap: &TxnSnapshot, root: NodeId, inputs: &[NodeId]) 
     Some(cone)
 }
 
+/// The trace tier of a guard verdict.
+fn guard_tier(decision: &GuardDecision) -> GuardTier {
+    match decision {
+        GuardDecision::PassExhaustive | GuardDecision::RefutedSim { .. } => GuardTier::Sim,
+        GuardDecision::PassExact | GuardDecision::RefutedExact { .. } => GuardTier::Bdd,
+        GuardDecision::PassSat | GuardDecision::RefutedSat { .. } => GuardTier::Sat,
+        GuardDecision::PassSampled => GuardTier::Sampled,
+        GuardDecision::OutOfTime => GuardTier::Deadline,
+    }
+}
+
 /// Display names for every live node, indexed by raw slot id.
 fn node_names(net: &Network) -> Vec<String> {
     let mut names = vec![String::new(); net.id_bound()];
@@ -352,12 +363,6 @@ impl<'a> SubstEngine<'a> {
     /// Opens a session: builds the structural side tables for the
     /// network's current state.
     pub fn new(net: &'a mut Network, opts: SubstOptions) -> SubstEngine<'a> {
-        let mut opts = opts;
-        // Callers who set `deadline` directly (rather than through
-        // `with_deadline`) still get the deadline-aware tier C budget.
-        if opts.guard.deadline.is_none() {
-            opts.guard.deadline = opts.deadline;
-        }
         let side = SideTables::build(net);
         let mut stats = SubstStats::default();
         let t0 = Instant::now();
@@ -365,7 +370,11 @@ impl<'a> SubstEngine<'a> {
         if sim.is_some() {
             stats.sim_nanos += nanos(t0);
         }
-        let guard = opts.checked.then(|| Guard::new(opts.guard));
+        let guard = opts.checked.then(|| {
+            let mut guard = Guard::new(opts.guard);
+            guard.set_deadline(opts.deadline);
+            guard
+        });
         // Resolve the discovery strategy once per session: signature-class
         // discovery keys off the sim filter's signatures, so without a
         // filter it degrades to the overlap index, and `Auto` only pays
@@ -400,7 +409,7 @@ impl<'a> SubstEngine<'a> {
     }
 
     /// Opens a session with a trace recorder attached: every pair
-    /// attempt, pass, shadow build, and sim refinement is recorded on
+    /// attempt, pass, shadow build, and guard check is recorded on
     /// `tracer`, labelled with the network's node names.
     pub fn with_tracer(
         net: &'a mut Network,
@@ -440,12 +449,14 @@ impl<'a> SubstEngine<'a> {
     /// Replaces the checked-mode guard with one carried over from an
     /// earlier run, preserving its lazily-built pattern pools and learned
     /// SAT cost model across jobs. The guard adopts this engine's
-    /// [`SubstOptions::guard`] config first (dropping stale-shaped pools
-    /// if the pool tunables differ). No-op when the engine is unchecked —
-    /// an unchecked run has no guard to reuse.
+    /// [`SubstOptions::guard`] config (dropping stale-shaped pools if the
+    /// pool tunables differ) and its [`SubstOptions::deadline`], so it
+    /// never keeps an earlier run's deadline. No-op when the engine is
+    /// unchecked — an unchecked run has no guard to reuse.
     pub fn install_guard(&mut self, mut guard: Guard) {
         if self.opts.checked {
             guard.adopt_config(self.opts.guard);
+            guard.set_deadline(self.opts.deadline);
             self.guard = Some(guard);
         }
     }
@@ -496,7 +507,6 @@ impl<'a> SubstEngine<'a> {
         if let Some(sim) = &self.sim {
             self.stats.sim_patterns = sim.patterns();
             self.stats.sim_words = sim.words();
-            self.stats.sim_refinements = sim.refinements();
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             // Extended rewrites mint fresh core nodes mid-run; refresh the
@@ -509,8 +519,8 @@ impl<'a> SubstEngine<'a> {
     /// The one booking path. Folds `delta` into the session's
     /// [`SubstStats`] and the metrics registry. A finished pair passes its
     /// `rec`, which goes to the tracer and the pair-latency histogram;
-    /// work booked outside any pair (`rec` is `None`: enumeration, sim
-    /// flushes) is sampled into the tracer's stage histograms instead.
+    /// work booked outside any pair (`rec` is `None`: enumeration) is
+    /// sampled into the tracer's stage histograms instead.
     pub(crate) fn book(&mut self, delta: &SubstStats, rec: Option<&PairRecord>) {
         self.stats.merge(delta);
         if let Some(m) = &self.metrics {
@@ -527,16 +537,10 @@ impl<'a> SubstEngine<'a> {
         if let Some(t) = self.tracer.as_deref_mut() {
             match rec {
                 Some(rec) => t.record_pair(rec),
-                None => {
-                    for (stage, ns) in [
-                        (Stage::Enumerate, delta.enumerate_nanos),
-                        (Stage::Sim, delta.sim_nanos),
-                    ] {
-                        if ns > 0 {
-                            t.stage(stage, ns);
-                        }
-                    }
+                None if delta.enumerate_nanos > 0 => {
+                    t.stage(Stage::Enumerate, delta.enumerate_nanos);
                 }
+                None => {}
             }
         }
     }
@@ -666,11 +670,10 @@ impl<'a> SubstEngine<'a> {
             delta.guard_pass_sampled += 1;
         }
         if let Some(t) = self.tracer.as_deref_mut() {
-            let tier = GuardTier::from_name(decision.tier_name()).unwrap_or(GuardTier::Sampled);
             t.guard_check(
                 id32(target),
                 id32(divisor),
-                tier,
+                guard_tier(&decision),
                 decision.passed(),
                 decision.exact(),
                 nanos(t0),
@@ -679,25 +682,8 @@ impl<'a> SubstEngine<'a> {
         Some(decision)
     }
 
-    /// Folds pending refinement patterns into the signatures, booking the
-    /// sim time. Bucket keys and frozen speculation views must never see
-    /// half-simulated tail words.
-    pub(crate) fn flush_sim(&mut self) {
-        if let Some(sim) = self.sim.as_mut().filter(|s| !s.is_flushed()) {
-            let ts = Instant::now();
-            sim.flush(self.net);
-            let delta = SubstStats {
-                sim_nanos: nanos(ts),
-                ..SubstStats::default()
-            };
-            self.book(&delta, None);
-        }
-    }
-
     /// One candidate enumeration through the configured
-    /// [`CandidateSource`]: flushes the sim filter first when signature
-    /// discovery needs current bucket keys, books the per-source funnel
-    /// counters (`discovery_proposed`, `discovery_bucket_hits`,
+    /// [`CandidateSource`]: books the per-source funnel counters (`discovery_proposed`, `discovery_bucket_hits`,
     /// `filtered_by_index`) and the enumerate stage time.
     pub(crate) fn discover(
         &mut self,
@@ -705,9 +691,6 @@ impl<'a> SubstEngine<'a> {
         bound: usize,
         cursor: Option<NodeId>,
     ) -> Vec<NodeId> {
-        if self.stats.discovery == Discovery::Signature {
-            self.flush_sim();
-        }
         let t0 = Instant::now();
         let (cands, bucket_hits, skipped) = {
             let ctx = SourceCtx {
@@ -872,24 +855,19 @@ impl<'a> SubstEngine<'a> {
         }
         self.ensure_forms(target);
         let mut sim_fault = false;
-        if let Some(sim) = self.sim.as_mut() {
-            // Fold any patterns harvested by earlier refinements into the
-            // signatures before they are screened against.
+        if let Some(sim) = self.sim.as_mut().filter(|_| self.opts.checked) {
             let ts = Instant::now();
-            sim.flush(self.net);
-            if self.opts.checked {
-                #[cfg(feature = "chaos")]
-                if let Some(r) = crate::chaos::should_poison_signature() {
-                    sim.chaos_poison_signature(target, usize::try_from(r).unwrap_or(0));
-                }
-                // Integrity audit: recompute this pair's signature rows
-                // from their fanins and compare against the cache. A
-                // mismatch means the incremental patching went wrong
-                // somewhere — repair by rebuilding from scratch.
-                if !sim.audit(self.net, &[target, divisor]) {
-                    sim.rebuild(self.net);
-                    sim_fault = true;
-                }
+            #[cfg(feature = "chaos")]
+            if let Some(r) = crate::chaos::should_poison_signature() {
+                sim.chaos_poison_signature(target, usize::try_from(r).unwrap_or(0));
+            }
+            // Integrity audit: recompute this pair's signature rows from
+            // their fanins and compare against the cache. A mismatch means
+            // the incremental patching went wrong somewhere — repair by
+            // rebuilding from scratch.
+            if !sim.audit(self.net, &[target, divisor]) {
+                sim.rebuild(self.net);
+                sim_fault = true;
             }
             delta.sim_nanos += nanos(ts);
         }
@@ -983,23 +961,6 @@ impl<'a> SubstEngine<'a> {
         }
         delta.divide_nanos += nanos(t1);
         *screen_ns = delta.sim_nanos - sim_nanos0;
-
-        if result.is_none() && delta.sim_false_passes > 0 {
-            // Counterexample-guided refinement: the screen passed a pair
-            // the proofs rejected — try to harvest a distinguishing
-            // pattern so similar pairs are refuted without proof work.
-            if let Some(sim) = self.sim.as_mut() {
-                let ts = Instant::now();
-                let refinements0 = sim.refinements();
-                sim.refine_from_false_pass(self.net, target, divisor);
-                let dts = nanos(ts);
-                delta.sim_nanos += dts;
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    let grew = sim.refinements() > refinements0;
-                    t.sim_refine(id32(target), id32(divisor), grew, dts);
-                }
-            }
-        }
 
         if self.net.version() != v0 {
             let t2 = Instant::now();
@@ -1136,5 +1097,65 @@ mod tests {
         let text = stats.to_string();
         assert!(text.contains("divisions tried"));
         assert!(text.contains("literal gain"));
+    }
+
+    /// Every guard verdict lands in its own trace tier, named as the
+    /// guard names it: a deadline refusal is never traced as sampled.
+    #[test]
+    fn every_guard_decision_maps_to_its_tier() {
+        let output = || "f".to_string();
+        let cases = [
+            (GuardDecision::PassExhaustive, GuardTier::Sim),
+            (
+                GuardDecision::RefutedSim { output: output() },
+                GuardTier::Sim,
+            ),
+            (GuardDecision::PassExact, GuardTier::Bdd),
+            (
+                GuardDecision::RefutedExact { output: output() },
+                GuardTier::Bdd,
+            ),
+            (GuardDecision::PassSat, GuardTier::Sat),
+            (
+                GuardDecision::RefutedSat { output: output() },
+                GuardTier::Sat,
+            ),
+            (GuardDecision::PassSampled, GuardTier::Sampled),
+            (GuardDecision::OutOfTime, GuardTier::Deadline),
+        ];
+        for (decision, tier) in cases {
+            assert_eq!(guard_tier(&decision), tier, "{decision:?}");
+            assert_eq!(tier.name(), decision.tier_name(), "{decision:?}");
+        }
+    }
+
+    /// A guard carried over from an earlier job takes this engine's
+    /// deadline — here none — instead of keeping its own expired one.
+    #[test]
+    fn install_guard_replaces_a_reused_guards_deadline() {
+        use boolsubst_guard::{GuardConfig, TierPolicy};
+        use std::time::Duration;
+        let mut net = small_net();
+        let reference = net.clone();
+        // A random pool only samples, so every check escalates to tier C.
+        let config = GuardConfig {
+            exhaustive_inputs: 0,
+            tier: TierPolicy::Sat,
+            ..GuardConfig::default()
+        };
+        let mut stale = Guard::new(config);
+        stale.set_deadline(Some(Instant::now() - Duration::from_secs(1)));
+        assert_eq!(
+            stale.check(&reference, &reference),
+            GuardDecision::OutOfTime
+        );
+        let opts = SubstOptions {
+            guard: config,
+            ..SubstOptions::basic().with_checked(true)
+        };
+        let mut engine = SubstEngine::new(&mut net, opts);
+        engine.install_guard(stale);
+        let mut guard = engine.take_guard().expect("checked engine");
+        assert_eq!(guard.check(&reference, &reference), GuardDecision::PassSat);
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! * the engine's cheap filter chain with [`SideTables::in_tfo_frozen`]
 //!   for the cycle filter (no memo writes),
-//! * [`SimView`] over the shared signature table for the refute-only
-//!   screen (flushed first, so nothing is ever pending),
+//! * the shared `&SimFilter` for the refute-only screen (its pattern
+//!   pool is fixed, so every screen is a pure read),
 //! * the committer's [`TargetForms`] for the target (old literal count
 //!   and complement; each is computed once, by whichever worker needs it
 //!   first, and equals the per-call value),
@@ -56,12 +56,12 @@
 //! (`tests/parallel_parity.rs`, `tests/engine_parity.rs`). This is why
 //! first-gain needs ordered commit: accepting any other index first would
 //! rewrite the target before pairs the sequential sweep evaluates earlier.
-//! Counters not derived from commits (`sim_false_passes`,
-//! `sim_refinements`, `rar_checks`) may differ from a 1-thread run because
-//! parallel sweeps do not refine the pattern pool mid-pass; they are
-//! identical across parallel runs of any width. Best-gain evaluates every
-//! candidate against the same frozen state whatever the width, so its
-//! commits are width-independent too.
+//! Every rejected pair is booked from a read-only evaluation of the same
+//! state the sequential engine would have seen, so every non-timing
+//! [`SubstStats`] counter — screen and RAR counters included — is the same
+//! at every thread count. Best-gain evaluates every candidate against the
+//! same frozen state whatever the width, so its commits and counters are
+//! width-independent too.
 //!
 //! Speculation panics are always caught: the pair is booked as an engine
 //! fault, quarantined, and the committer keeps going — a dying worker
@@ -74,7 +74,7 @@ use crate::subst::{
     TargetForms,
 };
 use boolsubst_network::{Network, NodeId, SideTables};
-use boolsubst_sim::SimView;
+use boolsubst_sim::SimFilter;
 use boolsubst_trace::{Outcome, PairRecord};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,8 +96,8 @@ struct PairEval {
 
 /// Speculatively evaluates one (target, divisor) pair read-only against
 /// the epoch snapshot, mirroring [`SubstEngine::attempt`]'s filter chain
-/// and stat accounting exactly — minus every mutation (no sim flush or
-/// refinement, no memo writes, no network edit). Always panic-isolated.
+/// and stat accounting exactly — minus every mutation (no memo writes,
+/// no network edit). Always panic-isolated.
 /// The record's wall time is measured only when `timed`.
 #[allow(clippy::too_many_arguments)]
 fn speculate_pair(
@@ -106,7 +106,7 @@ fn speculate_pair(
     quarantine: &HashSet<(NodeId, NodeId)>,
     shadow: Option<&ShadowBase>,
     forms: &TargetForms,
-    sim: Option<SimView<'_>>,
+    sim: Option<&SimFilter>,
     opts: &SubstOptions,
     target: NodeId,
     divisor: NodeId,
@@ -141,7 +141,7 @@ fn speculate_pair(
                     &mut delta,
                     &scope,
                     Some(forms),
-                    sim.map(|v| v.filter()),
+                    sim,
                 )
             }));
             delta.divide_nanos += nanos(t1);
@@ -193,9 +193,6 @@ impl SubstEngine<'_> {
         if self.opts.mode == SubstMode::ExtendedGdc {
             self.prepare_shadow(target);
         }
-        // `attempt` may have harvested refinement patterns; a frozen view
-        // needs them folded in.
-        self.flush_sim();
         self.ensure_forms(target);
         let first_gain = self.opts.acceptance == Acceptance::FirstGain;
         let timed = self.tracer.is_some() || self.metrics.is_some();
@@ -208,7 +205,7 @@ impl SubstEngine<'_> {
             _ => None,
         };
         let forms = self.forms.as_ref().expect("ensured above");
-        let sim = self.sim.as_ref().map(SimView::freeze);
+        let sim = self.sim.as_ref();
         let metrics = self.metrics.as_ref();
         if let Some(m) = metrics {
             m.sweep_epochs.inc();

@@ -52,7 +52,7 @@ impl<'n, 't> Session<'n, 't> {
     }
 
     /// Attaches a structured trace recorder: every pair attempt, pass,
-    /// shadow build, and sim refinement is recorded on `tracer`, labelled
+    /// shadow build, and guard check is recorded on `tracer`, labelled
     /// with the network's node names.
     #[must_use]
     pub fn tracer(mut self, tracer: &'t mut Tracer) -> Session<'n, 't> {

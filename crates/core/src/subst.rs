@@ -282,14 +282,13 @@ impl SubstOptions {
         self
     }
 
-    /// Sets a wall-clock deadline for the sweep. The same instant is
-    /// threaded into the guard config so a tier C SAT check derives its
+    /// Sets a wall-clock deadline for the sweep. The engine hands the
+    /// same instant to its guard so a tier C SAT check derives its
     /// conflict budget from the remaining time — one miter can never
     /// overrun the deadline the sweep is checking between attempts.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Instant) -> SubstOptions {
         self.deadline = Some(deadline);
-        self.guard.deadline = Some(deadline);
         self
     }
 
@@ -430,10 +429,8 @@ pub struct SubstStats {
     /// strategy refuted, no proof work run.
     pub sim_pairs_refuted: usize,
     /// Pairs the screen let through to at least one proof stage that the
-    /// full check then rejected anyway (refinement fuel).
+    /// full check then rejected anyway.
     pub sim_false_passes: usize,
-    /// Counterexample patterns harvested into the pattern pool.
-    pub sim_refinements: usize,
     /// Dividend cubes whose extended-division fault checks were skipped:
     /// the vote table is seeded only from wires surviving the screen.
     pub sim_ext_wires_skipped: usize,
@@ -526,11 +523,10 @@ impl fmt::Display for SubstStats {
         )?;
         writeln!(
             f,
-            "  sim screen             {:>8}  (refuted {}, false-pass {}, refined {}, ext-wires skipped {})",
+            "  sim screen             {:>8}  (refuted {}, false-pass {}, ext-wires skipped {})",
             self.sim_pairs_screened,
             self.sim_pairs_refuted,
             self.sim_false_passes,
-            self.sim_refinements,
             self.sim_ext_wires_skipped,
         )?;
         writeln!(
@@ -635,7 +631,6 @@ impl SubstStats {
             .sim_pairs_refuted
             .saturating_add(other.sim_pairs_refuted);
         self.sim_false_passes = self.sim_false_passes.saturating_add(other.sim_false_passes);
-        self.sim_refinements = self.sim_refinements.saturating_add(other.sim_refinements);
         self.sim_ext_wires_skipped = self
             .sim_ext_wires_skipped
             .saturating_add(other.sim_ext_wires_skipped);
@@ -691,7 +686,6 @@ impl SubstStats {
             .u64("sim_pairs_screened", u(self.sim_pairs_screened))
             .u64("sim_pairs_refuted", u(self.sim_pairs_refuted))
             .u64("sim_false_passes", u(self.sim_false_passes))
-            .u64("sim_refinements", u(self.sim_refinements))
             .u64("sim_ext_wires_skipped", u(self.sim_ext_wires_skipped))
             .u64("sim_patterns", u(self.sim_patterns))
             .u64("sim_words", u(self.sim_words))
@@ -1223,8 +1217,7 @@ pub(crate) fn apply_plan(
 
 /// Books a pair that produced no gain: with a filter present it either
 /// counts as a pure signature refutation (no proof stage ran) or as a
-/// false pass (at least one proof ran and rejected — refinement fuel for
-/// the engine).
+/// false pass (at least one proof ran and rejected).
 fn finish_unhelped(stats: &mut SubstStats, screened: bool, ran_proof: bool) -> Option<SubstPlan> {
     if screened {
         if ran_proof {

@@ -71,16 +71,6 @@ pub struct GuardConfig {
     /// Tier C solver budget. A zero [`SatOptions::conflict_budget`]
     /// disables tier C even under policies that would run it.
     pub sat: SatOptions,
-    /// Wall-clock deadline shared with the surrounding job/sweep. When
-    /// set, the tier C conflict budget is *derived from the remaining
-    /// time* before every SAT run (using the guard's observed
-    /// nanoseconds-per-conflict rate), so a single miter check can never
-    /// overrun the deadline by more than one conflict's worth of work.
-    /// When the window cannot afford even one conflict (or has already
-    /// passed), the check returns [`GuardDecision::OutOfTime`]: the
-    /// rewrite is refused and the sweep interrupts, rather than quietly
-    /// degrading the evidence to a sampled pass.
-    pub deadline: Option<Instant>,
 }
 
 impl Default for GuardConfig {
@@ -93,7 +83,6 @@ impl Default for GuardConfig {
             bdd_node_budget: 1 << 18,
             tier: TierPolicy::Auto,
             sat: SatOptions::default(),
-            deadline: None,
         }
     }
 }
@@ -173,7 +162,7 @@ pub enum GuardDecision {
         /// Name of the first mismatching primary output.
         output: String,
     },
-    /// The remaining [`GuardConfig::deadline`] window could not afford an
+    /// The remaining [`Guard::set_deadline`] window could not afford an
     /// exact tier C verdict (or a deadline-capped run came back unknown).
     /// This is a *refusal*, not a sampled pass: the caller must undo the
     /// unproven rewrite and treat the sweep as deadline-interrupted —
@@ -273,6 +262,8 @@ pub struct Guard {
     sampled_passes: u64,
     sat_skipped_deadline: u64,
     bdd_over_budget: u64,
+    /// Wall-clock deadline; see [`Guard::set_deadline`].
+    deadline: Option<Instant>,
     /// EWMA of observed tier C cost in nanoseconds per conflict, used to
     /// translate remaining deadline time into an affordable conflict
     /// budget. Seeded conservatively (20 µs/conflict ≈ the miter's
@@ -325,16 +316,24 @@ impl Guard {
             sampled_passes: 0,
             sat_skipped_deadline: 0,
             bdd_over_budget: 0,
+            deadline: None,
             sat_ns_per_conflict: SAT_NS_PER_CONFLICT_SEED,
             metrics: None,
         }
     }
 
-    /// Replaces the wall-clock deadline for subsequent checks (the other
-    /// tunables are untouched). A long-running service sets this per job
-    /// on a guard it reuses across jobs.
+    /// Sets the wall-clock deadline shared with the surrounding job or
+    /// sweep for subsequent checks (`None` until set). When set, the
+    /// tier C conflict budget is *derived from the remaining time* before
+    /// every SAT run (using the guard's observed nanoseconds-per-conflict
+    /// rate), so a single miter check can never overrun the deadline by
+    /// more than one conflict's worth of work. When the window cannot
+    /// afford even one conflict (or has already passed), the check
+    /// returns [`GuardDecision::OutOfTime`]: the rewrite is refused and
+    /// the sweep interrupts, rather than quietly degrading the evidence
+    /// to a sampled pass. [`Guard::adopt_config`] leaves it untouched.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.config.deadline = deadline;
+        self.deadline = deadline;
     }
 
     /// Adopts a new configuration while keeping the learned state (the
@@ -517,7 +516,7 @@ impl Guard {
 
     /// Tier C: Tseitin miter under the configured conflict budget,
     /// further capped by the remaining deadline time (see
-    /// [`GuardConfig::deadline`]). Returns `None` when tier C is disabled
+    /// [`Guard::set_deadline`]). Returns `None` when tier C is disabled
     /// or the *configured* budget runs dry — the caller degrades to a
     /// sampled pass. Returns [`GuardDecision::OutOfTime`] when the
     /// *deadline* is what stopped it (expired, cannot afford one
@@ -527,7 +526,7 @@ impl Guard {
         if self.config.sat.conflict_budget == 0 {
             return None;
         }
-        let remaining = match self.config.deadline {
+        let remaining = match self.deadline {
             Some(d) => {
                 let now = Instant::now();
                 if now >= d {
@@ -864,9 +863,9 @@ mod tests {
         let (pre, post) = wide_pair();
         let mut guard = Guard::new(GuardConfig {
             tier: TierPolicy::Sat,
-            deadline: Some(Instant::now() - Duration::from_secs(1)),
             ..GuardConfig::default()
         });
+        guard.set_deadline(Some(Instant::now() - Duration::from_secs(1)));
         let decision = guard.check(&pre, &post);
         assert_eq!(decision, GuardDecision::OutOfTime);
         assert!(!decision.passed(), "OutOfTime must refuse the rewrite");
@@ -882,9 +881,9 @@ mod tests {
         let (pre, post) = wide_pair();
         let mut guard = Guard::new(GuardConfig {
             tier: TierPolicy::Sat,
-            deadline: Some(Instant::now() + Duration::from_secs(3600)),
             ..GuardConfig::default()
         });
+        guard.set_deadline(Some(Instant::now() + Duration::from_secs(3600)));
         assert_eq!(
             guard.check(&pre, &post),
             GuardDecision::RefutedSat {
@@ -952,7 +951,6 @@ mod tests {
         guard.adopt_config(GuardConfig {
             exact_node_limit: 1,
             tier: TierPolicy::Sim,
-            deadline: Some(Instant::now()),
             ..GuardConfig::default()
         });
         assert_eq!(guard.pools.len(), 1, "pool cache must survive re-tuning");

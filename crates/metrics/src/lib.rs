@@ -9,9 +9,6 @@
 //!   instruments handed out by a [`MetricsHandle`]-shared [`Registry`].
 //!   Handles are resolved once (one interning lookup) and then every
 //!   hot-path update is a single relaxed atomic op.
-//! - [`Region`] (via [`MetricsHandle::region`]): scoped hierarchical
-//!   profiling regions that roll wall-time and invocation counts up
-//!   into dotted `perf.<path>.{calls,ns}` counters.
 //! - [`mem`]: a counting global allocator behind the `mem-profile`
 //!   feature, plus helpers to publish live/peak byte gauges.
 //! - Sinks: [`prometheus_string`] (text exposition format),
@@ -31,13 +28,11 @@
 
 pub mod heartbeat;
 pub mod mem;
-pub mod perf;
 pub mod prometheus;
 pub mod registry;
 pub mod snapshot;
 
 pub use heartbeat::{format_tick, Heartbeat, TickState};
-pub use perf::Region;
 pub use prometheus::prometheus_string;
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsHandle, Registry, Snapshot,

@@ -17,10 +17,10 @@
 //! The index is a pure accelerator: collisions and misses only change
 //! *which* pairs get proposed, never what the division proof accepts. It
 //! participates in the same invalidation discipline as [`SimTable`]: it
-//! records the network version and pool size it was built against, is
-//! patched incrementally from the changed-row list [`SimTable::patch`]
-//! returns, and falls back to a full rebuild whenever the recorded state
-//! cannot be proven current (foreign edit, pool growth).
+//! records the network version it was built against, is patched
+//! incrementally from the changed-row list [`SimTable::patch`] returns,
+//! and falls back to a full rebuild whenever the recorded state cannot be
+//! proven current (a foreign edit such as a rollback).
 //!
 //! [`SimTable`]: crate::SimTable
 //! [`SimTable::patch`]: crate::SimTable::patch
@@ -96,15 +96,13 @@ const TRUNC_SEED: u64 = 0x5167_C1A5_5E5B_0002;
 /// Build or refresh with [`SignatureBuckets::ensure`], carry across an
 /// accepted edit with [`SignatureBuckets::apply_commit`], query with
 /// [`SignatureBuckets::propose`], and audit with
-/// [`SignatureBuckets::matches_rebuild`]. The filter handed to every
-/// method must be flushed ([`SimFilter::is_flushed`]); keys derived from
-/// half-simulated tail words would silently misfile nodes.
+/// [`SignatureBuckets::matches_rebuild`]. Every method must be handed the
+/// same [`SimFilter`]: the index records only the network version, which
+/// proves it current for one fixed pattern pool.
 #[derive(Debug, Default)]
 pub struct SignatureBuckets {
     /// Network version the index matches; `None` until first built.
     version: Option<u64>,
-    /// Pool pattern count the keys were derived from.
-    patterns: usize,
     /// Equality key → member ids, each vec sorted.
     eq: HashMap<u64, Vec<NodeId>>,
     /// Truncated key → member ids, each vec sorted.
@@ -140,10 +138,10 @@ impl SignatureBuckets {
         self.rebuilds
     }
 
-    /// True when the index provably matches `net` and the filter's pool.
+    /// True when the index provably matches `net`.
     #[must_use]
-    pub fn is_current(&self, net: &Network, filter: &SimFilter) -> bool {
-        self.version == Some(net.version()) && self.patterns == filter.patterns()
+    pub fn is_current(&self, net: &Network) -> bool {
+        self.version == Some(net.version())
     }
 
     /// Canonical (equality, truncated) keys for one node's signature.
@@ -211,23 +209,20 @@ impl SignatureBuckets {
             self.insert(id, keys);
         }
         self.version = Some(net.version());
-        self.patterns = filter.patterns();
         self.rebuilds += 1;
     }
 
     /// Brings the index up to date by rebuilding unless it provably
-    /// matches the current network and pool. The cheap path across an
-    /// accepted edit is [`SignatureBuckets::apply_commit`]; `ensure` is
-    /// the catch-all for first use, pool growth, and foreign edits
-    /// (rollbacks) the caller has no changed-row list for.
+    /// matches the current network. The cheap path across an accepted
+    /// edit is [`SignatureBuckets::apply_commit`]; `ensure` is the
+    /// catch-all for first use and foreign edits (rollbacks) the caller
+    /// has no changed-row list for.
     ///
     /// # Panics
     ///
-    /// Panics if the filter has patterns pending a flush, or if its table
-    /// is stale relative to `net`.
+    /// Panics if the filter's table is stale relative to `net`.
     pub fn ensure(&mut self, net: &Network, filter: &SimFilter) {
-        assert!(filter.is_flushed(), "flush() patterns before ensure");
-        if !self.is_current(net, filter) {
+        if !self.is_current(net) {
             self.rebuild(net, filter);
         }
     }
@@ -237,13 +232,12 @@ impl SignatureBuckets {
     /// the changed-row list [`crate::SimFilter::patch`] returned for it —
     /// possibly empty, since a substitution preserves the target's
     /// function and often no signature moves at all. If the index was not
-    /// exactly at `pre_version` with an unchanged pool (a rollback or
-    /// refinement intervened), it rebuilds instead.
+    /// exactly at `pre_version` (a rollback intervened), it rebuilds
+    /// instead.
     ///
     /// # Panics
     ///
-    /// Panics if the filter has patterns pending a flush, or if its table
-    /// is stale relative to `net`.
+    /// Panics if the filter's table is stale relative to `net`.
     pub fn apply_commit(
         &mut self,
         net: &Network,
@@ -251,11 +245,10 @@ impl SignatureBuckets {
         pre_version: u64,
         changed: &[NodeId],
     ) {
-        assert!(filter.is_flushed(), "flush() patterns before apply_commit");
-        if self.is_current(net, filter) {
+        if self.is_current(net) {
             return;
         }
-        if self.version != Some(pre_version) || self.patterns != filter.patterns() {
+        if self.version != Some(pre_version) {
             self.rebuild(net, filter);
             return;
         }
@@ -278,7 +271,7 @@ impl SignatureBuckets {
     ///
     /// # Panics
     ///
-    /// Panics if the index is not current for `net` and `filter` (call
+    /// Panics if the index is not current for `net` (call
     /// [`SignatureBuckets::ensure`] first).
     #[must_use]
     pub fn propose(
@@ -290,7 +283,7 @@ impl SignatureBuckets {
         cursor: Option<NodeId>,
     ) -> Proposal {
         assert!(
-            self.is_current(net, filter),
+            self.is_current(net),
             "SignatureBuckets: sync() before propose()"
         );
         let mut out = Proposal::default();
@@ -347,8 +340,7 @@ impl SignatureBuckets {
     /// proportional to `rows`, mirroring [`SimFilter::audit`] — the full
     /// [`SignatureBuckets::matches_rebuild`] sweep is for tests.
     pub fn audit_rows(&mut self, net: &Network, filter: &SimFilter, rows: &[NodeId]) -> bool {
-        assert!(filter.is_flushed(), "flush() patterns before audit_rows");
-        let ok = self.is_current(net, filter)
+        let ok = self.is_current(net)
             && rows.iter().all(|&id| {
                 let live = net.node_opt(id).is_some_and(|n| !n.is_input());
                 match self.membership.get(&id) {
@@ -380,7 +372,7 @@ impl SignatureBuckets {
     /// caller should rebuild and treat it as a fault).
     #[must_use]
     pub fn matches_rebuild(&self, net: &Network, filter: &SimFilter) -> bool {
-        if !self.is_current(net, filter) {
+        if !self.is_current(net) {
             return false;
         }
         let mut fresh = SignatureBuckets::new();

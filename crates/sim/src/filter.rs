@@ -1,23 +1,11 @@
-//! The engine-facing filter: screening and counterexample refinement.
+//! The engine-facing filter: the refute-only cover screen.
 
-use crate::pool::{xorshift, PatternPool};
+use crate::pool::PatternPool;
 use crate::table::SimTable;
 use crate::SimConfig;
 use boolsubst_cube::{Cover, Phase};
 use boolsubst_metrics::{Counter, MetricsHandle};
-use boolsubst_network::{EvalScratch, Network, NodeId, SideTables};
-use std::collections::HashMap;
-
-/// Instruments resolved once at [`SimFilter::attach_metrics`] time.
-/// Counters are atomic, so the read-only screening surface (shared
-/// with sweep workers through `SimView`) can book screens through
-/// `&self`. Observation only — screen verdicts are unaffected.
-#[derive(Debug, Clone)]
-struct SimMetrics {
-    screens: Counter,
-    refine_attempts: Counter,
-    refinements: Counter,
-}
+use boolsubst_network::{Network, NodeId, SideTables};
 
 /// Per-cube witness flags for one `(cover, divisor)` screen.
 ///
@@ -52,26 +40,29 @@ impl CoverScreen {
     }
 }
 
-/// The engine's simulation filter: pattern pool, signature table, and the
-/// counterexample-refinement machinery, behind one façade.
+/// The engine's simulation filter: the fixed pattern pool and the
+/// signature table over it, behind one façade.
+///
+/// Screening takes `&self` and is a pure function of the network and the
+/// pool, so the parallel sweep's workers share one `&SimFilter`; only
+/// [`SimFilter::patch`] and [`SimFilter::rebuild`], which follow network
+/// edits on the committer, mutate it.
 #[derive(Debug, Clone)]
 pub struct SimFilter {
-    config: SimConfig,
     pool: PatternPool,
     table: SimTable,
-    scratch: EvalScratch,
-    rng: u64,
-    refinements: usize,
-    /// Refinement *attempts*, successful or not. Bounded separately from
-    /// `refinements` so that pairs whose witness genuinely does not exist
-    /// (e.g. true containments that merely yielded no gain) cannot burn
-    /// justification and simulation work on every false pass.
-    attempts: usize,
-    /// Lowest signature word invalidated by pool growth since the last
-    /// [`SimFilter::flush`].
-    pending_from: Option<usize>,
-    metrics: Option<SimMetrics>,
+    /// `sim.screens`, resolved at [`SimFilter::attach_metrics`] time. The
+    /// counter is atomic, so screens book through `&self`. Observation
+    /// only — screen verdicts are unaffected.
+    screens: Option<Counter>,
 }
+
+// Worker threads share one filter per epoch, so it must stay `Sync`.
+// Compile-time pin:
+const _: fn() = || {
+    fn sync_only<T: Sync>() {}
+    sync_only::<SimFilter>();
+};
 
 impl SimFilter {
     /// Builds the pool and simulates the network.
@@ -86,36 +77,23 @@ impl SimFilter {
         let pool = if config.exhaustive {
             PatternPool::exhaustive(n)
         } else {
-            let reserve = config.reserve_words.min(config.words.saturating_sub(1));
-            let base = config.words.max(1) - reserve;
-            PatternPool::random(n, base, reserve, config.seed)
+            PatternPool::random(n, config.words, 0, config.seed)
         };
         let table = SimTable::build(net, &pool);
         SimFilter {
-            config: *config,
             pool,
             table,
-            scratch: EvalScratch::default(),
-            rng: config.seed ^ 0x9E37_79B9_7F4A_7C15,
-            refinements: 0,
-            attempts: 0,
-            pending_from: None,
-            metrics: None,
+            screens: None,
         }
     }
 
     /// Attaches a metrics registry: every subsequent screen books
-    /// `sim.screens`, and refinement work books
-    /// `sim.refine_attempts` / `sim.refinements` (pool growth).
+    /// `sim.screens`.
     pub fn attach_metrics(&mut self, handle: &MetricsHandle) {
-        self.metrics = Some(SimMetrics {
-            screens: handle.counter("sim.screens"),
-            refine_attempts: handle.counter("sim.refine_attempts"),
-            refinements: handle.counter("sim.refinements"),
-        });
+        self.screens = Some(handle.counter("sim.screens"));
     }
 
-    /// Number of patterns currently in the pool.
+    /// Number of patterns in the pool.
     #[must_use]
     pub fn patterns(&self) -> usize {
         self.pool.patterns()
@@ -125,12 +103,6 @@ impl SimFilter {
     #[must_use]
     pub fn words(&self) -> usize {
         self.pool.words()
-    }
-
-    /// Number of counterexample patterns harvested so far.
-    #[must_use]
-    pub fn refinements(&self) -> usize {
-        self.refinements
     }
 
     /// The pattern pool behind the filter (validity masks for the
@@ -149,30 +121,12 @@ impl SimFilter {
         self.table.sig(net, id)
     }
 
-    /// Re-simulates the tail words invalidated by harvested patterns.
-    /// Must be called before screening once patterns were added; a no-op
-    /// otherwise.
-    pub fn flush(&mut self, net: &Network) {
-        if let Some(from) = self.pending_from.take() {
-            self.table.resim_tail(net, &self.pool, from);
-        }
-    }
-
     /// Patches the signature table after an engine edit; `side` must
     /// already be synchronised. `seeds` are the rewired node ids. Returns
     /// the ids whose signature row actually changed (see
     /// [`SimTable::patch`]) so derived indexes can re-key exactly those.
     pub fn patch(&mut self, net: &Network, side: &SideTables, seeds: &[NodeId]) -> Vec<NodeId> {
         self.table.patch(net, side, &self.pool, seeds)
-    }
-
-    /// True when no harvested patterns are pending a [`SimFilter::flush`]
-    /// — i.e. every cached signature word is current. Signature-class
-    /// indexes must only be (re)built in this state, or bucket keys would
-    /// bake in rotten tail words.
-    #[must_use]
-    pub fn is_flushed(&self) -> bool {
-        self.pending_from.is_none()
     }
 
     /// Integrity audit (checked mode): re-derives each given node's cached
@@ -182,19 +136,15 @@ impl SimFilter {
     ///
     /// # Panics
     ///
-    /// Panics if the table is stale or patterns are pending a
-    /// [`SimFilter::flush`].
+    /// Panics if the table is stale.
     #[must_use]
     pub fn audit(&self, net: &Network, ids: &[NodeId]) -> bool {
-        assert!(self.pending_from.is_none(), "flush() patterns first");
         ids.iter().all(|&id| self.table.audit(net, &self.pool, id))
     }
 
-    /// Rebuilds the signature table from scratch (deterministic repair
-    /// after a failed audit; the pool, including harvested counterexample
-    /// patterns, is kept).
+    /// Rebuilds the signature table from scratch over the same pool
+    /// (deterministic repair after a failed audit).
     pub fn rebuild(&mut self, net: &Network) {
-        self.pending_from = None;
         self.table = SimTable::build(net, &self.pool);
     }
 
@@ -213,8 +163,7 @@ impl SimFilter {
     ///
     /// # Panics
     ///
-    /// Panics if the table is stale or patterns are pending a
-    /// [`SimFilter::flush`].
+    /// Panics if the table is stale.
     #[must_use]
     pub fn screen_cover(
         &self,
@@ -223,18 +172,16 @@ impl SimFilter {
         vars: &[NodeId],
         divisor: NodeId,
     ) -> CoverScreen {
-        assert!(self.pending_from.is_none(), "flush() patterns first");
-        if let Some(m) = &self.metrics {
-            m.screens.inc();
+        if let Some(screens) = &self.screens {
+            screens.inc();
         }
-        let words = self.pool.words();
         let d = self.table.sig(net, divisor);
         let mut wit_div0 = vec![false; cover.len()];
         let mut wit_div1 = vec![false; cover.len()];
         for (ci, cube) in cover.cubes().iter().enumerate() {
             let mut w0 = false;
             let mut w1 = false;
-            'words: for (w, &dw) in d.iter().enumerate().take(words) {
+            'words: for (w, &dw) in d.iter().enumerate() {
                 // Start from the validity mask so complemented literals
                 // cannot leak set bits beyond the pool.
                 let mut acc = self.pool.mask(w);
@@ -261,201 +208,6 @@ impl SimFilter {
             wit_div1[ci] = w1;
         }
         CoverScreen { wit_div0, wit_div1 }
-    }
-
-    /// Counterexample-guided refinement after a *false pass*: the screen
-    /// let the pair `(target, divisor)` through, but the full check
-    /// rejected it. Tries to harvest one input pattern that sets an
-    /// unwitnessed cube of `target` to 1 with `divisor` at 0, so the next
-    /// screen of a similar pair refutes without proof work.
-    ///
-    /// Justification is greedy and bounded; every candidate pattern is
-    /// verified by simulation before entering the pool, so a wrong guess
-    /// costs a miss, never soundness. Returns true if the pool grew.
-    pub fn refine_from_false_pass(
-        &mut self,
-        net: &Network,
-        target: NodeId,
-        divisor: NodeId,
-    ) -> bool {
-        if self.refinements >= self.config.max_refinements
-            || self.attempts >= self.config.max_refinements
-            || self.pool.patterns() >= self.pool.capacity()
-        {
-            return false;
-        }
-        self.attempts += 1;
-        if let Some(m) = &self.metrics {
-            m.refine_attempts.inc();
-        }
-        self.flush(net);
-        let node = net.node(target);
-        let Some(cover) = node.cover() else {
-            return false;
-        };
-        let fanins = node.fanins().to_vec();
-        let screen = self.screen_cover(net, cover, &fanins, divisor);
-        let Some(ci) = screen.wit_div0.iter().position(|&w| !w) else {
-            return false;
-        };
-        let cube = cover.cubes()[ci].clone();
-
-        // Justify "cube = 1" backwards to the primary inputs.
-        let mut desired: HashMap<NodeId, bool> = HashMap::new();
-        let mut budget = 256usize;
-        for lit in cube.lits() {
-            let want = matches!(lit.phase, Phase::Pos);
-            if !justify(net, fanins[lit.var], want, &mut desired, &mut budget) {
-                return false;
-            }
-        }
-
-        // Fill the unconstrained inputs randomly and verify by simulation:
-        // accept only a pattern that really exhibits cube = 1 ∧ d = 0.
-        let n = net.inputs().len();
-        for _ in 0..2 {
-            let inputs: Vec<bool> = net
-                .inputs()
-                .iter()
-                .map(|pi| {
-                    desired
-                        .get(pi)
-                        .copied()
-                        .unwrap_or_else(|| xorshift(&mut self.rng) & 1 == 1)
-                })
-                .collect();
-            debug_assert_eq!(inputs.len(), n);
-            let values = net.eval_into(&inputs, &mut self.scratch);
-            let cube_on = cube
-                .lits()
-                .all(|l| values[fanins[l.var].index()] == matches!(l.phase, Phase::Pos));
-            if cube_on && !values[divisor.index()] {
-                if let Some(w) = self.pool.add_pattern(&inputs) {
-                    self.pending_from = Some(self.pending_from.map_or(w, |p| p.min(w)));
-                    self.refinements += 1;
-                    if let Some(m) = &self.metrics {
-                        m.refinements.inc();
-                    }
-                    return true;
-                }
-                return false;
-            }
-        }
-        false
-    }
-}
-
-/// A frozen, read-only screening view over a [`SimFilter`], shareable
-/// across the parallel sweep's worker threads.
-///
-/// The view exposes exactly the filter surface whose answers are pure
-/// functions of the shared state — the signature table over the shared
-/// [`PatternPool`] — and none of the mutating machinery (flush, patch,
-/// refinement). Construction asserts that no harvested patterns are
-/// pending, so every screen taken through the view is identical to one
-/// taken through the filter itself at freeze time.
-#[derive(Debug, Clone, Copy)]
-pub struct SimView<'a> {
-    filter: &'a SimFilter,
-}
-
-// Worker threads share one view per epoch; the underlying filter must
-// stay free of interior mutability for that to be sound. Compile-time pin:
-const _: fn() = || {
-    fn sync_only<T: Sync>() {}
-    sync_only::<SimFilter>();
-    sync_only::<SimView<'_>>();
-};
-
-impl<'a> SimView<'a> {
-    /// Freezes `filter` for shared read-only screening.
-    ///
-    /// # Panics
-    ///
-    /// Panics if patterns are pending a [`SimFilter::flush`] — a frozen
-    /// view of an unflushed filter would screen against rotten tails.
-    #[must_use]
-    pub fn freeze(filter: &'a SimFilter) -> SimView<'a> {
-        assert!(filter.pending_from.is_none(), "flush() patterns first");
-        SimView { filter }
-    }
-
-    /// Read-only [`SimFilter::screen_cover`] against the frozen state.
-    #[must_use]
-    pub fn screen_cover(
-        &self,
-        net: &Network,
-        cover: &Cover,
-        vars: &[NodeId],
-        divisor: NodeId,
-    ) -> CoverScreen {
-        self.filter.screen_cover(net, cover, vars, divisor)
-    }
-
-    /// The underlying filter, for call sites that only hold the view.
-    #[must_use]
-    pub fn filter(&self) -> &'a SimFilter {
-        self.filter
-    }
-}
-
-/// Greedy bounded backward justification of `node = value`. Records the
-/// chosen assignments in `desired`; conflicts or an exhausted budget fail
-/// the whole attempt (the caller's simulation check is the safety net).
-fn justify(
-    net: &Network,
-    node: NodeId,
-    value: bool,
-    desired: &mut HashMap<NodeId, bool>,
-    budget: &mut usize,
-) -> bool {
-    if *budget == 0 {
-        return false;
-    }
-    *budget -= 1;
-    if let Some(&v) = desired.get(&node) {
-        return v == value;
-    }
-    desired.insert(node, value);
-    let n = net.node(node);
-    let Some(cover) = n.cover() else {
-        return true; // primary input: freely assignable
-    };
-    let fanins = n.fanins();
-    if value {
-        // Satisfy the first cube (greedy: no backtracking across cubes).
-        let Some(cube) = cover.cubes().first() else {
-            return false; // constant-0 node cannot be driven to 1
-        };
-        cube.lits().all(|l| {
-            justify(
-                net,
-                fanins[l.var],
-                matches!(l.phase, Phase::Pos),
-                desired,
-                budget,
-            )
-        })
-    } else {
-        // Falsify every cube: find or create one opposing literal each.
-        'cubes: for cube in cover.cubes() {
-            for l in cube.lits() {
-                let want = matches!(l.phase, Phase::Pos);
-                if desired.get(&fanins[l.var]) == Some(&!want) {
-                    continue 'cubes;
-                }
-            }
-            for l in cube.lits() {
-                let want = matches!(l.phase, Phase::Pos);
-                if !desired.contains_key(&fanins[l.var])
-                    && justify(net, fanins[l.var], !want, desired, budget)
-                {
-                    continue 'cubes;
-                }
-            }
-            return false; // cube forced on by prior choices
-        }
-        true
     }
 }
 
@@ -494,35 +246,5 @@ mod tests {
         // abc = 1 forces g = a' = 0: the div0 witness exists, div1 cannot.
         assert!(screen.refutes_containment_in_divisor());
         assert!(!screen.refutes_containment_in_complement());
-    }
-
-    #[test]
-    fn refinement_grows_pool_when_witness_missing() {
-        let (net, f, g) = craft();
-        // One seeded word, one reserve word. Seed chosen so the 64 random
-        // patterns miss a = b = c = 1 (verified by the assert below).
-        let config = SimConfig {
-            words: 2,
-            reserve_words: 1,
-            seed: 0x00C0_FFEE,
-            ..SimConfig::default()
-        };
-        let mut filter = SimFilter::new(&net, &config);
-        let cover = net.node(f).cover().expect("cover").clone();
-        let fanins = net.node(f).fanins().to_vec();
-        let before = filter.screen_cover(&net, &cover, &fanins, g);
-        assert!(
-            !before.refutes_containment_in_divisor(),
-            "seed must miss the witness for this regression test"
-        );
-        let patterns_before = filter.patterns();
-        assert!(filter.refine_from_false_pass(&net, f, g));
-        assert_eq!(filter.patterns(), patterns_before + 1);
-        filter.flush(&net);
-        let after = filter.screen_cover(&net, &cover, &fanins, g);
-        assert!(
-            after.refutes_containment_in_divisor(),
-            "harvested pattern must sharpen the screen"
-        );
     }
 }

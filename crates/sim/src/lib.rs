@@ -16,11 +16,12 @@
 //! Because a refutation is an exact evaluation of both functions on a
 //! concrete assignment, the screen is sound for *any* pattern pool: the
 //! pool's quality only affects how many incompatible pairs are caught
-//! early, never correctness. That also makes counterexample-guided
-//! refinement safe — when the screen passes a pair the full check then
-//! rejects (a *false pass*), [`SimFilter::refine_from_false_pass`]
-//! harvests a distinguishing assignment into the pool, sharpening the
-//! filter as the sweep runs.
+//! early, never correctness.
+//!
+//! The pool is fixed for the life of a filter: signatures change only
+//! when [`SimTable::patch`] follows a network edit, so every screen
+//! verdict is a pure function of the network and the seed — the same
+//! whichever thread takes it, in whatever order.
 //!
 //! The signature table is maintained incrementally across engine edits
 //! with the same version-checked patch protocol as
@@ -39,7 +40,7 @@ mod pool;
 mod table;
 
 pub use classes::{sig_compatible, Proposal, SignatureBuckets};
-pub use filter::{CoverScreen, SimFilter, SimView};
+pub use filter::{CoverScreen, SimFilter};
 pub use pool::PatternPool;
 pub use table::SimTable;
 
@@ -49,30 +50,23 @@ pub use table::SimTable;
 pub struct SimConfig {
     /// Master switch; when false the engine builds no filter at all.
     pub enabled: bool,
-    /// Total signature width in 64-bit words (including reserve).
+    /// Signature width in 64-bit words: `64 × words` seeded patterns.
     pub words: usize,
-    /// Tail words kept empty at start as capacity for harvested
-    /// counterexample patterns. Clamped to `words - 1`.
-    pub reserve_words: usize,
-    /// Seed for the deterministic pattern pool and refinement fills.
+    /// Seed for the deterministic pattern pool.
     pub seed: u64,
-    /// Ignore `words`/`reserve_words` and enumerate all `2^n` input
-    /// minterms (networks with at most 16 inputs). Intended for tests:
-    /// an exhaustive pool makes the refute-only screen *exact*.
+    /// Ignore `words` and enumerate all `2^n` input minterms (networks
+    /// with at most 16 inputs). Intended for tests: an exhaustive pool
+    /// makes the refute-only screen *exact*.
     pub exhaustive: bool,
-    /// Upper bound on harvested counterexample patterns per run.
-    pub max_refinements: usize,
 }
 
 impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig {
             enabled: true,
-            words: 4,
-            reserve_words: 1,
+            words: 3,
             seed: 0x5EED_B001_0001,
             exhaustive: false,
-            max_refinements: 64,
         }
     }
 }
@@ -87,7 +81,7 @@ impl SimConfig {
         }
     }
 
-    /// An exhaustive configuration: all `2^n` minterms, no reserve.
+    /// An exhaustive configuration: all `2^n` minterms.
     #[must_use]
     pub fn exhaustive() -> SimConfig {
         SimConfig {

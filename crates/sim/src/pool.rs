@@ -5,11 +5,9 @@
 /// `Network::inputs()` order. Bit `b` of word `w` across all inputs spells
 /// out pattern number `w * 64 + b`.
 ///
-/// The pool starts with `64 × (words - reserve)` seeded patterns and grows
-/// one pattern at a time via [`PatternPool::add_pattern`] (counterexample
-/// refinement) until all `64 × words` slots are used. Bits beyond
-/// [`PatternPool::patterns`] are kept zero in every signature; the
-/// per-word validity mask is [`PatternPool::mask`].
+/// The pool is fixed once built. Bits beyond [`PatternPool::patterns`]
+/// are kept zero in every signature; the per-word validity mask is
+/// [`PatternPool::mask`].
 #[derive(Debug, Clone)]
 pub struct PatternPool {
     words: usize,
@@ -18,7 +16,7 @@ pub struct PatternPool {
 }
 
 /// xorshift64* step — the same dependency-free PRNG used across the repo.
-pub(crate) fn xorshift(state: &mut u64) -> u64 {
+fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state >> 12;
     *state ^= *state << 25;
     *state ^= *state >> 27;
@@ -26,17 +24,19 @@ pub(crate) fn xorshift(state: &mut u64) -> u64 {
 }
 
 impl PatternPool {
-    /// A pool of `64 * base_words` seeded random patterns with
-    /// `reserve_words * 64` extra slots of growth capacity.
+    /// A pool of `64 * base_words` seeded random patterns, followed by
+    /// `pad_words` empty (fully masked) words. Padding draws nothing from
+    /// the generator, so the seeded patterns depend only on `base_words`
+    /// and `seed`.
     ///
     /// Seeded words cycle through three bit densities — 1/2, 3/4, 1/4 —
     /// so that wide cubes (which a uniform pattern almost never turns on)
     /// still fire in the biased words and can collect refutation
     /// witnesses. Word 0 is always the uniform one.
     #[must_use]
-    pub fn random(num_inputs: usize, base_words: usize, reserve_words: usize, seed: u64) -> Self {
+    pub fn random(num_inputs: usize, base_words: usize, pad_words: usize, seed: u64) -> Self {
         let base_words = base_words.max(1);
-        let words = base_words + reserve_words;
+        let words = base_words + pad_words;
         let mut state = seed | 1;
         let sigs = (0..num_inputs)
             .map(|_| {
@@ -108,12 +108,6 @@ impl PatternPool {
         self.filled
     }
 
-    /// Maximum number of patterns the pool can hold.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.words * 64
-    }
-
     /// Validity mask for word `w`: bit `b` is set iff pattern `w*64 + b`
     /// exists. Signatures must stay zero outside this mask so that
     /// complemented signatures can be re-masked with a single AND.
@@ -133,29 +127,6 @@ impl PatternPool {
     #[must_use]
     pub fn input_sig(&self, k: usize) -> &[u64] {
         &self.sigs[k]
-    }
-
-    /// Appends one pattern (`assignment[k]` is the value of input `k`).
-    /// Returns the word index the pattern landed in, or `None` when the
-    /// pool is at capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment.len()` differs from the pool's input count.
-    pub fn add_pattern(&mut self, assignment: &[bool]) -> Option<usize> {
-        assert_eq!(assignment.len(), self.sigs.len(), "wrong input count");
-        if self.filled >= self.capacity() {
-            return None;
-        }
-        let w = self.filled / 64;
-        let b = self.filled % 64;
-        for (sig, &v) in self.sigs.iter_mut().zip(assignment) {
-            if v {
-                sig[w] |= 1 << b;
-            }
-        }
-        self.filled += 1;
-        Some(w)
     }
 }
 
@@ -179,24 +150,18 @@ mod tests {
         }
     }
 
+    /// Padding words are empty and draw nothing from the generator: the
+    /// seeded words of a padded pool equal those of an unpadded one.
     #[test]
-    fn add_pattern_grows_into_reserve() {
-        let mut pool = PatternPool::random(2, 1, 1, 42);
-        assert_eq!(pool.patterns(), 64);
-        assert_eq!(pool.capacity(), 128);
-        assert_eq!(pool.mask(1), 0);
-        let w = pool.add_pattern(&[true, false]).expect("capacity");
-        assert_eq!(w, 1);
-        assert_eq!(pool.patterns(), 65);
-        assert_eq!(pool.mask(1), 1);
-        assert_eq!(pool.input_sig(0)[1] & 1, 1);
-        assert_eq!(pool.input_sig(1)[1] & 1, 0);
-    }
-
-    #[test]
-    fn pool_is_full_at_capacity() {
-        let mut pool = PatternPool::random(1, 1, 0, 7);
-        assert_eq!(pool.patterns(), pool.capacity());
-        assert!(pool.add_pattern(&[true]).is_none());
+    fn pad_words_leave_seeded_patterns_unchanged() {
+        let plain = PatternPool::random(5, 3, 0, 42);
+        let padded = PatternPool::random(5, 3, 1, 42);
+        assert_eq!(plain.patterns(), 192);
+        assert_eq!(padded.patterns(), 192);
+        assert_eq!(padded.mask(3), 0);
+        for k in 0..5 {
+            assert_eq!(&padded.input_sig(k)[..3], plain.input_sig(k));
+            assert_eq!(padded.input_sig(k)[3], 0);
+        }
     }
 }

@@ -21,10 +21,6 @@ pub struct SimTable {
     sigs: Vec<u64>,
     /// Position of each primary input in `Network::inputs()` order.
     input_pos: HashMap<NodeId, usize>,
-    /// Cached topological order for whole-table passes, keyed on the
-    /// network version (orders survive pool growth but not edits).
-    order: Vec<NodeId>,
-    order_version: u64,
 }
 
 impl SimTable {
@@ -42,20 +38,11 @@ impl SimTable {
                 .enumerate()
                 .map(|(k, &id)| (id, k))
                 .collect(),
-            order: net.topo_order(),
-            order_version: net.version(),
         };
-        for i in 0..table.order.len() {
-            let id = table.order[i];
-            table.recompute(net, pool, id, 0);
+        for id in net.topo_order() {
+            table.recompute(net, pool, id);
         }
         table
-    }
-
-    /// Signature width in words.
-    #[must_use]
-    pub fn words(&self) -> usize {
-        self.words
     }
 
     /// The signature row of `id`.
@@ -73,49 +60,44 @@ impl SimTable {
         &self.sigs[id.index() * self.words..(id.index() + 1) * self.words]
     }
 
-    /// Recomputes words `from..words` of `id`'s signature from its fanins'
-    /// current rows; returns true if any word changed.
-    fn recompute(&mut self, net: &Network, pool: &PatternPool, id: NodeId, from: usize) -> bool {
+    /// Word `w` of `id`'s signature derived from its fanins' cached rows
+    /// (or the pool, for a primary input).
+    fn derive(&self, net: &Network, pool: &PatternPool, id: NodeId, w: usize) -> u64 {
         let node = net.node(id);
-        let base = id.index() * self.words;
-        let mut changed = false;
-        match node.cover() {
-            None => {
-                let k = self.input_pos[&id];
-                let src = pool.input_sig(k);
-                for (w, &s) in src.iter().enumerate().take(self.words).skip(from) {
-                    if self.sigs[base + w] != s {
-                        self.sigs[base + w] = s;
-                        changed = true;
-                    }
+        let Some(cover) = node.cover() else {
+            return pool.input_sig(self.input_pos[&id])[w];
+        };
+        let fanins = node.fanins();
+        let mut or = 0u64;
+        for cube in cover.cubes() {
+            // Starting from the validity mask keeps bits beyond the pool
+            // zero even through complemented literals.
+            let mut acc = pool.mask(w);
+            for lit in cube.lits() {
+                let s = self.sigs[fanins[lit.var].index() * self.words + w];
+                acc &= match lit.phase {
+                    Phase::Pos => s,
+                    Phase::Neg => !s,
+                };
+                if acc == 0 {
+                    break;
                 }
             }
-            Some(cover) => {
-                let fanins = node.fanins();
-                for w in from..self.words {
-                    let mask = pool.mask(w);
-                    let mut or = 0u64;
-                    for cube in cover.cubes() {
-                        // Starting from the validity mask keeps bits beyond
-                        // the pool zero even through complemented literals.
-                        let mut acc = mask;
-                        for lit in cube.lits() {
-                            let s = self.sigs[fanins[lit.var].index() * self.words + w];
-                            acc &= match lit.phase {
-                                Phase::Pos => s,
-                                Phase::Neg => !s,
-                            };
-                            if acc == 0 {
-                                break;
-                            }
-                        }
-                        or |= acc;
-                    }
-                    if self.sigs[base + w] != or {
-                        self.sigs[base + w] = or;
-                        changed = true;
-                    }
-                }
+            or |= acc;
+        }
+        or
+    }
+
+    /// Recomputes `id`'s signature from its fanins' current rows; returns
+    /// true if any word changed.
+    fn recompute(&mut self, net: &Network, pool: &PatternPool, id: NodeId) -> bool {
+        let base = id.index() * self.words;
+        let mut changed = false;
+        for w in 0..self.words {
+            let v = self.derive(net, pool, id, w);
+            if self.sigs[base + w] != v {
+                self.sigs[base + w] = v;
+                changed = true;
             }
         }
         changed
@@ -133,36 +115,8 @@ impl SimTable {
     #[must_use]
     pub fn audit(&self, net: &Network, pool: &PatternPool, id: NodeId) -> bool {
         self.stamp.check(net, "SimTable");
-        let node = net.node(id);
         let row = self.row(id);
-        match node.cover() {
-            None => {
-                let src = pool.input_sig(self.input_pos[&id]);
-                (0..self.words).all(|w| row[w] == src[w])
-            }
-            Some(cover) => {
-                let fanins = node.fanins();
-                (0..self.words).all(|w| {
-                    let mask = pool.mask(w);
-                    let mut or = 0u64;
-                    for cube in cover.cubes() {
-                        let mut acc = mask;
-                        for lit in cube.lits() {
-                            let s = self.sigs[fanins[lit.var].index() * self.words + w];
-                            acc &= match lit.phase {
-                                Phase::Pos => s,
-                                Phase::Neg => !s,
-                            };
-                            if acc == 0 {
-                                break;
-                            }
-                        }
-                        or |= acc;
-                    }
-                    row[w] == or
-                })
-            }
-        }
+        (0..self.words).all(|w| row[w] == self.derive(net, pool, id, w))
     }
 
     /// Flips one in-pool bit of `id`'s cached signature row — fault
@@ -173,25 +127,6 @@ impl SimTable {
     pub fn chaos_poison(&mut self, id: NodeId, pattern: usize) {
         let base = id.index() * self.words;
         self.sigs[base + pattern / 64] ^= 1u64 << (pattern % 64);
-    }
-
-    /// Re-simulates words `from..words` for every node (used after the
-    /// pattern pool grew into a previously empty or partial word).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is stale or the pool width changed.
-    pub fn resim_tail(&mut self, net: &Network, pool: &PatternPool, from: usize) {
-        self.stamp.check(net, "SimTable");
-        assert_eq!(pool.words(), self.words, "pool width changed");
-        if self.order_version != net.version() {
-            self.order = net.topo_order();
-            self.order_version = net.version();
-        }
-        for i in 0..self.order.len() {
-            let id = self.order[i];
-            self.recompute(net, pool, id, from);
-        }
     }
 
     /// Patches the table after an engine edit: extends it over freshly
@@ -232,7 +167,7 @@ impl SimTable {
         let fresh_bound = old_bound;
         let mut touched: Vec<NodeId> = Vec::new();
         while let Some((_, id)) = work.pop_first() {
-            let changed = self.recompute(net, pool, id, 0);
+            let changed = self.recompute(net, pool, id);
             if changed || id.index() >= fresh_bound {
                 touched.push(id);
                 for &o in side.fanouts(net, id) {
@@ -369,17 +304,5 @@ mod tests {
             table.is_synced(&net),
             "poison must be invisible to the version stamp"
         );
-    }
-
-    #[test]
-    fn resim_tail_picks_up_new_patterns() {
-        let net = sample();
-        let mut pool = PatternPool::random(3, 1, 1, 5);
-        let mut table = SimTable::build(&net, &pool);
-        let w = pool
-            .add_pattern(&[true, true, false])
-            .expect("reserve capacity");
-        table.resim_tail(&net, &pool, w);
-        assert_matches_eval(&net, &pool, &table);
     }
 }

@@ -49,22 +49,6 @@ pub fn event_to_json(ev: &TraceEvent) -> String {
             .u64("start_ns", *start_ns)
             .u64("dur_ns", *dur_ns)
             .finish(),
-        TraceEvent::SimRefine {
-            pass,
-            target,
-            divisor,
-            start_ns,
-            dur_ns,
-            grew,
-        } => JsonObj::new()
-            .str("type", "sim_refine")
-            .u64("pass", u64::from(*pass))
-            .u64("target", u64::from(*target))
-            .u64("divisor", u64::from(*divisor))
-            .u64("start_ns", *start_ns)
-            .u64("dur_ns", *dur_ns)
-            .bool("grew", *grew)
-            .finish(),
         TraceEvent::Guard {
             pass,
             target,
@@ -96,7 +80,6 @@ pub fn event_to_json(ev: &TraceEvent) -> String {
 /// Propagates I/O errors from `w`.
 pub fn write_jsonl<W: Write>(t: &Tracer, w: &mut W) -> io::Result<()> {
     let (shadow_builds, shadow_ns) = t.shadow_stats();
-    let (refine_attempts, refine_grew, refine_ns) = t.refine_stats();
     let (guard_checks, guard_ns) = t.guard_stats();
     let mut meta = JsonObj::new();
     meta.str("type", "meta")
@@ -107,9 +90,6 @@ pub fn write_jsonl<W: Write>(t: &Tracer, w: &mut W) -> io::Result<()> {
         .u64("events_dropped", t.dropped())
         .u64("shadow_builds", shadow_builds)
         .u64("shadow_ns", shadow_ns)
-        .u64("refine_attempts", refine_attempts)
-        .u64("refine_grew", refine_grew)
-        .u64("refine_ns", refine_ns)
         .u64("guard_checks", guard_checks)
         .u64("guard_ns", guard_ns);
     for tier in crate::span::GuardTier::ALL {
@@ -141,7 +121,7 @@ fn micros(ns: u64) -> String {
 const TID_PAIRS: u64 = 0;
 /// Thread ids used in the Chrome export: pass spans.
 const TID_PASSES: u64 = 1;
-/// Thread ids used in the Chrome export: shadow builds and refinements.
+/// Thread ids used in the Chrome export: shadow builds and guard checks.
 const TID_AUX: u64 = 2;
 /// Speculative-sweep worker lanes start here: a pair span measured by
 /// worker `w` (span `worker == w + 1`) lands on tid `TID_AUX + w + 1`,
@@ -293,31 +273,6 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
                         args,
                     );
                 }
-                TraceEvent::SimRefine {
-                    pass,
-                    target,
-                    divisor,
-                    start_ns,
-                    dur_ns,
-                    grew,
-                } => {
-                    let args = JsonObj::new()
-                        .str("target", &t.node_name(*target))
-                        .str("divisor", &t.node_name(*divisor))
-                        .u64("pass", u64::from(*pass))
-                        .bool("grew", *grew)
-                        .finish();
-                    chrome_complete(
-                        &mut rows,
-                        "sim_refine",
-                        "aux",
-                        pid,
-                        TID_AUX,
-                        *start_ns,
-                        *dur_ns,
-                        args,
-                    );
-                }
                 TraceEvent::Guard {
                     pass,
                     target,
@@ -395,7 +350,6 @@ mod tests {
         t.begin_pass(1);
         t.record_pair(&record(0, Outcome::AcceptedSop, 5, 7));
         t.shadow_build(1, 11);
-        t.sim_refine(1, 2, true, 9);
         t.guard_check(1, 2, crate::span::GuardTier::Sat, true, true, 21);
         t.end_pass(1, 5);
         t
@@ -406,11 +360,7 @@ mod tests {
         let t = sample_tracer();
         let text = jsonl_string(&t);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines.len(),
-            6,
-            "meta + pair + shadow + refine + guard + pass"
-        );
+        assert_eq!(lines.len(), 5, "meta + pair + shadow + guard + pass");
 
         let meta = Json::parse(lines[0]).expect("meta parses");
         assert_eq!(meta.get("type").and_then(Json::as_str), Some("meta"));
@@ -435,9 +385,7 @@ mod tests {
             shadow.get("type").and_then(Json::as_str),
             Some("shadow_build")
         );
-        let refine = Json::parse(lines[3]).expect("refine parses");
-        assert_eq!(refine.get("grew").and_then(Json::as_bool), Some(true));
-        let guard = Json::parse(lines[4]).expect("guard parses");
+        let guard = Json::parse(lines[3]).expect("guard parses");
         assert_eq!(guard.get("type").and_then(Json::as_str), Some("guard"));
         assert_eq!(guard.get("tier").and_then(Json::as_str), Some("sat"));
         assert_eq!(guard.get("passed").and_then(Json::as_bool), Some(true));
@@ -446,7 +394,7 @@ mod tests {
         assert_eq!(meta.get("guard_checks").and_then(Json::as_u64), Some(1));
         assert_eq!(meta.get("guard_sat").and_then(Json::as_u64), Some(1));
         assert_eq!(meta.get("guard_bdd").and_then(Json::as_u64), Some(0));
-        let pass = Json::parse(lines[5]).expect("pass parses");
+        let pass = Json::parse(lines[4]).expect("pass parses");
         assert_eq!(pass.get("substitutions").and_then(Json::as_u64), Some(1));
     }
 
@@ -456,8 +404,8 @@ mod tests {
         let text = chrome_trace_string(&[&t]);
         let v = Json::parse(&text).expect("chrome trace parses");
         let rows = v.as_array().expect("array");
-        // 4 metadata rows + 5 events.
-        assert_eq!(rows.len(), 9);
+        // 4 metadata rows + 4 events.
+        assert_eq!(rows.len(), 8);
         let guard = rows
             .iter()
             .find(|r| r.get("cat").and_then(Json::as_str) == Some("guard"))

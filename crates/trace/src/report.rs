@@ -9,7 +9,7 @@ use crate::tracer::Tracer;
 /// A borrow of a [`Tracer`] that `Display`s as a multi-section text
 /// report: pass table, reject-reason funnel, per-stage latency summary,
 /// pair wall-time histogram, slowest pairs, hottest targets, and the
-/// shadow/refinement side counters.
+/// guard verdicts and shadow-build side counters.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceReport<'a> {
     tracer: &'a Tracer,
@@ -205,16 +205,12 @@ impl fmt::Display for TraceReport<'_> {
         }
 
         let (shadow_builds, shadow_ns) = t.shadow_stats();
-        let (refines, grew, refine_ns) = t.refine_stats();
-        if shadow_builds > 0 || refines > 0 {
+        if shadow_builds > 0 {
             writeln!(
                 f,
-                "\nshadow builds: {} ({})   sim refinements: {} ({} grew, {})",
+                "\nshadow builds: {} ({})",
                 shadow_builds,
-                fmt_ns(shadow_ns),
-                refines,
-                grew,
-                fmt_ns(refine_ns)
+                fmt_ns(shadow_ns)
             )?;
         }
         Ok(())

@@ -9,7 +9,7 @@ pub enum Stage {
     Enumerate,
     /// The cheap per-pair structural/cycle/size filters.
     Filter,
-    /// Simulation-signature work: screening, pool refinement, patching.
+    /// Simulation-signature work: screening, audits, patching.
     Sim,
     /// Division proper: proofs, RAR/ATPG checks, gain evaluation.
     Divide,
@@ -167,7 +167,7 @@ pub struct StageNanos {
     pub enumerate: u64,
     /// Cheap filter time.
     pub filter: u64,
-    /// Simulation screen/refine/patch time.
+    /// Simulation screen/audit/patch time.
     pub sim: u64,
     /// Division/proof time (simulation screen time already subtracted).
     pub divide: u64,
@@ -258,15 +258,19 @@ pub enum GuardTier {
     Sat,
     /// No exact tier had budget; the verdict rests on the sampled pool.
     Sampled,
+    /// The remaining deadline could not afford an exact verdict; the
+    /// rewrite was refused.
+    Deadline,
 }
 
 impl GuardTier {
     /// Every tier, in escalation order.
-    pub const ALL: [GuardTier; 4] = [
+    pub const ALL: [GuardTier; 5] = [
         GuardTier::Sim,
         GuardTier::Bdd,
         GuardTier::Sat,
         GuardTier::Sampled,
+        GuardTier::Deadline,
     ];
 
     /// Stable lowercase label used by both exporters.
@@ -277,13 +281,8 @@ impl GuardTier {
             GuardTier::Bdd => "bdd",
             GuardTier::Sat => "sat",
             GuardTier::Sampled => "sampled",
+            GuardTier::Deadline => "deadline",
         }
-    }
-
-    /// Inverse of [`GuardTier::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<GuardTier> {
-        GuardTier::ALL.into_iter().find(|t| t.name() == name)
     }
 
     /// Dense index into per-tier arrays (`0..GuardTier::ALL.len()`).
@@ -294,6 +293,7 @@ impl GuardTier {
             GuardTier::Bdd => 1,
             GuardTier::Sat => 2,
             GuardTier::Sampled => 3,
+            GuardTier::Deadline => 4,
         }
     }
 }
@@ -315,21 +315,6 @@ pub enum TraceEvent {
         start_ns: u64,
         /// Build duration.
         dur_ns: u64,
-    },
-    /// A counterexample-refinement attempt after a sim-filter false pass.
-    SimRefine {
-        /// Pass the refinement happened in.
-        pass: u32,
-        /// Target of the falsely passed pair.
-        target: u32,
-        /// Divisor of the falsely passed pair.
-        divisor: u32,
-        /// Attempt start, nanoseconds since the tracer epoch.
-        start_ns: u64,
-        /// Attempt duration.
-        dur_ns: u64,
-        /// Whether a harvested pattern actually grew the pool.
-        grew: bool,
     },
     /// A post-apply guard check of an accepted rewrite (checked mode).
     Guard {

@@ -75,8 +75,7 @@ pub struct TargetAgg {
 
 /// Records one traced substitution run: a bounded event ring plus exact
 /// aggregates (stage/outcome/pair histograms, outcome funnel, top-K
-/// slowest pairs, per-target heat, shadow-build and sim-refinement
-/// counters).
+/// slowest pairs, per-target heat, shadow-build and guard counters).
 ///
 /// All timestamps are nanoseconds since the tracer's construction
 /// instant (its *epoch*). The tracer never touches the network being
@@ -103,9 +102,6 @@ pub struct Tracer {
     pass_pairs: u64,
     shadow_builds: u64,
     shadow_ns: u64,
-    refine_attempts: u64,
-    refine_grew: u64,
-    refine_ns: u64,
     guard_checks: u64,
     guard_tier_counts: [u64; GuardTier::ALL.len()],
     guard_ns: u64,
@@ -143,9 +139,6 @@ impl Tracer {
             pass_pairs: 0,
             shadow_builds: 0,
             shadow_ns: 0,
-            refine_attempts: 0,
-            refine_grew: 0,
-            refine_ns: 0,
             guard_checks: 0,
             guard_tier_counts: [0; GuardTier::ALL.len()],
             guard_ns: 0,
@@ -223,7 +216,7 @@ impl Tracer {
     }
 
     /// Samples `ns` of `stage` work booked outside any pair span
-    /// (enumeration, an out-of-pair sim flush) into the stage histogram.
+    /// (enumeration) into the stage histogram.
     pub fn stage(&mut self, stage: Stage, ns: u64) {
         self.stage_hist[stage.idx()].record(ns);
     }
@@ -286,25 +279,6 @@ impl Tracer {
             target,
             start_ns,
             dur_ns,
-        });
-    }
-
-    /// Records a counterexample-refinement attempt after a simulation
-    /// false pass; `grew` says whether the pattern pool actually grew.
-    pub fn sim_refine(&mut self, target: u32, divisor: u32, grew: bool, dur_ns: u64) {
-        self.refine_attempts += 1;
-        if grew {
-            self.refine_grew += 1;
-        }
-        self.refine_ns = self.refine_ns.saturating_add(dur_ns);
-        let start_ns = self.now_ns().saturating_sub(dur_ns);
-        self.push(TraceEvent::SimRefine {
-            pass: self.cur_pass,
-            target,
-            divisor,
-            start_ns,
-            dur_ns,
-            grew,
         });
     }
 
@@ -429,12 +403,6 @@ impl Tracer {
     #[must_use]
     pub fn shadow_stats(&self) -> (u64, u64) {
         (self.shadow_builds, self.shadow_ns)
-    }
-
-    /// `(attempts, grew, total_ns)` of sim counterexample refinements.
-    #[must_use]
-    pub fn refine_stats(&self) -> (u64, u64, u64) {
-        (self.refine_attempts, self.refine_grew, self.refine_ns)
     }
 
     /// A human-readable report borrowing this tracer.

@@ -51,7 +51,6 @@ proptest! {
         let mut net = random_network(1000 + seed, &GeneratorParams::default());
         let mut side = SideTables::build(&net);
         let mut filter = SimFilter::new(&net, &SimConfig::default());
-        filter.flush(&net);
         let mut buckets = SignatureBuckets::new();
         buckets.ensure(&net, &filter);
         prop_assert_eq!(buckets.rebuilds(), 1);
@@ -94,7 +93,6 @@ proptest! {
         let mut net = random_network(2000 + seed, &GeneratorParams::default());
         let mut side = SideTables::build(&net);
         let mut filter = SimFilter::new(&net, &SimConfig::default());
-        filter.flush(&net);
         let mut maintained = SignatureBuckets::new();
         maintained.ensure(&net, &filter);
         let ids: Vec<_> = net.internal_ids().collect();

@@ -113,10 +113,6 @@ fn jsonl_roundtrips_field_for_field() {
                     assert_eq!(v.get("type").and_then(Json::as_str), Some("shadow_build"));
                     assert_eq!(v.get("dur_ns").and_then(Json::as_u64), Some(*dur_ns));
                 }
-                TraceEvent::SimRefine { grew, .. } => {
-                    assert_eq!(v.get("type").and_then(Json::as_str), Some("sim_refine"));
-                    assert_eq!(v.get("grew").and_then(Json::as_bool), Some(*grew));
-                }
                 TraceEvent::Guard { tier, dur_ns, .. } => {
                     assert_eq!(v.get("type").and_then(Json::as_str), Some("guard"));
                     assert_eq!(v.get("tier").and_then(Json::as_str), Some(tier.name()));
