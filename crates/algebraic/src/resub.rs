@@ -73,7 +73,7 @@ pub fn try_algebraic_substitution(
         || net.node(target).is_input()
         || net.node(divisor).is_input()
         || net.node(target).fanins().contains(&divisor)
-        || net.tfo(target).contains(&divisor)
+        || net.in_tfo(divisor, target)
     {
         return None;
     }

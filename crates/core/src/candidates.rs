@@ -39,7 +39,7 @@ use boolsubst_sim::{SignatureBuckets, SimFilter};
 pub struct SourceCtx<'a> {
     /// The network being swept.
     pub net: &'a Network,
-    /// Maintained fanout lists / levels / transitive-fanout memos.
+    /// Maintained fanout lists and levels.
     pub side: &'a SideTables,
     /// The simulation filter, when [`crate::SubstOptions::sim`] enabled
     /// it.

@@ -11,9 +11,9 @@
 //!
 //! [`SubstEngine`] keeps session state instead:
 //!
-//! * a [`SideTables`] instance — incrementally maintained fanout lists,
-//!   levels, and memoized transitive fanouts, patched locally after each
-//!   accepted rewrite rather than recomputed per query;
+//! * a [`SideTables`] instance — incrementally maintained fanout lists
+//!   and levels, patched locally after each accepted rewrite rather than
+//!   recomputed per query; the levels bound the cycle filter's walk;
 //! * a **support-overlap candidate index** — the only divisors worth
 //!   trying are fanouts of the target's fanins (exactly the legacy
 //!   support-overlap filter, applied in reverse), so candidate enumeration
@@ -256,18 +256,19 @@ fn node_names(net: &Network) -> Vec<String> {
 }
 
 /// The cheap filter chain every pair passes before its division proof,
-/// shared by [`SubstEngine::attempt`] (memoizing `in_tfo`) and the
-/// read-only speculation (frozen `in_tfo`): quarantine, structural,
-/// cycle, divisor size and joint space. Books the matching `filtered_*`
-/// counter and returns the reject outcome, or the pair's joint space.
+/// shared by [`SubstEngine::attempt`] and the read-only speculation:
+/// quarantine, structural, cycle (the level-bounded
+/// [`SideTables::in_tfo`]), divisor size and joint space. Books the
+/// matching `filtered_*` counter and returns the reject outcome, or the
+/// pair's joint space.
 pub(crate) fn cheap_filters(
     net: &Network,
+    side: &SideTables,
     quarantine: &HashSet<(NodeId, NodeId)>,
     opts: &SubstOptions,
     stats: &mut SubstStats,
     target: NodeId,
     divisor: NodeId,
-    in_tfo: impl FnOnce() -> bool,
 ) -> Result<JointSpace, Outcome> {
     if quarantine.contains(&(target, divisor)) {
         return Err(Outcome::GuardRejected);
@@ -278,7 +279,7 @@ pub(crate) fn cheap_filters(
         stats.filtered_structural += 1;
         return Err(Outcome::RejectedStructural);
     }
-    if in_tfo() {
+    if side.in_tfo(net, divisor, target) {
         stats.filtered_tfo += 1;
         return Err(Outcome::RejectedTfo);
     }
@@ -298,6 +299,25 @@ pub(crate) fn cheap_filters(
         return Err(Outcome::RejectedJointSpace);
     }
     Ok(space)
+}
+
+/// The checked-mode integrity audit of one pair that passed the cheap
+/// filters, shared by [`SubstEngine::attempt`] and the read-only
+/// speculation: recomputes the target's and divisor's signature rows from
+/// their fanins and compares them with the table. Books the audit and its
+/// time into `stats`; the caller repairs the table on `false`.
+pub(crate) fn audit_pair(
+    sim: &SimFilter,
+    net: &Network,
+    target: NodeId,
+    divisor: NodeId,
+    stats: &mut SubstStats,
+) -> bool {
+    let ts = Instant::now();
+    let ok = sim.audit(net, &[target, divisor]);
+    stats.sim_audits += 1;
+    stats.sim_nanos += nanos(ts);
+    ok
 }
 
 /// The cached per-target GDC snapshot, tagged with the network version it
@@ -758,7 +778,7 @@ impl<'a> SubstEngine<'a> {
             return;
         }
         let t0 = Instant::now();
-        let tfo = self.side.tfo(self.net, target).clone();
+        let tfo = self.side.tfo(self.net, target);
         let base = ShadowBase::prepare(self.net, target, &tfo);
         self.shadow = Some(ShadowEntry {
             target,
@@ -836,46 +856,45 @@ impl<'a> SubstEngine<'a> {
         delta.candidates_enumerated += 1;
         let filtered = cheap_filters(
             self.net,
+            &self.side,
             &self.quarantine,
             &self.opts,
             delta,
             target,
             divisor,
-            || self.side.in_tfo(self.net, divisor, target),
         );
         delta.filter_nanos += nanos(t0);
         let space = match filtered {
             Ok(space) => space,
             Err(outcome) => return (outcome, None),
         };
-
-        if self.opts.mode == SubstMode::ExtendedGdc {
-            self.prepare_shadow(target);
-            self.use_shadow(target, delta);
-        }
-        self.ensure_forms(target);
         let mut sim_fault = false;
         if let Some(sim) = self.sim.as_mut().filter(|_| self.opts.checked) {
-            let ts = Instant::now();
             #[cfg(feature = "chaos")]
             if let Some(r) = crate::chaos::should_poison_signature() {
                 sim.chaos_poison_signature(target, usize::try_from(r).unwrap_or(0));
             }
-            // Integrity audit: recompute this pair's signature rows from
-            // their fanins and compare against the cache. A mismatch means
-            // the incremental patching went wrong somewhere — repair by
-            // rebuilding from scratch.
-            if !sim.audit(self.net, &[target, divisor]) {
+            // Integrity audit (`audit_pair`, as in speculation). A
+            // mismatch means the incremental patching went wrong
+            // somewhere — repair by rebuilding from scratch.
+            if !audit_pair(sim, self.net, target, divisor, delta) {
+                let ts = Instant::now();
                 sim.rebuild(self.net);
+                delta.sim_nanos += nanos(ts);
                 sim_fault = true;
             }
-            delta.sim_nanos += nanos(ts);
         }
         if sim_fault {
             delta.engine_faults += 1;
             self.quarantine_pair(delta, target, divisor);
             return (Outcome::EngineFault, None);
         }
+
+        if self.opts.mode == SubstMode::ExtendedGdc {
+            self.prepare_shadow(target);
+            self.use_shadow(target, delta);
+        }
+        self.ensure_forms(target);
         // The pair survived every cheap filter: the division proof runs.
         delta.discovery_proofs_run += 1;
         let t1 = Instant::now();

@@ -243,7 +243,7 @@ pub(crate) fn network_region(
     remainder: &Cover,
 ) -> (Circuit, DivisionRegion) {
     assert!(
-        !net.tfo(target).contains(&divisor),
+        !net.in_tfo(divisor, target),
         "divisor must not depend on target"
     );
     let mut b = BuilderState::new(net);

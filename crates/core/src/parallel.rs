@@ -11,10 +11,12 @@
 //! speculatively evaluates the pairs against the shared, frozen
 //! `&Network` using the read-only halves of the machinery:
 //!
-//! * the engine's cheap filter chain with [`SideTables::in_tfo_frozen`]
-//!   for the cycle filter (no memo writes),
-//! * the shared `&SimFilter` for the refute-only screen (its pattern
-//!   pool is fixed, so every screen is a pure read),
+//! * the engine's cheap filter chain, whose cycle filter
+//!   ([`SideTables::in_tfo`]) is a level-bounded read of the shared
+//!   tables,
+//! * the shared `&SimFilter` for the checked-mode signature audit and the
+//!   refute-only screen (its pattern pool is fixed, so both are pure
+//!   reads),
 //! * the committer's [`TargetForms`] for the target (old literal count
 //!   and complement; each is computed once, by whichever worker needs it
 //!   first, and equals the per-call value),
@@ -66,8 +68,13 @@
 //! Speculation panics are always caught: the pair is booked as an engine
 //! fault, quarantined, and the committer keeps going — a dying worker
 //! cannot poison the shared state because speculation never mutates it.
+//! A failed signature audit is booked the same way, and the committer
+//! rebuilds the signature table before the next epoch or commit. Under
+//! first-gain the epoch stops at the first such pair, as it stops at a
+//! winner, so the pairs after it are evaluated against the repaired
+//! table, as in the sequential engine.
 
-use crate::engine::{cheap_filters, nanos, pair_record, SubstEngine};
+use crate::engine::{audit_pair, cheap_filters, nanos, pair_record, SubstEngine};
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
     core_outcome, plan_pair_core, Acceptance, GdcScope, SubstMode, SubstOptions, SubstStats,
@@ -88,16 +95,27 @@ const PAR_MIN_PAIRS: usize = 16;
 
 /// One worker-evaluated pair: the stat delta the sequential engine would
 /// have recorded for it and its span record. An accepting record carries
-/// the plan's gain; an `EngineFault` one means the evaluation panicked.
+/// the plan's gain; an `EngineFault` one means the evaluation panicked or,
+/// with `audit_failed`, that the checked-mode signature audit found a
+/// rotted row.
 struct PairEval {
     delta: SubstStats,
     rec: PairRecord,
+    audit_failed: bool,
+}
+
+impl PairEval {
+    /// True for the pairs an epoch stops at: the first of them is the
+    /// last pair the committer books before it commits or repairs.
+    fn stops_epoch(&self) -> bool {
+        self.audit_failed || self.rec.outcome.accepted()
+    }
 }
 
 /// Speculatively evaluates one (target, divisor) pair read-only against
-/// the epoch snapshot, mirroring [`SubstEngine::attempt`]'s filter chain
-/// and stat accounting exactly — minus every mutation (no memo writes,
-/// no network edit). Always panic-isolated.
+/// the epoch snapshot, mirroring [`SubstEngine::attempt`]'s filter chain,
+/// checked-mode audit and stat accounting exactly — minus every mutation
+/// (no table repair, no network edit). Always panic-isolated.
 /// The record's wall time is measured only when `timed`.
 #[allow(clippy::too_many_arguments)]
 fn speculate_pair(
@@ -116,13 +134,19 @@ fn speculate_pair(
     let t0 = Instant::now();
     let mut delta = SubstStats::default();
     delta.candidates_enumerated += 1;
-    let filtered = cheap_filters(net, quarantine, opts, &mut delta, target, divisor, || {
-        side.in_tfo_frozen(net, divisor, target)
-    });
+    let filtered = cheap_filters(net, side, quarantine, opts, &mut delta, target, divisor);
     delta.filter_nanos += nanos(t0);
+    let audit_failed = filtered.is_ok()
+        && sim
+            .filter(|_| opts.checked)
+            .is_some_and(|sim| !audit_pair(sim, net, target, divisor, &mut delta));
+    // Sim time so far is the audit's; the rest is the division window's
+    // screen, which the record counts under Sim rather than Divide.
+    let audit_ns = delta.sim_nanos;
 
     let (outcome, gain) = match filtered {
         Err(outcome) => (outcome, 0),
+        Ok(_) if audit_failed => (Outcome::EngineFault, 0),
         Ok(space) => {
             // Mirrors `attempt`: the pair survived every cheap filter.
             delta.discovery_proofs_run += 1;
@@ -154,21 +178,33 @@ fn speculate_pair(
             }
         }
     };
-    // Speculation books sim time only in the division window's screen.
-    let mut rec = pair_record(target, divisor, t0, &delta, delta.sim_nanos, outcome, gain);
+    let screen_ns = delta.sim_nanos - audit_ns;
+    let mut rec = pair_record(target, divisor, t0, &delta, screen_ns, outcome, gain);
     rec.worker = worker + 1;
     if timed {
         rec.dur_ns = nanos(t0);
     }
-    PairEval { delta, rec }
+    PairEval {
+        delta,
+        rec,
+        audit_failed,
+    }
 }
 
 impl SubstEngine<'_> {
     /// Books one speculated (and sequentially-consumed) pair: its delta,
     /// the shadow use the sequential `attempt` would have booked, fault
-    /// quarantine, and its record.
+    /// quarantine and, after a failed audit, the signature-table repair
+    /// `attempt` would have made; then its record.
     fn merge_speculated(&mut self, target: NodeId, divisor: NodeId, eval: PairEval) {
-        let PairEval { mut delta, rec } = eval;
+        let PairEval {
+            mut delta,
+            rec,
+            audit_failed,
+        } = eval;
+        if audit_failed {
+            self.repair_sim(&mut delta);
+        }
         // A pair that reached the division core is one the sequential
         // engine would have used the shadow for.
         if self.opts.mode == SubstMode::ExtendedGdc && delta.divisions_tried > 0 {
@@ -179,6 +215,16 @@ impl SubstEngine<'_> {
             self.quarantine_pair(&mut delta, target, divisor);
         }
         self.book(&delta, Some(&rec));
+    }
+
+    /// Rebuilds the signature table after a speculated audit failed,
+    /// booking the time into `delta`.
+    fn repair_sim(&mut self, delta: &mut SubstStats) {
+        if let Some(sim) = self.sim.as_mut() {
+            let ts = Instant::now();
+            sim.rebuild(self.net);
+            delta.sim_nanos += nanos(ts);
+        }
     }
 
     /// One epoch: speculative evaluation of `cands` against the frozen
@@ -264,7 +310,7 @@ impl SubstEngine<'_> {
                     proof_ns += eval.rec.dur_ns;
                     pairs += 1;
                 }
-                if first_gain && eval.rec.outcome.accepted() {
+                if first_gain && eval.stops_epoch() {
                     best.fetch_min(idx, Ordering::AcqRel);
                 }
                 let tw = metrics.map(|_| Instant::now());
@@ -342,23 +388,31 @@ impl SubstEngine<'_> {
                 }
                 let slice = &cands[start..];
                 let mut evals = self.speculate_epoch(target, slice);
-                let winner = evals
+                let stop = evals
                     .iter()
-                    .position(|e| e.as_ref().is_some_and(|ev| ev.rec.outcome.accepted()));
-                let merge_upto = winner.unwrap_or(slice.len());
+                    .position(|e| e.as_ref().is_some_and(PairEval::stops_epoch));
+                let merge_upto = stop.unwrap_or(slice.len());
                 for (i, divisor) in slice.iter().copied().enumerate().take(merge_upto) {
                     let eval = evals[i]
                         .take()
                         .expect("pairs below the winner are evaluated");
                     self.merge_speculated(target, divisor, eval);
                 }
-                let Some(w) = winner else {
-                    // No acceptance anywhere in the enumeration: the
-                    // visit is over (an unused shadow build stays
+                let Some(w) = stop else {
+                    // No acceptance (or failed audit) anywhere in the
+                    // enumeration: the visit is over (an unused shadow build stays
                     // unbooked, as the sequential engine never built it).
                     break 'resume;
                 };
                 let divisor = slice[w];
+                let eval = evals[w].take().expect("the stopping pair is evaluated");
+                if eval.audit_failed {
+                    // Booked, quarantined and repaired like a live audit
+                    // failure; the next epoch resumes after it.
+                    self.merge_speculated(target, divisor, eval);
+                    start += w + 1;
+                    continue;
+                }
                 if self.commit(target, divisor) {
                     // Committed: the target's fanins changed, re-enumerate
                     // and resume past this divisor.
@@ -383,13 +437,20 @@ impl SubstEngine<'_> {
         }
         let evals = self.speculate_epoch(target, &cands);
         let mut best: Option<(NodeId, i64)> = None;
+        let mut repaired = false;
         for (&divisor, eval) in cands.iter().zip(evals) {
-            let rec = eval.expect("best-gain evaluates every candidate").rec;
+            let eval = eval.expect("best-gain evaluates every candidate");
+            let rec = eval.rec;
             if rec.outcome == Outcome::EngineFault {
                 let mut delta = SubstStats {
                     engine_faults: 1,
                     ..SubstStats::default()
                 };
+                if eval.audit_failed && !repaired {
+                    // Every dry run read the same table: one repair.
+                    self.repair_sim(&mut delta);
+                    repaired = true;
+                }
                 self.quarantine_pair(&mut delta, target, divisor);
                 self.book(&delta, None);
             } else if rec.outcome.accepted() && best.is_none_or(|(_, g)| rec.gain > g) {

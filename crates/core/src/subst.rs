@@ -434,6 +434,10 @@ pub struct SubstStats {
     /// Dividend cubes whose extended-division fault checks were skipped:
     /// the vote table is seeded only from wires surviving the screen.
     pub sim_ext_wires_skipped: usize,
+    /// Checked-mode signature audits: the pair's two rows recomputed from
+    /// their fanins and compared with the table, once per pair that
+    /// passed the cheap filters, live or speculated.
+    pub sim_audits: usize,
     /// Patterns in the pool at the end of the run.
     pub sim_patterns: usize,
     /// Signature width in 64-bit words.
@@ -534,6 +538,9 @@ impl fmt::Display for SubstStats {
             "  sim pool               {:>8}  patterns x {} words",
             self.sim_patterns, self.sim_words,
         )?;
+        if self.sim_audits > 0 {
+            writeln!(f, "  sim audits (checked)   {:>8}", self.sim_audits)?;
+        }
         if self.guard_rejections
             + self.engine_faults
             + self.quarantined
@@ -634,6 +641,7 @@ impl SubstStats {
         self.sim_ext_wires_skipped = self
             .sim_ext_wires_skipped
             .saturating_add(other.sim_ext_wires_skipped);
+        self.sim_audits = self.sim_audits.saturating_add(other.sim_audits);
         self.sim_patterns = self.sim_patterns.saturating_add(other.sim_patterns);
         self.sim_words = self.sim_words.saturating_add(other.sim_words);
         self.guard_rejections = self.guard_rejections.saturating_add(other.guard_rejections);
@@ -687,6 +695,7 @@ impl SubstStats {
             .u64("sim_pairs_refuted", u(self.sim_pairs_refuted))
             .u64("sim_false_passes", u(self.sim_false_passes))
             .u64("sim_ext_wires_skipped", u(self.sim_ext_wires_skipped))
+            .u64("sim_audits", u(self.sim_audits))
             .u64("sim_patterns", u(self.sim_patterns))
             .u64("sim_words", u(self.sim_words))
             .u64("guard_rejections", u(self.guard_rejections))

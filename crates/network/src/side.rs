@@ -9,8 +9,10 @@
 //! - **fanout lists** are updated edge-by-edge from the fanin diff;
 //! - **levels** (longest path from the inputs) are repaired with a
 //!   worklist that only visits the region whose level actually changed;
-//! - **transitive fanouts** are memoized per node and invalidated only
-//!   when a changed edge could have been reachable from the cached node.
+//! - **transitive-fanout membership** is not cached at all: the level
+//!   table bounds a backward walk from the candidate node, so
+//!   [`SideTables::in_tfo`] only visits nodes between the two levels and
+//!   there is nothing to invalidate after an edit.
 //!
 //! Staleness is a real hazard for this kind of cache, so every query
 //! asserts that the tables were synchronised with the network's current
@@ -19,7 +21,7 @@
 //! answer.
 
 use crate::net::{Network, NodeId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The version-checked synchronisation stamp shared by every incremental
 /// side structure ([`SideTables`], the simulation signature table in
@@ -68,7 +70,7 @@ impl VersionStamp {
     }
 }
 
-/// Session-lifetime caches of fanouts, levels, and transitive fanouts.
+/// Session-lifetime tables of fanouts and levels.
 ///
 /// See the module docs for the maintenance contract. All dense tables are
 /// indexed by [`NodeId::index`].
@@ -78,18 +80,6 @@ pub struct SideTables {
     stamp: VersionStamp,
     fanouts: Vec<Vec<NodeId>>,
     levels: Vec<u32>,
-    tfo: HashMap<NodeId, HashSet<NodeId>>,
-    /// Cumulative count of memoized-TFO reuses (observability).
-    tfo_hits: u64,
-    /// Cumulative count of TFO recomputations (observability).
-    tfo_misses: u64,
-    /// Monotone patch counter: bumped by every synchronisation
-    /// ([`SideTables::sync_new_nodes`], [`SideTables::apply_replace`],
-    /// [`SideTables::apply_remove`]). Epoch-scoped consumers — the parallel
-    /// sweep's per-worker shadow caches and verdict tables — tag entries
-    /// with the epoch they were computed against and treat a mismatch as
-    /// an invalidation, instead of comparing whole structures.
-    epoch: u64,
 }
 
 // The parallel sweep shares `&SideTables` (and `&Network`) across worker
@@ -111,18 +101,7 @@ impl SideTables {
             stamp: VersionStamp::new(net),
             fanouts,
             levels,
-            tfo: HashMap::new(),
-            tfo_hits: 0,
-            tfo_misses: 0,
-            epoch: 0,
         }
-    }
-
-    /// The current patch epoch (see the `epoch` field). Starts at 0 and
-    /// increases by one per synchronisation; never decreases.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     fn assert_synced(&self, net: &Network) {
@@ -160,91 +139,57 @@ impl SideTables {
         self.levels[id.index()]
     }
 
-    /// Memoized transitive fanout of `of` (excluding `of` itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tables are stale.
-    pub fn tfo(&mut self, net: &Network, of: NodeId) -> &HashSet<NodeId> {
-        self.assert_synced(net);
-        if self.tfo.contains_key(&of) {
-            self.tfo_hits += 1;
-        } else {
-            self.tfo_misses += 1;
-            let mut seen = HashSet::new();
-            let mut stack: Vec<NodeId> = self.fanouts[of.index()].clone();
-            while let Some(n) = stack.pop() {
-                if seen.insert(n) {
-                    stack.extend(self.fanouts[n.index()].iter().copied());
-                }
-            }
-            self.tfo.insert(of, seen);
-        }
-        &self.tfo[&of]
-    }
-
-    /// True if `node` lies in the transitive fanout of `of`. Uses the level
-    /// table as a short-circuit before touching the memoized TFO set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tables are stale.
-    pub fn in_tfo(&mut self, net: &Network, node: NodeId, of: NodeId) -> bool {
-        self.assert_synced(net);
-        if self.levels[node.index()] <= self.levels[of.index()] {
-            return false;
-        }
-        self.tfo(net, of).contains(&node)
-    }
-
-    /// Read-only variant of [`SideTables::in_tfo`] for shared (`&self`)
-    /// use from the parallel sweep's worker threads: the level table
-    /// short-circuits as usual, a memoized TFO set is consulted if one is
-    /// present, and otherwise the reachability is recomputed on the spot
-    /// *without* memoizing (the committer pre-warms the memo for the
-    /// targets it hands out, so the recompute path is the exception).
+    /// Transitive fanout of `of` (excluding `of` itself), walked over the
+    /// maintained fanout lists. Not cached: its one engine caller keeps
+    /// the snapshot it builds from the set per network version.
     ///
     /// # Panics
     ///
     /// Panics if the tables are stale.
     #[must_use]
-    pub fn in_tfo_frozen(&self, net: &Network, node: NodeId, of: NodeId) -> bool {
+    pub fn tfo(&self, net: &Network, of: NodeId) -> HashSet<NodeId> {
         self.assert_synced(net);
-        if self.levels[node.index()] <= self.levels[of.index()] {
-            return false;
-        }
-        if let Some(set) = self.tfo.get(&of) {
-            return set.contains(&node);
-        }
         let mut seen = HashSet::new();
         let mut stack: Vec<NodeId> = self.fanouts[of.index()].clone();
         while let Some(n) = stack.pop() {
-            if n == node {
-                return true;
-            }
             if seen.insert(n) {
                 stack.extend(self.fanouts[n.index()].iter().copied());
             }
         }
-        false
+        seen
     }
 
-    /// The memoized TFO set of `of`, if one is cached. Read-only companion
-    /// to [`SideTables::tfo`] for shared (`&self`) consumers.
+    /// True if `node` lies in the transitive fanout of `of`.
+    ///
+    /// Walks backward from `node` over fanins and prunes every node whose
+    /// level is at or below `level(of)`: levels rise along every edge, so
+    /// such a node cannot have `of` in its fanin cone. The answer is
+    /// exact, and the walk only visits nodes strictly between the two
+    /// levels, whatever the size of the network.
     ///
     /// # Panics
     ///
     /// Panics if the tables are stale.
     #[must_use]
-    pub fn tfo_cached(&self, net: &Network, of: NodeId) -> Option<&HashSet<NodeId>> {
+    pub fn in_tfo(&self, net: &Network, node: NodeId, of: NodeId) -> bool {
         self.assert_synced(net);
-        self.tfo.get(&of)
-    }
-
-    /// (hits, misses) of the memoized-TFO cache since construction.
-    #[must_use]
-    pub fn tfo_cache_stats(&self) -> (u64, u64) {
-        (self.tfo_hits, self.tfo_misses)
+        let floor = self.levels[of.index()];
+        if self.levels[node.index()] <= floor {
+            return false;
+        }
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut stack = vec![node];
+        while let Some(n) = stack.pop() {
+            for &f in net.node(n).fanins() {
+                if f == of {
+                    return true;
+                }
+                if self.levels[f.index()] > floor && seen.insert(f) {
+                    stack.push(f);
+                }
+            }
+        }
+        false
     }
 
     /// Extends the tables over nodes created since the last
@@ -252,7 +197,6 @@ impl SideTables {
     /// before [`SideTables::apply_replace`] when an edit both adds nodes
     /// and rewires an existing one.
     pub fn sync_new_nodes(&mut self, net: &Network) {
-        self.epoch += 1;
         let old_bound = self.fanouts.len();
         if net.id_bound() == old_bound {
             self.stamp.mark(net);
@@ -260,7 +204,6 @@ impl SideTables {
         }
         self.fanouts.resize(net.id_bound(), Vec::new());
         self.levels.resize(net.id_bound(), 0);
-        let mut touched: HashSet<NodeId> = HashSet::new();
         for idx in old_bound..net.id_bound() {
             let id = NodeId(idx);
             let Some(node) = net.node_opt(id) else {
@@ -268,7 +211,6 @@ impl SideTables {
             };
             for &f in node.fanins() {
                 self.fanouts[f.index()].push(id);
-                touched.insert(f);
             }
             // Fanins of a fresh node already exist, so its level is final.
             self.levels[idx] = node
@@ -278,20 +220,15 @@ impl SideTables {
                 .max()
                 .unwrap_or(0);
         }
-        // A cached TFO that reaches a new node's fanin now also reaches the
-        // new node: drop it.
-        self.invalidate_touching(&touched);
         self.stamp.mark(net);
     }
 
     /// Patches the tables after `net.replace_function(id, ...)` succeeded.
     /// `old_fanins` is the fanin list captured *before* the edit.
     ///
-    /// Repairs fanout lists from the fanin diff, relevels the affected
-    /// downstream region, and invalidates only the memoized TFO sets that
-    /// could see a changed edge.
+    /// Repairs fanout lists from the fanin diff and relevels the affected
+    /// downstream region.
     pub fn apply_replace(&mut self, net: &Network, id: NodeId, old_fanins: &[NodeId]) {
-        self.epoch += 1;
         let new_fanins = net.node(id).fanins();
         for &f in old_fanins {
             if !new_fanins.contains(&f) {
@@ -318,39 +255,17 @@ impl SideTables {
                 stack.extend(self.fanouts[n.index()].iter().copied());
             }
         }
-        // A cached TFO changes only if a changed edge `f -> id` was (or now
-        // is) reachable from the cached node, i.e. `f` is the node itself
-        // or in its cached set.
-        let mut touched: HashSet<NodeId> = old_fanins
-            .iter()
-            .chain(new_fanins.iter())
-            .copied()
-            .collect();
-        touched.insert(id);
-        self.invalidate_touching(&touched);
         self.stamp.mark(net);
     }
 
     /// Patches the tables after `net.remove_node(id)` succeeded. The node
-    /// had no fanouts, so only its fanins' fanout lists shrink; levels and
-    /// other nodes' TFO sets are unaffected (they may retain the dead id
-    /// in cached sets, which is harmless — nothing can name it as a
-    /// divisor or target).
+    /// had no fanouts, so only its fanins' fanout lists shrink; no other
+    /// node's level changes.
     pub fn apply_remove(&mut self, net: &Network, id: NodeId, old_fanins: &[NodeId]) {
-        self.epoch += 1;
         for &f in old_fanins {
             self.fanouts[f.index()].retain(|&o| o != id);
         }
-        self.tfo.remove(&id);
         self.stamp.mark(net);
-    }
-
-    fn invalidate_touching(&mut self, touched: &HashSet<NodeId>) {
-        if touched.is_empty() {
-            return;
-        }
-        self.tfo
-            .retain(|of, set| !touched.contains(of) && touched.iter().all(|t| !set.contains(t)));
     }
 }
 
@@ -404,7 +319,7 @@ mod tests {
         (net, vec![a, b, c, g, h, k])
     }
 
-    fn assert_matches_fresh(side: &mut SideTables, net: &Network) {
+    fn assert_matches_fresh(side: &SideTables, net: &Network) {
         let fresh = net.fanouts();
         for id in net.node_ids() {
             let mut got = side.fanouts(net, id).to_vec();
@@ -412,9 +327,15 @@ mod tests {
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "fanouts of {id}");
-            let got_tfo: HashSet<NodeId> = side.tfo(net, id).clone();
             let want_tfo: HashSet<NodeId> = net.tfo(id).into_iter().collect();
-            assert_eq!(got_tfo, want_tfo, "tfo of {id}");
+            assert_eq!(side.tfo(net, id), want_tfo, "tfo of {id}");
+            for x in net.node_ids() {
+                assert_eq!(
+                    side.in_tfo(net, x, id),
+                    want_tfo.contains(&x),
+                    "in_tfo({x}, {id})"
+                );
+            }
         }
         // Level invariant: strictly increasing along every edge.
         for id in net.node_ids() {
@@ -430,8 +351,8 @@ mod tests {
     #[test]
     fn build_matches_recompute() {
         let (net, ids) = chain();
-        let mut side = SideTables::build(&net);
-        assert_matches_fresh(&mut side, &net);
+        let side = SideTables::build(&net);
+        assert_matches_fresh(&side, &net);
         assert_eq!(side.level(&net, ids[0]), 0); // a
         assert_eq!(side.level(&net, ids[3]), 1); // g
         assert_eq!(side.level(&net, ids[4]), 2); // h
@@ -447,6 +368,8 @@ mod tests {
         assert!(!side.is_synced(&net));
         let result = std::panic::catch_unwind(|| side.fanouts(&net, ids[0]).len());
         assert!(result.is_err(), "stale query must panic");
+        let result = std::panic::catch_unwind(|| side.in_tfo(&net, ids[5], ids[3]));
+        assert!(result.is_err(), "stale cycle check must panic");
     }
 
     #[test]
@@ -454,33 +377,28 @@ mod tests {
         let (mut net, ids) = chain();
         let (a, _b, c, g, h, _k) = (ids[0], ids[1], ids[2], ids[3], ids[4], ids[5]);
         let mut side = SideTables::build(&net);
-        // Warm the memo so invalidation is exercised.
-        for &id in &ids {
-            side.tfo(&net, id);
-        }
         // Rewire h from {g, c} to {a, c}: drops edge g->h, adds a->h.
         let old = net.node(h).fanins().to_vec();
         net.replace_function(h, vec![a, c], parse_sop(2, "ab").expect("p"))
             .expect("replace");
         side.apply_replace(&net, h, &old);
-        assert_matches_fresh(&mut side, &net);
+        assert_matches_fresh(&side, &net);
         // g no longer reaches anything.
         assert!(side.tfo(&net, g).is_empty());
     }
 
     #[test]
-    fn sync_new_nodes_extends_and_invalidates() {
+    fn sync_new_nodes_extends_the_tables() {
         let (mut net, ids) = chain();
-        let (a, b, h) = (ids[0], ids[1], ids[4]);
+        let (a, b) = (ids[0], ids[1]);
         let mut side = SideTables::build(&net);
-        side.tfo(&net, a); // warm: must be invalidated (new node hangs off a)
-        side.tfo(&net, h); // warm: must survive (h does not reach a or b)
         let m = net
             .add_node("m", vec![a, b], parse_sop(2, "a + b").expect("p"))
             .expect("m");
         side.sync_new_nodes(&net);
-        assert_matches_fresh(&mut side, &net);
-        assert!(side.tfo(&net, a).contains(&m));
+        assert_matches_fresh(&side, &net);
+        assert!(side.in_tfo(&net, m, a));
+        assert_eq!(side.level(&net, m), 1);
     }
 
     #[test]
@@ -500,48 +418,6 @@ mod tests {
         assert!(!side.fanouts(&net, a).contains(&m));
         assert!(!side.fanouts(&net, h).contains(&m));
         assert!(side.fanouts(&net, h).contains(&k));
-    }
-
-    #[test]
-    fn frozen_in_tfo_matches_memoized_cold_and_warm() {
-        let (mut net, ids) = chain();
-        let mut side = SideTables::build(&net);
-        let epoch0 = side.epoch();
-        // Cold: no memo present, the frozen query recomputes on the spot.
-        for &x in &ids {
-            for &y in &ids {
-                let want = net.tfo(y).contains(&x);
-                assert_eq!(side.in_tfo_frozen(&net, x, y), want, "cold ({x}, {y})");
-            }
-        }
-        // Warm the memo, rewire, patch — answers must still agree.
-        for &id in &ids {
-            side.tfo(&net, id);
-        }
-        let h = ids[4];
-        let old = net.node(h).fanins().to_vec();
-        net.replace_function(h, vec![ids[0], ids[2]], parse_sop(2, "ab").expect("p"))
-            .expect("replace");
-        side.apply_replace(&net, h, &old);
-        assert!(side.epoch() > epoch0, "patching must advance the epoch");
-        for &x in &ids {
-            for &y in &ids {
-                let want = net.tfo(y).contains(&x);
-                assert_eq!(side.in_tfo_frozen(&net, x, y), want, "warm ({x}, {y})");
-                assert_eq!(side.in_tfo(&net, x, y), want, "memoized ({x}, {y})");
-            }
-        }
-    }
-
-    #[test]
-    fn in_tfo_level_short_circuit_is_sound() {
-        let (net, ids) = chain();
-        let mut side = SideTables::build(&net);
-        for &x in &ids {
-            for &y in &ids {
-                let want = net.tfo(y).contains(&x);
-                assert_eq!(side.in_tfo(&net, x, y), want, "in_tfo({x}, {y})");
-            }
-        }
+        assert_matches_fresh(&side, &net);
     }
 }

@@ -122,17 +122,16 @@ fn engine_preserves_output_functions_exhaustively() {
     }
 }
 
-/// Satellite check for the hoisted TFO filter: the cached reachability
-/// answer (levels short-circuit + memoized TFO sets) must agree with a
-/// fresh `net.tfo()` recomputation for every (target, divisor) pair —
-/// before any edit, and again after an accepted substitution invalidated
-/// part of the cache.
+/// The engine's cycle filter (the level-bounded `SideTables::in_tfo`
+/// walk) must agree with a fresh `net.tfo()` recomputation for every
+/// (target, divisor) pair — before any edit, and again after an accepted
+/// substitution rewired a node and the tables were patched.
 #[test]
 fn cached_tfo_filter_matches_recomputed_decisions() {
     use boolsubst::network::SideTables;
     let mut net = random_network(13, &GeneratorParams::default());
     let mut side = SideTables::build(&net);
-    let check_all = |net: &Network, side: &mut SideTables| {
+    let check_all = |net: &Network, side: &SideTables| {
         let ids: Vec<_> = net.internal_ids().collect();
         for &t in &ids {
             let tfo = net.tfo(t);
@@ -145,7 +144,7 @@ fn cached_tfo_filter_matches_recomputed_decisions() {
             }
         }
     };
-    check_all(&net, &mut side);
+    check_all(&net, &side);
 
     // Rewire one node the way an accepted substitution would (a fanin
     // swap), patch the tables, and require identical decisions again.
@@ -178,7 +177,112 @@ fn cached_tfo_filter_matches_recomputed_decisions() {
     };
     net.replace_function(target, kept, cover).expect("rewire");
     side.apply_replace(&net, target, &old_fanins);
-    check_all(&net, &mut side);
+    check_all(&net, &side);
+}
+
+/// The level-bounded cycle check is exact under every kind of patch: on
+/// several random networks, `SideTables::in_tfo` equals `Network::tfo`
+/// membership for every (node, of) pair, before any edit and after each
+/// step of a seeded sequence of node additions (`sync_new_nodes`),
+/// rewires (`apply_replace`, including onto freshly added nodes) and
+/// removals (`apply_remove`).
+#[test]
+fn bounded_tfo_check_is_exact_under_edits() {
+    use boolsubst::cube::{Cover, Cube, Lit};
+    use boolsubst::network::SideTables;
+    use boolsubst::workloads::generator::Rng;
+    use std::collections::HashSet;
+
+    fn assert_exact(net: &Network, side: &SideTables, label: &str) {
+        let ids: Vec<_> = net.node_ids().collect();
+        for &of in &ids {
+            let tfo: HashSet<_> = net.tfo(of).into_iter().collect();
+            for &node in &ids {
+                assert_eq!(
+                    side.in_tfo(net, node, of),
+                    tfo.contains(&node),
+                    "{label}: in_tfo({node}, {of})"
+                );
+            }
+        }
+    }
+    /// The AND of `n` variables (arity matches, function is irrelevant).
+    fn and_cover(n: usize) -> Cover {
+        let mut cube = Cube::universe(n);
+        for v in 0..n {
+            cube.restrict(Lit::pos(v));
+        }
+        let mut c = Cover::new(n);
+        c.push(cube);
+        c
+    }
+    /// Two distinct live nodes.
+    fn two_nodes(net: &Network, rng: &mut Rng) -> Vec<boolsubst::network::NodeId> {
+        let ids: Vec<_> = net.node_ids().collect();
+        let a = ids[rng.below(ids.len())];
+        let mut b = ids[rng.below(ids.len())];
+        while b == a {
+            b = ids[rng.below(ids.len())];
+        }
+        vec![a, b]
+    }
+
+    let (mut added, mut rewired, mut removed) = (0, 0, 0);
+    for seed in [3u64, 13, 29, 41] {
+        let mut rng = Rng::new(seed);
+        let mut net = random_network(seed, &GeneratorParams::default());
+        let mut side = SideTables::build(&net);
+        assert_exact(&net, &side, &format!("seed {seed} build"));
+        for step in 0..24 {
+            let label = format!("seed {seed} step {step}");
+            match rng.below(3) {
+                0 => {
+                    let fanins = two_nodes(&net, &mut rng);
+                    net.add_node(format!("e{step}"), fanins, and_cover(2))
+                        .expect("add");
+                    side.sync_new_nodes(&net);
+                    added += 1;
+                }
+                1 => {
+                    let internal: Vec<_> = net.internal_ids().collect();
+                    let target = internal[rng.below(internal.len())];
+                    let fanins = two_nodes(&net, &mut rng);
+                    let old = net.node(target).fanins().to_vec();
+                    // A rewire that would close a cycle is refused.
+                    if fanins.contains(&target)
+                        || net.replace_function(target, fanins, and_cover(2)).is_err()
+                    {
+                        continue;
+                    }
+                    side.apply_replace(&net, target, &old);
+                    rewired += 1;
+                }
+                _ => {
+                    let fanouts = net.fanouts();
+                    let dangling: Vec<_> = net
+                        .internal_ids()
+                        .filter(|&id| {
+                            fanouts[id.index()].is_empty()
+                                && net.outputs().iter().all(|(_, o)| *o != id)
+                        })
+                        .collect();
+                    if dangling.is_empty() {
+                        continue;
+                    }
+                    let id = dangling[rng.below(dangling.len())];
+                    let old = net.node(id).fanins().to_vec();
+                    net.remove_node(id).expect("remove");
+                    side.apply_remove(&net, id, &old);
+                    removed += 1;
+                }
+            }
+            assert_exact(&net, &side, &label);
+        }
+    }
+    assert!(
+        added > 0 && rewired > 0 && removed > 0,
+        "edits not exercised: {added} added, {rewired} rewired, {removed} removed"
+    );
 }
 
 /// Multi-pass first-gain and best-gain against the legacy reference at

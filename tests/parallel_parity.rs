@@ -95,21 +95,33 @@ fn parallel_sweep_honors_expired_deadline() {
 
 /// Checked mode composes with the parallel sweep: on a healthy engine the
 /// guards veto nothing, so the result stays bit-identical to the plain
-/// sequential run with every failure counter at zero.
+/// sequential run with every failure counter at zero, and every pair that
+/// reaches a proof is audited at any width, so the checked counters
+/// (`sim_audits` included) match the checked sequential run's at 2, 4
+/// and 8 threads.
 #[test]
 fn checked_parallel_sweep_is_bit_identical_and_clean() {
     let base = random_network(23, &GeneratorParams::default());
     for (name, opts) in modes() {
         let (seq_net, _) = run(&base, opts.clone());
-        let (par_net, par) = run(&base, opts.clone().with_checked(true).with_threads(4));
-        assert_eq!(
-            write_blif(&par_net),
-            write_blif(&seq_net),
-            "{name}: checked parallel sweep changed the rewrites"
-        );
-        assert_eq!(par.guard_rejections, 0, "{name}");
-        assert_eq!(par.engine_faults, 0, "{name}");
-        assert_eq!(par.quarantined, 0, "{name}");
+        let (_, checked_seq) = run(&base, opts.clone().with_checked(true));
+        assert!(checked_seq.sim_audits > 0, "{name}: no pair audited");
+        for threads in [2usize, 4, 8] {
+            let (par_net, par) = run(&base, opts.clone().with_checked(true).with_threads(threads));
+            assert_eq!(
+                write_blif(&par_net),
+                write_blif(&seq_net),
+                "{name} threads {threads}: checked parallel sweep changed the rewrites"
+            );
+            assert_eq!(
+                counters(&par),
+                counters(&checked_seq),
+                "{name} threads {threads}: checked counters diverged"
+            );
+            assert_eq!(par.guard_rejections, 0, "{name} threads {threads}");
+            assert_eq!(par.engine_faults, 0, "{name} threads {threads}");
+            assert_eq!(par.quarantined, 0, "{name} threads {threads}");
+        }
     }
 }
 

@@ -1,49 +1,57 @@
-//! Property-based tests (proptest) for the core invariants: division
-//! exactness, SOS/POS lemmas, two-level minimization envelopes, factoring
+//! Seeded property tests for the core invariants: division exactness,
+//! SOS/POS lemmas, two-level minimization envelopes, factoring
 //! equivalence and algebraic reconstruction.
 //!
-//! Gated behind the `proptest` cargo feature so the default build stays
-//! hermetic (no registry access); see CONTRIBUTING.md to enable.
-#![cfg(feature = "proptest")]
+//! Each property draws its covers from the workloads crate's seeded
+//! xorshift [`Rng`], so every case is reproducible from its index and the
+//! suite runs in the default, dependency-free build.
 
 use boolsubst::algebraic::{factor, factored_literals, weak_divide, FactorTree};
 use boolsubst::core::{
     basic_divide_covers, extended_divide_covers, is_sos_of, lemma1_holds, pos_divide_covers,
     DivisionOptions,
 };
-use boolsubst::cube::{simplify, Cover, Cube, Lit, Phase, SimplifyOptions};
-use proptest::prelude::*;
+use boolsubst::cube::{simplify, Cover, Cube, Lit, Phase, SimplifyOptions, VarState};
+use boolsubst::workloads::generator::Rng;
 
 const VARS: usize = 5;
+const CASES: u64 = 96;
 
-/// Strategy: a random cube over `VARS` variables (never empty).
-fn cube_strategy() -> impl Strategy<Value = Cube> {
-    proptest::collection::vec((0..VARS, any::<bool>()), 1..=4).prop_map(|lits| {
-        let mut cube = Cube::universe(VARS);
-        for (v, pos) in lits {
-            // Avoid creating empty cubes: second phase of the same
-            // variable is ignored by keeping the first mention only.
-            if matches!(cube.var_state(v), boolsubst::cube::VarState::DontCare) {
-                cube.restrict(Lit {
-                    var: v,
-                    phase: if pos { Phase::Pos } else { Phase::Neg },
-                });
-            }
+/// A random cube over `VARS` variables with 1–4 literal draws (never
+/// empty: a second draw of the same variable is ignored).
+fn random_cube(rng: &mut Rng) -> Cube {
+    let mut cube = Cube::universe(VARS);
+    for _ in 0..=rng.below(4) {
+        let var = rng.below(VARS);
+        if matches!(cube.var_state(var), VarState::DontCare) {
+            let phase = if rng.below(2) == 0 {
+                Phase::Pos
+            } else {
+                Phase::Neg
+            };
+            cube.restrict(Lit { var, phase });
         }
-        cube
-    })
+    }
+    cube
 }
 
-/// Strategy: a random non-empty cover.
-fn cover_strategy(max_cubes: usize) -> impl Strategy<Value = Cover> {
-    proptest::collection::vec(cube_strategy(), 1..=max_cubes).prop_map(|cubes| {
-        let mut c = Cover::new(VARS);
-        for cube in cubes {
-            c.push(cube);
-        }
-        c.remove_contained_cubes();
-        c
-    })
+/// A random non-empty cover of 1..=`max_cubes` cubes, minus contained
+/// cubes.
+fn random_cover(rng: &mut Rng, max_cubes: usize) -> Cover {
+    let mut c = Cover::new(VARS);
+    for _ in 0..=rng.below(max_cubes) {
+        c.push(random_cube(rng));
+    }
+    c.remove_contained_cubes();
+    c
+}
+
+/// Runs `property` on `CASES` seeded generators; a failure names its case.
+fn for_cases(salt: u64, mut property: impl FnMut(&mut Rng, u64)) {
+    for case in 0..CASES {
+        let mut rng = Rng::new(salt.wrapping_mul(0x1_0000) + case + 1);
+        property(&mut rng, case);
+    }
 }
 
 fn eval_tree(t: &FactorTree, inputs: &[bool]) -> bool {
@@ -59,40 +67,55 @@ fn eval_tree(t: &FactorTree, inputs: &[bool]) -> bool {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Basic Boolean division is always exact: f == d·q + r.
-    #[test]
-    fn basic_division_exact(f in cover_strategy(6), d in cover_strategy(4)) {
+/// Basic Boolean division is always exact: f == d·q + r.
+#[test]
+fn basic_division_exact() {
+    for_cases(1, |rng, case| {
+        let (f, d) = (random_cover(rng, 6), random_cover(rng, 4));
         let r = basic_divide_covers(&f, &d, &DivisionOptions::paper_default());
-        prop_assert!(r.verify(&f, &d), "q={} r={}", r.quotient, r.remainder);
-    }
+        assert!(
+            r.verify(&f, &d),
+            "case {case}: q={} r={}",
+            r.quotient,
+            r.remainder
+        );
+    });
+}
 
-    /// POS division is always exact: f == (d + q)·r.
-    #[test]
-    fn pos_division_exact(f in cover_strategy(5), d in cover_strategy(3)) {
-        prop_assume!(!d.is_tautology());
-        let r = pos_divide_covers(&f, &d, &DivisionOptions::paper_default());
-        prop_assert!(r.verify(&f, &d));
-    }
-
-    /// Extended division, when it finds a core, divides exactly by it and
-    /// the core is a subset of the divisor's cubes.
-    #[test]
-    fn extended_division_exact(f in cover_strategy(5), d in cover_strategy(4)) {
-        if let Some(ext) = extended_divide_covers(&f, &d, &DivisionOptions::paper_default()) {
-            prop_assert!(ext.division.verify(&f, &ext.core));
-            for &k in &ext.core_cube_indices {
-                prop_assert!(k < d.len());
-            }
-            prop_assert!(!ext.core.is_empty());
+/// POS division is always exact: f == (d + q)·r.
+#[test]
+fn pos_division_exact() {
+    for_cases(2, |rng, case| {
+        let (f, d) = (random_cover(rng, 5), random_cover(rng, 3));
+        if d.is_tautology() {
+            return;
         }
-    }
+        let r = pos_divide_covers(&f, &d, &DivisionOptions::paper_default());
+        assert!(r.verify(&f, &d), "case {case}");
+    });
+}
 
-    /// Lemma 1: whenever d is (structurally) an SOS of f, f·d == f.
-    #[test]
-    fn lemma1_property(f in cover_strategy(5)) {
+/// Extended division, when it finds a core, divides exactly by it and
+/// the core is a subset of the divisor's cubes.
+#[test]
+fn extended_division_exact() {
+    for_cases(3, |rng, case| {
+        let (f, d) = (random_cover(rng, 5), random_cover(rng, 4));
+        if let Some(ext) = extended_divide_covers(&f, &d, &DivisionOptions::paper_default()) {
+            assert!(ext.division.verify(&f, &ext.core), "case {case}");
+            for &k in &ext.core_cube_indices {
+                assert!(k < d.len(), "case {case}");
+            }
+            assert!(!ext.core.is_empty(), "case {case}");
+        }
+    });
+}
+
+/// Lemma 1: whenever d is (structurally) an SOS of f, f·d == f.
+#[test]
+fn lemma1_property() {
+    for_cases(4, |rng, case| {
+        let f = random_cover(rng, 5);
         // Build an SOS of f by dropping literals from its cubes.
         let mut d = Cover::new(VARS);
         for c in f.cubes() {
@@ -106,80 +129,112 @@ proptest! {
         if d.is_empty() {
             d = Cover::one(VARS);
         }
-        prop_assert!(is_sos_of(&d, &f));
-        prop_assert!(lemma1_holds(&d, &f));
-    }
+        assert!(is_sos_of(&d, &f), "case {case}");
+        assert!(lemma1_holds(&d, &f), "case {case}");
+    });
+}
 
-    /// The divided form never uses more SOP literals than the trivial
-    /// form f = d·0 + f.
-    #[test]
-    fn division_no_blowup(f in cover_strategy(5), d in cover_strategy(3)) {
+/// The divided form never uses more SOP literals than the trivial
+/// form f = d·0 + f.
+#[test]
+fn division_no_blowup() {
+    for_cases(5, |rng, case| {
+        let (f, d) = (random_cover(rng, 5), random_cover(rng, 3));
         let r = basic_divide_covers(&f, &d, &DivisionOptions::paper_default());
         if r.succeeded() {
-            prop_assert!(r.quotient.len() <= f.len() + 1);
-            prop_assert!(r.remainder.len() <= f.len());
+            assert!(r.quotient.len() <= f.len() + 1, "case {case}");
+            assert!(r.remainder.len() <= f.len(), "case {case}");
         }
-    }
+    });
+}
 
-    /// Two-level simplification: onset\dc ⊆ result ⊆ onset ∪ dc, and never
-    /// more literals than the input.
-    #[test]
-    fn simplify_envelope(on in cover_strategy(6), dc in cover_strategy(3)) {
+/// Two-level simplification: onset\dc ⊆ result ⊆ onset ∪ dc, and never
+/// more literals than the input.
+#[test]
+fn simplify_envelope() {
+    for_cases(6, |rng, case| {
+        let (on, dc) = (random_cover(rng, 6), random_cover(rng, 3));
         let out = simplify(&on, &dc, SimplifyOptions::default());
-        prop_assert!(out.covers(&on.sharp(&dc)), "lost care minterms");
-        prop_assert!(on.or(&dc).covers(&out), "left the care envelope");
-        prop_assert!(out.literal_count() <= on.literal_count());
-    }
+        assert!(
+            out.covers(&on.sharp(&dc)),
+            "case {case}: lost care minterms"
+        );
+        assert!(
+            on.or(&dc).covers(&out),
+            "case {case}: left the care envelope"
+        );
+        assert!(out.literal_count() <= on.literal_count(), "case {case}");
+    });
+}
 
-    /// Factoring preserves the function and never increases literals.
-    #[test]
-    fn factor_equivalent(f in cover_strategy(6)) {
+/// Factoring preserves the function and never increases literals.
+#[test]
+fn factor_equivalent() {
+    for_cases(7, |rng, case| {
+        let f = random_cover(rng, 6);
         let tree = factor(&f);
         for m in 0u32..(1 << VARS) {
             let inputs: Vec<bool> = (0..VARS).map(|i| (m >> i) & 1 == 1).collect();
-            prop_assert_eq!(eval_tree(&tree, &inputs), f.eval(&inputs));
+            assert_eq!(
+                eval_tree(&tree, &inputs),
+                f.eval(&inputs),
+                "case {case} minterm {m}"
+            );
         }
-        prop_assert!(factored_literals(&f) <= f.literal_count());
-    }
+        assert!(factored_literals(&f) <= f.literal_count(), "case {case}");
+    });
+}
 
-    /// Weak division reconstructs: f == d·q + r as cube sets.
-    #[test]
-    fn weak_division_reconstructs(f in cover_strategy(6), d in cover_strategy(3)) {
+/// Weak division reconstructs: f == d·q + r as cube sets.
+#[test]
+fn weak_division_reconstructs() {
+    for_cases(8, |rng, case| {
+        let (f, d) = (random_cover(rng, 6), random_cover(rng, 3));
         let r = weak_divide(&f, &d);
         let mut rebuilt = r.quotient.and(&d);
         rebuilt.extend_cover(&r.remainder);
-        prop_assert!(rebuilt.equivalent(&f));
-    }
+        assert!(rebuilt.equivalent(&f), "case {case}");
+    });
+}
 
-    /// Complement is exact: f + f' is a tautology and f·f' is empty.
-    #[test]
-    fn complement_exact(f in cover_strategy(6)) {
+/// Complement is exact: f + f' is a tautology and f·f' is empty.
+#[test]
+fn complement_exact() {
+    for_cases(9, |rng, case| {
+        let f = random_cover(rng, 6);
         let g = f.complement();
-        prop_assert!(f.or(&g).is_tautology());
+        assert!(f.or(&g).is_tautology(), "case {case}");
         let mut inter = f.and(&g);
         inter.remove_contained_cubes();
         for c in inter.cubes() {
-            prop_assert!(c.is_empty());
+            assert!(c.is_empty(), "case {case}");
         }
-    }
+    });
+}
 
-    /// Tautology check agrees with exhaustive evaluation.
-    #[test]
-    fn tautology_matches_exhaustive(f in cover_strategy(7)) {
-        prop_assert_eq!(
+/// Tautology check agrees with exhaustive evaluation.
+#[test]
+fn tautology_matches_exhaustive() {
+    for_cases(10, |rng, case| {
+        let f = random_cover(rng, 7);
+        assert_eq!(
             f.is_tautology(),
-            boolsubst::cube::is_tautology_exhaustive(&f)
+            boolsubst::cube::is_tautology_exhaustive(&f),
+            "case {case}"
         );
-    }
+    });
+}
 
-    /// The simulation screen is refute-only: whenever every dividend cube
-    /// carries a `divisor = 0` witness, the kept split of basic division
-    /// is empty (and symmetrically, complement witnesses empty the kept
-    /// split against the divisor's complement) — for any pattern pool.
-    #[test]
-    fn sim_screen_refutations_are_sound(f in cover_strategy(6), d in cover_strategy(4)) {
-        use boolsubst::network::Network;
-        use boolsubst::sim::{SimConfig, SimFilter};
+/// The simulation screen is refute-only: whenever every dividend cube
+/// carries a `divisor = 0` witness, the kept split of basic division
+/// is empty (and symmetrically, complement witnesses empty the kept
+/// split against the divisor's complement) — for any pattern pool.
+#[test]
+fn sim_screen_refutations_are_sound() {
+    use boolsubst::network::Network;
+    use boolsubst::sim::{SimConfig, SimFilter};
+    for_cases(11, |rng, case| {
+        let (f, d) = (random_cover(rng, 6), random_cover(rng, 4));
         let mut net = Network::new("prop");
         let pis: Vec<_> = (0..VARS)
             .map(|i| net.add_input(format!("x{i}")).expect("pi"))
@@ -190,22 +245,28 @@ proptest! {
         net.add_output("td", td).expect("od");
         let configs = [
             SimConfig::exhaustive(),
-            SimConfig { words: 1, ..SimConfig::default() },
+            SimConfig {
+                words: 1,
+                ..SimConfig::default()
+            },
         ];
         for config in configs {
             let filter = SimFilter::new(&net, &config);
             let screen = filter.screen_cover(&net, &f, &pis, td);
             if screen.refutes_containment_in_divisor() {
                 let (kept, _) = boolsubst::core::split_remainder(&f, &d);
-                prop_assert!(kept.is_empty(), "refuted kept split non-empty");
+                assert!(kept.is_empty(), "case {case}: refuted kept split non-empty");
             }
             if screen.refutes_containment_in_complement() {
                 let dc = d.complement();
                 if !dc.is_empty() {
                     let (kept, _) = boolsubst::core::split_remainder(&f, &dc);
-                    prop_assert!(kept.is_empty(), "complement kept split non-empty");
+                    assert!(
+                        kept.is_empty(),
+                        "case {case}: complement kept split non-empty"
+                    );
                 }
             }
         }
-    }
+    });
 }
