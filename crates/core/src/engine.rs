@@ -34,23 +34,24 @@
 //! past the accepted divisor — reproducing the legacy visit sequence
 //! exactly.
 //!
-//! Two paths touch a pair. `attempt` commits: it proves the pair and
-//! applies the rewrite in place. The read-only speculation in `parallel`
-//! evaluates a pair without committing it; it serves parallel first-gain
-//! epochs and every best-gain dry run, at any thread count. Both run the
-//! same cheap filter chain (`cheap_filters`), decide the outcome with the
-//! same `core_outcome`, and describe the attempt as one [`PairRecord`]
-//! plus the pair's own [`SubstStats`] delta. `SubstEngine::book` is
-//! the only place either is booked: it folds the delta into the
-//! session's stats and the metrics registry and the record into the
-//! tracer, so the three views cannot disagree.
+//! Every pair is evaluated once, read-only, by the epoch speculation in
+//! `parallel` (cheap filter chain `cheap_filters`, checked-mode audit,
+//! division proofs), at every thread count and under both acceptance
+//! policies. The one pair a visit accepts is then applied from its
+//! stored plan by `SubstEngine::commit`, which owns every mutation: the
+//! txn snapshot, the guard, rollback and quarantine, and the side-table,
+//! sim and candidate-source patching. Each pair is described as one
+//! [`PairRecord`] plus its own [`SubstStats`] delta, and
+//! `SubstEngine::book` is the only place either is booked: it folds the
+//! delta into the session's stats and the metrics registry and the record
+//! into the tracer, so the three views cannot disagree.
 
 use crate::candidates::{build_source, CandidateSource, SourceCtx};
 use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    apply_plan, core_outcome, plan_pair_core, Acceptance, Discovery, GdcScope, SubstMode,
-    SubstOptions, SubstStats, TargetForms,
+    apply_plan, core_outcome, Acceptance, Discovery, SubstMode, SubstOptions, SubstPlan,
+    SubstStats, TargetForms,
 };
 use crate::txn::TxnSnapshot;
 use boolsubst_algebraic::JointSpace;
@@ -59,9 +60,10 @@ use boolsubst_guard::{Guard, GuardDecision};
 use boolsubst_metrics::MetricsHandle;
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimFilter;
-use boolsubst_trace::{GuardTier, Outcome, PairRecord, Stage, StageNanos, Tracer};
+use boolsubst_trace::{GuardTier, Outcome, PairRecord, Stage, Tracer};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 pub(crate) fn nanos(since: Instant) -> u64 {
@@ -71,39 +73,6 @@ pub(crate) fn nanos(since: Instant) -> u64 {
 /// Node ids as the tracer's compact u32 representation.
 pub(crate) fn id32(id: NodeId) -> u32 {
     u32::try_from(id.index()).unwrap_or(u32::MAX)
-}
-
-/// The span record of one finished pair attempt that started at `start`
-/// (lane 0, untimed; the caller sets `worker` and `dur_ns`). Stage
-/// shares are read off the pair's stat delta. `screen_ns` is the
-/// sim-screen time the division window booked in both `sim_nanos` and
-/// `divide_nanos`; the span counts it once, under Sim.
-pub(crate) fn pair_record(
-    target: NodeId,
-    divisor: NodeId,
-    start: Instant,
-    delta: &SubstStats,
-    screen_ns: u64,
-    outcome: Outcome,
-    gain: i64,
-) -> PairRecord {
-    PairRecord {
-        target: id32(target),
-        divisor: id32(divisor),
-        start,
-        dur_ns: 0,
-        stages: StageNanos {
-            enumerate: delta.enumerate_nanos,
-            filter: delta.filter_nanos,
-            sim: delta.sim_nanos,
-            divide: delta.divide_nanos.saturating_sub(screen_ns),
-            apply: delta.apply_nanos,
-        },
-        outcome,
-        gain,
-        rar_checks: u64::try_from(delta.rar_checks).unwrap_or(u64::MAX),
-        worker: 0,
-    }
 }
 
 /// Cone-restricted guard compare for local-function-preserving rewrites:
@@ -255,8 +224,7 @@ fn node_names(net: &Network) -> Vec<String> {
     names
 }
 
-/// The cheap filter chain every pair passes before its division proof,
-/// shared by [`SubstEngine::attempt`] and the read-only speculation:
+/// The cheap filter chain every pair passes before its division proof:
 /// quarantine, structural, cycle (the level-bounded
 /// [`SideTables::in_tfo`]), divisor size and joint space. Books the
 /// matching `filtered_*` counter and returns the reject outcome, or the
@@ -301,35 +269,33 @@ pub(crate) fn cheap_filters(
     Ok(space)
 }
 
-/// The checked-mode integrity audit of one pair that passed the cheap
-/// filters, shared by [`SubstEngine::attempt`] and the read-only
-/// speculation: recomputes the target's and divisor's signature rows from
-/// their fanins and compares them with the table. Books the audit and its
-/// time into `stats`; the caller repairs the table on `false`.
-pub(crate) fn audit_pair(
-    sim: &SimFilter,
-    net: &Network,
+/// The cached per-target GDC snapshot, tagged with the network version it
+/// is valid for. The snapshot itself is built by the first pair that
+/// reaches its division proof, so a visit whose pairs all stop at the
+/// cheap filters never pays for it.
+pub(crate) struct ShadowEntry {
     target: NodeId,
-    divisor: NodeId,
-    stats: &mut SubstStats,
-) -> bool {
-    let ts = Instant::now();
-    let ok = sim.audit(net, &[target, divisor]);
-    stats.sim_audits += 1;
-    stats.sim_nanos += nanos(ts);
-    ok
+    version: u64,
+    /// The snapshot and its build time, once a pair has needed it.
+    base: OnceLock<(ShadowBase, u64)>,
+    /// Whether a booked pair has used this snapshot yet: the first use
+    /// books the cache miss (and the traced build), every later one a hit.
+    booked: bool,
 }
 
-/// The cached per-target GDC snapshot, tagged with the network version it
-/// is valid for.
-pub(crate) struct ShadowEntry {
-    pub(crate) target: NodeId,
-    pub(crate) version: u64,
-    pub(crate) base: ShadowBase,
-    /// Build time of a snapshot no pair has used yet: the first use books
-    /// the cache miss, so a speculation epoch's build counts exactly when
-    /// the sequential engine's lazy build would have.
-    unbooked: Option<u64>,
+impl ShadowEntry {
+    /// The snapshot, built on first use. Workers of one epoch share the
+    /// entry; the first caller builds and the others wait for it.
+    pub(crate) fn base(&self, net: &Network, side: &SideTables) -> &ShadowBase {
+        &self
+            .base
+            .get_or_init(|| {
+                let t0 = Instant::now();
+                let tfo = side.tfo(net, self.target);
+                (ShadowBase::prepare(net, self.target, &tfo), nanos(t0))
+            })
+            .0
+    }
 }
 
 /// A persistent Boolean-substitution session over one network.
@@ -735,71 +701,50 @@ impl<'a> SubstEngine<'a> {
         cands
     }
 
+    /// One target's visit under the configured acceptance policy. Both
+    /// policies evaluate pairs read-only in epochs and commit the winner's
+    /// stored plan; see `crate::parallel`.
     fn visit_target(&mut self, target: NodeId) {
         match self.opts.acceptance {
-            // Speculate every candidate, commit the best; see
-            // `crate::parallel`.
-            Acceptance::BestGain => return self.best_gain_visit(target),
-            // Epoch-parallel speculative sweep; bit-identical rewrites.
-            Acceptance::FirstGain if self.opts.threads.get() > 1 => {
-                return self.parallel_first_gain(target)
-            }
-            Acceptance::FirstGain => {}
-        }
-        let bound = self.net.id_bound();
-        let mut cursor: Option<NodeId> = None;
-        'resume: loop {
-            let cands = self.discover(target, bound, cursor);
-            for divisor in cands {
-                if self.deadline_expired() {
-                    return;
-                }
-                if self.attempt(target, divisor).is_some() {
-                    // The target's fanins changed: re-enumerate
-                    // candidates and resume past this divisor, like the
-                    // legacy loop continuing in place.
-                    cursor = Some(divisor);
-                    continue 'resume;
-                }
-            }
-            break;
+            Acceptance::FirstGain => self.first_gain_visit(target),
+            Acceptance::BestGain => self.best_gain_visit(target),
         }
     }
 
-    /// Builds the per-target shadow snapshot unless the cached one is for
-    /// this target and the current network version. The build stays
-    /// unbooked until a pair uses it ([`SubstEngine::use_shadow`]).
-    pub(crate) fn prepare_shadow(&mut self, target: NodeId) {
+    /// Replaces the cached shadow entry unless it is for this target and
+    /// the current network version. A new entry is empty: the first pair
+    /// that reaches its division proof builds the snapshot
+    /// ([`ShadowEntry::base`]), and the build is booked when a booked pair
+    /// first uses it ([`SubstEngine::use_shadow`]).
+    pub(crate) fn ensure_shadow(&mut self, target: NodeId) {
         let valid = self
             .shadow
             .as_ref()
             .is_some_and(|e| e.target == target && e.version == self.net.version());
-        if valid {
-            return;
+        if !valid {
+            self.shadow = Some(ShadowEntry {
+                target,
+                version: self.net.version(),
+                base: OnceLock::new(),
+                booked: false,
+            });
         }
-        let t0 = Instant::now();
-        let tfo = self.side.tfo(self.net, target);
-        let base = ShadowBase::prepare(self.net, target, &tfo);
-        self.shadow = Some(ShadowEntry {
-            target,
-            version: self.net.version(),
-            base,
-            unbooked: Some(nanos(t0)),
-        });
     }
 
-    /// Books one pair's use of the prepared shadow snapshot: the first use
-    /// after a build is the cache miss (and the traced build), every later
-    /// one a hit.
+    /// Books one pair's use of the shadow snapshot: the first use of an
+    /// entry is the cache miss (and the traced build), every later one a
+    /// hit.
     pub(crate) fn use_shadow(&mut self, target: NodeId, delta: &mut SubstStats) {
-        match self.shadow.as_mut().and_then(|e| e.unbooked.take()) {
-            Some(ns) => {
+        match self.shadow.as_mut() {
+            Some(e) if !e.booked => {
+                e.booked = true;
                 delta.shadow_cache_misses += 1;
+                let ns = e.base.get().map_or(0, |(_, ns)| *ns);
                 if let Some(t) = self.tracer.as_deref_mut() {
                     t.shadow_build(id32(target), ns);
                 }
             }
-            None => delta.shadow_cache_hits += 1,
+            _ => delta.shadow_cache_hits += 1,
         }
     }
 
@@ -815,138 +760,54 @@ impl<'a> SubstEngine<'a> {
         }
     }
 
-    /// One live pair attempt, booked once: [`SubstEngine::try_live`] runs
-    /// it into a fresh stat delta, then the delta and the pair's record
-    /// go through [`SubstEngine::book`]. The record's wall time is only
-    /// measured when a tracer or metrics registry is attached.
-    pub(crate) fn attempt(&mut self, target: NodeId, divisor: NodeId) -> Option<i64> {
-        let t0 = Instant::now();
-        let mut delta = SubstStats::default();
-        let mut screen_ns = 0;
-        let (outcome, result) = self.try_live(target, divisor, t0, &mut delta, &mut screen_ns);
-        let mut rec = pair_record(
-            target,
-            divisor,
-            t0,
-            &delta,
-            screen_ns,
-            outcome,
-            result.unwrap_or(0),
-        );
-        if self.tracer.is_some() || self.metrics.is_some() {
-            rec.dur_ns = nanos(t0);
-        }
-        self.book(&delta, Some(&rec));
-        result
-    }
-
-    /// The body of [`SubstEngine::attempt`]: cached filters, then the
-    /// shared division core, the checked-mode guard, and local side-table
-    /// patching on acceptance. Books everything into `delta` (and the
-    /// screen share of the division window into `screen_ns`) and returns
-    /// the outcome with the committed gain.
-    fn try_live(
+    /// Applies an evaluated pair's stored `plan` to the live network: the
+    /// division it came from is never proved a second time. Checked mode
+    /// snapshots the two covers the plan can rewrite, isolates a panic in
+    /// the apply and asks the guard for a verdict; a faulting or refuted
+    /// rewrite is rolled back and the pair quarantined. Any edit, kept or
+    /// rolled back, is then carried into the side tables, the signature
+    /// table and the candidate source. Books into the pair's `delta` (the
+    /// apply, the guard and the table patching as apply time, the
+    /// signature patch as sim time) and returns the pair's outcome with
+    /// the committed gain.
+    pub(crate) fn commit(
         &mut self,
         target: NodeId,
         divisor: NodeId,
-        t0: Instant,
+        plan: SubstPlan,
         delta: &mut SubstStats,
-        screen_ns: &mut u64,
     ) -> (Outcome, Option<i64>) {
-        delta.candidates_enumerated += 1;
-        let filtered = cheap_filters(
-            self.net,
-            &self.side,
-            &self.quarantine,
-            &self.opts,
-            delta,
-            target,
-            divisor,
-        );
-        delta.filter_nanos += nanos(t0);
-        let space = match filtered {
-            Ok(space) => space,
-            Err(outcome) => return (outcome, None),
-        };
-        let mut sim_fault = false;
-        if let Some(sim) = self.sim.as_mut().filter(|_| self.opts.checked) {
-            #[cfg(feature = "chaos")]
-            if let Some(r) = crate::chaos::should_poison_signature() {
-                sim.chaos_poison_signature(target, usize::try_from(r).unwrap_or(0));
-            }
-            // Integrity audit (`audit_pair`, as in speculation). A
-            // mismatch means the incremental patching went wrong
-            // somewhere — repair by rebuilding from scratch.
-            if !audit_pair(sim, self.net, target, divisor, delta) {
-                let ts = Instant::now();
-                sim.rebuild(self.net);
-                delta.sim_nanos += nanos(ts);
-                sim_fault = true;
-            }
-        }
-        if sim_fault {
-            delta.engine_faults += 1;
-            self.quarantine_pair(delta, target, divisor);
-            return (Outcome::EngineFault, None);
-        }
-
-        if self.opts.mode == SubstMode::ExtendedGdc {
-            self.prepare_shadow(target);
-            self.use_shadow(target, delta);
-        }
-        self.ensure_forms(target);
-        // The pair survived every cheap filter: the division proof runs.
-        delta.discovery_proofs_run += 1;
         let t1 = Instant::now();
         let v0 = self.net.version();
         let old_tgt = self.net.node(target).fanins().to_vec();
         let old_div = self.net.node(divisor).fanins().to_vec();
         let old_bound = self.net.id_bound();
-        let sim_nanos0 = delta.sim_nanos;
+        let accepted = core_outcome(Some(&plan), delta);
         // Checked mode snapshots the minimal pre-state (the two covers
         // this pair can rewrite plus the id bound for minted nodes) so a
-        // faulting or guard-refuted attempt can be undone in O(changed).
+        // faulting or guard-refuted apply can be undone in O(changed).
         let snap = self
             .opts
             .checked
             .then(|| TxnSnapshot::capture(self.net, &[target, divisor]));
-        let ran = {
-            let mut core = || {
-                let scope = match &self.shadow {
-                    Some(e) if self.opts.mode == SubstMode::ExtendedGdc => {
-                        GdcScope::Shadow(&e.base)
-                    }
-                    _ => GdcScope::Rebuild,
-                };
-                let plan = plan_pair_core(
-                    self.net,
-                    target,
-                    divisor,
-                    &space,
-                    &self.opts,
-                    delta,
-                    &scope,
-                    self.forms.as_ref(),
-                    self.sim.as_ref(),
-                );
-                let accepted = core_outcome(plan.as_ref(), delta);
-                // A failed apply books an engine fault, which
-                // `core_outcome` then reports.
-                match plan.and_then(|p| apply_plan(self.net, p, delta)) {
-                    Some(gain) => (accepted, Some(gain)),
-                    None => (core_outcome(None, delta), None),
-                }
-            };
+        let applied = {
+            let net = &mut *self.net;
+            let apply = || apply_plan(net, plan, delta);
             if snap.is_some() {
-                catch_unwind(AssertUnwindSafe(core)).ok()
+                catch_unwind(AssertUnwindSafe(apply)).ok()
             } else {
-                Some(core())
+                Some(apply())
             }
         };
-        let (mut outcome, mut result) = ran.unwrap_or((Outcome::EngineFault, None));
+        // A failed apply booked an engine fault and left the network as
+        // it was.
+        let (mut outcome, mut result) = match applied {
+            Some(Some(gain)) => (accepted, Some(gain)),
+            Some(None) | None => (Outcome::EngineFault, None),
+        };
         if let Some(snap) = &snap {
-            if ran.is_none() {
-                // A panic escaped the division core, possibly mid-rewrite:
+            if applied.is_none() {
+                // A panic escaped the apply, possibly mid-rewrite:
                 // restore the pre-state and never retry the pair.
                 self.recover(snap, delta);
                 delta.engine_faults += 1;
@@ -978,11 +839,9 @@ impl<'a> SubstEngine<'a> {
                 }
             }
         }
-        delta.divide_nanos += nanos(t1);
-        *screen_ns = delta.sim_nanos - sim_nanos0;
 
-        if self.net.version() != v0 {
-            let t2 = Instant::now();
+        let edited = self.net.version() != v0;
+        if edited {
             self.side.sync_new_nodes(self.net);
             let div_changed = self.net.node(divisor).fanins() != old_div.as_slice();
             if div_changed {
@@ -997,7 +856,9 @@ impl<'a> SubstEngine<'a> {
                 // so it is still exact — just retag its version.
                 e.version = self.net.version();
             }
-            delta.apply_nanos += nanos(t2);
+        }
+        delta.apply_nanos += nanos(t1);
+        if edited {
             let mut changed: Vec<NodeId> = Vec::new();
             if let Some(sim) = self.sim.as_mut() {
                 let ts = Instant::now();

@@ -30,7 +30,7 @@ use boolsubst_trace::Tracer;
 /// The builder borrows the network mutably for its whole life, so a
 /// `Session` cannot outlive or alias the network it rewrites. Attaching a
 /// tracer or a metrics handle never changes the accepted rewrites, and
-/// one thread (the default) is the plain sequential engine.
+/// neither does the thread count.
 pub struct Session<'n, 't> {
     net: &'n mut Network,
     opts: SubstOptions,

@@ -154,9 +154,10 @@ pub struct SubstOptions {
     /// Checked apply (engine path only): every accepted rewrite is
     /// re-verified by the post-apply guard pipeline against the
     /// reconstructed pre-state, refuted moves are rolled back and the pair
-    /// quarantined, and per-pair work runs under panic isolation. On a
-    /// healthy engine the guards never fire, so the output is bit-identical
-    /// to an unchecked run (`tests/engine_parity.rs`). Default off.
+    /// quarantined, and a panic in the apply is rolled back as well
+    /// (proof panics are isolated in every mode). On a healthy engine the
+    /// guards never fire, so the output is bit-identical to an unchecked
+    /// run (`tests/engine_parity.rs`). Default off.
     pub checked: bool,
     /// Guard pipeline tunables for checked mode: which exact tiers may
     /// run (`sim → BDD → SAT`), the BDD node limit, and the SAT conflict
@@ -167,12 +168,14 @@ pub struct SubstOptions {
     /// with [`SubstStats::interrupted`] set. Each attempt is atomic, so
     /// the network is never left mid-rewrite. Default none.
     pub deadline: Option<Instant>,
-    /// Worker threads for the speculative sweep (engine path only).
-    /// `1` (the default) runs the plain sequential engine; `N > 1` runs
-    /// the epoch-parallel sweep, which under [`Acceptance::FirstGain`]
-    /// commits in pair order and is bit-identical to the sequential
-    /// result (`tests/parallel_parity.rs`). Parallel runs always use
-    /// per-pair panic isolation for worker proofs.
+    /// Threads that evaluate an epoch's pairs (engine path only). Every
+    /// width runs the same epoch visit: pairs are evaluated read-only,
+    /// with per-pair panic isolation, and the winner's plan is applied
+    /// once. `1` (the default) drains each epoch on the engine thread
+    /// alone; `N > 1` lets a scoped pool of `N - 1` more workers join
+    /// epochs of at least 16 pairs. Rewrites and every non-timing
+    /// counter are the same at every width
+    /// (`tests/parallel_parity.rs`).
     pub threads: NonZeroUsize,
 }
 
@@ -299,8 +302,8 @@ impl SubstOptions {
         self
     }
 
-    /// Sets the worker-thread count for the speculative sweep; `0` is
-    /// clamped to `1` (sequential).
+    /// Sets the thread count for epoch evaluation; `0` is clamped to
+    /// `1` (the engine thread alone).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> SubstOptions {
         self.threads = at_least_one(threads);

@@ -123,16 +123,14 @@ const TID_PAIRS: u64 = 0;
 const TID_PASSES: u64 = 1;
 /// Thread ids used in the Chrome export: shadow builds and guard checks.
 const TID_AUX: u64 = 2;
-/// Speculative-sweep worker lanes start here: a pair span measured by
-/// worker `w` (span `worker == w + 1`) lands on tid `TID_AUX + w + 1`,
+/// The committer's pairs (`worker == 0`) sit on the `pairs` lane; a pair
+/// span evaluated by pool worker `w >= 1` lands on tid `TID_AUX + w`,
 /// labelled `worker w` by a `thread_name` metadata row.
-const TID_WORKER_BASE: u64 = TID_AUX;
-
 fn pair_tid(worker: u32) -> u64 {
     if worker == 0 {
         TID_PAIRS
     } else {
-        TID_WORKER_BASE + u64::from(worker)
+        TID_AUX + u64::from(worker)
     }
 }
 
@@ -189,8 +187,8 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
         chrome_metadata(&mut rows, "thread_name", pid, TID_PAIRS, "pairs");
         chrome_metadata(&mut rows, "thread_name", pid, TID_PASSES, "passes");
         chrome_metadata(&mut rows, "thread_name", pid, TID_AUX, "engine aux");
-        // Label every speculative-worker lane that actually carries
-        // spans, so the viewer shows "worker 3" instead of a raw tid.
+        // Label every pool-worker lane that actually carries spans, so
+        // the viewer shows "worker 3" instead of a raw tid.
         let mut worker_lanes: Vec<u32> = t
             .events()
             .filter_map(|ev| match ev {
@@ -206,7 +204,7 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
                 "thread_name",
                 pid,
                 pair_tid(lane),
-                &format!("worker {}", lane - 1),
+                &format!("worker {lane}"),
             );
         }
 
@@ -432,7 +430,7 @@ mod tests {
         let mut t = Tracer::new("ext-gdc");
         t.set_node_names(vec!["n0".into(), "n1".into(), "n2".into()]);
         t.begin_pass(1);
-        // A live pair and two worker-measured ones (workers 0 and 2).
+        // A committer pair and two pool-worker ones (workers 1 and 3).
         for lane in [0, 1, 3] {
             t.record_pair(&record(lane, Outcome::RejectedStructural, 0, 0));
         }
@@ -445,7 +443,7 @@ mod tests {
             .filter(|j| j.get("type").and_then(Json::as_str) == Some("pair"))
             .filter_map(|j| j.get("worker").and_then(Json::as_u64))
             .collect();
-        assert_eq!(workers, vec![0, 1, 3], "live = 0, worker w = w + 1");
+        assert_eq!(workers, vec![0, 1, 3], "committer = 0, worker w = w");
 
         let v = Json::parse(&chrome_trace_string(&[&t])).expect("parses");
         let rows = v.as_array().expect("array");
@@ -460,19 +458,23 @@ mod tests {
                 })
                 .and_then(|r| r.get("tid").and_then(Json::as_u64))
         };
-        let w0 = lane_label("worker 0").expect("worker 0 lane labelled");
-        let w2 = lane_label("worker 2").expect("worker 2 lane labelled");
+        let w1 = lane_label("worker 1").expect("worker 1 lane labelled");
+        let w3 = lane_label("worker 3").expect("worker 3 lane labelled");
         assert!(
-            lane_label("worker 1").is_none(),
+            lane_label("worker 2").is_none(),
             "unused lanes stay unlabelled"
         );
-        // Replayed spans sit on their labelled lanes; the live one on "pairs".
+        assert!(
+            lane_label("worker 0").is_none(),
+            "the committer's pairs sit on the pairs lane"
+        );
+        // Worker spans sit on their labelled lanes; the committer's on "pairs".
         let pair_tids: Vec<u64> = rows
             .iter()
             .filter(|r| r.get("cat").and_then(Json::as_str) == Some("pair"))
             .filter_map(|r| r.get("tid").and_then(Json::as_u64))
             .collect();
-        assert_eq!(pair_tids, vec![TID_PAIRS, w0, w2]);
+        assert_eq!(pair_tids, vec![TID_PAIRS, w1, w3]);
     }
 
     #[test]

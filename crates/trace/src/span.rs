@@ -221,9 +221,8 @@ pub struct PairSpan {
     pub gain: i64,
     /// RAR/ATPG fault checks the GDC-mode division ran for this pair.
     pub rar_checks: u64,
-    /// Sweep lane the attempt ran on: `0` for live (sequential or
-    /// committer) attempts, `w + 1` for a span measured by
-    /// speculative worker `w`. Chrome export maps lanes to named
+    /// Sweep lane the pair was evaluated on: `0` for the committer,
+    /// `w` for pool worker `w`. Chrome export maps lanes to named
     /// threads.
     pub worker: u32,
 }

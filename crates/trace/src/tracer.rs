@@ -10,11 +10,11 @@ use crate::span::{GuardTier, Outcome, PairSpan, PassSpan, Stage, StageNanos, Tra
 
 /// One finished pair attempt: the only way a pair reaches the tracer.
 ///
-/// The engine fills one per attempt, live or speculated, and books it
-/// with [`Tracer::record_pair`]. The record carries the instant the
-/// attempt started, and the tracer measures it against its epoch, so a
-/// speculated record booked after its epoch keeps the start it had on
-/// its worker and every lane runs forward in time.
+/// The engine fills one per evaluated pair and books it with
+/// [`Tracer::record_pair`]. The record carries the instant the
+/// evaluation started, and the tracer measures it against its epoch, so
+/// a record booked after its epoch keeps the start it had on its worker
+/// and every lane runs forward in time.
 #[derive(Debug, Clone, Copy)]
 pub struct PairRecord {
     /// Target node id (compact u32 form).
@@ -33,8 +33,9 @@ pub struct PairRecord {
     pub gain: i64,
     /// RAR/ATPG fault checks run by this attempt.
     pub rar_checks: u64,
-    /// Sweep lane of the attempt: `0` for a live attempt, `w + 1` for
-    /// one measured by speculative worker `w` (see [`PairSpan::worker`]).
+    /// Sweep lane of the attempt: the drain that evaluated it, `0` for
+    /// the committer and `w` for pool worker `w` (see
+    /// [`PairSpan::worker`]).
     pub worker: u32,
 }
 
@@ -223,8 +224,8 @@ impl Tracer {
 
     /// Books one finished pair attempt: every stage with a non-zero share
     /// gets one histogram sample, and the outcome funnel, per-target
-    /// heat, top-K and the event ring all see the span. Call in commit
-    /// order so exported spans read like the equivalent sequential run.
+    /// heat, top-K and the event ring all see the span. Call in sweep
+    /// order so exported spans read like the greedy sweep they record.
     pub fn record_pair(&mut self, rec: &PairRecord) {
         for stage in Stage::ALL {
             let ns = rec.stages.get(stage);

@@ -1,9 +1,10 @@
 //! Fault-injection harness for the checked-apply guards (`--features
-//! chaos`). Each test arms one fault class, runs a checked sweep over
-//! random workloads, and asserts that (a) faults were actually injected,
-//! (b) at least one was caught by a guard, (c) no panic escaped the
-//! sweep, and (d) the final network still computes the input functions —
-//! i.e. every injected fault was either benign or rolled back.
+//! chaos`). Each test arms one fault class, runs a sweep (checked unless
+//! it says otherwise) over random workloads, and asserts that (a) faults
+//! were actually injected, (b) at least one was caught by a guard, (c) no
+//! panic escaped the sweep, and (d) the final network still computes the
+//! input functions — i.e. every injected fault was either benign or
+//! rolled back.
 #![cfg(feature = "chaos")]
 
 use boolsubst::core::chaos::{configure, counts, disarm, ChaosConfig, ChaosCounts};
@@ -106,6 +107,37 @@ fn panics_at_pair_entry_are_isolated() {
         stats.engine_faults > 0,
         "caught panics were not recorded as faults: {stats:?}"
     );
+}
+
+/// Proof panics are isolated without checked mode too: every pair is
+/// proved read-only, so a panic there leaves nothing to roll back. Each
+/// caught panic is one fault and one quarantine, and the sweep returns an
+/// equivalent network.
+#[test]
+fn unchecked_sequential_sweep_isolates_proof_panics() {
+    for seed in SEEDS {
+        let mut net = random_network(seed, &GeneratorParams::default());
+        let golden = net.clone();
+        configure(ChaosConfig {
+            panic_entry_rate: 2,
+            seed,
+            ..ChaosConfig::default()
+        });
+        let opts = SubstOptions::extended().with_threads(1);
+        // The sweep returning at all proves no injected panic escaped it.
+        let stats = Session::new(&mut net, opts).run();
+        let injected = disarm();
+        assert!(injected.panics_injected > 0, "seed {seed}: no panics");
+        assert!(stats.engine_faults > 0, "seed {seed}: no faults booked");
+        assert_eq!(
+            stats.engine_faults, stats.quarantined,
+            "seed {seed}: every fault is one quarantine"
+        );
+        assert!(
+            networks_equivalent(&golden, &net),
+            "seed {seed}: network miscompiled (injected {injected:?})"
+        );
+    }
 }
 
 /// A best-gain dry run that faults quarantines its pair, and a
