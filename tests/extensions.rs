@@ -97,84 +97,6 @@ fn best_gain_never_worse_than_first_gain_on_planted() {
     );
 }
 
-/// Quality pin: factored-literal totals of `full_suite()` after
-/// `script_a`, per configuration and acceptance policy (the
-/// `ablation_acceptance` totals row).
-#[test]
-fn acceptance_literal_totals_are_pinned_on_the_full_suite() {
-    let configs = [
-        ("basic", SubstOptions::basic(), [1364, 1359]),
-        ("ext", SubstOptions::extended(), [1312, 1313]),
-        ("ext-gdc", SubstOptions::extended_gdc(), [1291, 1294]),
-    ];
-    let suite: Vec<_> = boolsubst::workloads::full_suite()
-        .into_iter()
-        .map(|mut net| {
-            script_a(&mut net);
-            net
-        })
-        .collect();
-    for (name, opts, expected) in configs {
-        for (acceptance, want) in [Acceptance::FirstGain, Acceptance::BestGain]
-            .into_iter()
-            .zip(expected)
-        {
-            let opts = opts.clone().with_acceptance(acceptance);
-            let total: usize = suite
-                .iter()
-                .map(|net| {
-                    let mut trial = net.clone();
-                    Session::new(&mut trial, opts.clone()).run();
-                    network_factored_literals(&trial)
-                })
-                .sum();
-            assert_eq!(total, want, "{name} {acceptance:?}");
-        }
-    }
-}
-
-/// Quality pin beyond the paper suite: factored literals, substitutions
-/// and RAR checks after one default `Session` run per configuration, on
-/// fixed-seed `large_network` instances of all four families. The engine
-/// parity tests compare two sweeps over one division kernel, so a kernel
-/// change that moves both passes them; these numbers move with it. The
-/// multiplier's smallest instance is one 3 200-gate block, so its pin is
-/// the cone of one product bit.
-#[test]
-fn quality_is_pinned_on_every_large_family() {
-    use boolsubst::workloads::large::{large_network, Family};
-    let mult = large_network(Family::Multiplier, 1, 1);
-    let nets = [
-        ("adder", large_network(Family::Adder, 200, 1)),
-        (
-            "multiplier",
-            mult.extract_cone(mult.outputs()[9].1, mult.inputs())
-                .expect("cone over all inputs"),
-        ),
-        ("controller", large_network(Family::Controller, 100, 1)),
-        ("cones", large_network(Family::RandomCones, 300, 1)),
-    ];
-    // (literals, substitutions, rar_checks) for basic, ext, ext-GDC.
-    let expected: [[(usize, usize, usize); 3]; 4] = [
-        [(1536, 128, 0), (1536, 128, 0), (1536, 128, 640)],
-        [(818, 110, 0), (818, 110, 0), (818, 110, 0)],
-        [(428, 1, 0), (428, 1, 0), (427, 1, 193)],
-        [(620, 33, 0), (620, 33, 0), (552, 89, 2219)],
-    ];
-    for ((family, net), want) in nets.iter().zip(expected) {
-        for (opts, want) in boolsubst::core::all_configs().into_iter().zip(want) {
-            let mut trial = net.clone();
-            let stats = Session::new(&mut trial, opts.clone()).run();
-            let got = (
-                network_factored_literals(&trial),
-                stats.substitutions,
-                stats.rar_checks,
-            );
-            assert_eq!(got, want, "{family} {:?}", opts.mode);
-        }
-    }
-}
-
 /// Every division of a pair books a check-budget stop, not just the
 /// GDC one: the local SOP, complement, extended and POS divisions are
 /// the ones a per-job check budget (`x-rar-checks` in serve) caps.
