@@ -56,13 +56,6 @@ fn validate_jsonl(text: &str) -> Result<(), String> {
                 v.get("mode")
                     .and_then(Json::as_str)
                     .ok_or_else(|| format!("line {}: meta without mode", i + 1))?;
-                let disc = v
-                    .get("discovery")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {}: meta without discovery", i + 1))?;
-                if !matches!(disc, "overlap" | "signature" | "auto") {
-                    return Err(format!("line {}: unknown discovery {disc:?}", i + 1));
-                }
             }
             "pair" => {
                 pairs += 1;
@@ -351,7 +344,7 @@ mod tests {
         )
     }
 
-    const META: &str = "{\"type\":\"meta\",\"mode\":\"ext\",\"discovery\":\"overlap\"}";
+    const META: &str = "{\"type\":\"meta\",\"mode\":\"ext\"}";
 
     #[test]
     fn jsonl_accepts_a_well_formed_stream() {

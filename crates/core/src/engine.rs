@@ -14,10 +14,11 @@
 //! * a [`SideTables`] instance — incrementally maintained fanout lists
 //!   and levels, patched locally after each accepted rewrite rather than
 //!   recomputed per query; the levels bound the cycle filter's walk;
-//! * a **support-overlap candidate index** — the only divisors worth
+//! * **support-overlap candidate enumeration** — the only divisors worth
 //!   trying are fanouts of the target's fanins (exactly the legacy
 //!   support-overlap filter, applied in reverse), so candidate enumeration
-//!   is proportional to the local fanout neighbourhood, not the network;
+//!   is proportional to the local fanout neighbourhood, not the network
+//!   (`SubstEngine::discover`);
 //! * a per-target **shadow circuit** ([`ShadowBase`]) for the GDC mode —
 //!   the network minus the target's cone is materialized once per target
 //!   and each attempt patches only the dirty region;
@@ -28,7 +29,7 @@
 //!
 //! The engine is pinned to the legacy sweep: it visits the same surviving
 //! pairs in the same order and therefore accepts bit-identical rewrites
-//! (`tests/engine_parity.rs`). The index only skips pairs the legacy
+//! (`tests/engine_parity.rs`). The enumeration only skips pairs the legacy
 //! filters reject before any side effect, and after an acceptance the
 //! candidate set is re-enumerated from the target's *new* fanins, resuming
 //! past the accepted divisor — reproducing the legacy visit sequence
@@ -39,19 +40,18 @@
 //! division proofs), at every thread count and under both acceptance
 //! policies. The one pair a visit accepts is then applied from its
 //! stored plan by `SubstEngine::commit`, which owns every mutation: the
-//! txn snapshot, the guard, rollback and quarantine, and the side-table,
-//! sim and candidate-source patching. Each pair is described as one
-//! [`PairRecord`] plus its own [`SubstStats`] delta, and
-//! `SubstEngine::book` is the only place either is booked: it folds the
-//! delta into the session's stats and the metrics registry and the record
-//! into the tracer, so the three views cannot disagree.
+//! txn snapshot, the guard, rollback and quarantine, and the side-table
+//! and sim patching. Each pair is described as one [`PairRecord`] plus
+//! its own [`SubstStats`] delta, and `SubstEngine::book` is the only
+//! place either is booked: it folds the delta into the session's stats
+//! and the metrics registry and the record into the tracer, so the three
+//! views cannot disagree.
 
-use crate::candidates::{build_source, CandidateSource, SourceCtx};
 use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    apply_plan, core_outcome, Acceptance, Discovery, SubstMode, SubstOptions, SubstPlan,
-    SubstStats, TargetForms,
+    apply_plan, core_outcome, Acceptance, SubstMode, SubstOptions, SubstPlan, SubstStats,
+    TargetForms,
 };
 use crate::txn::TxnSnapshot;
 use boolsubst_algebraic::JointSpace;
@@ -332,18 +332,7 @@ pub struct SubstEngine<'a> {
     /// [`SubstEngine::attach_metrics`]. Like the tracer, an attached
     /// handle never changes the accepted rewrites.
     pub(crate) metrics: Option<EngineMetrics>,
-    /// The divisor-discovery strategy, resolved from
-    /// [`SubstOptions::discovery`] at session start (the resolved choice
-    /// is in `stats.discovery`). All candidate enumeration goes through
-    /// this source; it is notified after every commit so incremental
-    /// indexes stay synchronised.
-    pub(crate) source: Box<dyn CandidateSource>,
 }
-
-/// [`Discovery::Auto`] switches to signature discovery at this many
-/// internal nodes — below it the quadratic overlap index is cheap enough
-/// and bit-identical to the paper's sweep.
-const AUTO_SIGNATURE_NODES: usize = 10_000;
 
 impl<'a> SubstEngine<'a> {
     /// Opens a session: builds the structural side tables for the
@@ -361,23 +350,6 @@ impl<'a> SubstEngine<'a> {
             guard.set_deadline(opts.deadline);
             guard
         });
-        // Resolve the discovery strategy once per session: signature-class
-        // discovery keys off the sim filter's signatures, so without a
-        // filter it degrades to the overlap index, and `Auto` only pays
-        // for bucket maintenance where the quadratic enumeration hurts.
-        let discovery = match opts.discovery {
-            Discovery::Overlap => Discovery::Overlap,
-            Discovery::Signature if sim.is_some() => Discovery::Signature,
-            Discovery::Signature => Discovery::Overlap,
-            Discovery::Auto => {
-                if sim.is_some() && net.internal_ids().count() >= AUTO_SIGNATURE_NODES {
-                    Discovery::Signature
-                } else {
-                    Discovery::Overlap
-                }
-            }
-        };
-        stats.discovery = discovery;
         SubstEngine {
             net,
             opts,
@@ -390,7 +362,6 @@ impl<'a> SubstEngine<'a> {
             guard,
             quarantine: HashSet::new(),
             metrics: None,
-            source: build_source(discovery),
         }
     }
 
@@ -404,7 +375,6 @@ impl<'a> SubstEngine<'a> {
     ) -> SubstEngine<'a> {
         let mut engine = SubstEngine::new(net, opts);
         tracer.set_node_names(node_names(engine.net));
-        tracer.set_discovery(engine.stats.discovery.name());
         engine.tracer = Some(tracer);
         engine
     }
@@ -668,9 +638,12 @@ impl<'a> SubstEngine<'a> {
         Some(decision)
     }
 
-    /// One candidate enumeration through the configured
-    /// [`CandidateSource`]: books the per-source funnel counters (`discovery_proposed`, `discovery_bucket_hits`,
-    /// `filtered_by_index`) and the enumerate stage time.
+    /// The divisor candidates of `target`: the fanouts of its fanins,
+    /// sorted and deduplicated, restricted to ids below `bound` (the id
+    /// snapshot taken at visit time) and, when `cursor` is set, strictly
+    /// above it (the resume point after an acceptance). This is exactly
+    /// the set passing the legacy support-overlap filter, in the legacy
+    /// visit order. Books `discovery_proposed` and the enumerate time.
     pub(crate) fn discover(
         &mut self,
         target: NodeId,
@@ -678,22 +651,19 @@ impl<'a> SubstEngine<'a> {
         cursor: Option<NodeId>,
     ) -> Vec<NodeId> {
         let t0 = Instant::now();
-        let (cands, bucket_hits, skipped) = {
-            let ctx = SourceCtx {
-                net: &*self.net,
-                side: &self.side,
-                sim: self.sim.as_ref(),
-            };
-            let iter = self.source.candidates(&ctx, target, bound, cursor);
-            let bucket_hits = iter.bucket_hits();
-            let cands = iter.into_vec();
-            let skipped = self.source.skipped(&ctx, cands.len(), bound, cursor);
-            (cands, bucket_hits, skipped)
-        };
+        let net = &*self.net;
+        let mut cands: Vec<NodeId> = Vec::new();
+        for &f in net.node(target).fanins() {
+            for &o in self.side.fanouts(net, f) {
+                if o.index() < bound && cursor.is_none_or(|c| o > c) {
+                    cands.push(o);
+                }
+            }
+        }
+        cands.sort_unstable();
+        cands.dedup();
         let delta = SubstStats {
             discovery_proposed: cands.len(),
-            discovery_bucket_hits: bucket_hits,
-            filtered_by_index: skipped,
             enumerate_nanos: nanos(t0),
             ..SubstStats::default()
         };
@@ -765,11 +735,10 @@ impl<'a> SubstEngine<'a> {
     /// snapshots the two covers the plan can rewrite, isolates a panic in
     /// the apply and asks the guard for a verdict; a faulting or refuted
     /// rewrite is rolled back and the pair quarantined. Any edit, kept or
-    /// rolled back, is then carried into the side tables, the signature
-    /// table and the candidate source. Books into the pair's `delta` (the
-    /// apply, the guard and the table patching as apply time, the
-    /// signature patch as sim time) and returns the pair's outcome with
-    /// the committed gain.
+    /// rolled back, is then carried into the side tables and the signature
+    /// table. Books into the pair's `delta` (the apply, the guard and the
+    /// table patching as apply time, the signature patch as sim time) and
+    /// returns the pair's outcome with the committed gain.
     pub(crate) fn commit(
         &mut self,
         target: NodeId,
@@ -859,29 +828,10 @@ impl<'a> SubstEngine<'a> {
         }
         delta.apply_nanos += nanos(t1);
         if edited {
-            let mut changed: Vec<NodeId> = Vec::new();
             if let Some(sim) = self.sim.as_mut() {
                 let ts = Instant::now();
-                changed = sim.patch(self.net, &self.side, &[target, divisor]);
+                sim.patch(self.net, &self.side, &[target, divisor]);
                 delta.sim_nanos += nanos(ts);
-            }
-            // Carry the discovery source across the edit (commit or
-            // recovered rollback alike — the changed-row list is exact
-            // either way), then spot-audit the touched rows in checked
-            // mode the same way the sim table is audited: a key mismatch
-            // is a fault, and the source has self-repaired.
-            let ctx = SourceCtx {
-                net: &*self.net,
-                side: &self.side,
-                sim: self.sim.as_ref(),
-            };
-            self.source.note_commit(&ctx, v0, &changed);
-            if self.opts.checked {
-                let mut rows = changed.clone();
-                rows.extend([target, divisor]);
-                if !self.source.audit(&ctx, &rows) {
-                    delta.engine_faults += 1;
-                }
             }
         }
         if result.is_some() {

@@ -13,11 +13,9 @@
 //! * [`subst`] — the network-level substitution driver with the paper's
 //!   three configurations (`basic`, `ext`, `ext-GDC`);
 //! * [`engine`] — the incremental sweep engine: cached side tables,
-//!   pluggable candidate discovery, shadow circuits, stage stats;
-//! * [`candidates`] — the [`CandidateSource`] divisor-discovery seam:
-//!   [`OverlapIndex`] (the support-overlap index, bit-identical default)
-//!   and [`SignatureClasses`] (sim-resub signature-class proposal),
-//!   selected by [`SubstOptions::with_discovery`];
+//!   support-overlap candidate enumeration (a target's divisor
+//!   candidates are the fanouts of its fanins), shadow circuits, stage
+//!   stats;
 //! * [`session`] — the [`Session`] builder, the one blessed entry point
 //!   for running a sweep (tracing, thread count, options);
 //! * [`netcircuit`] — whole-network gate materialization for the global
@@ -41,7 +39,6 @@
 //! # }
 //! ```
 
-pub mod candidates;
 pub mod division;
 pub mod dontcare;
 pub mod engine;
@@ -59,7 +56,6 @@ pub mod verify;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 
-pub use candidates::{CandidateIter, CandidateSource, OverlapIndex, SignatureClasses, SourceCtx};
 pub use division::{
     basic_divide_covers, pos_divide_covers, pos_divide_precomplemented, split_remainder,
     DivisionOptions, DivisionResult, PosDivisionResult,
@@ -75,8 +71,7 @@ pub use netcircuit::{network_from_circuit, NetCircuit, ShadowBase};
 pub use session::Session;
 pub use sos::{is_pos_of_compl, is_sos_of, lemma1_holds, lemma2_holds};
 pub use subst::{
-    all_configs, boolean_substitute_legacy, Acceptance, Discovery, SubstMode, SubstOptions,
-    SubstStats,
+    all_configs, boolean_substitute_legacy, Acceptance, SubstMode, SubstOptions, SubstStats,
 };
 pub use txn::TxnSnapshot;
 pub use verify::{network_bdds, networks_equivalent, networks_equivalent_modulo_dc};

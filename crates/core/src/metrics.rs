@@ -60,7 +60,6 @@ pub(crate) struct EngineMetrics {
     stage_apply_ns: Counter,
     rar_checks: Counter,
     discovery_proposed: Counter,
-    discovery_bucket_hits: Counter,
     discovery_proofs_run: Counter,
     discovery_accepted: Counter,
     sim_screened: Counter,
@@ -108,7 +107,6 @@ impl EngineMetrics {
             stage_apply_ns: handle.counter("engine.stage.apply_ns"),
             rar_checks: handle.counter("engine.rar_checks"),
             discovery_proposed: handle.counter("discovery.proposed"),
-            discovery_bucket_hits: handle.counter("discovery.bucket_hits"),
             discovery_proofs_run: handle.counter("discovery.proofs_run"),
             discovery_accepted: handle.counter("discovery.accepted"),
             sim_screened: handle.counter("sim.pairs_screened"),
@@ -138,7 +136,6 @@ impl EngineMetrics {
         self.stage_apply_ns.add(d.apply_nanos);
         self.rar_checks.add(n(d.rar_checks));
         self.discovery_proposed.add(n(d.discovery_proposed));
-        self.discovery_bucket_hits.add(n(d.discovery_bucket_hits));
         self.discovery_proofs_run.add(n(d.discovery_proofs_run));
         self.discovery_accepted.add(n(d.discovery_accepted));
         self.sim_screened.add(n(d.sim_pairs_screened));

@@ -39,8 +39,8 @@
 //! and one record, up to the lowest accepting pair. That winner's stored
 //! plan goes to `SubstEngine::commit`, which applies it once — the
 //! division is not proved again — under checked mode's txn snapshot,
-//! panic isolation and guard, and patches the side tables, the signature
-//! table and the candidate source. The winner's record is built after the
+//! panic isolation and guard, and patches the side tables and the
+//! signature table. The winner's record is built after the
 //! commit, from its evaluation delta plus the commit's. A kept commit
 //! re-enumerates the target's candidates past the accepted divisor; a
 //! faulting or guard-refuted one is rolled back and the pair quarantined,

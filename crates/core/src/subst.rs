@@ -45,57 +45,6 @@ impl SubstMode {
     }
 }
 
-/// How the sweep discovers candidate divisors for each target — the
-/// strategy behind the [`crate::candidates::CandidateSource`] seam.
-///
-/// [`Discovery::Overlap`] is the original support-overlap index and is
-/// pinned bit-identical to the pre-`CandidateSource` sweep
-/// (`tests/engine_parity.rs`). [`Discovery::Signature`] is the
-/// simulation-guided proposer of arXiv 2007.02579: divisors come from
-/// equal / complement / containment signature classes over the sim
-/// filter's pattern pool, so the division proof runs only on near-certain
-/// survivors. Signature discovery visits a different (usually much
-/// smaller) pair set, so its rewrites are *sound* — every acceptance
-/// still passes the full division proof (and the guard, in checked mode)
-/// — but not bit-identical to overlap discovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Discovery {
-    /// Fanouts-of-fanins support-overlap enumeration (the default; the
-    /// pre-redesign behaviour, bit-identical).
-    #[default]
-    Overlap,
-    /// Signature-class proposal over the sim filter's pattern pool.
-    /// Requires [`SubstOptions::sim`] enabled; resolved to `Overlap`
-    /// otherwise.
-    Signature,
-    /// Pick per run: `Signature` on large networks (≥ 10 000 internal
-    /// nodes) with the sim filter enabled, `Overlap` otherwise.
-    Auto,
-}
-
-impl Discovery {
-    /// Stable lowercase label, matching the CLI's `--discovery` values.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Discovery::Overlap => "overlap",
-            Discovery::Signature => "signature",
-            Discovery::Auto => "auto",
-        }
-    }
-
-    /// Parses a `--discovery` CLI value.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Discovery> {
-        match name {
-            "overlap" => Some(Discovery::Overlap),
-            "signature" => Some(Discovery::Signature),
-            "auto" => Some(Discovery::Auto),
-            _ => None,
-        }
-    }
-}
-
 /// When to accept a substitution during the sweep — the paper's
 /// implementation is locally greedy ("takes the first division that has a
 /// positive gain"), which it blames for the Table V `ext-GDC` anomaly;
@@ -142,11 +91,6 @@ pub struct SubstOptions {
     pub max_passes: NonZeroUsize,
     /// Acceptance policy (paper: first positive gain).
     pub acceptance: Acceptance,
-    /// Divisor-discovery strategy (engine path only). The default,
-    /// [`Discovery::Overlap`], is pinned bit-identical to the pre-redesign
-    /// sweep; [`Discovery::Signature`] proposes divisors from signature
-    /// classes and requires the sim filter.
-    pub discovery: Discovery,
     /// Simulation-signature pre-filter (engine path only). Refute-only:
     /// the screen never rejects a pair the proofs would accept, so the
     /// accepted rewrites are identical with the filter on or off.
@@ -197,7 +141,6 @@ impl SubstOptions {
             max_joint_vars: 48,
             max_passes: at_least_one(1),
             acceptance: Acceptance::FirstGain,
-            discovery: Discovery::Overlap,
             sim: SimConfig::default(),
             checked: false,
             guard: GuardConfig::default(),
@@ -240,16 +183,6 @@ impl SubstOptions {
     #[must_use]
     pub fn with_acceptance(mut self, acceptance: Acceptance) -> SubstOptions {
         self.acceptance = acceptance;
-        self
-    }
-
-    /// Sets the divisor-discovery strategy. [`Discovery::Signature`] and
-    /// [`Discovery::Auto`] require [`SubstOptions::sim`] enabled; without
-    /// the filter the engine resolves them back to [`Discovery::Overlap`]
-    /// (the resolved choice is reported in [`SubstStats::discovery`]).
-    #[must_use]
-    pub fn with_discovery(mut self, discovery: Discovery) -> SubstOptions {
-        self.discovery = discovery;
         self
     }
 
@@ -367,8 +300,8 @@ pub fn all_configs() -> [SubstOptions; 3] {
 /// [`crate::engine::SubstEngine`] path) and [`boolean_substitute_legacy`]. The stage counters describe
 /// *how* each path got there and differ by construction: the legacy sweep
 /// enumerates every (target, divisor) pair and rejects most of them one
-/// filter at a time, while the engine's support-overlap index never
-/// surfaces those pairs in the first place (`filtered_by_index`).
+/// filter at a time, while the engine enumerates only the fanouts of the
+/// target's fanins and never surfaces the rest.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubstStats {
     /// Division attempts (pairs surviving every filter).
@@ -383,19 +316,9 @@ pub struct SubstStats {
     pub literal_gain: i64,
     /// Sweeps over the network actually run.
     pub passes: usize,
-    /// The divisor-discovery strategy the engine actually ran with, after
-    /// resolving [`Discovery::Auto`] and the sim-filter requirement. When
-    /// stats from runs with different strategies are [`SubstStats::merge`]d
-    /// the receiver's label wins.
-    pub discovery: Discovery,
-    /// Divisors the discovery source proposed across every enumeration
-    /// (the top of the per-source funnel: proposed → bucket-hits →
-    /// proofs-run → accepted).
+    /// Divisor candidates enumerated across every target visit (the top
+    /// of the funnel: proposed → proofs-run → accepted).
     pub discovery_proposed: usize,
-    /// Signature-bucket members scanned while proposing (equal/complement
-    /// class members plus containment-test survivors' bucket peers). Zero
-    /// under [`Discovery::Overlap`], which has no buckets.
-    pub discovery_bucket_hits: usize,
     /// Proposed pairs that survived every cheap filter and reached the
     /// division proof.
     pub discovery_proofs_run: usize,
@@ -404,9 +327,6 @@ pub struct SubstStats {
     pub discovery_accepted: usize,
     /// Candidate pairs individually examined.
     pub candidates_enumerated: usize,
-    /// Pairs the support-overlap index skipped without examining
-    /// (engine path only; approximate across mid-target re-enumerations).
-    pub filtered_by_index: usize,
     /// Pairs rejected as self/input/existing-fanin pairs.
     pub filtered_structural: usize,
     /// Pairs rejected because the divisor lies in the target's transitive
@@ -417,7 +337,7 @@ pub struct SubstStats {
     /// Pairs rejected by the joint-variable-space bound.
     pub filtered_joint_space: usize,
     /// Pairs rejected because the supports do not overlap (legacy path
-    /// only — the engine's index implies overlap).
+    /// only — the engine's enumeration implies overlap).
     pub filtered_support: usize,
     /// Fault checks run by whole-network (GDC) redundancy removal.
     pub rar_checks: usize,
@@ -488,19 +408,14 @@ impl fmt::Display for SubstStats {
         writeln!(f, "  passes                 {:>8}", self.passes)?;
         writeln!(
             f,
-            "  discovery              {:>8}  (proposed {}, bucket-hits {}, proofs-run {}, accepted {})",
-            self.discovery.name(),
-            self.discovery_proposed,
-            self.discovery_bucket_hits,
-            self.discovery_proofs_run,
-            self.discovery_accepted,
+            "  candidates proposed    {:>8}  (proofs-run {}, accepted {})",
+            self.discovery_proposed, self.discovery_proofs_run, self.discovery_accepted,
         )?;
         writeln!(
             f,
             "  candidates examined    {:>8}",
             self.candidates_enumerated
         )?;
-        writeln!(f, "  skipped by index       {:>8}", self.filtered_by_index)?;
         writeln!(
             f,
             "  filtered               {:>8}  (structural {}, tfo {}, divisor-size {}, joint-space {}, support {})",
@@ -597,13 +512,9 @@ impl SubstStats {
             .saturating_add(other.extended_decompositions);
         self.literal_gain = self.literal_gain.saturating_add(other.literal_gain);
         self.passes = self.passes.saturating_add(other.passes);
-        // `discovery` is a label, not a counter: the receiver's wins.
         self.discovery_proposed = self
             .discovery_proposed
             .saturating_add(other.discovery_proposed);
-        self.discovery_bucket_hits = self
-            .discovery_bucket_hits
-            .saturating_add(other.discovery_bucket_hits);
         self.discovery_proofs_run = self
             .discovery_proofs_run
             .saturating_add(other.discovery_proofs_run);
@@ -613,9 +524,6 @@ impl SubstStats {
         self.candidates_enumerated = self
             .candidates_enumerated
             .saturating_add(other.candidates_enumerated);
-        self.filtered_by_index = self
-            .filtered_by_index
-            .saturating_add(other.filtered_by_index);
         self.filtered_structural = self
             .filtered_structural
             .saturating_add(other.filtered_structural);
@@ -679,13 +587,10 @@ impl SubstStats {
             .u64("extended_decompositions", u(self.extended_decompositions))
             .i64("literal_gain", self.literal_gain)
             .u64("passes", u(self.passes))
-            .str("discovery", self.discovery.name())
             .u64("discovery_proposed", u(self.discovery_proposed))
-            .u64("discovery_bucket_hits", u(self.discovery_bucket_hits))
             .u64("discovery_proofs_run", u(self.discovery_proofs_run))
             .u64("discovery_accepted", u(self.discovery_accepted))
             .u64("candidates_enumerated", u(self.candidates_enumerated))
-            .u64("filtered_by_index", u(self.filtered_by_index))
             .u64("filtered_structural", u(self.filtered_structural))
             .u64("filtered_tfo", u(self.filtered_tfo))
             .u64("filtered_divisor_size", u(self.filtered_divisor_size))

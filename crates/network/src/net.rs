@@ -353,9 +353,17 @@ impl Network {
 
     /// Iterates over live node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.node_ids_from(0)
+    }
+
+    /// Iterates over live node ids at or above slot index `bound`, in
+    /// ascending order — the nodes created since [`Network::id_bound`]
+    /// read `bound`.
+    pub fn node_ids_from(&self, bound: usize) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
             .iter()
             .enumerate()
+            .skip(bound)
             .filter_map(|(i, n)| n.as_ref().map(|_| NodeId(i)))
     }
 

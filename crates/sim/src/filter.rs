@@ -105,28 +105,11 @@ impl SimFilter {
         self.pool.words()
     }
 
-    /// The pattern pool behind the filter (validity masks for the
-    /// signature-class index).
-    pub(crate) fn pool(&self) -> &PatternPool {
-        &self.pool
-    }
-
-    /// Direct access to a node's signature (primarily for tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is stale.
-    #[must_use]
-    pub fn node_sig(&self, net: &Network, id: NodeId) -> &[u64] {
-        self.table.sig(net, id)
-    }
-
     /// Patches the signature table after an engine edit; `side` must
-    /// already be synchronised. `seeds` are the rewired node ids. Returns
-    /// the ids whose signature row actually changed (see
-    /// [`SimTable::patch`]) so derived indexes can re-key exactly those.
-    pub fn patch(&mut self, net: &Network, side: &SideTables, seeds: &[NodeId]) -> Vec<NodeId> {
-        self.table.patch(net, side, &self.pool, seeds)
+    /// already be synchronised. `seeds` are the rewired node ids (see
+    /// [`SimTable::patch`]).
+    pub fn patch(&mut self, net: &Network, side: &SideTables, seeds: &[NodeId]) {
+        self.table.patch(net, side, &self.pool, seeds);
     }
 
     /// Integrity audit (checked mode): re-derives each given node's cached

@@ -27,19 +27,11 @@
 //! with the same version-checked patch protocol as
 //! [`boolsubst_network::SideTables`] (see [`SimTable::patch`]): stale
 //! queries panic instead of returning wrong bits.
-//!
-//! Beyond refutation, the signatures also *propose*: [`SignatureBuckets`]
-//! hashes every internal node's canonical-form signature into equal /
-//! complement / containment classes, giving the engine's signature
-//! discovery mode its near-linear divisor candidates (see `classes`
-//! module docs).
 
-mod classes;
 mod filter;
 mod pool;
 mod table;
 
-pub use classes::{sig_compatible, Proposal, SignatureBuckets};
 pub use filter::{CoverScreen, SimFilter};
 pub use pool::PatternPool;
 pub use table::SimTable;

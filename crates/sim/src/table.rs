@@ -134,18 +134,13 @@ impl SimTable {
     /// rewired nodes) in level order, pruning wherever a recomputed
     /// signature is unchanged. `side` must already be synchronised with
     /// the network.
-    ///
-    /// Returns the ids whose cached row actually changed (including every
-    /// fresh node), sorted and deduplicated — the exact set a derived
-    /// index such as [`crate::SignatureBuckets`] must re-key. Seeds whose
-    /// recomputed signature came out identical are *not* in the list.
     pub fn patch(
         &mut self,
         net: &Network,
         side: &SideTables,
         pool: &PatternPool,
         seeds: &[NodeId],
-    ) -> Vec<NodeId> {
+    ) {
         let old_bound = self.sigs.len() / self.words;
         if net.id_bound() > old_bound {
             self.sigs.resize(net.id_bound() * self.words, 0);
@@ -154,31 +149,25 @@ impl SimTable {
         // node is popped: insertions only ever target strictly higher
         // levels than the node being processed.
         let mut work: BTreeSet<(u32, NodeId)> = BTreeSet::new();
-        for id in net.node_ids() {
-            if id.index() >= old_bound {
-                work.insert((side.level(net, id), id));
-            }
+        for id in net.node_ids_from(old_bound) {
+            work.insert((side.level(net, id), id));
         }
         for &s in seeds {
             if net.node_opt(s).is_some() {
                 work.insert((side.level(net, s), s));
             }
         }
-        let fresh_bound = old_bound;
-        let mut touched: Vec<NodeId> = Vec::new();
         while let Some((_, id)) = work.pop_first() {
-            let changed = self.recompute(net, pool, id);
-            if changed || id.index() >= fresh_bound {
-                touched.push(id);
+            // A fresh node's row starts as a zero placeholder, so an
+            // unchanged verdict says nothing about its fanouts: they are
+            // always revisited.
+            if self.recompute(net, pool, id) || id.index() >= old_bound {
                 for &o in side.fanouts(net, id) {
                     work.insert((side.level(net, o), o));
                 }
             }
         }
         self.stamp.mark(net);
-        touched.sort_unstable();
-        touched.dedup();
-        touched
     }
 
     /// True if no edit has happened since the last synchronisation.

@@ -84,7 +84,6 @@ pub fn write_jsonl<W: Write>(t: &Tracer, w: &mut W) -> io::Result<()> {
     let mut meta = JsonObj::new();
     meta.str("type", "meta")
         .str("mode", t.mode())
-        .str("discovery", t.discovery().unwrap_or("overlap"))
         .u64("pairs", t.pairs())
         .u64("passes", t.pass_summaries().len() as u64)
         .u64("events_dropped", t.dropped())

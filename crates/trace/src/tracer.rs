@@ -86,7 +86,6 @@ pub struct Tracer {
     config: TracerConfig,
     epoch: Instant,
     mode: String,
-    discovery: Option<String>,
     names: Vec<String>,
     ring: VecDeque<TraceEvent>,
     dropped: u64,
@@ -123,7 +122,6 @@ impl Tracer {
             config,
             epoch: Instant::now(),
             mode: mode.to_string(),
-            discovery: None,
             names: Vec::new(),
             ring: VecDeque::new(),
             dropped: 0,
@@ -150,18 +148,6 @@ impl Tracer {
     #[must_use]
     pub fn mode(&self) -> &str {
         &self.mode
-    }
-
-    /// Labels the run with the resolved divisor-discovery strategy
-    /// (`"overlap"`, `"signature"`); exported in the JSONL meta line.
-    pub fn set_discovery(&mut self, name: &str) {
-        self.discovery = Some(name.to_string());
-    }
-
-    /// The discovery label, when the engine set one.
-    #[must_use]
-    pub fn discovery(&self) -> Option<&str> {
-        self.discovery.as_deref()
     }
 
     /// Nanoseconds since the tracer epoch.

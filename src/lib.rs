@@ -40,10 +40,7 @@ pub use boolsubst_sim as sim;
 pub use boolsubst_trace as trace;
 pub use boolsubst_workloads as workloads;
 
-pub use boolsubst_core::{
-    all_configs, Acceptance, CandidateSource, Discovery, OverlapIndex, Session, SignatureClasses,
-    SubstMode, SubstOptions, SubstStats,
-};
+pub use boolsubst_core::{all_configs, Acceptance, Session, SubstMode, SubstOptions, SubstStats};
 pub use boolsubst_metrics::MetricsHandle;
 pub use boolsubst_network::{egress, ingest, parse_blif, write_blif, Format, Network};
 pub use boolsubst_trace::Tracer;

@@ -13,7 +13,7 @@ use boolsubst::core::verify::{networks_equivalent, networks_equivalent_modulo_dc
 use boolsubst::core::{
     basic_divide_covers, extended_divide_covers, pos_divide_covers, DivisionOptions,
 };
-use boolsubst::core::{Discovery, Session, SubstOptions};
+use boolsubst::core::{Session, SubstOptions};
 use boolsubst::cube::parse_sop;
 use boolsubst::guard::TierPolicy;
 use boolsubst::metrics::{json_snapshot_string, mem, prometheus_string, Heartbeat, MetricsHandle};
@@ -41,7 +41,6 @@ USAGE:
                      [--script none|a|b|c] [--dc] [-o <out>] [--no-verify]
                      [--trace <out.jsonl>] [--chrome-trace <out.json>]
                      [--checked] [--deadline <secs>] [--threads <n>]
-                     [--discovery overlap|signature|auto]
                      [--guard-tier sim|bdd|sat|auto] [--sat-conflicts <n>]
                      [--metrics <out.prom|out.json>] [--heartbeat <secs>]
   boolsubst stats <in>
@@ -130,7 +129,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     let mut checked = false;
     let mut deadline_secs: Option<f64> = None;
     let mut threads = 1usize;
-    let mut discovery: Option<Discovery> = None;
     let mut guard_tier: Option<TierPolicy> = None;
     let mut sat_conflicts: Option<u64> = None;
     let mut metrics_path: Option<&str> = None;
@@ -170,12 +168,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                 if threads == 0 {
                     return Err("bad --threads value (must be >= 1)".into());
                 }
-            }
-            "--discovery" => {
-                let name = it.next().ok_or("--discovery needs a value")?;
-                discovery = Some(Discovery::from_name(name).ok_or_else(|| {
-                    format!("unknown discovery {name:?} (use overlap|signature|auto)")
-                })?);
             }
             "--guard-tier" => {
                 let name = it.next().ok_or("--guard-tier needs a value")?;
@@ -232,14 +224,13 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
             if checked
                 || deadline_secs.is_some()
                 || threads > 1
-                || discovery.is_some()
                 || guard_tier.is_some()
                 || sat_conflicts.is_some()
                 || metrics_path.is_some()
                 || heartbeat_secs.is_some()
             {
                 return Err(
-                    "--checked/--deadline/--threads/--discovery/--guard-tier/--sat-conflicts/--metrics/--heartbeat need a substitution mode (basic|ext|ext-gdc)"
+                    "--checked/--deadline/--threads/--guard-tier/--sat-conflicts/--metrics/--heartbeat need a substitution mode (basic|ext|ext-gdc)"
                         .into(),
                 );
             }
@@ -257,9 +248,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     };
     if let Some(opts) = subst_opts {
         let mut opts = opts.with_checked(checked).with_threads(threads);
-        if let Some(d) = discovery {
-            opts = opts.with_discovery(d);
-        }
         if let Some(tier) = guard_tier {
             opts = opts.with_guard_tier(tier);
         }
@@ -315,16 +303,6 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
                 std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
                 eprintln!("wrote {path}");
             }
-        }
-        if discovery.is_some() {
-            eprintln!(
-                "discovery {}: {} proposed, {} bucket hit(s), {} proof(s) run, {} accepted",
-                stats.discovery.name(),
-                stats.discovery_proposed,
-                stats.discovery_bucket_hits,
-                stats.discovery_proofs_run,
-                stats.discovery_accepted
-            );
         }
         if checked {
             eprintln!(

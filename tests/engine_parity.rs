@@ -418,13 +418,13 @@ fn generous_deadline_changes_nothing() {
     }
 }
 
-/// The redesigned discovery seam must leave the default path untouched:
-/// an explicit `Discovery::Overlap` selection is bit-identical to the
-/// legacy sweep for every configuration, at 1 and 4 worker threads, and
-/// the proposal-funnel counters are thread-count independent.
+/// Candidate enumeration (the fanouts of the target's fanins) is
+/// bit-identical to the legacy sweep for every configuration, at 1 and 4
+/// worker threads; the proposal funnel narrows monotonically (proposed ≥
+/// proofs run ≥ accepted = substitutions) and its counters are
+/// thread-count independent.
 #[test]
 fn overlap_discovery_is_pinned_bit_identical() {
-    use boolsubst::core::Discovery;
     for seed in [11u64, 47] {
         let base = random_network(seed, &GeneratorParams::default());
         for (name, opts) in modes() {
@@ -432,17 +432,9 @@ fn overlap_discovery_is_pinned_bit_identical() {
             let legacy = boolean_substitute_legacy(&mut legacy_net, &opts);
             let mut single: Option<(usize, usize, usize)> = None;
             for threads in [1usize, 4] {
-                let opts = opts
-                    .clone()
-                    .with_discovery(Discovery::Overlap)
-                    .with_threads(threads);
+                let opts = opts.clone().with_threads(threads);
                 let mut net = base.clone();
                 let stats = Session::new(&mut net, opts).run();
-                assert_eq!(
-                    stats.discovery,
-                    Discovery::Overlap,
-                    "seed {seed} {name} t{threads}: resolved discovery"
-                );
                 assert_eq!(
                     write_blif(&net),
                     write_blif(&legacy_net),
@@ -462,6 +454,14 @@ fn overlap_discovery_is_pinned_bit_identical() {
                     stats.discovery_accepted,
                 );
                 assert!(funnel.0 > 0, "seed {seed} {name} t{threads}: empty funnel");
+                assert!(
+                    funnel.1 <= funnel.0,
+                    "seed {seed} {name} t{threads}: more proofs than proposals"
+                );
+                assert!(
+                    funnel.2 <= funnel.1,
+                    "seed {seed} {name} t{threads}: more accepts than proofs"
+                );
                 assert_eq!(
                     stats.discovery_accepted, stats.substitutions,
                     "seed {seed} {name} t{threads}: accepted != substitutions"
