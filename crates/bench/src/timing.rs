@@ -8,11 +8,13 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Entry point of one bench binary: parses CLI args (a bare argument is a
-/// substring filter on `group/id`; flags such as `--bench` that cargo
-/// passes through are ignored).
+/// substring filter on `group/id`; `--test` runs each closure once, as a
+/// smoke test, instead of timing it; other flags such as `--bench` that
+/// cargo passes through are ignored).
 #[derive(Debug, Clone, Default)]
 pub struct Harness {
     filter: Option<String>,
+    smoke: bool,
 }
 
 impl Harness {
@@ -25,11 +27,13 @@ impl Harness {
     /// Builds a harness from the process arguments.
     #[must_use]
     pub fn from_args() -> Harness {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-'))
-            .filter(|a| !a.is_empty());
-        Harness { filter }
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let filter = args
+            .iter()
+            .find(|a| !a.starts_with('-') && !a.is_empty())
+            .cloned();
+        let smoke = args.iter().any(|a| a == "--test");
+        Harness { filter, smoke }
     }
 
     /// Starts a named benchmark group.
@@ -39,6 +43,7 @@ impl Harness {
         Group {
             name: name.to_string(),
             filter: self.filter.clone(),
+            smoke: self.smoke,
         }
     }
 }
@@ -48,17 +53,23 @@ impl Harness {
 pub struct Group {
     name: String,
     filter: Option<String>,
+    smoke: bool,
 }
 
 impl Group {
     /// Measures `f`, reporting the best per-iteration time over
-    /// [`Harness::BATCHES`] batches.
+    /// [`Harness::BATCHES`] batches; in smoke mode runs it once.
     pub fn bench<R>(&mut self, id: &str, mut f: impl FnMut() -> R) {
         let full = format!("{}/{id}", self.name);
         if let Some(filter) = &self.filter {
             if !full.contains(filter.as_str()) {
                 return;
             }
+        }
+        if self.smoke {
+            black_box(f());
+            println!("  {full:<44} ok");
+            return;
         }
         // Warm-up and calibration: time a single run, derive the batch size.
         let start = Instant::now();
@@ -113,9 +124,22 @@ mod tests {
         let mut group = Group {
             name: "g".into(),
             filter: Some("nomatch".into()),
+            smoke: false,
         };
         let mut ran = false;
         group.bench("x", || ran = true);
         assert!(!ran, "filtered bench must not run");
+    }
+
+    #[test]
+    fn smoke_runs_once() {
+        let mut group = Group {
+            name: "g".into(),
+            filter: None,
+            smoke: true,
+        };
+        let mut runs = 0;
+        group.bench("x", || runs += 1);
+        assert_eq!(runs, 1, "a smoke run calls the closure once");
     }
 }

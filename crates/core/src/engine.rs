@@ -75,6 +75,17 @@ pub(crate) fn id32(id: NodeId) -> u32 {
     u32::try_from(id.index()).unwrap_or(u32::MAX)
 }
 
+/// How many ids of sorted `new` sorted `old` lacks (a merge count).
+fn count_missing(new: &[NodeId], old: &[NodeId]) -> usize {
+    let mut rest = old.iter().peekable();
+    new.iter()
+        .filter(|&&id| {
+            while rest.next_if(|&&o| o < id).is_some() {}
+            rest.peek() != Some(&&id)
+        })
+        .count()
+}
+
 /// Cone-restricted guard compare for local-function-preserving rewrites:
 /// runs the guard on the single-output TFI cone of every node the rewrite
 /// changed (`target` always; `divisor` too when an extended rewrite
@@ -643,12 +654,16 @@ impl<'a> SubstEngine<'a> {
     /// snapshot taken at visit time) and, when `cursor` is set, strictly
     /// above it (the resume point after an acceptance). This is exactly
     /// the set passing the legacy support-overlap filter, in the legacy
-    /// visit order. Books `discovery_proposed` and the enumerate time.
+    /// visit order. Books the enumerate time, and as `discovery_proposed`
+    /// only the candidates missing from `prev`, the visit's previous
+    /// enumeration (sorted), so a re-enumeration after a commit does not
+    /// count again the candidates it carries over.
     pub(crate) fn discover(
         &mut self,
         target: NodeId,
         bound: usize,
         cursor: Option<NodeId>,
+        prev: &[NodeId],
     ) -> Vec<NodeId> {
         let t0 = Instant::now();
         let net = &*self.net;
@@ -663,7 +678,7 @@ impl<'a> SubstEngine<'a> {
         cands.sort_unstable();
         cands.dedup();
         let delta = SubstStats {
-            discovery_proposed: cands.len(),
+            discovery_proposed: count_missing(&cands, prev),
             enumerate_nanos: nanos(t0),
             ..SubstStats::default()
         };
@@ -914,6 +929,43 @@ mod tests {
         let stats = engine.run();
         assert_eq!((stats.substitutions, stats.literal_gain), (1, 1));
         assert!(net.node(f).fanins().contains(&d1));
+    }
+
+    /// A re-enumeration after a commit proposes again the candidates
+    /// past the accepted divisor; each is counted once per visit. Here
+    /// `f`'s candidates are `[d, f, g]`, `d` is accepted first, and the
+    /// re-enumeration past it (`f` is now a fanout of `d`) is no longer
+    /// counted on top of the first.
+    #[test]
+    fn re_enumeration_counts_each_candidate_once() {
+        let mut net = Network::new("funnel_t");
+        let a = net.add_input("a").expect("a");
+        let b = net.add_input("b").expect("b");
+        let c = net.add_input("c").expect("c");
+        let d = net
+            .add_node("d", vec![a, b, c], parse_sop(3, "ab + c").expect("p"))
+            .expect("d");
+        let f = net
+            .add_node(
+                "f",
+                vec![a, b, c],
+                parse_sop(3, "ab + ac + bc'").expect("p"),
+            )
+            .expect("f");
+        let g = net
+            .add_node("g", vec![b, c], parse_sop(2, "a + b").expect("p"))
+            .expect("g");
+        for (name, id) in [("f", f), ("d", d), ("g", g)] {
+            net.add_output(name, id).expect("o");
+        }
+        let mut engine = SubstEngine::new(&mut net, SubstOptions::basic());
+        engine.first_gain_visit(f);
+        let stats = *engine.stats();
+        assert_eq!(stats.substitutions, 1, "{stats}");
+        assert!(net.node(f).fanins().contains(&d), "d was not accepted");
+        assert_eq!(stats.discovery_proposed, 3, "{stats}");
+        assert_eq!(count_missing(&[d, f, g], &[f]), 2);
+        assert_eq!(count_missing(&[f], &[d, f, g]), 0);
     }
 
     #[test]

@@ -428,11 +428,12 @@ impl SubstEngine<'_> {
     pub(crate) fn first_gain_visit(&mut self, target: NodeId) {
         let bound = self.net.id_bound();
         let mut cursor: Option<NodeId> = None;
+        let mut prev: Vec<NodeId> = Vec::new();
         'resume: loop {
             if self.deadline_expired() {
                 return;
             }
-            let cands = self.discover(target, bound, cursor);
+            let cands = self.discover(target, bound, cursor, &prev);
             // An epoch ends at its stopping pair. A commit that did not
             // stand and a failed audit consume their pair without changing
             // the target, so the sweep continues inside the *same*
@@ -450,6 +451,7 @@ impl SubstEngine<'_> {
                         // The target's fanins changed: re-enumerate and
                         // resume past this divisor.
                         cursor = Some(divisor);
+                        prev = cands;
                         continue 'resume;
                     }
                 }
@@ -464,7 +466,7 @@ impl SubstEngine<'_> {
     /// candidate, faulting pairs are quarantined, and the lowest-index
     /// best gain's stored plan is committed.
     pub(crate) fn best_gain_visit(&mut self, target: NodeId) {
-        let cands = self.discover(target, self.net.id_bound(), None);
+        let cands = self.discover(target, self.net.id_bound(), None, &[]);
         if cands.is_empty() || self.deadline_expired() {
             return;
         }

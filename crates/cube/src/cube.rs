@@ -86,20 +86,39 @@ pub struct Cube {
     num_vars: usize,
 }
 
-const VARS_PER_WORD: usize = 32;
+pub(crate) const VARS_PER_WORD: usize = 32;
 
-fn word_count(num_vars: usize) -> usize {
+/// The low (negative-phase) bit of every slot.
+pub(crate) const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Words per cube over `num_vars` variables (at least one).
+pub(crate) fn word_count(num_vars: usize) -> usize {
     num_vars.div_ceil(VARS_PER_WORD).max(1)
+}
+
+/// Word `i` of the universal cube over `num_vars` variables: every slot
+/// `11`, and the bits above the last variable clear so that equality and
+/// hashing are canonical.
+pub(crate) fn full_word(num_vars: usize, i: usize) -> u64 {
+    match (2 * num_vars).saturating_sub(64 * i) {
+        0 => 0,
+        used if used >= 64 => !0,
+        used => (1u64 << used) - 1,
+    }
+}
+
+/// One even bit per empty (`00`) slot of `w` among the slots of `full`.
+pub(crate) fn empty_slots(w: u64, full: u64) -> u64 {
+    !(w | (w >> 1)) & full & EVEN_BITS
 }
 
 impl Cube {
     /// The universal cube (no literals) over `num_vars` variables.
     #[must_use]
     pub fn universe(num_vars: usize) -> Cube {
-        let mut words = vec![!0u64; word_count(num_vars)];
-        // Clear the bits above the last variable so equality and hashing are
-        // canonical.
-        Self::mask_tail(&mut words, num_vars);
+        let words = (0..word_count(num_vars))
+            .map(|i| full_word(num_vars, i))
+            .collect();
         Cube { words, num_vars }
     }
 
@@ -118,22 +137,16 @@ impl Cube {
         c
     }
 
-    fn mask_tail(words: &mut [u64], num_vars: usize) {
-        let used_bits = 2 * num_vars;
-        let full_words = used_bits / 64;
-        let rem = used_bits % 64;
-        if full_words < words.len() {
-            if rem == 0 {
-                for w in &mut words[full_words..] {
-                    *w = 0;
-                }
-            } else {
-                words[full_words] &= (1u64 << rem) - 1;
-                for w in &mut words[full_words + 1..] {
-                    *w = 0;
-                }
-            }
-        }
+    /// A cube over `num_vars` variables from its packed words; the bits
+    /// above the last variable must be clear.
+    pub(crate) fn from_words(num_vars: usize, words: Vec<u64>) -> Cube {
+        debug_assert_eq!(words.len(), word_count(num_vars));
+        Cube { words, num_vars }
+    }
+
+    /// The packed words, two bits per variable.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of variables in the cube's universe.
@@ -186,66 +199,51 @@ impl Cube {
     /// True if the cube covers no minterm (some variable has neither phase).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        if self.num_vars == 0 {
-            return false;
-        }
-        // A slot is empty iff both of its bits are 0. Detect any 00 pair.
-        let mut vars_left = self.num_vars;
-        for &w in &self.words {
-            let n = vars_left.min(VARS_PER_WORD);
-            let lo = w & 0x5555_5555_5555_5555;
-            let hi = (w >> 1) & 0x5555_5555_5555_5555;
-            let present = lo | hi; // 1 in even bit position iff slot non-empty
-            let mask = if n == VARS_PER_WORD {
-                0x5555_5555_5555_5555
-            } else {
-                0x5555_5555_5555_5555 & ((1u64 << (2 * n)) - 1)
-            };
-            if present & mask != mask {
-                return true;
-            }
-            vars_left -= n;
-            if vars_left == 0 {
-                break;
-            }
-        }
-        false
+        self.words
+            .iter()
+            .enumerate()
+            .any(|(i, &w)| empty_slots(w, full_word(self.num_vars, i)) != 0)
     }
 
     /// True if the cube is the universal cube (no literals).
     #[must_use]
     pub fn is_universe(&self) -> bool {
-        *self == Cube::universe(self.num_vars)
+        self.words
+            .iter()
+            .enumerate()
+            .all(|(i, &w)| w == full_word(self.num_vars, i))
     }
 
     /// Number of literals in the cube. Empty slots count as two (both
     /// phases excluded); callers normally check [`Cube::is_empty`] first.
     #[must_use]
     pub fn literal_count(&self) -> usize {
-        let mut count = 0;
-        let mut vars_left = self.num_vars;
-        for &w in &self.words {
-            let n = vars_left.min(VARS_PER_WORD);
-            let mask = if n == VARS_PER_WORD {
-                !0u64
-            } else {
-                (1u64 << (2 * n)) - 1
-            };
-            count += (2 * n) - ((w & mask).count_ones() as usize);
-            vars_left -= n;
-            if vars_left == 0 {
-                break;
-            }
-        }
-        count
+        self.words
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (full_word(self.num_vars, i) & !w).count_ones() as usize)
+            .sum()
     }
 
     /// Iterates over the literals present in the cube.
     pub fn lits(&self) -> impl Iterator<Item = Lit> + '_ {
-        (0..self.num_vars).filter_map(|v| match self.var_state(v) {
-            VarState::Pos => Some(Lit::pos(v)),
-            VarState::Neg => Some(Lit::neg(v)),
-            _ => None,
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let hi = (w >> 1) & EVEN_BITS;
+            // One even bit per slot holding exactly one phase (01 or 10).
+            let mut slots = (w & EVEN_BITS) ^ hi;
+            std::iter::from_fn(move || {
+                if slots == 0 {
+                    return None;
+                }
+                let b = slots.trailing_zeros();
+                slots &= slots - 1;
+                let var = i * VARS_PER_WORD + (b / 2) as usize;
+                Some(if (hi >> b) & 1 == 1 {
+                    Lit::pos(var)
+                } else {
+                    Lit::neg(var)
+                })
+            })
         })
     }
 
@@ -302,26 +300,14 @@ impl Cube {
     #[must_use]
     pub fn distance(&self, other: &Cube) -> usize {
         assert_eq!(self.num_vars, other.num_vars, "cube universes differ");
-        let mut d = 0;
-        let mut vars_left = self.num_vars;
-        for (a, b) in self.words.iter().zip(&other.words) {
-            let n = vars_left.min(VARS_PER_WORD);
-            let w = a & b;
-            let lo = w & 0x5555_5555_5555_5555;
-            let hi = (w >> 1) & 0x5555_5555_5555_5555;
-            let present = lo | hi;
-            let mask = if n == VARS_PER_WORD {
-                0x5555_5555_5555_5555
-            } else {
-                0x5555_5555_5555_5555 & ((1u64 << (2 * n)) - 1)
-            };
-            d += (mask & !present).count_ones() as usize;
-            vars_left -= n;
-            if vars_left == 0 {
-                break;
-            }
-        }
-        d
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .map(|(i, (a, b))| {
+                empty_slots(a & b, full_word(self.num_vars, i)).count_ones() as usize
+            })
+            .sum()
     }
 
     /// Cofactor of this cube with respect to literal `l`: the cube with the
@@ -360,7 +346,8 @@ impl Cube {
         Some(out)
     }
 
-    /// Grows the universe to `new_num_vars`, keeping existing literals.
+    /// Grows the universe to `new_num_vars`, keeping existing literals
+    /// (and an empty cube empty); the new variables are don't cares.
     ///
     /// # Panics
     ///
@@ -368,11 +355,16 @@ impl Cube {
     #[must_use]
     pub fn extended(&self, new_num_vars: usize) -> Cube {
         assert!(new_num_vars >= self.num_vars, "cannot shrink a cube");
-        let mut out = Cube::universe(new_num_vars);
-        for l in self.lits() {
-            out.restrict(l);
+        let words = (0..word_count(new_num_vars))
+            .map(|i| {
+                let old = self.words.get(i).copied().unwrap_or(0);
+                old | (full_word(new_num_vars, i) & !full_word(self.num_vars, i))
+            })
+            .collect();
+        Cube {
+            words,
+            num_vars: new_num_vars,
         }
-        out
     }
 
     /// Remaps variables through `map` into a cube over `new_num_vars`
