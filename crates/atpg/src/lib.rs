@@ -58,4 +58,5 @@ pub use redundancy::{
     remove_redundant_wires, remove_redundant_wires_with, CandidateWire, RemovalOptions,
     RemovalOutcome,
 };
+pub use screen::input_word;
 pub use search::{check_fault_exact, find_test, TestSearch};

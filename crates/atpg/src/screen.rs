@@ -12,10 +12,14 @@ use crate::{Circuit, FaultChecker, GateId, GateKind, Wire};
 /// words per gate.
 const MAX_INPUTS: usize = 10;
 
-/// Truth tables of input variable `k` (of at most [`MAX_INPUTS`]), word
-/// `w`. Below six inputs the one-word patterns repeat, which every gate
-/// function preserves, so comparisons stay exact.
-fn input_word(k: usize, w: usize) -> u64 {
+/// Word `w` of the exhaustive truth table of input variable `k`: minterm
+/// `64·w + b` sits at bit `b`, and bit `k` of the minterm index is the
+/// variable's value. Below six inputs the one-word patterns repeat, which
+/// every gate function preserves, so comparisons stay exact. The
+/// substitution engine's forced-literal bound reads its tables in the same
+/// layout.
+#[must_use]
+pub fn input_word(k: usize, w: usize) -> u64 {
     const MASKS: [u64; 6] = [
         0xAAAA_AAAA_AAAA_AAAA,
         0xCCCC_CCCC_CCCC_CCCC,

@@ -1,11 +1,13 @@
 //! Microbenchmarks of the division engines: RAR-based basic Boolean
 //! division vs. algebraic weak division, extended division's voting and
-//! clique overhead, and the POS (complement-domain) path.
+//! clique overhead, the POS (complement-domain) path, and the
+//! forced-literal bound that lets the substitution sweep skip them.
 
 use boolsubst_algebraic::weak_divide;
 use boolsubst_bench::timing::Harness;
 use boolsubst_core::{
-    basic_divide_covers, extended_divide_covers, pos_divide_covers, DivisionOptions,
+    basic_divide_covers, extended_divide_covers, forced_literal_bound, pos_divide_covers,
+    DivisionOptions,
 };
 use boolsubst_cube::{parse_sop, Cover};
 use std::hint::black_box;
@@ -52,6 +54,9 @@ fn main() {
                 black_box(&d),
                 &DivisionOptions::paper_default(),
             ))
+        });
+        group.bench(&format!("local_bound/{name}"), || {
+            black_box(forced_literal_bound(black_box(&f), black_box(&d)))
         });
     }
 }

@@ -12,7 +12,8 @@
 
 use crate::sos::is_sos_of;
 use boolsubst_atpg::{
-    remove_redundant_wires_with, CandidateWire, Circuit, GateId, ImplyOptions, RemovalOptions,
+    input_word, remove_redundant_wires_with, CandidateWire, Circuit, GateId, ImplyOptions,
+    RemovalOptions,
 };
 use boolsubst_cube::{Cover, Cube, Lit, Phase};
 
@@ -406,6 +407,98 @@ pub fn pos_divide_precomplemented(
         remainder_compl: r.remainder,
         wires_removed: r.wires_removed,
         budget_exhausted: r.budget_exhausted,
+    }
+}
+
+/// Joint-space size up to which [`forced_literal_bound`] applies: 2^12
+/// minterms, 64 words per truth table.
+pub const LOCAL_BOUND_MAX_VARS: usize = 12;
+
+/// A lower bound on the factored literal count of every cover `F(X, x_d)`
+/// with `F(x, d(x)) = f(x)`: the SOP, `-d` and POS rewrites of `f` by
+/// `d` over their joint space `X` are all such covers. `None` above
+/// [`LOCAL_BOUND_MAX_VARS`] variables.
+///
+/// The bound is `min(dirs(f), forced(f, d) + 1)`. A direction of `f` is
+/// a literal in whose sense `f` changes: `x_v` if some edge `x → x^v`
+/// from `x_v = 0` raises `f`, `x_v'` if one lowers it. An AND/OR formula
+/// without a literal cannot change in its sense, so a formula for `f`
+/// holds every direction. `forced` counts the directions that show on an
+/// edge where `d` stays the same: `x_d` stays too, so `F` moves along the
+/// edge as `f` does and needs that literal as well. A cover that does
+/// not read `x_d` is a formula for `f` itself; one that does spends a
+/// literal on it.
+///
+/// # Panics
+///
+/// Panics if the universes differ.
+#[must_use]
+pub fn forced_literal_bound(f: &Cover, d: &Cover) -> Option<usize> {
+    assert_eq!(f.num_vars(), d.num_vars(), "universe mismatch");
+    let n = f.num_vars();
+    if n > LOCAL_BOUND_MAX_VARS {
+        return None;
+    }
+    let words = 1 << n.saturating_sub(6);
+    let mut tf = [0u64; 1 << (LOCAL_BOUND_MAX_VARS - 6)];
+    let mut td = tf;
+    let (tf, td) = (&mut tf[..words], &mut td[..words]);
+    truth_table(f, tf);
+    truth_table(d, td);
+
+    let (mut dirs, mut forced) = (0, 0);
+    for v in 0..n {
+        // Per phase: some edge changes f that way; some does so with d
+        // unchanged. `lo` marks the minterms with x_v = 0 and `f1`, `d1`
+        // carry the values at x^v on those bits.
+        let (mut up, mut down, mut up_kept, mut down_kept) = (0, 0, 0, 0);
+        let mut edge = |lo: u64, f0: u64, f1: u64, d0: u64, d1: u64| {
+            let (rise, fall, same) = (!f0 & f1 & lo, f0 & !f1 & lo, !(d0 ^ d1));
+            up |= rise;
+            down |= fall;
+            up_kept |= rise & same;
+            down_kept |= fall & same;
+        };
+        if v < 6 {
+            let (s, lo) = (1 << v, !input_word(v, 0));
+            for (&f0, &d0) in tf.iter().zip(td.iter()) {
+                edge(lo, f0, f0 >> s, d0, d0 >> s);
+            }
+        } else {
+            let bit = 1 << (v - 6);
+            for w in (0..words).filter(|w| w & bit == 0) {
+                edge(!0, tf[w], tf[w | bit], td[w], td[w | bit]);
+            }
+        }
+        dirs += usize::from(up != 0) + usize::from(down != 0);
+        forced += usize::from(up_kept != 0) + usize::from(down_kept != 0);
+    }
+    Some(dirs.min(forced + 1))
+}
+
+/// Fills `table` with the truth table of `cover` in the
+/// [`input_word`] layout. A cube is one mask within a word (its literals
+/// on variables below six) on the words whose index matches its literals
+/// on the higher variables.
+fn truth_table(cover: &Cover, table: &mut [u64]) {
+    table.fill(0);
+    for cube in cover.cubes().iter().filter(|c| !c.is_empty()) {
+        let (mut mask, mut care, mut value) = (!0u64, 0usize, 0usize);
+        for l in cube.lits() {
+            let pos = l.phase == Phase::Pos;
+            if l.var < 6 {
+                let m = input_word(l.var, 0);
+                mask &= if pos { m } else { !m };
+            } else {
+                care |= 1 << (l.var - 6);
+                value |= usize::from(pos) << (l.var - 6);
+            }
+        }
+        for (w, t) in table.iter_mut().enumerate() {
+            if w & care == value {
+                *t |= mask;
+            }
+        }
     }
 }
 

@@ -57,8 +57,8 @@ pub mod verify;
 pub mod chaos;
 
 pub use division::{
-    basic_divide_covers, pos_divide_covers, pos_divide_precomplemented, split_remainder,
-    DivisionOptions, DivisionResult, PosDivisionResult,
+    basic_divide_covers, forced_literal_bound, pos_divide_covers, pos_divide_precomplemented,
+    split_remainder, DivisionOptions, DivisionResult, PosDivisionResult, LOCAL_BOUND_MAX_VARS,
 };
 pub use dontcare::{full_simplify, odc_cover, sdc_space_and_cover, DontCareOptions, DontCareStats};
 pub use engine::SubstEngine;

@@ -66,6 +66,7 @@ pub(crate) struct EngineMetrics {
     sim_refuted: Counter,
     sim_false_passes: Counter,
     sim_audits: Counter,
+    local_bound_skips: Counter,
     quarantined: Gauge,
     engine_faults: Gauge,
     shadow_cache_hits: Counter,
@@ -113,6 +114,7 @@ impl EngineMetrics {
             sim_refuted: handle.counter("sim.pairs_refuted"),
             sim_false_passes: handle.counter("sim.false_passes"),
             sim_audits: handle.counter("sim.audits"),
+            local_bound_skips: handle.counter("engine.local_bound_skips"),
             quarantined: handle.gauge("engine.quarantined"),
             engine_faults: handle.gauge("engine.faults"),
             shadow_cache_hits: handle.counter("engine.shadow_cache_hits"),
@@ -142,6 +144,7 @@ impl EngineMetrics {
         self.sim_refuted.add(n(d.sim_pairs_refuted));
         self.sim_false_passes.add(n(d.sim_false_passes));
         self.sim_audits.add(n(d.sim_audits));
+        self.local_bound_skips.add(n(d.local_bound_skips));
         self.shadow_cache_hits.add(n(d.shadow_cache_hits));
         self.shadow_cache_misses.add(n(d.shadow_cache_misses));
         self.quarantined.add(g(d.quarantined));

@@ -142,6 +142,7 @@ impl PairEval {
             outcome: self.outcome,
             gain,
             rar_checks: u64::try_from(d.rar_checks).unwrap_or(u64::MAX),
+            bound_skip: d.local_bound_skips > 0,
             worker: self.worker,
         }
     }

@@ -4,7 +4,8 @@
 //! configurations (`basic`, `ext`, `ext-GDC`) plus the POS-form attempts.
 
 use crate::division::{
-    basic_divide_covers, divide_region, pos_divide_precomplemented, DivisionOptions,
+    basic_divide_covers, divide_region, forced_literal_bound, pos_divide_precomplemented,
+    DivisionOptions,
 };
 use crate::extended::{extended_divide, CoreSelection, ExtendedDivision};
 use crate::netcircuit::{network_region, ShadowBase};
@@ -354,6 +355,11 @@ pub struct SubstStats {
     /// Pairs the screen let through to at least one proof stage that the
     /// full check then rejected anyway.
     pub sim_false_passes: usize,
+    /// Pairs on which the forced-literal bound
+    /// ([`crate::forced_literal_bound`]) skipped at least one strategy the
+    /// screen had not refuted: no cover of the target through the divisor
+    /// could beat its literal count.
+    pub local_bound_skips: usize,
     /// Dividend cubes whose extended-division fault checks were skipped:
     /// the vote table is seeded only from wires surviving the screen.
     pub sim_ext_wires_skipped: usize,
@@ -430,7 +436,11 @@ impl fmt::Display for SubstStats {
             self.filtered_joint_space,
             self.filtered_support,
         )?;
-        writeln!(f, "  divisions tried        {:>8}", self.divisions_tried)?;
+        writeln!(
+            f,
+            "  divisions tried        {:>8}  (local-bound skips {})",
+            self.divisions_tried, self.local_bound_skips,
+        )?;
         writeln!(
             f,
             "  accepted               {:>8}  (pos {}, extended {})",
@@ -549,6 +559,9 @@ impl SubstStats {
             .sim_pairs_refuted
             .saturating_add(other.sim_pairs_refuted);
         self.sim_false_passes = self.sim_false_passes.saturating_add(other.sim_false_passes);
+        self.local_bound_skips = self
+            .local_bound_skips
+            .saturating_add(other.local_bound_skips);
         self.sim_ext_wires_skipped = self
             .sim_ext_wires_skipped
             .saturating_add(other.sim_ext_wires_skipped);
@@ -602,6 +615,7 @@ impl SubstStats {
             .u64("sim_pairs_screened", u(self.sim_pairs_screened))
             .u64("sim_pairs_refuted", u(self.sim_pairs_refuted))
             .u64("sim_false_passes", u(self.sim_false_passes))
+            .u64("local_bound_skips", u(self.local_bound_skips))
             .u64("sim_ext_wires_skipped", u(self.sim_ext_wires_skipped))
             .u64("sim_audits", u(self.sim_audits))
             .u64("sim_patterns", u(self.sim_patterns))
@@ -906,6 +920,11 @@ impl SubstPlan {
 /// anyway: the accepted rewrites — and the pinned acceptance stats — are
 /// identical with and without a filter.
 ///
+/// Before any proof, [`forced_literal_bound`] may show that no SOP, `-d`
+/// or POS rewrite can beat the target's literal count; those strategies
+/// are then skipped, which likewise leaves the accepted rewrites as they
+/// were.
+///
 /// `forms` carries the target's per-visit [`TargetForms`]; without them
 /// (the legacy `try_pair`) the old literal count and the complement are
 /// computed here, per call.
@@ -945,13 +964,27 @@ pub(crate) fn plan_pair_core(
     let skip_compl = screen
         .as_ref()
         .is_some_and(CoverScreen::refutes_containment_in_complement);
-    let mut ran_proof = false;
+    // Forced-literal bound: when no cover F(X, x_d) with F(x, d(x)) = f(x)
+    // has fewer literals than the target, the SOP (outside ext-GDC), `-d`
+    // and POS strategies cannot gain and are skipped. GDC SOP uses don't
+    // cares, and extended division also rewrites the divisor, so the
+    // bound does not cover either.
+    let local_sop = opts.mode != SubstMode::ExtendedGdc && !skip_sop;
+    let bounded = (local_sop || !skip_compl || opts.try_pos)
+        && forced_literal_bound(&f, &d).is_some_and(|b| b as i64 >= old_literals);
+    // The bound skips a strategy only where the screen has not refuted it
+    // already, and a pair is booked once however many it skips.
+    let bound_before_pos = bounded && (local_sop || !skip_compl);
+    stats.local_bound_skips += usize::from(bound_before_pos);
+    // Whether the screen let the pair through to a proof or to the bound;
+    // a pair it never let through is a pure signature refutation.
+    let mut passed = bound_before_pos;
 
     // --- SOP basic division (local or GDC scope) ---
     let division = if skip_sop {
         None
     } else if opts.mode == SubstMode::ExtendedGdc {
-        ran_proof = true;
+        passed = true;
         divide_in_network(
             net,
             target,
@@ -963,8 +996,10 @@ pub(crate) fn plan_pair_core(
             gdc,
             stats,
         )
+    } else if bounded {
+        None
     } else {
-        ran_proof = true;
+        passed = true;
         let r = basic_divide_covers(&f, &d, &opts.division);
         stats.check_budget_exhausted += usize::from(r.budget_exhausted);
         r.succeeded().then_some((r.quotient, r.remainder))
@@ -991,10 +1026,10 @@ pub(crate) fn plan_pair_core(
     // The complement is shared with the POS attempt below; divisors are
     // capped at `max_divisor_cubes`, so it is the cheap one of the pair.
     let mut d_compl_cache: Option<Cover> = None;
-    if !skip_compl {
+    if !skip_compl && !bounded {
         let d_compl = &*d_compl_cache.insert(d.complement());
         if !d_compl.is_empty() && d_compl.len() <= opts.max_divisor_cubes.get() {
-            ran_proof = true;
+            passed = true;
             let r = basic_divide_covers(&f, d_compl, &opts.division);
             stats.check_budget_exhausted += usize::from(r.budget_exhausted);
             if r.succeeded() {
@@ -1019,7 +1054,7 @@ pub(crate) fn plan_pair_core(
     // vote-table row, so extended division is skipped outright; otherwise
     // refuted cubes are masked out of the fault-check work.
     if opts.mode != SubstMode::Basic && !skip_sop {
-        ran_proof = true;
+        passed = true;
         let mask = screen.as_ref().map(|sc| {
             stats.sim_ext_wires_skipped += sc.wit_div0.iter().filter(|&&w| w).count();
             sc.wit_div0.as_slice()
@@ -1039,7 +1074,12 @@ pub(crate) fn plan_pair_core(
     }
 
     // --- POS-form attempt ---
-    if opts.try_pos {
+    // Under the bound POS runs no proof, but its screen still runs when
+    // nothing else got past the screen: then its verdict decides whether
+    // the screen alone rejected the pair.
+    if opts.try_pos && bounded && (sim.is_none() || passed) {
+        stats.local_bound_skips += usize::from(!bound_before_pos);
+    } else if opts.try_pos {
         let fc = forms.map_or_else(|| f.complement(), |t| t.complement_in(net, space));
         let dc = d_compl_cache.unwrap_or_else(|| d.complement());
         if !dc.is_empty()
@@ -1057,9 +1097,13 @@ pub(crate) fn plan_pair_core(
                 sc.refutes_containment_in_complement()
             });
             if pos_refuted {
-                return finish_unhelped(stats, sim.is_some(), ran_proof);
+                return finish_unhelped(stats, sim.is_some(), passed);
             }
-            ran_proof = true;
+            passed = true;
+            if bounded {
+                stats.local_bound_skips += 1;
+                return finish_unhelped(stats, sim.is_some(), passed);
+            }
             let r = pos_divide_precomplemented(&fc, &dc, &opts.division);
             stats.check_budget_exhausted += usize::from(r.budget_exhausted);
             if r.succeeded() {
@@ -1084,7 +1128,7 @@ pub(crate) fn plan_pair_core(
             }
         }
     }
-    finish_unhelped(stats, sim.is_some(), ran_proof)
+    finish_unhelped(stats, sim.is_some(), passed)
 }
 
 /// The mutating half of a substitution attempt: applies a plan produced
@@ -1132,12 +1176,13 @@ pub(crate) fn apply_plan(
     }
 }
 
-/// Books a pair that produced no gain: with a filter present it either
-/// counts as a pure signature refutation (no proof stage ran) or as a
-/// false pass (at least one proof ran and rejected).
-fn finish_unhelped(stats: &mut SubstStats, screened: bool, ran_proof: bool) -> Option<SubstPlan> {
+/// Books a pair that produced no gain: with a filter present it counts
+/// as a false pass when the screen let it through to at least one proof
+/// or to the forced-literal bound, and as a pure signature refutation
+/// when the screen alone rejected it.
+fn finish_unhelped(stats: &mut SubstStats, screened: bool, passed: bool) -> Option<SubstPlan> {
     if screened {
-        if ran_proof {
+        if passed {
             stats.sim_false_passes += 1;
         } else {
             stats.sim_pairs_refuted += 1;
@@ -1375,6 +1420,82 @@ mod tests {
         net.add_output("f", f).expect("o");
         net.add_output("d", d).expect("o");
         (net, f, d)
+    }
+
+    /// Runs SOP by `d`, SOP by `d'` and POS in full (no size caps, no
+    /// bound) on seeded random pairs over 1–7 variables. Every rewrite has
+    /// at least as many factored literals as the forced-literal bound, so
+    /// none of them gains on a pair where the bound reaches the target's
+    /// count.
+    #[test]
+    fn forced_literal_bound_never_hides_a_gain() {
+        let mut state = 0xB0_07D5_u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let opts = DivisionOptions::paper_default();
+        let (mut fired, mut gains) = (0, 0);
+        for round in 0..1500 {
+            let n = 1 + round % 7;
+            let mut random_cover = |max_cubes: usize| {
+                let mut cover = Cover::new(n);
+                for _ in 0..=next(max_cubes) {
+                    let mut cube = Cube::universe(n);
+                    for v in 0..n {
+                        match next(3) {
+                            0 => cube.restrict(Lit::pos(v)),
+                            1 => cube.restrict(Lit::neg(v)),
+                            _ => {}
+                        }
+                    }
+                    cover.push(cube);
+                }
+                cover
+            };
+            let (f, d) = (random_cover(5), random_cover(3));
+            let mut net = Network::new("bound");
+            let pis: Vec<NodeId> = (0..n)
+                .map(|i| net.add_input(format!("x{i}")).expect("pi"))
+                .collect();
+            let dn = net.add_node("d", pis.clone(), d).expect("d");
+            let tn = net.add_node("t", pis, f).expect("t");
+            net.add_output("d", dn).expect("od");
+            net.add_output("t", tn).expect("ot");
+
+            let space = JointSpace::union_of_fanins(&net, &[tn, dn]);
+            let (f, d) = (space.cover_of(&net, tn), space.cover_of(&net, dn));
+            let old = target_literals(&net, tn);
+            let bound = forced_literal_bound(&f, &d).expect("within the cutoff");
+            let mut rewrites = Vec::new();
+            for (divisor, phase) in [(d.clone(), Phase::Pos), (d.complement(), Phase::Neg)] {
+                if divisor.is_empty() {
+                    continue;
+                }
+                let r = basic_divide_covers(&f, &divisor, &opts);
+                if r.succeeded() {
+                    rewrites.push(assemble(&space, dn, &r.quotient, &r.remainder, phase).1);
+                }
+            }
+            let dc = d.complement();
+            if !dc.is_empty() {
+                let r = pos_divide_precomplemented(&f.complement(), &dc, &opts);
+                if r.succeeded() {
+                    let rebuilt = times_new_var(&r.quotient_compl, &r.remainder_compl, Phase::Neg)
+                        .complement();
+                    rewrites.push(project(&rebuilt, &fanins_with(&space.vars, dn)).1);
+                }
+            }
+            fired += usize::from(bound as i64 >= old);
+            for cover in &rewrites {
+                let literals = factored_literals(cover);
+                assert!(literals >= bound, "f = {f}, d = {d}: {cover} under {bound}");
+                gains += usize::from((literals as i64) < old);
+            }
+        }
+        assert!(fired > 100 && gains > 100, "fired {fired}, gains {gains}");
     }
 
     /// The per-visit forms equal the per-call ones cube for cube, also

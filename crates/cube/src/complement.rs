@@ -306,7 +306,7 @@ mod tests {
     /// The flat kernels against their per-variable references over 0–70
     /// variables (one-, two- and three-word cubes), on covers that may
     /// hold empty and universal cubes: `complement` cube for cube,
-    /// `lits`, `extended`, `is_universe`.
+    /// `lits`, `extended`, `remapped`, `is_universe`.
     #[test]
     fn flat_kernels_match_per_variable_references() {
         let mut next = rng(0xF1A7_C0DE);
@@ -338,6 +338,27 @@ mod tests {
                 } else {
                     assert_eq!(e, Cube::from_lits(m, &scan), "{c} extended to {m}");
                 }
+                // An injective map into `m` variables, slot by slot.
+                let mut map: Vec<usize> = (0..m).collect();
+                for k in (1..m).rev() {
+                    map.swap(k, (next() % (k as u64 + 1)) as usize);
+                }
+                map.truncate(n);
+                let mut want = Cube::universe(m);
+                for (v, &to) in map.iter().enumerate() {
+                    match c.var_state(v) {
+                        VarState::Pos => want.restrict(Lit::pos(to)),
+                        VarState::Neg => want.restrict(Lit::neg(to)),
+                        VarState::Empty => {
+                            want.restrict(Lit::pos(to));
+                            want.restrict(Lit::neg(to));
+                        }
+                        VarState::DontCare => {}
+                    }
+                }
+                let r = c.remapped(m, &map);
+                assert_eq!(r, want, "{c} remapped by {map:?}");
+                assert_eq!(r.is_empty(), c.is_empty(), "{c} remapped by {map:?}");
             }
             let f = Cover::from_cubes(n, cubes);
             let mut want = compl_rec(&f);

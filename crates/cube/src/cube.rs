@@ -368,7 +368,9 @@ impl Cube {
     }
 
     /// Remaps variables through `map` into a cube over `new_num_vars`
-    /// variables; `map[v]` gives the new index of old variable `v`.
+    /// variables; `map[v]` gives the new index of old variable `v`. Every
+    /// slot that is not a don't care is intersected into its new slot, so
+    /// an empty cube stays empty.
     ///
     /// # Panics
     ///
@@ -377,11 +379,17 @@ impl Cube {
     #[must_use]
     pub fn remapped(&self, new_num_vars: usize, map: &[usize]) -> Cube {
         let mut out = Cube::universe(new_num_vars);
-        for l in self.lits() {
-            out.restrict(Lit {
-                var: map[l.var],
-                phase: l.phase,
-            });
+        for (i, &w) in self.words.iter().enumerate() {
+            // One even bit per slot other than `11`: a literal or `00`.
+            let mut slots = !(w & (w >> 1)) & full_word(self.num_vars, i) & EVEN_BITS;
+            while slots != 0 {
+                let b = slots.trailing_zeros();
+                slots &= slots - 1;
+                let var = map[i * VARS_PER_WORD + (b / 2) as usize];
+                assert!(var < new_num_vars, "variable {var} out of range");
+                let (to, s) = Self::slot(var);
+                out.words[to] &= !(0b11 << s) | (((w >> b) & 0b11) << s);
+            }
         }
         out
     }

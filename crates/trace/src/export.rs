@@ -35,6 +35,7 @@ pub fn event_to_json(ev: &TraceEvent) -> String {
             .str("outcome", p.outcome.name())
             .i64("gain", p.gain)
             .u64("rar_checks", p.rar_checks)
+            .bool("bound_skip", p.bound_skip)
             .u64("worker", u64::from(p.worker))
             .finish(),
         TraceEvent::ShadowBuild {
@@ -85,6 +86,7 @@ pub fn write_jsonl<W: Write>(t: &Tracer, w: &mut W) -> io::Result<()> {
     meta.str("type", "meta")
         .str("mode", t.mode())
         .u64("pairs", t.pairs())
+        .u64("bound_skips", t.bound_skips())
         .u64("passes", t.pass_summaries().len() as u64)
         .u64("events_dropped", t.dropped())
         .u64("shadow_builds", shadow_builds)
@@ -337,6 +339,7 @@ mod tests {
             outcome,
             gain,
             rar_checks,
+            bound_skip: false,
             worker,
         }
     }
@@ -371,6 +374,7 @@ mod tests {
         assert_eq!(pair.get("filter_ns").and_then(Json::as_u64), Some(3));
         assert_eq!(pair.get("divide_ns").and_then(Json::as_u64), Some(40));
         assert_eq!(pair.get("rar_checks").and_then(Json::as_u64), Some(7));
+        assert_eq!(pair.get("bound_skip").and_then(Json::as_bool), Some(false));
         assert_eq!(pair.get("gain").and_then(Json::as_i64), Some(5));
         assert_eq!(
             pair.get("outcome").and_then(Json::as_str),

@@ -106,6 +106,15 @@ impl fmt::Display for TraceReport<'_> {
             accepted,
             pct(accepted, total)
         )?;
+        if t.bound_skips() > 0 {
+            writeln!(
+                f,
+                "{:<22} {:>8}  ({:>5.1}%)",
+                "local-bound skips",
+                t.bound_skips(),
+                pct(t.bound_skips(), total)
+            )?;
+        }
 
         writeln!(f, "\n-- stage latency --")?;
         for s in Stage::ALL {
@@ -246,6 +255,7 @@ mod tests {
             outcome,
             gain,
             rar_checks: 0,
+            bound_skip: false,
             worker: 0,
         };
         t.record_pair(&pair(

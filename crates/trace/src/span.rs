@@ -221,6 +221,8 @@ pub struct PairSpan {
     pub gain: i64,
     /// RAR/ATPG fault checks the GDC-mode division ran for this pair.
     pub rar_checks: u64,
+    /// The forced-literal bound skipped at least one division strategy.
+    pub bound_skip: bool,
     /// Sweep lane the pair was evaluated on: `0` for the committer,
     /// `w` for pool worker `w`. Chrome export maps lanes to named
     /// threads.

@@ -33,6 +33,8 @@ pub struct PairRecord {
     pub gain: i64,
     /// RAR/ATPG fault checks run by this attempt.
     pub rar_checks: u64,
+    /// The forced-literal bound skipped at least one division strategy.
+    pub bound_skip: bool,
     /// Sweep lane of the attempt: the drain that evaluated it, `0` for
     /// the committer and `w` for pool worker `w` (see
     /// [`PairSpan::worker`]).
@@ -94,6 +96,7 @@ pub struct Tracer {
     pair_hist: LatencyHistogram,
     outcome_counts: [u64; Outcome::COUNT],
     pairs: u64,
+    bound_skips: u64,
     slowest: Vec<PairSpan>,
     per_target: HashMap<u32, TargetAgg>,
     passes: Vec<PassSpan>,
@@ -130,6 +133,7 @@ impl Tracer {
             pair_hist: LatencyHistogram::new(),
             outcome_counts: [0; Outcome::COUNT],
             pairs: 0,
+            bound_skips: 0,
             slowest: Vec::new(),
             per_target: HashMap::new(),
             passes: Vec::new(),
@@ -230,9 +234,11 @@ impl Tracer {
             outcome: rec.outcome,
             gain: rec.gain,
             rar_checks: rec.rar_checks,
+            bound_skip: rec.bound_skip,
             worker: rec.worker,
         };
         self.pairs += 1;
+        self.bound_skips += u64::from(rec.bound_skip);
         self.pass_pairs += 1;
         self.pair_hist.record(rec.dur_ns);
         self.outcome_counts[rec.outcome.idx()] += 1;
@@ -326,6 +332,13 @@ impl Tracer {
         self.pairs
     }
 
+    /// Pair spans on which the forced-literal bound skipped a strategy
+    /// (not bounded by the ring).
+    #[must_use]
+    pub fn bound_skips(&self) -> u64 {
+        self.bound_skips
+    }
+
     /// Completed pass summaries, in order.
     #[must_use]
     pub fn pass_summaries(&self) -> &[PassSpan] {
@@ -417,6 +430,7 @@ mod tests {
             outcome,
             gain,
             rar_checks: 0,
+            bound_skip: false,
             worker: 0,
         });
     }

@@ -1,6 +1,6 @@
 //! Seeded property tests for the core invariants: division exactness,
 //! SOS/POS lemmas, two-level minimization envelopes, factoring
-//! equivalence and algebraic reconstruction.
+//! equivalence, algebraic reconstruction and the forced-literal bound.
 //!
 //! Each property draws its covers from the workloads crate's seeded
 //! xorshift [`Rng`], so every case is reproducible from its index and the
@@ -8,10 +8,11 @@
 
 use boolsubst::algebraic::{factor, factored_literals, weak_divide, FactorTree};
 use boolsubst::core::{
-    basic_divide_covers, extended_divide_covers, is_sos_of, lemma1_holds, pos_divide_covers,
-    DivisionOptions,
+    basic_divide_covers, extended_divide_covers, forced_literal_bound, is_sos_of, lemma1_holds,
+    pos_divide_covers, DivisionOptions, Session, SubstOptions, LOCAL_BOUND_MAX_VARS,
 };
-use boolsubst::cube::{simplify, Cover, Cube, Lit, Phase, SimplifyOptions, VarState};
+use boolsubst::cube::{parse_sop, simplify, Cover, Cube, Lit, Phase, SimplifyOptions, VarState};
+use boolsubst::network::Network;
 use boolsubst::workloads::generator::Rng;
 
 const VARS: usize = 5;
@@ -269,4 +270,108 @@ fn sim_screen_refutations_are_sound() {
             }
         }
     });
+}
+
+/// A random cover over `n` variables: up to `max_cubes` cubes of up to
+/// five literal draws each, one cube in eight made empty (`00` slot).
+fn random_cover_over(rng: &mut Rng, n: usize, max_cubes: usize) -> Cover {
+    let mut cover = Cover::new(n);
+    for _ in 0..rng.below(max_cubes + 1) {
+        let mut cube = Cube::universe(n);
+        if n > 0 {
+            for _ in 0..rng.below(6) {
+                let var = rng.below(n);
+                if rng.below(2) == 0 {
+                    cube.restrict(Lit::pos(var));
+                } else {
+                    cube.restrict(Lit::neg(var));
+                }
+            }
+        }
+        cover.push(cube);
+    }
+    cover
+}
+
+/// The truth table of `cover`, one entry per minterm (bit `v` of the
+/// index is variable `v`), read slot by slot.
+fn minterm_table(cover: &Cover) -> Vec<bool> {
+    let n = cover.num_vars();
+    (0..1usize << n)
+        .map(|m| {
+            cover.cubes().iter().any(|c| {
+                (0..n).all(|v| match c.var_state(v) {
+                    VarState::DontCare => true,
+                    VarState::Pos => m >> v & 1 == 1,
+                    VarState::Neg => m >> v & 1 == 0,
+                    VarState::Empty => false,
+                })
+            })
+        })
+        .collect()
+}
+
+/// `min(dirs(f), forced(f, d) + 1)` by walking every edge of the cube.
+fn forced_bound_reference(f: &Cover, d: &Cover) -> usize {
+    let n = f.num_vars();
+    let (tf, td) = (minterm_table(f), minterm_table(d));
+    let (mut dirs, mut forced) = (0, 0);
+    for v in 0..n {
+        for rising in [true, false] {
+            let edges: Vec<usize> = (0..tf.len())
+                .filter(|&m| m >> v & 1 == 0)
+                .filter(|&m| tf[m] != rising && tf[m | 1 << v] == rising)
+                .collect();
+            dirs += usize::from(!edges.is_empty());
+            forced += usize::from(edges.iter().any(|&m| td[m] == td[m | 1 << v]));
+        }
+    }
+    dirs.min(forced + 1)
+}
+
+/// The word-parallel forced-literal bound equals the per-minterm
+/// reference over 0–12 variables: one-word tables up to six variables,
+/// 2–64 words above. Past the cutoff it declines.
+#[test]
+fn forced_literal_bound_matches_per_minterm_reference() {
+    for_cases(12, |rng, case| {
+        for n in 0..=LOCAL_BOUND_MAX_VARS {
+            let f = random_cover_over(rng, n, 6);
+            let d = random_cover_over(rng, n, 3);
+            assert_eq!(
+                forced_literal_bound(&f, &d),
+                Some(forced_bound_reference(&f, &d)),
+                "case {case}, n = {n}: f = {f}, d = {d}"
+            );
+        }
+    });
+    let wide = Cover::one(LOCAL_BOUND_MAX_VARS + 1);
+    assert_eq!(forced_literal_bound(&wide, &wide), None);
+}
+
+/// f = abc by d = ab: a and b raise f only on edges that also raise d,
+/// so only c is forced and the bound (2) stays below f's 3 literals; the
+/// SOP rewrite f = d·c gains 1. Counting a and b as forced too would
+/// skip that rewrite.
+#[test]
+fn forced_literal_bound_spares_abc_by_ab() {
+    let f = parse_sop(3, "abc").expect("f");
+    let d = parse_sop(3, "ab").expect("d");
+    assert_eq!(forced_literal_bound(&f, &d), Some(2));
+
+    let mut net = Network::new("abc");
+    let pis: Vec<_> = ["a", "b", "c"]
+        .iter()
+        .map(|name| net.add_input(*name).expect("pi"))
+        .collect();
+    let dn = net
+        .add_node("d", pis[..2].to_vec(), parse_sop(2, "ab").expect("d"))
+        .expect("d");
+    let tn = net.add_node("t", pis.clone(), f).expect("t");
+    net.add_output("d", dn).expect("od");
+    net.add_output("t", tn).expect("ot");
+    let stats = Session::new(&mut net, SubstOptions::basic()).run();
+    assert_eq!(stats.substitutions, 1, "{stats}");
+    assert_eq!(stats.literal_gain, 1, "{stats}");
+    assert!(net.node(tn).fanins().contains(&dn), "t reads d");
 }

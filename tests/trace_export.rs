@@ -96,6 +96,10 @@ fn jsonl_roundtrips_field_for_field() {
                         v.get("rar_checks").and_then(Json::as_u64),
                         Some(p.rar_checks)
                     );
+                    assert_eq!(
+                        v.get("bound_skip").and_then(Json::as_bool),
+                        Some(p.bound_skip)
+                    );
                 }
                 TraceEvent::Pass(p) => {
                     assert_eq!(v.get("type").and_then(Json::as_str), Some("pass"));
@@ -302,6 +306,20 @@ fn reconcile(mode: &str, tracer: &Tracer, stats: &SubstStats, handle: &MetricsHa
         counter("discovery.proofs_run"),
         n(stats.discovery_proofs_run),
         "{mode}: discovery.proofs_run"
+    );
+
+    // Pairs the forced-literal bound skipped a strategy on.
+    let bound_spans = pair_spans(tracer).filter(|p| p.bound_skip).count();
+    assert_eq!(bound_spans, stats.local_bound_skips, "{mode}: bound spans");
+    assert_eq!(
+        tracer.bound_skips(),
+        n(stats.local_bound_skips),
+        "{mode}: tracer bound skips"
+    );
+    assert_eq!(
+        counter("engine.local_bound_skips"),
+        n(stats.local_bound_skips),
+        "{mode}: engine.local_bound_skips"
     );
 
     // Histogram sample counts agree with the span count, and the
