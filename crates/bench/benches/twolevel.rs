@@ -34,7 +34,7 @@ fn random_cover(seed: u64, vars: usize, cubes: usize) -> Cover {
 
 /// A two-word cover: a 12-variable random cover spread over 40 variables
 /// (every third one), so its literals sit in both words of each cube, as
-/// in a joint space near `max_joint_vars`.
+/// in a joint space near the 48-variable joint-space bound.
 fn two_word_cover(seed: u64, cubes: usize) -> Cover {
     let map: Vec<usize> = (0..12).map(|v| 3 * v + 2).collect();
     random_cover(seed, 12, cubes).remapped(40, &map)

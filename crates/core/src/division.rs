@@ -17,15 +17,17 @@ use boolsubst_atpg::{
 };
 use boolsubst_cube::{Cover, Cube, Lit, Phase};
 
+/// Removal passes over the surviving candidate wires of a division: each
+/// removal can expose more redundancy, and a pass that removes nothing
+/// ends the loop early.
+const REMOVAL_PASSES: usize = 3;
+
 /// Options controlling a division run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DivisionOptions {
     /// Implication options (learning depth) used during redundancy
     /// removal.
     pub imply: ImplyOptions,
-    /// Extra removal passes over surviving candidate wires (each removal
-    /// can expose more redundancy). 0 behaves as 1.
-    pub max_passes: usize,
     /// When non-zero, undecided wires get a bounded *exact* test search
     /// with this decision budget (the extreme end of the paper's
     /// implication-effort knob).
@@ -37,15 +39,11 @@ pub struct DivisionOptions {
 }
 
 impl DivisionOptions {
-    /// Paper configuration: plain direct implications, two passes.
+    /// Paper configuration: plain direct implications, no exact search,
+    /// no check budget.
     #[must_use]
     pub fn paper_default() -> DivisionOptions {
-        DivisionOptions {
-            imply: ImplyOptions::default(),
-            max_passes: 2,
-            exact_budget: 0,
-            max_checks: 0,
-        }
+        DivisionOptions::default()
     }
 
     /// Exact configuration: implications plus a bounded exact search for
@@ -53,10 +51,8 @@ impl DivisionOptions {
     #[must_use]
     pub fn exact(budget: usize) -> DivisionOptions {
         DivisionOptions {
-            imply: ImplyOptions::default(),
-            max_passes: 2,
             exact_budget: budget,
-            max_checks: 0,
+            ..DivisionOptions::default()
         }
     }
 }
@@ -282,7 +278,7 @@ pub(crate) fn divide_region(
             exact_budget: opts.exact_budget,
             max_checks: opts.max_checks,
         },
-        opts.max_passes.max(1) + 1,
+        REMOVAL_PASSES,
     );
     DivisionResult {
         quotient: region.read_quotient(&circuit),
@@ -729,9 +725,7 @@ mod tests {
             &d,
             &DivisionOptions {
                 imply: ImplyOptions { learn_depth: 1 },
-                max_passes: 2,
-                exact_budget: 0,
-                max_checks: 0,
+                ..DivisionOptions::paper_default()
             },
         );
         assert!(learned.verify(&f, &d));

@@ -51,7 +51,7 @@ use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
     apply_plan, core_outcome, Acceptance, SubstMode, SubstOptions, SubstPlan, SubstStats,
-    TargetForms,
+    TargetForms, MAX_DIVISOR_CUBES, MAX_JOINT_VARS,
 };
 use crate::txn::TxnSnapshot;
 use boolsubst_algebraic::JointSpace;
@@ -61,7 +61,6 @@ use boolsubst_metrics::MetricsHandle;
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimFilter;
 use boolsubst_trace::{GuardTier, Outcome, PairRecord, Stage, Tracer};
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -236,22 +235,16 @@ fn node_names(net: &Network) -> Vec<String> {
 }
 
 /// The cheap filter chain every pair passes before its division proof:
-/// quarantine, structural, cycle (the level-bounded
-/// [`SideTables::in_tfo`]), divisor size and joint space. Books the
-/// matching `filtered_*` counter and returns the reject outcome, or the
-/// pair's joint space.
+/// structural, cycle (the level-bounded [`SideTables::in_tfo`]), divisor
+/// size and joint space. Books the matching `filtered_*` counter and
+/// returns the reject outcome, or the pair's joint space.
 pub(crate) fn cheap_filters(
     net: &Network,
     side: &SideTables,
-    quarantine: &HashSet<(NodeId, NodeId)>,
-    opts: &SubstOptions,
     stats: &mut SubstStats,
     target: NodeId,
     divisor: NodeId,
 ) -> Result<JointSpace, Outcome> {
-    if quarantine.contains(&(target, divisor)) {
-        return Err(Outcome::GuardRejected);
-    }
     // Candidates are fanouts, hence internal; only the self-pair and
     // existing-fanin checks remain from the legacy structural filter.
     if target == divisor || net.node(target).fanins().contains(&divisor) {
@@ -268,12 +261,12 @@ pub(crate) fn cheap_filters(
         stats.filtered_structural += 1;
         return Err(Outcome::RejectedStructural);
     };
-    if d_cover_len == 0 || d_cover_len > opts.max_divisor_cubes.get() {
+    if d_cover_len == 0 || d_cover_len > MAX_DIVISOR_CUBES {
         stats.filtered_divisor_size += 1;
         return Err(Outcome::RejectedDivisorSize);
     }
     let space = JointSpace::union_of_fanins(net, &[target, divisor]);
-    if space.len() > opts.max_joint_vars {
+    if space.len() > MAX_JOINT_VARS {
         stats.filtered_joint_space += 1;
         return Err(Outcome::RejectedJointSpace);
     }
@@ -309,12 +302,11 @@ impl ShadowEntry {
     }
 }
 
-/// A persistent Boolean-substitution session over one network.
-///
-/// Construct once, then [`run`](SubstEngine::run) the sweep; the side
-/// tables, candidate index, and shadow circuits live for the whole session
-/// and are patched across passes instead of rebuilt.
-pub struct SubstEngine<'a> {
+/// A Boolean-substitution session over one network, run by
+/// [`crate::Session::run`]: one sweep over every target, with the side
+/// tables, the signature table and the shadow circuits patched after each
+/// accepted rewrite instead of rebuilt.
+pub(crate) struct SubstEngine<'a> {
     pub(crate) net: &'a mut Network,
     pub(crate) opts: SubstOptions,
     pub(crate) side: SideTables,
@@ -333,12 +325,9 @@ pub struct SubstEngine<'a> {
     pub(crate) tracer: Option<&'a mut Tracer>,
     /// Post-apply equivalence guard (built when `opts.checked`). A
     /// rewrite the guard refutes is rolled back via [`TxnSnapshot`] and
-    /// the pair quarantined; a healthy engine never trips it, so the
-    /// checked sweep stays bit-identical to the unchecked one.
+    /// the pair given up; a healthy engine never trips it, so the checked
+    /// sweep stays bit-identical to the unchecked one.
     pub(crate) guard: Option<Guard>,
-    /// Pairs whose rewrites were refuted or whose attempts faulted; never
-    /// retried for the rest of the session.
-    pub(crate) quarantine: HashSet<(NodeId, NodeId)>,
     /// Resolved metric instruments; `None` unless attached via
     /// [`SubstEngine::attach_metrics`]. Like the tracer, an attached
     /// handle never changes the accepted rewrites.
@@ -371,7 +360,6 @@ impl<'a> SubstEngine<'a> {
             sim,
             tracer: None,
             guard,
-            quarantine: HashSet::new(),
             metrics: None,
         }
     }
@@ -435,19 +423,11 @@ impl<'a> SubstEngine<'a> {
         self.guard.take()
     }
 
-    /// Statistics accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> &SubstStats {
-        &self.stats
-    }
-
-    /// Runs up to `opts.max_passes` sweeps, stopping early when a pass
-    /// accepts nothing. Returns the accumulated statistics.
-    pub fn run(&mut self) -> SubstStats {
-        for _ in 0..self.opts.max_passes.get() {
-            if self.deadline_expired() {
-                break;
-            }
+    /// Runs one sweep over every target (none when the deadline has
+    /// already passed) and returns the statistics. A caller that wants
+    /// another pass runs a new session on the rewritten network.
+    pub(crate) fn run(&mut self) -> SubstStats {
+        if !self.deadline_expired() {
             self.book(
                 &SubstStats {
                     passes: 1,
@@ -455,20 +435,12 @@ impl<'a> SubstEngine<'a> {
                 },
                 None,
             );
-            let before = self.stats.substitutions;
-            let gain_before = self.stats.literal_gain;
             if let Some(t) = self.tracer.as_deref_mut() {
-                t.begin_pass(u32::try_from(self.stats.passes).unwrap_or(u32::MAX));
+                t.begin_pass(1);
             }
             self.run_pass();
             if let Some(t) = self.tracer.as_deref_mut() {
-                t.end_pass(
-                    (self.stats.substitutions - before) as u64,
-                    self.stats.literal_gain - gain_before,
-                );
-            }
-            if self.stats.substitutions == before {
-                break;
+                t.end_pass(self.stats.substitutions as u64, self.stats.literal_gain);
             }
         }
         if let Some(sim) = &self.sim {
@@ -557,18 +529,6 @@ impl<'a> SubstEngine<'a> {
             self.stats.interrupted = true;
         }
         self.stats.interrupted
-    }
-
-    /// Adds a pair to the quarantine set (once), counting it in `delta`.
-    pub(crate) fn quarantine_pair(
-        &mut self,
-        delta: &mut SubstStats,
-        target: NodeId,
-        divisor: NodeId,
-    ) {
-        if self.quarantine.insert((target, divisor)) {
-            delta.quarantined += 1;
-        }
     }
 
     /// Rolls the live network back to `snap` and clears the acceptance
@@ -749,11 +709,11 @@ impl<'a> SubstEngine<'a> {
     /// division it came from is never proved a second time. Checked mode
     /// snapshots the two covers the plan can rewrite, isolates a panic in
     /// the apply and asks the guard for a verdict; a faulting or refuted
-    /// rewrite is rolled back and the pair quarantined. Any edit, kept or
-    /// rolled back, is then carried into the side tables and the signature
-    /// table. Books into the pair's `delta` (the apply, the guard and the
-    /// table patching as apply time, the signature patch as sim time) and
-    /// returns the pair's outcome with the committed gain.
+    /// rewrite is rolled back and the pair counted as quarantined. Any
+    /// edit, kept or rolled back, is then carried into the side tables and
+    /// the signature table. Books into the pair's `delta` (the apply, the
+    /// guard and the table patching as apply time, the signature patch as
+    /// sim time) and returns the pair's outcome with the committed gain.
     pub(crate) fn commit(
         &mut self,
         target: NodeId,
@@ -792,17 +752,17 @@ impl<'a> SubstEngine<'a> {
         if let Some(snap) = &snap {
             if applied.is_none() {
                 // A panic escaped the apply, possibly mid-rewrite:
-                // restore the pre-state and never retry the pair.
+                // restore the pre-state and give the pair up.
                 self.recover(snap, delta);
                 delta.engine_faults += 1;
-                self.quarantine_pair(delta, target, divisor);
+                delta.quarantined += 1;
             } else if result.is_some() {
                 match self.guard_verdict(snap, target, divisor, delta) {
                     Some(GuardDecision::OutOfTime) => {
                         // The remaining deadline window cannot afford an
                         // exact verdict: undo the unproven rewrite and
                         // latch the interrupt. The pair is innocent (no
-                        // quarantine, no rejection count) — the clock ran
+                        // quarantine or rejection count) — the clock ran
                         // out, and the sweep exits with a verified
                         // partial result as if the deadline had expired
                         // between attempts.
@@ -812,11 +772,11 @@ impl<'a> SubstEngine<'a> {
                     }
                     Some(decision) if !decision.passed() => {
                         // The rewrite changed a primary-output function:
-                        // undo it and quarantine the pair, then keep
+                        // undo it and give the pair up, then keep
                         // sweeping.
                         self.recover(snap, delta);
                         delta.guard_rejections += 1;
-                        self.quarantine_pair(delta, target, divisor);
+                        delta.quarantined += 1;
                         (outcome, result) = (Outcome::GuardRejected, None);
                     }
                     _ => {}
@@ -911,26 +871,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn best_gain_skips_a_quarantined_best_pair() {
-        // f = ab + ac + bc' with d1 = ab + c (gain 1) and d2 = b + c
-        // (gain 2): with (f, d2) quarantined, d1 must still be applied.
-        let mut net = small_net();
-        let f = net.find("f").expect("f");
-        let d1 = net.find("d").expect("d");
-        let fanins = net.node(f).fanins().to_vec();
-        let d2 = net
-            .add_node("d2", fanins, parse_sop(3, "b + c").expect("p"))
-            .expect("d2");
-        net.add_output("d2", d2).expect("o");
-        let opts = SubstOptions::basic().with_acceptance(Acceptance::BestGain);
-        let mut engine = SubstEngine::new(&mut net, opts);
-        engine.quarantine.insert((f, d2));
-        let stats = engine.run();
-        assert_eq!((stats.substitutions, stats.literal_gain), (1, 1));
-        assert!(net.node(f).fanins().contains(&d1));
-    }
-
     /// A re-enumeration after a commit proposes again the candidates
     /// past the accepted divisor; each is counted once per visit. Here
     /// `f`'s candidates are `[d, f, g]`, `d` is accepted first, and the
@@ -960,7 +900,7 @@ mod tests {
         }
         let mut engine = SubstEngine::new(&mut net, SubstOptions::basic());
         engine.first_gain_visit(f);
-        let stats = *engine.stats();
+        let stats = engine.stats;
         assert_eq!(stats.substitutions, 1, "{stats}");
         assert!(net.node(f).fanins().contains(&d), "d was not accepted");
         assert_eq!(stats.discovery_proposed, 3, "{stats}");

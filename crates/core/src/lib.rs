@@ -12,12 +12,11 @@
 //!   decomposition;
 //! * [`subst`] — the network-level substitution driver with the paper's
 //!   three configurations (`basic`, `ext`, `ext-GDC`);
-//! * [`engine`] — the incremental sweep engine: cached side tables,
-//!   support-overlap candidate enumeration (a target's divisor
-//!   candidates are the fanouts of its fanins), shadow circuits, stage
-//!   stats;
-//! * [`session`] — the [`Session`] builder, the one blessed entry point
-//!   for running a sweep (tracing, thread count, options);
+//! * [`session`] — the [`Session`] builder, the one entry point for
+//!   running a sweep (tracing, thread count, options), over the crate's
+//!   incremental engine: cached side tables, support-overlap candidate
+//!   enumeration (a target's divisor candidates are the fanouts of its
+//!   fanins), shadow circuits, stage stats; one run is one pass;
 //! * [`netcircuit`] — whole-network gate materialization for the global
 //!   don't-care mode;
 //! * [`txn`] — transactional snapshots powering the checked-apply mode's
@@ -41,7 +40,7 @@
 
 pub mod division;
 pub mod dontcare;
-pub mod engine;
+mod engine;
 pub mod extended;
 mod metrics;
 pub mod netcircuit;
@@ -61,7 +60,6 @@ pub use division::{
     split_remainder, DivisionOptions, DivisionResult, PosDivisionResult, LOCAL_BOUND_MAX_VARS,
 };
 pub use dontcare::{full_simplify, odc_cover, sdc_space_and_cover, DontCareOptions, DontCareStats};
-pub use engine::SubstEngine;
 pub use extended::{
     compute_vote_table, compute_vote_tables_pooled, enumerate_cliques, extended_divide_covers,
     extended_divide_covers_pos, extended_divide_covers_with, extended_divide_pooled, CliqueChoice,

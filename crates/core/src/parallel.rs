@@ -43,12 +43,14 @@
 //! signature table. The winner's record is built after the
 //! commit, from its evaluation delta plus the commit's. A kept commit
 //! re-enumerates the target's candidates past the accepted divisor; a
-//! faulting or guard-refuted one is rolled back and the pair quarantined,
-//! and the sweep resumes at the next pair of the same enumeration.
+//! faulting or guard-refuted one is rolled back and counted as
+//! quarantined, and the sweep resumes at the next pair of the same
+//! enumeration. A pass therefore settles each (target, divisor) pair at
+//! most once, so no pair has to be remembered as given up.
 //!
 //! Under [`Acceptance::BestGain`] one epoch evaluates every candidate with
 //! no early exit. These are dry runs: their deltas and records are
-//! discarded, and only a fault is booked (the pair is quarantined). The
+//! discarded, and only a fault is booked (and counted as quarantined). The
 //! lowest-index best gain's plan is then committed and booked as above.
 //! No dry run clones the network.
 //!
@@ -68,8 +70,8 @@
 //! too.
 //!
 //! Proof panics are always caught, at every width: the pair is booked as
-//! an engine fault, quarantined, and the committer keeps going — a dying
-//! worker cannot poison the shared state because evaluation never
+//! an engine fault and as quarantined, and the committer keeps going — a
+//! dying worker cannot poison the shared state because evaluation never
 //! mutates it. A failed signature audit is booked the same way, and the
 //! committer rebuilds the signature table before the next epoch or
 //! commit. Under first-gain the epoch stops at the first such pair, as it
@@ -84,7 +86,6 @@ use crate::subst::{
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimFilter;
 use boolsubst_trace::{Outcome, PairRecord, StageNanos};
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -158,7 +159,6 @@ impl PairEval {
 fn speculate_pair(
     net: &Network,
     side: &SideTables,
-    quarantine: &HashSet<(NodeId, NodeId)>,
     shadow: Option<&ShadowEntry>,
     forms: &TargetForms,
     sim: Option<&SimFilter>,
@@ -181,7 +181,7 @@ fn speculate_pair(
     });
     let delta = &mut eval.delta;
     delta.candidates_enumerated += 1;
-    let filtered = cheap_filters(net, side, quarantine, opts, delta, target, divisor);
+    let filtered = cheap_filters(net, side, delta, target, divisor);
     delta.filter_nanos += nanos(start);
     // Checked mode recomputes the pair's signature rows from their fanins
     // and compares them with the table; the committer repairs the table
@@ -254,7 +254,7 @@ impl SubstEngine<'_> {
 
     /// Books one evaluated pair in sweep order: after a failed audit the
     /// signature-table repair, the pair's use of the shadow snapshot, a
-    /// fault's quarantine and, for an accepting pair, the commit of its
+    /// fault's quarantine count and, for an accepting pair, the commit of its
     /// stored plan; then its delta and its one record. Returns whether a
     /// rewrite was committed.
     fn settle(&mut self, target: NodeId, divisor: NodeId, mut eval: Box<PairEval>) -> bool {
@@ -267,7 +267,7 @@ impl SubstEngine<'_> {
         }
         if eval.outcome == Outcome::EngineFault {
             eval.delta.engine_faults += 1;
-            self.quarantine_pair(&mut eval.delta, target, divisor);
+            eval.delta.quarantined += 1;
         }
         let mut committed = None;
         if let Some(plan) = eval.plan.take() {
@@ -318,7 +318,6 @@ impl SubstEngine<'_> {
         let timed = self.timed();
         let net: &Network = self.net;
         let side = &self.side;
-        let quarantine = &self.quarantine;
         let opts = &self.opts;
         let shadow = self.shadow.as_ref().filter(|_| gdc);
         let forms = self.forms.as_ref().expect("ensured above");
@@ -366,7 +365,6 @@ impl SubstEngine<'_> {
                 let eval = speculate_pair(
                     net,
                     side,
-                    quarantine,
                     shadow,
                     forms,
                     sim,
@@ -464,8 +462,8 @@ impl SubstEngine<'_> {
     }
 
     /// The best-gain visit at every thread count: one epoch dry-runs every
-    /// candidate, faulting pairs are quarantined, and the lowest-index
-    /// best gain's stored plan is committed.
+    /// candidate, faulting pairs are counted as quarantined, and the
+    /// lowest-index best gain's stored plan is committed.
     pub(crate) fn best_gain_visit(&mut self, target: NodeId) {
         let cands = self.discover(target, self.net.id_bound(), None, &[]);
         if cands.is_empty() || self.deadline_expired() {
@@ -479,6 +477,7 @@ impl SubstEngine<'_> {
             if eval.outcome == Outcome::EngineFault {
                 let mut delta = SubstStats {
                     engine_faults: 1,
+                    quarantined: 1,
                     ..SubstStats::default()
                 };
                 if eval.audit_failed && !repaired {
@@ -486,7 +485,6 @@ impl SubstEngine<'_> {
                     self.repair_sim(&mut delta);
                     repaired = true;
                 }
-                self.quarantine_pair(&mut delta, target, divisor);
                 self.book(&delta, None);
                 continue;
             }

@@ -1,8 +1,9 @@
 //! The unified substitution entry point: one builder for every way of
 //! running the sweep.
 //!
-//! Every run is "construct a [`SubstEngine`], maybe attach things, run";
-//! [`Session`] spells that as a single builder:
+//! Every run is "construct the engine, maybe attach things, run one
+//! pass"; [`Session`] spells that as a single builder, and
+//! [`Session::run`] consumes it, so a second pass is a second session:
 //!
 //! ```
 //! use boolsubst_core::{Session, SubstOptions};
@@ -84,8 +85,9 @@ impl<'n, 't> Session<'n, 't> {
         self
     }
 
-    /// Runs the sweep to completion and returns the accumulated
-    /// statistics. The network is left valid and functionally equivalent
+    /// Runs one sweep over every target and returns its statistics. A
+    /// caller that wants another pass runs a new session on the rewritten
+    /// network. The network is left valid and functionally equivalent
     /// after every possible outcome (acceptance, rejection, deadline
     /// interrupt, checked-mode rollback).
     pub fn run(self) -> SubstStats {

@@ -62,9 +62,8 @@ pub enum Acceptance {
 /// Options for a substitution run (see [`crate::session::Session`]).
 ///
 /// Construct with one of the mode constructors ([`SubstOptions::basic`],
-/// [`SubstOptions::extended`], [`SubstOptions::extended_gdc`],
-/// [`SubstOptions::extended_exact`]) and refine with the `with_*` builder
-/// methods:
+/// [`SubstOptions::extended`], [`SubstOptions::extended_gdc`]) and refine
+/// with the `with_*` builder methods:
 ///
 /// ```
 /// use boolsubst_core::SubstOptions;
@@ -77,19 +76,8 @@ pub enum Acceptance {
 pub struct SubstOptions {
     /// Configuration (paper: `basic` / `ext` / `ext GDC`).
     pub mode: SubstMode,
-    /// Division options (learning depth, removal passes).
+    /// Division options (learning depth, exact search, check budget).
     pub division: DivisionOptions,
-    /// Also attempt product-of-sum-form substitution when the SOP attempt
-    /// yields no gain.
-    pub try_pos: bool,
-    /// Skip divisors with more cubes than this. Non-zero by type: a
-    /// zero bound would reject every divisor and sweep nothing.
-    pub max_divisor_cubes: NonZeroUsize,
-    /// Skip pairs whose joint variable space exceeds this.
-    pub max_joint_vars: usize,
-    /// Sweeps over all pairs. Non-zero by type: a zero-pass run is
-    /// unrepresentable (the old `usize` field was silently clamped to 1).
-    pub max_passes: NonZeroUsize,
     /// Acceptance policy (paper: first positive gain).
     pub acceptance: Acceptance,
     /// Simulation-signature pre-filter (engine path only). Refute-only:
@@ -124,6 +112,13 @@ pub struct SubstOptions {
     pub threads: NonZeroUsize,
 }
 
+/// Divisors with more cubes than this are skipped (and so is a `-d` or
+/// POS attempt whose complemented divisor is larger).
+pub(crate) const MAX_DIVISOR_CUBES: usize = 24;
+
+/// Pairs whose joint variable space is larger than this are skipped.
+pub(crate) const MAX_JOINT_VARS: usize = 48;
+
 /// `NonZeroUsize` from a builder argument, clamping 0 up to 1 — the same
 /// forgiving behaviour the old `usize` fields had via `.max(1)`.
 fn at_least_one(n: usize) -> NonZeroUsize {
@@ -137,10 +132,6 @@ impl SubstOptions {
         SubstOptions {
             mode: SubstMode::Basic,
             division: DivisionOptions::paper_default(),
-            try_pos: true,
-            max_divisor_cubes: at_least_one(24),
-            max_joint_vars: 48,
-            max_passes: at_least_one(1),
             acceptance: Acceptance::FirstGain,
             sim: SimConfig::default(),
             checked: false,
@@ -164,17 +155,6 @@ impl SubstOptions {
     pub fn extended_gdc() -> SubstOptions {
         SubstOptions {
             mode: SubstMode::ExtendedGdc,
-            ..SubstOptions::basic()
-        }
-    }
-
-    /// Extension beyond the paper: extended division with a bounded exact
-    /// test search deciding the wires implications leave open.
-    #[must_use]
-    pub fn extended_exact(budget: usize) -> SubstOptions {
-        SubstOptions {
-            mode: SubstMode::Extended,
-            division: DivisionOptions::exact(budget),
             ..SubstOptions::basic()
         }
     }
@@ -244,34 +224,6 @@ impl SubstOptions {
         self
     }
 
-    /// Sets the number of sweeps over all pairs; `0` is clamped to `1`.
-    #[must_use]
-    pub fn with_max_passes(mut self, passes: usize) -> SubstOptions {
-        self.max_passes = at_least_one(passes);
-        self
-    }
-
-    /// Sets the divisor cube-count bound; `0` is clamped to `1`.
-    #[must_use]
-    pub fn with_max_divisor_cubes(mut self, cubes: usize) -> SubstOptions {
-        self.max_divisor_cubes = at_least_one(cubes);
-        self
-    }
-
-    /// Sets the joint-variable-space bound.
-    #[must_use]
-    pub fn with_max_joint_vars(mut self, vars: usize) -> SubstOptions {
-        self.max_joint_vars = vars;
-        self
-    }
-
-    /// Enables or disables the product-of-sums fallback attempt.
-    #[must_use]
-    pub fn with_try_pos(mut self, try_pos: bool) -> SubstOptions {
-        self.try_pos = try_pos;
-        self
-    }
-
     /// Replaces the division options (learning depth, budgets).
     #[must_use]
     pub fn with_division(mut self, division: DivisionOptions) -> SubstOptions {
@@ -297,8 +249,8 @@ pub fn all_configs() -> [SubstOptions; 3] {
 ///
 /// The acceptance-relevant fields (`substitutions`, `pos_substitutions`,
 /// `extended_decompositions`, `literal_gain`, `divisions_tried`) are
-/// identical between [`crate::session::Session`] (the
-/// [`crate::engine::SubstEngine`] path) and [`boolean_substitute_legacy`]. The stage counters describe
+/// identical between [`crate::session::Session`] (the engine path) and
+/// [`boolean_substitute_legacy`]. The stage counters describe
 /// *how* each path got there and differ by construction: the legacy sweep
 /// enumerates every (target, divisor) pair and rejects most of them one
 /// filter at a time, while the engine enumerates only the fanouts of the
@@ -315,7 +267,8 @@ pub struct SubstStats {
     pub extended_decompositions: usize,
     /// Total factored-literal gain.
     pub literal_gain: i64,
-    /// Sweeps over the network actually run.
+    /// Sweeps over the network run: one per run, none when the deadline
+    /// had passed before it started.
     pub passes: usize,
     /// Divisor candidates enumerated across every target visit (the top
     /// of the funnel: proposed → proofs-run → accepted).
@@ -394,8 +347,9 @@ pub struct SubstStats {
     /// Per-pair faults survived in checked mode: panics caught and rolled
     /// back, typed apply errors, and detected signature corruption.
     pub engine_faults: usize,
-    /// (target, divisor) pairs quarantined after a guard rejection or
-    /// engine fault (skipped for the rest of the run).
+    /// (target, divisor) pairs given up after a guard rejection or an
+    /// engine fault. A plain count: a pass settles each pair once, so no
+    /// pair is met again to be skipped.
     pub quarantined: usize,
     /// Divisions whose redundancy removal stopped early on the per-pair
     /// check budget ([`DivisionOptions::max_checks`]).
@@ -795,12 +749,12 @@ pub(crate) fn try_pair(
         stats.filtered_structural += 1;
         return None;
     };
-    if d_cover_len == 0 || d_cover_len > opts.max_divisor_cubes.get() {
+    if d_cover_len == 0 || d_cover_len > MAX_DIVISOR_CUBES {
         stats.filtered_divisor_size += 1;
         return None;
     }
     let space = JointSpace::union_of_fanins(net, &[target, divisor]);
-    if space.len() > opts.max_joint_vars {
+    if space.len() > MAX_JOINT_VARS {
         stats.filtered_joint_space += 1;
         return None;
     }
@@ -968,17 +922,14 @@ pub(crate) fn plan_pair_core(
     // has fewer literals than the target, the SOP (outside ext-GDC), `-d`
     // and POS strategies cannot gain and are skipped. GDC SOP uses don't
     // cares, and extended division also rewrites the divisor, so the
-    // bound does not cover either.
-    let local_sop = opts.mode != SubstMode::ExtendedGdc && !skip_sop;
-    let bounded = (local_sop || !skip_compl || opts.try_pos)
-        && forced_literal_bound(&f, &d).is_some_and(|b| b as i64 >= old_literals);
-    // The bound skips a strategy only where the screen has not refuted it
-    // already, and a pair is booked once however many it skips.
-    let bound_before_pos = bounded && (local_sop || !skip_compl);
-    stats.local_bound_skips += usize::from(bound_before_pos);
+    // bound does not cover either. It runs before any POS work, so a
+    // bounded pair always skips POS, which the screen has not seen:
+    // such a pair counts as a pass of the screen, never as a refutation.
+    let bounded = forced_literal_bound(&f, &d).is_some_and(|b| b as i64 >= old_literals);
+    stats.local_bound_skips += usize::from(bounded);
     // Whether the screen let the pair through to a proof or to the bound;
     // a pair it never let through is a pure signature refutation.
-    let mut passed = bound_before_pos;
+    let mut passed = bounded;
 
     // --- SOP basic division (local or GDC scope) ---
     let division = if skip_sop {
@@ -1024,11 +975,11 @@ pub(crate) fn plan_pair_core(
 
     // --- SOP division by the divisor's complement (the `-d` flavour) ---
     // The complement is shared with the POS attempt below; divisors are
-    // capped at `max_divisor_cubes`, so it is the cheap one of the pair.
+    // capped at `MAX_DIVISOR_CUBES`, so it is the cheap one of the pair.
     let mut d_compl_cache: Option<Cover> = None;
     if !skip_compl && !bounded {
         let d_compl = &*d_compl_cache.insert(d.complement());
-        if !d_compl.is_empty() && d_compl.len() <= opts.max_divisor_cubes.get() {
+        if !d_compl.is_empty() && d_compl.len() <= MAX_DIVISOR_CUBES {
             passed = true;
             let r = basic_divide_covers(&f, d_compl, &opts.division);
             stats.check_budget_exhausted += usize::from(r.budget_exhausted);
@@ -1074,18 +1025,10 @@ pub(crate) fn plan_pair_core(
     }
 
     // --- POS-form attempt ---
-    // Under the bound POS runs no proof, but its screen still runs when
-    // nothing else got past the screen: then its verdict decides whether
-    // the screen alone rejected the pair.
-    if opts.try_pos && bounded && (sim.is_none() || passed) {
-        stats.local_bound_skips += usize::from(!bound_before_pos);
-    } else if opts.try_pos {
+    if !bounded {
         let fc = forms.map_or_else(|| f.complement(), |t| t.complement_in(net, space));
         let dc = d_compl_cache.unwrap_or_else(|| d.complement());
-        if !dc.is_empty()
-            && dc.len() <= opts.max_divisor_cubes.get()
-            && fc.len() <= 4 * f.len().max(4)
-        {
+        if !dc.is_empty() && dc.len() <= MAX_DIVISOR_CUBES && fc.len() <= 4 * f.len().max(4) {
             // POS divides f' by d'. A kept cube of f' must lie inside a
             // cube of d', so a witness with f'-cube = 1 ∧ d = 1 refutes it
             // (a d'-cube at 1 forces d = 0): screening f' against d with
@@ -1100,10 +1043,6 @@ pub(crate) fn plan_pair_core(
                 return finish_unhelped(stats, sim.is_some(), passed);
             }
             passed = true;
-            if bounded {
-                stats.local_bound_skips += 1;
-                return finish_unhelped(stats, sim.is_some(), passed);
-            }
             let r = pos_divide_precomplemented(&fc, &dc, &opts.division);
             stats.check_budget_exhausted += usize::from(r.budget_exhausted);
             if r.succeeded() {
@@ -1339,55 +1278,51 @@ fn divide_in_network(
     r.succeeded().then_some((r.quotient, r.remainder))
 }
 
-/// The pre-engine per-pair sweep: every (target, divisor) pair is visited
-/// and every structural query recomputed on the spot. Kept as the parity
-/// baseline the engine is pinned against (and for A/B benchmarking).
+/// The pre-engine per-pair sweep: one pass over every (target, divisor)
+/// pair, with every structural query recomputed on the spot. Kept as the
+/// parity baseline the engine is pinned against (and for A/B
+/// benchmarking).
 pub fn boolean_substitute_legacy(net: &mut Network, opts: &SubstOptions) -> SubstStats {
-    let mut stats = SubstStats::default();
-    for _ in 0..opts.max_passes.get() {
-        stats.passes += 1;
-        let before = stats.substitutions;
-        let mut targets: Vec<NodeId> = net.internal_ids().collect();
-        targets.sort_by_key(|&id| {
-            std::cmp::Reverse(net.node(id).cover().map_or(0, Cover::literal_count))
-        });
-        for target in targets {
-            if net.node_opt(target).is_none() {
-                continue;
-            }
-            let divisors: Vec<NodeId> = net.internal_ids().collect();
-            match opts.acceptance {
-                Acceptance::FirstGain => {
-                    for divisor in divisors {
-                        if net.node_opt(target).is_none() || net.node_opt(divisor).is_none() {
-                            continue;
-                        }
-                        let _ = try_pair(net, target, divisor, opts, &mut stats);
-                    }
-                }
-                Acceptance::BestGain => {
-                    // Dry-run every divisor on a scratch copy, then apply
-                    // only the best one for real.
-                    let mut best: Option<(NodeId, i64)> = None;
-                    for &divisor in &divisors {
-                        let mut scratch = net.clone();
-                        let mut scratch_stats = SubstStats::default();
-                        if let Some(gain) =
-                            try_pair(&mut scratch, target, divisor, opts, &mut scratch_stats)
-                        {
-                            if best.is_none_or(|(_, g)| gain > g) {
-                                best = Some((divisor, gain));
-                            }
-                        }
-                    }
-                    if let Some((divisor, _)) = best {
-                        let _ = try_pair(net, target, divisor, opts, &mut stats);
-                    }
-                }
-            }
+    let mut stats = SubstStats {
+        passes: 1,
+        ..SubstStats::default()
+    };
+    let mut targets: Vec<NodeId> = net.internal_ids().collect();
+    targets
+        .sort_by_key(|&id| std::cmp::Reverse(net.node(id).cover().map_or(0, Cover::literal_count)));
+    for target in targets {
+        if net.node_opt(target).is_none() {
+            continue;
         }
-        if stats.substitutions == before {
-            break;
+        let divisors: Vec<NodeId> = net.internal_ids().collect();
+        match opts.acceptance {
+            Acceptance::FirstGain => {
+                for divisor in divisors {
+                    if net.node_opt(target).is_none() || net.node_opt(divisor).is_none() {
+                        continue;
+                    }
+                    let _ = try_pair(net, target, divisor, opts, &mut stats);
+                }
+            }
+            Acceptance::BestGain => {
+                // Dry-run every divisor on a scratch copy, then apply
+                // only the best one for real.
+                let mut best: Option<(NodeId, i64)> = None;
+                for &divisor in &divisors {
+                    let mut scratch = net.clone();
+                    let mut scratch_stats = SubstStats::default();
+                    if let Some(gain) =
+                        try_pair(&mut scratch, target, divisor, opts, &mut scratch_stats)
+                    {
+                        if best.is_none_or(|(_, g)| gain > g) {
+                            best = Some((divisor, gain));
+                        }
+                    }
+                }
+                if let Some((divisor, _)) = best {
+                    let _ = try_pair(net, target, divisor, opts, &mut stats);
+                }
+            }
         }
     }
     stats

@@ -306,7 +306,8 @@ mod tests {
     /// The flat kernels against their per-variable references over 0–70
     /// variables (one-, two- and three-word cubes), on covers that may
     /// hold empty and universal cubes: `complement` cube for cube,
-    /// `lits`, `extended`, `remapped`, `is_universe`.
+    /// `lits`, `extended`, `remapped`, `is_universe`, and `eval` of a
+    /// cover built with `from_cubes`.
     #[test]
     fn flat_kernels_match_per_variable_references() {
         let mut next = rng(0xF1A7_C0DE);
@@ -360,7 +361,30 @@ mod tests {
                 assert_eq!(r, want, "{c} remapped by {map:?}");
                 assert_eq!(r.is_empty(), c.is_empty(), "{c} remapped by {map:?}");
             }
-            let f = Cover::from_cubes(n, cubes);
+            let f = Cover::from_cubes(n, cubes.clone());
+            // `eval` against a slot-by-slot reading of the cubes as given,
+            // empty ones included (an empty cube is 0 everywhere): every
+            // minterm up to 4 variables, 16 random ones above.
+            for k in 0..16u64 {
+                let x: Vec<bool> = (0..n)
+                    .map(|v| {
+                        if n <= 4 {
+                            (k >> v) & 1 == 1
+                        } else {
+                            next() % 2 == 1
+                        }
+                    })
+                    .collect();
+                let want = cubes.iter().any(|c| {
+                    (0..n).all(|v| match c.var_state(v) {
+                        VarState::DontCare => true,
+                        VarState::Pos => x[v],
+                        VarState::Neg => !x[v],
+                        VarState::Empty => false,
+                    })
+                });
+                assert_eq!(f.eval(&x), want, "f = {f} at {x:?}");
+            }
             let mut want = compl_rec(&f);
             want.remove_contained_cubes();
             assert_eq!(f.complement(), want, "n = {n}, f = {f}");

@@ -31,16 +31,18 @@ impl Cover {
         }
     }
 
-    /// Builds a cover from cubes.
+    /// Builds a cover from cubes, dropping empty ones as [`Cover::push`]
+    /// does.
     ///
     /// # Panics
     ///
     /// Panics if any cube's universe differs from `num_vars`.
     #[must_use]
-    pub fn from_cubes(num_vars: usize, cubes: Vec<Cube>) -> Cover {
+    pub fn from_cubes(num_vars: usize, mut cubes: Vec<Cube>) -> Cover {
         for c in &cubes {
             assert_eq!(c.num_vars(), num_vars, "cube universe mismatch");
         }
+        cubes.retain(|c| !c.is_empty());
         Cover { cubes, num_vars }
     }
 

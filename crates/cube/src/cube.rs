@@ -395,7 +395,7 @@ impl Cube {
     }
 
     /// Evaluates the cube on a complete input assignment (`inputs[v]` is
-    /// the value of variable `v`).
+    /// the value of variable `v`). An empty cube is 0 everywhere.
     ///
     /// # Panics
     ///
@@ -403,10 +403,11 @@ impl Cube {
     #[must_use]
     pub fn eval(&self, inputs: &[bool]) -> bool {
         assert!(inputs.len() >= self.num_vars, "assignment too short");
-        self.lits().all(|l| match l.phase {
-            Phase::Pos => inputs[l.var],
-            Phase::Neg => !inputs[l.var],
-        })
+        !self.is_empty()
+            && self.lits().all(|l| match l.phase {
+                Phase::Pos => inputs[l.var],
+                Phase::Neg => !inputs[l.var],
+            })
     }
 }
 

@@ -132,3 +132,50 @@ fn engine_refines_pool_on_false_pass() {
     assert_eq!(write_blif(&engine_net), write_blif(&legacy_net));
     assert_eq!(stats.substitutions, legacy.substitutions);
 }
+
+/// `t = ab + a'b'` and `d = c`: every cube of `t` meets `d = 0` and
+/// `d = 1` in the pool, so the screen refutes SOP and `-d` (and POS
+/// too), while `d` stays the same along every `a` and `b` edge, so the
+/// forced-literal bound (4) reaches `t`'s 4 literals. The bound runs
+/// before any POS work, so the pair is a pass of the screen skipped by
+/// the bound, not a signature refutation. `d` reaches `t` through the
+/// buffer `m`, so the reverse pair stops at the cycle filter and
+/// `(t, d)` is the only pair that reaches a proof.
+#[test]
+fn bounded_pair_is_a_false_pass_not_a_refutation() {
+    let mut net = Network::new("bounded");
+    let a = net.add_input("a").expect("a");
+    let b = net.add_input("b").expect("b");
+    let c = net.add_input("c").expect("c");
+    let d = net
+        .add_node("d", vec![a, c], parse_sop(2, "b").expect("p"))
+        .expect("d");
+    let m = net
+        .add_node("m", vec![d], parse_sop(1, "a").expect("p"))
+        .expect("m");
+    let t = net
+        .add_node("t", vec![a, b, m], parse_sop(3, "ab + a'b'").expect("p"))
+        .expect("t");
+    net.add_output("t", t).expect("ot");
+    net.add_output("m", m).expect("om");
+
+    // Precondition: the pool witnesses both phases of `d` in every cube
+    // of `t` and of its complement.
+    let filter = SimFilter::new(&net, &SimConfig::default());
+    let fanins = net.node(t).fanins().to_vec();
+    let cover = net.node(t).cover().expect("cover").clone();
+    let screen = filter.screen_cover(&net, &cover, &fanins, d);
+    assert!(screen.refutes_containment_in_divisor(), "SOP not refuted");
+    assert!(screen.refutes_containment_in_complement(), "-d not refuted");
+    let pos = filter.screen_cover(&net, &cover.complement(), &fanins, d);
+    assert!(pos.refutes_containment_in_complement(), "POS not refuted");
+
+    let before = net.clone();
+    let stats = Session::new(&mut net, SubstOptions::basic()).run();
+    assert_eq!(write_blif(&net), write_blif(&before), "nothing can gain");
+    assert_eq!(stats.discovery_proofs_run, 1, "{stats}");
+    assert_eq!(stats.sim_pairs_screened, 1, "{stats}");
+    assert_eq!(stats.local_bound_skips, 1, "{stats}");
+    assert_eq!(stats.sim_pairs_refuted, 0, "{stats}");
+    assert_eq!(stats.sim_false_passes, 1, "{stats}");
+}

@@ -260,9 +260,6 @@ fn reconcile(mode: &str, tracer: &Tracer, stats: &SubstStats, handle: &MetricsHa
         stats.filtered_joint_space,
         "{mode}: joint space"
     );
-    // The engine's candidate index implies support overlap, so this
-    // outcome can never fire on the engine path.
-    assert_eq!(count(Outcome::RejectedSupport), 0, "{mode}: support");
     assert_eq!(
         count(Outcome::RejectedSimRefuted),
         stats.sim_pairs_refuted,
