@@ -262,20 +262,6 @@ impl Circuit {
         g.fanins.push(driver);
     }
 
-    /// Replaces pin `w.pin` of `w.gate` with a different driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wire or driver is invalid, or if the new driver is
-    /// not earlier in creation order (which would break the topological
-    /// invariant).
-    pub fn replace_driver(&mut self, w: Wire, driver: GateId) {
-        assert!(driver.0 < w.gate.0, "driver must precede the sink gate");
-        let gate = &mut self.gates[w.gate.0];
-        assert!(w.pin < gate.fanins.len(), "pin out of range");
-        gate.fanins[w.pin] = driver;
-    }
-
     /// Evaluates the circuit under an assignment of the [`GateKind::Input`]
     /// gates, given in creation order of the inputs. Returns all gate
     /// values.

@@ -72,9 +72,9 @@ fn validate_jsonl(text: &str) -> Result<(), String> {
                     }
                 }
             }
-            "pass" | "shadow_build" => {
+            "shadow_build" => {
                 if v.get("dur_ns").and_then(Json::as_u64).is_none() {
-                    return Err(format!("line {}: {ty} missing dur_ns", i + 1));
+                    return Err(format!("line {}: shadow_build missing dur_ns", i + 1));
                 }
             }
             "guard" => {
@@ -349,10 +349,17 @@ mod tests {
     #[test]
     fn jsonl_accepts_a_well_formed_stream() {
         let text = format!(
-            "{META}\n{}\n{{\"type\":\"pass\",\"dur_ns\":5}}\n",
+            "{META}\n{}\n{{\"type\":\"shadow_build\",\"dur_ns\":5}}\n",
             pair_line(None)
         );
         assert_eq!(validate_jsonl(&text), Ok(()));
+    }
+
+    #[test]
+    fn jsonl_rejects_a_pass_line() {
+        let text = format!("{META}\n{{\"type\":\"pass\",\"dur_ns\":5}}\n");
+        let err = validate_jsonl(&text).unwrap_err();
+        assert!(err.contains("unknown type \"pass\""), "{err}");
     }
 
     #[test]

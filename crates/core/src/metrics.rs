@@ -41,7 +41,6 @@ pub(crate) struct EngineMetrics {
     pairs: Counter,
     accepts: Counter,
     literal_gain: Gauge,
-    passes: Counter,
     pub(crate) pair_ns: Histogram,
     pub(crate) targets_total: Gauge,
     pub(crate) targets_done: Gauge,
@@ -89,7 +88,6 @@ impl EngineMetrics {
             pairs: handle.counter("engine.pairs"),
             accepts: handle.counter("engine.accepts"),
             literal_gain: handle.gauge("engine.literal_gain"),
-            passes: handle.counter("engine.passes"),
             pair_ns: handle.histogram("engine.pair_ns"),
             targets_total: handle.gauge("engine.targets_total"),
             targets_done: handle.gauge("engine.targets_done"),
@@ -130,7 +128,6 @@ impl EngineMetrics {
         self.pairs.add(n(d.candidates_enumerated));
         self.accepts.add(n(d.substitutions));
         self.literal_gain.add(d.literal_gain);
-        self.passes.add(n(d.passes));
         self.stage_enumerate_ns.add(d.enumerate_nanos);
         self.stage_filter_ns.add(d.filter_nanos);
         self.stage_sim_ns.add(d.sim_nanos);

@@ -175,13 +175,6 @@ impl SubstOptions {
         self
     }
 
-    /// Replaces the checked-mode guard configuration wholesale.
-    #[must_use]
-    pub fn with_guard(mut self, guard: GuardConfig) -> SubstOptions {
-        self.guard = guard;
-        self
-    }
-
     /// Sets which exact guard tiers may run after the simulation screen
     /// (`sim` / `bdd` / `sat` / `auto`).
     #[must_use]
@@ -267,9 +260,6 @@ pub struct SubstStats {
     pub extended_decompositions: usize,
     /// Total factored-literal gain.
     pub literal_gain: i64,
-    /// Sweeps over the network run: one per run, none when the deadline
-    /// had passed before it started.
-    pub passes: usize,
     /// Divisor candidates enumerated across every target visit (the top
     /// of the funnel: proposed → proofs-run → accepted).
     pub discovery_proposed: usize,
@@ -365,7 +355,6 @@ impl fmt::Display for SubstStats {
             nanos as f64 / 1.0e6
         }
         writeln!(f, "substitution statistics")?;
-        writeln!(f, "  passes                 {:>8}", self.passes)?;
         writeln!(
             f,
             "  candidates proposed    {:>8}  (proofs-run {}, accepted {})",
@@ -475,7 +464,6 @@ impl SubstStats {
             .extended_decompositions
             .saturating_add(other.extended_decompositions);
         self.literal_gain = self.literal_gain.saturating_add(other.literal_gain);
-        self.passes = self.passes.saturating_add(other.passes);
         self.discovery_proposed = self
             .discovery_proposed
             .saturating_add(other.discovery_proposed);
@@ -553,7 +541,6 @@ impl SubstStats {
             .u64("pos_substitutions", u(self.pos_substitutions))
             .u64("extended_decompositions", u(self.extended_decompositions))
             .i64("literal_gain", self.literal_gain)
-            .u64("passes", u(self.passes))
             .u64("discovery_proposed", u(self.discovery_proposed))
             .u64("discovery_proofs_run", u(self.discovery_proofs_run))
             .u64("discovery_accepted", u(self.discovery_accepted))
@@ -1283,10 +1270,7 @@ fn divide_in_network(
 /// parity baseline the engine is pinned against (and for A/B
 /// benchmarking).
 pub fn boolean_substitute_legacy(net: &mut Network, opts: &SubstOptions) -> SubstStats {
-    let mut stats = SubstStats {
-        passes: 1,
-        ..SubstStats::default()
-    };
+    let mut stats = SubstStats::default();
     let mut targets: Vec<NodeId> = net.internal_ids().collect();
     targets
         .sort_by_key(|&id| std::cmp::Reverse(net.node(id).cover().map_or(0, Cover::literal_count)));

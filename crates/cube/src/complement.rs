@@ -307,9 +307,13 @@ mod tests {
     /// variables (one-, two- and three-word cubes), on covers that may
     /// hold empty and universal cubes: `complement` cube for cube,
     /// `lits`, `extended`, `remapped`, `is_universe`, and `eval` of a
-    /// cover built with `from_cubes`.
+    /// cover built with `from_cubes`; a cover remapped by a map that
+    /// sends several variables to one keeps no empty cube.
     #[test]
     fn flat_kernels_match_per_variable_references() {
+        // `ab'` with both variables sent to one is the constant 0.
+        let ab = Cover::from_cubes(2, vec![Cube::from_lits(2, &[Lit::pos(0), Lit::neg(1)])]);
+        assert!(ab.remapped(1, &[0, 0]).is_empty(), "ab' remapped by [0, 0]");
         let mut next = rng(0xF1A7_C0DE);
         for round in 0..3000u64 {
             let n = (round % 71) as usize;
@@ -384,6 +388,19 @@ mod tests {
                     })
                 });
                 assert_eq!(f.eval(&x), want, "f = {f} at {x:?}");
+            }
+            // Variable v goes to v mod 3: the remapped cover reads f with
+            // those variables tied, and drops the cubes that tying empties.
+            let fold: Vec<usize> = (0..n).map(|v| v % 3).collect();
+            let g = f.remapped(3, &fold);
+            assert!(
+                g.cubes().iter().all(|c| !c.is_empty()),
+                "{f} remapped by {fold:?} gives {g}"
+            );
+            for k in 0..8u64 {
+                let y: Vec<bool> = (0..3).map(|v| (k >> v) & 1 == 1).collect();
+                let x: Vec<bool> = fold.iter().map(|&to| y[to]).collect();
+                assert_eq!(g.eval(&y), f.eval(&x), "{f} remapped by {fold:?} at {y:?}");
             }
             let mut want = compl_rec(&f);
             want.remove_contained_cubes();

@@ -58,11 +58,6 @@ impl Cover {
         &self.cubes
     }
 
-    /// Mutable access to the cubes. Callers must preserve the universe.
-    pub fn cubes_mut(&mut self) -> &mut Vec<Cube> {
-        &mut self.cubes
-    }
-
     /// Number of cubes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -224,6 +219,8 @@ impl Cover {
     }
 
     /// Remaps variables through `map` into a universe of `new_num_vars`.
+    /// A map that sends two variables to one can empty a cube (`ab'` by
+    /// `[0, 0]`); such cubes are dropped, as [`Cover::from_cubes`] does.
     ///
     /// # Panics
     ///
@@ -235,10 +232,7 @@ impl Cover {
             .iter()
             .map(|c| c.remapped(new_num_vars, map))
             .collect();
-        Cover {
-            cubes,
-            num_vars: new_num_vars,
-        }
+        Cover::from_cubes(new_num_vars, cubes)
     }
 
     /// Grows the universe to `new_num_vars`, keeping all literals.

@@ -52,14 +52,6 @@ pub enum EquivResult {
     Unknown(Stop),
 }
 
-impl EquivResult {
-    /// Whether equivalence was *proved* (not merely not-refuted).
-    #[must_use]
-    pub fn proven_equivalent(&self) -> bool {
-        matches!(self, EquivResult::Equivalent)
-    }
-}
-
 /// Solver-effort totals for one equivalence check, for the guard's
 /// per-check cost attribution (`sat.*` metric keys).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

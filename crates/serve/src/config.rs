@@ -29,9 +29,6 @@ pub struct ServeConfig {
     /// Deadline applied to jobs that do not send `X-Deadline-Ms`.
     /// `None` leaves them unbounded.
     pub default_deadline_ms: Option<u64>,
-    /// Worker threads *inside* each job's sweep (usually 1: the pool
-    /// parallelism is across jobs, not within them).
-    pub threads_per_job: usize,
     /// HTTP parse bounds.
     pub http: HttpLimits,
 }
@@ -46,7 +43,6 @@ impl Default for ServeConfig {
             journal_path: PathBuf::from("boolsubst_jobs.jsonl"),
             drain_deadline: Duration::from_secs(30),
             default_deadline_ms: Some(60_000),
-            threads_per_job: 1,
             http: HttpLimits::default(),
         }
     }

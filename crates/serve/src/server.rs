@@ -457,8 +457,7 @@ fn run_job(
         SubstMode::ExtendedGdc => SubstOptions::extended_gdc(),
     }
     .with_checked(true)
-    .with_sat_conflicts(spec.sat_conflicts)
-    .with_threads(state.config.threads_per_job);
+    .with_sat_conflicts(spec.sat_conflicts);
     opts.division.max_checks = spec.rar_checks;
     if let Some(ms) = spec.deadline_ms {
         opts = opts.with_deadline(t0 + Duration::from_millis(ms));

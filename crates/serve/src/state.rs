@@ -208,27 +208,6 @@ impl State {
         self.work.notify_one();
     }
 
-    /// Records a job poisoned by replay (terminal without running).
-    pub fn mark_poisoned(&self, spec: JobSpec, attempts: u32) {
-        let mut inner = self.lock();
-        let id = spec.id;
-        inner.jobs.insert(
-            id,
-            JobRecord {
-                spec,
-                status: JobStatus::Poisoned,
-                attempts,
-                result: None,
-            },
-        );
-        drop(inner);
-        self.journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .poisoned(id);
-        self.metrics.counter("serve.jobs.poisoned").inc();
-    }
-
     /// Worker hand-off: blocks until a job is available (returning its
     /// spec and 1-based attempt number, with `started` journaled) or the
     /// daemon is draining with an empty queue (`None`: the worker exits).

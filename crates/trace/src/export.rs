@@ -7,25 +7,15 @@ use crate::json::JsonObj;
 use crate::span::TraceEvent;
 use crate::tracer::Tracer;
 
-/// Serializes one ring-buffer event as a single-line JSON object.
-#[must_use]
-pub fn event_to_json(ev: &TraceEvent) -> String {
+/// Serializes one of `t`'s ring-buffer events as a single-line JSON
+/// object.
+fn event_to_json(t: &Tracer, ev: &TraceEvent) -> String {
     match ev {
-        TraceEvent::Pass(p) => JsonObj::new()
-            .str("type", "pass")
-            .u64("pass", u64::from(p.pass))
-            .u64("start_ns", p.start_ns)
-            .u64("dur_ns", p.dur_ns)
-            .u64("pairs", p.pairs)
-            .u64("substitutions", p.substitutions)
-            .i64("literal_gain", p.literal_gain)
-            .finish(),
         TraceEvent::Pair(p) => JsonObj::new()
             .str("type", "pair")
-            .u64("pass", u64::from(p.pass))
             .u64("target", u64::from(p.target))
             .u64("divisor", u64::from(p.divisor))
-            .u64("start_ns", p.start_ns)
+            .u64("start_ns", t.start_ns(p))
             .u64("dur_ns", p.dur_ns)
             .u64("enumerate_ns", p.stages.enumerate)
             .u64("filter_ns", p.stages.filter)
@@ -39,19 +29,16 @@ pub fn event_to_json(ev: &TraceEvent) -> String {
             .u64("worker", u64::from(p.worker))
             .finish(),
         TraceEvent::ShadowBuild {
-            pass,
             target,
             start_ns,
             dur_ns,
         } => JsonObj::new()
             .str("type", "shadow_build")
-            .u64("pass", u64::from(*pass))
             .u64("target", u64::from(*target))
             .u64("start_ns", *start_ns)
             .u64("dur_ns", *dur_ns)
             .finish(),
         TraceEvent::Guard {
-            pass,
             target,
             divisor,
             tier,
@@ -61,7 +48,6 @@ pub fn event_to_json(ev: &TraceEvent) -> String {
             dur_ns,
         } => JsonObj::new()
             .str("type", "guard")
-            .u64("pass", u64::from(*pass))
             .u64("target", u64::from(*target))
             .u64("divisor", u64::from(*divisor))
             .str("tier", tier.name())
@@ -87,7 +73,6 @@ pub fn write_jsonl<W: Write>(t: &Tracer, w: &mut W) -> io::Result<()> {
         .str("mode", t.mode())
         .u64("pairs", t.pairs())
         .u64("bound_skips", t.bound_skips())
-        .u64("passes", t.pass_summaries().len() as u64)
         .u64("events_dropped", t.dropped())
         .u64("shadow_builds", shadow_builds)
         .u64("shadow_ns", shadow_ns)
@@ -99,7 +84,7 @@ pub fn write_jsonl<W: Write>(t: &Tracer, w: &mut W) -> io::Result<()> {
     let meta = meta.finish();
     writeln!(w, "{meta}")?;
     for ev in t.events() {
-        writeln!(w, "{}", event_to_json(ev))?;
+        writeln!(w, "{}", event_to_json(t, ev))?;
     }
     Ok(())
 }
@@ -120,10 +105,8 @@ fn micros(ns: u64) -> String {
 
 /// Thread ids used in the Chrome export: pair spans.
 const TID_PAIRS: u64 = 0;
-/// Thread ids used in the Chrome export: pass spans.
-const TID_PASSES: u64 = 1;
 /// Thread ids used in the Chrome export: shadow builds and guard checks.
-const TID_AUX: u64 = 2;
+const TID_AUX: u64 = 1;
 /// The committer's pairs (`worker == 0`) sit on the `pairs` lane; a pair
 /// span evaluated by pool worker `w >= 1` lands on tid `TID_AUX + w`,
 /// labelled `worker w` by a `thread_name` metadata row.
@@ -186,7 +169,6 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
             &format!("boolsubst {}", t.mode()),
         );
         chrome_metadata(&mut rows, "thread_name", pid, TID_PAIRS, "pairs");
-        chrome_metadata(&mut rows, "thread_name", pid, TID_PASSES, "passes");
         chrome_metadata(&mut rows, "thread_name", pid, TID_AUX, "engine aux");
         // Label every pool-worker lane that actually carries spans, so
         // the viewer shows "worker 3" instead of a raw tid.
@@ -211,28 +193,10 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
 
         for ev in t.events() {
             match ev {
-                TraceEvent::Pass(p) => {
-                    let args = JsonObj::new()
-                        .u64("pairs", p.pairs)
-                        .u64("substitutions", p.substitutions)
-                        .i64("literal_gain", p.literal_gain)
-                        .finish();
-                    chrome_complete(
-                        &mut rows,
-                        &format!("pass {}", p.pass),
-                        "pass",
-                        pid,
-                        TID_PASSES,
-                        p.start_ns,
-                        p.dur_ns,
-                        args,
-                    );
-                }
                 TraceEvent::Pair(p) => {
                     let args = JsonObj::new()
                         .str("target", &t.node_name(p.target))
                         .str("divisor", &t.node_name(p.divisor))
-                        .u64("pass", u64::from(p.pass))
                         .i64("gain", p.gain)
                         .u64("rar_checks", p.rar_checks)
                         .u64("filter_ns", p.stages.filter)
@@ -246,21 +210,17 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
                         "pair",
                         pid,
                         pair_tid(p.worker),
-                        p.start_ns,
+                        t.start_ns(p),
                         p.dur_ns,
                         args,
                     );
                 }
                 TraceEvent::ShadowBuild {
-                    pass,
                     target,
                     start_ns,
                     dur_ns,
                 } => {
-                    let args = JsonObj::new()
-                        .str("target", &t.node_name(*target))
-                        .u64("pass", u64::from(*pass))
-                        .finish();
+                    let args = JsonObj::new().str("target", &t.node_name(*target)).finish();
                     chrome_complete(
                         &mut rows,
                         "shadow_build",
@@ -273,7 +233,6 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
                     );
                 }
                 TraceEvent::Guard {
-                    pass,
                     target,
                     divisor,
                     tier,
@@ -285,7 +244,6 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
                     let args = JsonObj::new()
                         .str("target", &t.node_name(*target))
                         .str("divisor", &t.node_name(*divisor))
-                        .u64("pass", u64::from(*pass))
                         .str("tier", tier.name())
                         .bool("passed", *passed)
                         .bool("exact", *exact)
@@ -307,21 +265,11 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
     crate::json::json_array_pretty(rows)
 }
 
-/// [`chrome_trace_string`] straight to a writer.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_chrome_trace<W: Write>(tracers: &[&Tracer], w: &mut W) -> io::Result<()> {
-    w.write_all(chrome_trace_string(tracers).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::span::{Outcome, StageNanos};
-    use crate::tracer::PairRecord;
+    use crate::span::{Outcome, PairRecord, StageNanos};
 
     /// A pair record on lane `worker` with the given outcome; the stage
     /// shares are filter 3 ns, divide 40 ns.
@@ -347,11 +295,9 @@ mod tests {
     fn sample_tracer() -> Tracer {
         let mut t = Tracer::new("ext-gdc");
         t.set_node_names(vec!["n0".into(), "n1".into(), "n2".into()]);
-        t.begin_pass(1);
         t.record_pair(&record(0, Outcome::AcceptedSop, 5, 7));
         t.shadow_build(1, 11);
         t.guard_check(1, 2, crate::span::GuardTier::Sat, true, true, 21);
-        t.end_pass(1, 5);
         t
     }
 
@@ -360,7 +306,7 @@ mod tests {
         let t = sample_tracer();
         let text = jsonl_string(&t);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5, "meta + pair + shadow + guard + pass");
+        assert_eq!(lines.len(), 4, "meta + pair + shadow + guard");
 
         let meta = Json::parse(lines[0]).expect("meta parses");
         assert_eq!(meta.get("type").and_then(Json::as_str), Some("meta"));
@@ -395,8 +341,6 @@ mod tests {
         assert_eq!(meta.get("guard_checks").and_then(Json::as_u64), Some(1));
         assert_eq!(meta.get("guard_sat").and_then(Json::as_u64), Some(1));
         assert_eq!(meta.get("guard_bdd").and_then(Json::as_u64), Some(0));
-        let pass = Json::parse(lines[4]).expect("pass parses");
-        assert_eq!(pass.get("substitutions").and_then(Json::as_u64), Some(1));
     }
 
     #[test]
@@ -405,8 +349,8 @@ mod tests {
         let text = chrome_trace_string(&[&t]);
         let v = Json::parse(&text).expect("chrome trace parses");
         let rows = v.as_array().expect("array");
-        // 4 metadata rows + 4 events.
-        assert_eq!(rows.len(), 8);
+        // 3 metadata rows + 3 events.
+        assert_eq!(rows.len(), 6);
         let guard = rows
             .iter()
             .find(|r| r.get("cat").and_then(Json::as_str) == Some("guard"))
@@ -432,12 +376,10 @@ mod tests {
     fn worker_spans_get_labelled_lanes() {
         let mut t = Tracer::new("ext-gdc");
         t.set_node_names(vec!["n0".into(), "n1".into(), "n2".into()]);
-        t.begin_pass(1);
         // A committer pair and two pool-worker ones (workers 1 and 3).
         for lane in [0, 1, 3] {
             t.record_pair(&record(lane, Outcome::RejectedStructural, 0, 0));
         }
-        t.end_pass(0, 0);
 
         let text = jsonl_string(&t);
         let workers: Vec<u64> = text

@@ -6,7 +6,7 @@
 //! why*. It provides a zero-cost-when-off tracing layer the engine
 //! threads through as an `Option<&mut Tracer>`:
 //!
-//! * a **span/event model** ([`PairSpan`], [`PassSpan`], [`TraceEvent`])
+//! * a **span/event model** ([`PairRecord`], [`TraceEvent`])
 //!   carrying target/divisor ids, per-stage nanos
 //!   (enumerate/filter/sim/divide/apply), and a typed [`Outcome`]
 //!   covering every reject reason the stats counters know about plus the
@@ -19,8 +19,8 @@
 //! * two **exporters** ([`export`]): newline-delimited JSON events and
 //!   the Chrome trace-event format loadable in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev);
-//! * a human-readable [`TraceReport`] — per-pass phase breakdown,
-//!   reject-reason funnel, histograms, hottest targets;
+//! * a human-readable [`TraceReport`] — reject-reason funnel,
+//!   histograms, slowest pairs, hottest targets;
 //! * a tiny std-only [`json`] writer/parser shared with the bench
 //!   emitters and the CI trace validator.
 //!
@@ -39,5 +39,5 @@ pub mod tracer;
 
 pub use hist::{bucket_ceil, bucket_floor, bucket_index, LatencyHistogram, BUCKETS};
 pub use report::TraceReport;
-pub use span::{GuardTier, Outcome, PairSpan, PassSpan, Stage, StageNanos, TraceEvent};
-pub use tracer::{PairRecord, TargetAgg, Tracer, TracerConfig};
+pub use span::{GuardTier, Outcome, PairRecord, Stage, StageNanos, TraceEvent};
+pub use tracer::{TargetAgg, Tracer};

@@ -7,7 +7,7 @@ use crate::span::{Outcome, Stage};
 use crate::tracer::Tracer;
 
 /// A borrow of a [`Tracer`] that `Display`s as a multi-section text
-/// report: pass table, reject-reason funnel, per-stage latency summary,
+/// report: reject-reason funnel, per-stage latency summary,
 /// pair wall-time histogram, slowest pairs, hottest targets, and the
 /// guard verdicts and shadow-build side counters.
 #[derive(Debug, Clone, Copy)]
@@ -53,31 +53,10 @@ impl fmt::Display for TraceReport<'_> {
         writeln!(f, "=== trace report: mode {} ===", t.mode())?;
         writeln!(
             f,
-            "pairs traced: {}   passes: {}   events dropped: {}",
+            "pairs traced: {}   events dropped: {}",
             t.pairs(),
-            t.pass_summaries().len(),
             t.dropped()
         )?;
-
-        if !t.pass_summaries().is_empty() {
-            writeln!(f, "\n-- passes --")?;
-            writeln!(
-                f,
-                "{:>4} {:>10} {:>8} {:>6} {:>6}",
-                "pass", "time", "pairs", "subs", "gain"
-            )?;
-            for p in t.pass_summaries() {
-                writeln!(
-                    f,
-                    "{:>4} {:>10} {:>8} {:>6} {:>6}",
-                    p.pass,
-                    fmt_ns(p.dur_ns),
-                    p.pairs,
-                    p.substitutions,
-                    p.literal_gain
-                )?;
-            }
-        }
 
         writeln!(f, "\n-- outcome funnel --")?;
         let total = t.pairs();
@@ -155,15 +134,14 @@ impl fmt::Display for TraceReport<'_> {
             writeln!(f, "\n-- slowest pairs --")?;
             writeln!(
                 f,
-                "{:>10} {:>4} {:<16} {:<16} {:<20} {:>5} {:>6}",
-                "time", "pass", "target", "divisor", "outcome", "gain", "rar"
+                "{:>10} {:<16} {:<16} {:<20} {:>5} {:>6}",
+                "time", "target", "divisor", "outcome", "gain", "rar"
             )?;
             for p in t.slowest_pairs() {
                 writeln!(
                     f,
-                    "{:>10} {:>4} {:<16} {:<16} {:<20} {:>5} {:>6}",
+                    "{:>10} {:<16} {:<16} {:<20} {:>5} {:>6}",
                     fmt_ns(p.dur_ns),
-                    p.pass,
                     t.node_name(p.target),
                     t.node_name(p.divisor),
                     p.outcome.name(),
@@ -229,8 +207,7 @@ impl fmt::Display for TraceReport<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::StageNanos;
-    use crate::tracer::PairRecord;
+    use crate::span::{PairRecord, StageNanos};
 
     #[test]
     fn fmt_ns_units() {
@@ -245,7 +222,6 @@ mod tests {
     fn report_contains_sections() {
         let mut t = Tracer::new("basic");
         t.set_node_names(vec!["a".into(), "b".into(), "c".into()]);
-        t.begin_pass(1);
         let pair = |target, outcome, gain, stages| PairRecord {
             target,
             divisor: 1,
@@ -277,11 +253,9 @@ mod tests {
                 ..StageNanos::default()
             },
         ));
-        t.end_pass(1, 3);
 
         let text = t.report().to_string();
         assert!(text.contains("mode basic"));
-        assert!(text.contains("-- passes --"));
         assert!(text.contains("-- outcome funnel --"));
         assert!(text.contains("accept_sop"));
         assert!(text.contains("reject_tfo"));

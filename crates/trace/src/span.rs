@@ -1,5 +1,7 @@
 //! The span/event data model: what one traced substitution run is made of.
 
+use std::time::Instant;
+
 /// The engine's pipeline stages, matching the five stage-nanos counters of
 /// the aggregate stats block. Histogram samples and per-pair attribution
 /// both use this axis.
@@ -192,20 +194,22 @@ impl StageNanos {
 }
 
 /// One traced (target, divisor) attempt: where the time went and how the
-/// pair was disposed of. Timestamps are nanoseconds relative to the
-/// tracer's epoch (its construction instant).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairSpan {
-    /// 1-based sweep pass the attempt ran in.
-    pub pass: u32,
+/// pair was disposed of. The engine fills one per evaluated pair and
+/// books it with [`Tracer::record_pair`](crate::Tracer::record_pair).
+/// It carries the instant the evaluation started; the exporters measure
+/// it against the tracer's epoch ([`Tracer::start_ns`](crate::Tracer::start_ns)),
+/// so a record booked after its evaluation keeps the start it had on its
+/// worker and every lane runs forward in time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairRecord {
     /// Target node id (raw slot index).
     pub target: u32,
     /// Divisor node id (raw slot index).
     pub divisor: u32,
-    /// Span start, nanoseconds since the tracer epoch.
-    pub start_ns: u64,
-    /// Wall-clock span duration (includes untimed gaps such as GDC
-    /// shadow-snapshot builds, so it can exceed the stage sum).
+    /// When the attempt started.
+    pub start: Instant,
+    /// Wall-clock duration of the attempt (includes untimed gaps such as
+    /// GDC shadow-snapshot builds, so it can exceed the stage sum).
     pub dur_ns: u64,
     /// Per-stage attribution.
     pub stages: StageNanos,
@@ -221,23 +225,6 @@ pub struct PairSpan {
     /// `w` for pool worker `w`. Chrome export maps lanes to named
     /// threads.
     pub worker: u32,
-}
-
-/// One sweep pass over all targets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassSpan {
-    /// 1-based pass number.
-    pub pass: u32,
-    /// Pass start, nanoseconds since the tracer epoch.
-    pub start_ns: u64,
-    /// Pass duration.
-    pub dur_ns: u64,
-    /// Pair attempts examined during the pass.
-    pub pairs: u64,
-    /// Substitutions accepted during the pass.
-    pub substitutions: u64,
-    /// Factored-literal gain accumulated during the pass.
-    pub literal_gain: i64,
 }
 
 /// Which guard tier produced a verdict. Mirrors the guard crate's
@@ -296,14 +283,10 @@ impl GuardTier {
 /// Everything the ring buffer records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A completed sweep pass.
-    Pass(PassSpan),
     /// A completed pair attempt.
-    Pair(PairSpan),
+    Pair(PairRecord),
     /// A GDC shadow-circuit snapshot was built from scratch.
     ShadowBuild {
-        /// Pass the build happened in.
-        pass: u32,
         /// Target whose cone was excluded from the snapshot.
         target: u32,
         /// Build start, nanoseconds since the tracer epoch.
@@ -313,8 +296,6 @@ pub enum TraceEvent {
     },
     /// A post-apply guard check of an accepted rewrite (checked mode).
     Guard {
-        /// Pass the check happened in.
-        pass: u32,
         /// Target of the guarded rewrite.
         target: u32,
         /// Divisor of the guarded rewrite.

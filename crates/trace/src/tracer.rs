@@ -6,62 +6,15 @@ use std::time::Instant;
 
 use crate::hist::LatencyHistogram;
 use crate::report::TraceReport;
-use crate::span::{GuardTier, Outcome, PairSpan, PassSpan, Stage, StageNanos, TraceEvent};
+use crate::span::{GuardTier, Outcome, PairRecord, Stage, TraceEvent};
 
-/// One finished pair attempt: the only way a pair reaches the tracer.
-///
-/// The engine fills one per evaluated pair and books it with
-/// [`Tracer::record_pair`]. The record carries the instant the
-/// evaluation started, and the tracer measures it against its epoch, so
-/// a record booked after its epoch keeps the start it had on its worker
-/// and every lane runs forward in time.
-#[derive(Debug, Clone, Copy)]
-pub struct PairRecord {
-    /// Target node id (compact u32 form).
-    pub target: u32,
-    /// Divisor node id (compact u32 form).
-    pub divisor: u32,
-    /// When the attempt started.
-    pub start: Instant,
-    /// Wall-clock duration of the attempt.
-    pub dur_ns: u64,
-    /// Per-stage attribution.
-    pub stages: StageNanos,
-    /// The decided outcome.
-    pub outcome: Outcome,
-    /// Factored-literal gain (0 for rejects).
-    pub gain: i64,
-    /// RAR/ATPG fault checks run by this attempt.
-    pub rar_checks: u64,
-    /// The forced-literal bound skipped at least one division strategy.
-    pub bound_skip: bool,
-    /// Sweep lane of the attempt: the drain that evaluated it, `0` for
-    /// the committer and `w` for pool worker `w` (see
-    /// [`PairSpan::worker`]).
-    pub worker: u32,
-}
-
-/// Bounds on what a [`Tracer`] retains.
-#[derive(Debug, Clone, Copy)]
-pub struct TracerConfig {
-    /// Maximum events kept in the ring buffer; older events are dropped
-    /// (aggregates stay exact regardless).
-    pub ring_capacity: usize,
-    /// How many slowest pair spans to retain.
-    pub top_k: usize,
-    /// How many hottest targets [`Tracer::hot_targets`] returns.
-    pub hot_targets: usize,
-}
-
-impl Default for TracerConfig {
-    fn default() -> TracerConfig {
-        TracerConfig {
-            ring_capacity: 1 << 16,
-            top_k: 16,
-            hot_targets: 10,
-        }
-    }
-}
+/// Maximum events kept in the ring buffer; older events are dropped
+/// (aggregates stay exact regardless).
+const RING_CAPACITY: usize = 1 << 16;
+/// How many slowest pair records [`Tracer::slowest_pairs`] retains.
+const TOP_K: usize = 16;
+/// How many hottest targets [`Tracer::hot_targets`] returns.
+const HOT_TARGETS: usize = 10;
 
 /// Per-target aggregate across every pair attempt that targeted it.
 #[derive(Debug, Clone, Copy, Default)]
@@ -80,12 +33,12 @@ pub struct TargetAgg {
 /// aggregates (stage/outcome/pair histograms, outcome funnel, top-K
 /// slowest pairs, per-target heat, shadow-build and guard counters).
 ///
-/// All timestamps are nanoseconds since the tracer's construction
-/// instant (its *epoch*). The tracer never touches the network being
-/// optimized; attaching one cannot change results.
+/// Exported timestamps are nanoseconds since the tracer's construction
+/// instant (its *epoch*); a pair record keeps its start as an `Instant`
+/// until [`Tracer::start_ns`] converts it. The tracer never touches the
+/// network being optimized; attaching one cannot change results.
 #[derive(Debug)]
 pub struct Tracer {
-    config: TracerConfig,
     epoch: Instant,
     mode: String,
     names: Vec<String>,
@@ -97,12 +50,8 @@ pub struct Tracer {
     outcome_counts: [u64; Outcome::COUNT],
     pairs: u64,
     bound_skips: u64,
-    slowest: Vec<PairSpan>,
+    slowest: Vec<PairRecord>,
     per_target: HashMap<u32, TargetAgg>,
-    passes: Vec<PassSpan>,
-    cur_pass: u32,
-    pass_start_ns: u64,
-    pass_pairs: u64,
     shadow_builds: u64,
     shadow_ns: u64,
     guard_checks: u64,
@@ -111,18 +60,11 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer with default bounds, labelled with the mode it records
-    /// (e.g. `"basic"`, `"ext"`, `"ext-gdc"`).
+    /// A tracer labelled with the mode it records (e.g. `"basic"`,
+    /// `"ext"`, `"ext-gdc"`).
     #[must_use]
     pub fn new(mode: &str) -> Tracer {
-        Tracer::with_config(mode, TracerConfig::default())
-    }
-
-    /// A tracer with explicit bounds.
-    #[must_use]
-    pub fn with_config(mode: &str, config: TracerConfig) -> Tracer {
         Tracer {
-            config,
             epoch: Instant::now(),
             mode: mode.to_string(),
             names: Vec::new(),
@@ -136,10 +78,6 @@ impl Tracer {
             bound_skips: 0,
             slowest: Vec::new(),
             per_target: HashMap::new(),
-            passes: Vec::new(),
-            cur_pass: 0,
-            pass_start_ns: 0,
-            pass_pairs: 0,
             shadow_builds: 0,
             shadow_ns: 0,
             guard_checks: 0,
@@ -160,6 +98,14 @@ impl Tracer {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
+    /// A pair's start in nanoseconds since the tracer epoch (0 for a
+    /// record that started before the tracer existed).
+    #[must_use]
+    pub fn start_ns(&self, rec: &PairRecord) -> u64 {
+        u64::try_from(rec.start.saturating_duration_since(self.epoch).as_nanos())
+            .unwrap_or(u64::MAX)
+    }
+
     /// Installs a node-id → name table (index = raw slot id). Used by the
     /// Chrome exporter and the report to label targets/divisors.
     pub fn set_node_names(&mut self, names: Vec<String>) {
@@ -176,34 +122,11 @@ impl Tracer {
     }
 
     fn push(&mut self, ev: TraceEvent) {
-        if self.ring.len() >= self.config.ring_capacity {
+        if self.ring.len() >= RING_CAPACITY {
             self.ring.pop_front();
             self.dropped += 1;
         }
         self.ring.push_back(ev);
-    }
-
-    /// Marks the start of sweep pass `pass` (1-based).
-    pub fn begin_pass(&mut self, pass: u32) {
-        self.cur_pass = pass;
-        self.pass_start_ns = self.now_ns();
-        self.pass_pairs = 0;
-    }
-
-    /// Completes the current pass with its accepted-substitution count
-    /// and literal gain.
-    pub fn end_pass(&mut self, substitutions: u64, literal_gain: i64) {
-        let start_ns = self.pass_start_ns;
-        let span = PassSpan {
-            pass: self.cur_pass,
-            start_ns,
-            dur_ns: self.now_ns().saturating_sub(start_ns),
-            pairs: self.pass_pairs,
-            substitutions,
-            literal_gain,
-        };
-        self.passes.push(span.clone());
-        self.push(TraceEvent::Pass(span));
     }
 
     /// Samples `ns` of `stage` work booked outside any pair span
@@ -214,7 +137,7 @@ impl Tracer {
 
     /// Books one finished pair attempt: every stage with a non-zero share
     /// gets one histogram sample, and the outcome funnel, per-target
-    /// heat, top-K and the event ring all see the span. Call in sweep
+    /// heat, top-K and the event ring all see the record. Call in sweep
     /// order so exported spans read like the greedy sweep they record.
     pub fn record_pair(&mut self, rec: &PairRecord) {
         for stage in Stage::ALL {
@@ -223,23 +146,8 @@ impl Tracer {
                 self.stage_hist[stage.idx()].record(ns);
             }
         }
-        let span = PairSpan {
-            pass: self.cur_pass,
-            target: rec.target,
-            divisor: rec.divisor,
-            start_ns: u64::try_from(rec.start.saturating_duration_since(self.epoch).as_nanos())
-                .unwrap_or(u64::MAX),
-            dur_ns: rec.dur_ns,
-            stages: rec.stages,
-            outcome: rec.outcome,
-            gain: rec.gain,
-            rar_checks: rec.rar_checks,
-            bound_skip: rec.bound_skip,
-            worker: rec.worker,
-        };
         self.pairs += 1;
         self.bound_skips += u64::from(rec.bound_skip);
-        self.pass_pairs += 1;
         self.pair_hist.record(rec.dur_ns);
         self.outcome_counts[rec.outcome.idx()] += 1;
         self.outcome_hist[rec.outcome.idx()].record(rec.dur_ns);
@@ -253,13 +161,13 @@ impl Tracer {
         }
 
         // Keep the top-K slowest pairs, sorted by descending duration.
-        let pos = self.slowest.partition_point(|s| s.dur_ns >= span.dur_ns);
-        if pos < self.config.top_k {
-            self.slowest.insert(pos, span.clone());
-            self.slowest.truncate(self.config.top_k);
+        let pos = self.slowest.partition_point(|s| s.dur_ns >= rec.dur_ns);
+        if pos < TOP_K {
+            self.slowest.insert(pos, *rec);
+            self.slowest.truncate(TOP_K);
         }
 
-        self.push(TraceEvent::Pair(span));
+        self.push(TraceEvent::Pair(*rec));
     }
 
     /// Records a from-scratch GDC shadow-circuit snapshot build.
@@ -268,7 +176,6 @@ impl Tracer {
         self.shadow_ns = self.shadow_ns.saturating_add(dur_ns);
         let start_ns = self.now_ns().saturating_sub(dur_ns);
         self.push(TraceEvent::ShadowBuild {
-            pass: self.cur_pass,
             target,
             start_ns,
             dur_ns,
@@ -292,7 +199,6 @@ impl Tracer {
         self.guard_ns = self.guard_ns.saturating_add(dur_ns);
         let start_ns = self.now_ns().saturating_sub(dur_ns);
         self.push(TraceEvent::Guard {
-            pass: self.cur_pass,
             target,
             divisor,
             tier,
@@ -339,12 +245,6 @@ impl Tracer {
         self.bound_skips
     }
 
-    /// Completed pass summaries, in order.
-    #[must_use]
-    pub fn pass_summaries(&self) -> &[PassSpan] {
-        &self.passes
-    }
-
     /// How many pairs ended with `outcome`.
     #[must_use]
     pub fn outcome_count(&self, outcome: Outcome) -> u64 {
@@ -379,14 +279,14 @@ impl Tracer {
         &self.pair_hist
     }
 
-    /// The top-K slowest pair spans, slowest first.
+    /// The top-K slowest pair records, slowest first.
     #[must_use]
-    pub fn slowest_pairs(&self) -> &[PairSpan] {
+    pub fn slowest_pairs(&self) -> &[PairRecord] {
         &self.slowest
     }
 
     /// The hottest targets by total wall-clock time, hottest first,
-    /// bounded by the configured count.
+    /// at most ten.
     #[must_use]
     pub fn hot_targets(&self) -> Vec<(u32, TargetAgg)> {
         let mut v: Vec<(u32, TargetAgg)> = self
@@ -395,7 +295,7 @@ impl Tracer {
             .map(|(&id, &agg)| (id, agg))
             .collect();
         v.sort_by(|a, b| b.1.dur_ns.cmp(&a.1.dur_ns).then(a.0.cmp(&b.0)));
-        v.truncate(self.config.hot_targets);
+        v.truncate(HOT_TARGETS);
         v
     }
 
@@ -415,6 +315,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::StageNanos;
 
     fn run_pair(t: &mut Tracer, target: u32, divisor: u32, outcome: Outcome, gain: i64) {
         t.record_pair(&PairRecord {
@@ -438,11 +339,9 @@ mod tests {
     #[test]
     fn records_pairs_and_funnel() {
         let mut t = Tracer::new("basic");
-        t.begin_pass(1);
         run_pair(&mut t, 3, 5, Outcome::AcceptedSop, 2);
         run_pair(&mut t, 3, 6, Outcome::RejectedNoGain, 0);
         run_pair(&mut t, 4, 5, Outcome::RejectedSimRefuted, 0);
-        t.end_pass(1, 2);
 
         assert_eq!(t.pairs(), 3);
         assert_eq!(t.outcome_count(Outcome::AcceptedSop), 1);
@@ -458,60 +357,46 @@ mod tests {
         );
         assert_eq!(t.pair_histogram().count(), 3);
 
-        let passes = t.pass_summaries();
-        assert_eq!(passes.len(), 1);
-        assert_eq!(passes[0].pairs, 3);
-        assert_eq!(passes[0].substitutions, 1);
-        assert_eq!(passes[0].literal_gain, 2);
-
         let hot = t.hot_targets();
         assert_eq!(hot[0].0, 3, "target 3 saw two pairs");
         assert_eq!(hot[0].1.pairs, 2);
         assert_eq!(hot[0].1.accepts, 1);
         assert_eq!(hot[0].1.gain, 2);
 
-        // Pair + pass events all fit in the default ring.
-        assert_eq!(t.events().count(), 4);
+        // Every pair event fits in the ring.
+        assert_eq!(t.events().count(), 3);
         assert_eq!(t.dropped(), 0);
     }
 
     #[test]
     fn ring_drops_oldest_but_aggregates_stay_exact() {
-        let mut t = Tracer::with_config(
-            "basic",
-            TracerConfig {
-                ring_capacity: 2,
-                top_k: 4,
-                hot_targets: 4,
-            },
-        );
-        t.begin_pass(1);
-        for d in 0..5u32 {
-            run_pair(&mut t, 1, d, Outcome::RejectedNoGain, 0);
+        let mut t = Tracer::new("basic");
+        let n = RING_CAPACITY as u64 + 3;
+        for d in 0..n {
+            run_pair(&mut t, 1, d as u32, Outcome::RejectedNoGain, 0);
         }
-        assert_eq!(t.events().count(), 2);
+        assert_eq!(t.events().count(), RING_CAPACITY);
         assert_eq!(t.dropped(), 3);
-        assert_eq!(t.pairs(), 5, "aggregate count survives ring eviction");
-        assert_eq!(t.outcome_count(Outcome::RejectedNoGain), 5);
-        assert_eq!(t.pair_histogram().count(), 5);
+        let Some(TraceEvent::Pair(oldest)) = t.events().next() else {
+            panic!("the ring holds pair events");
+        };
+        assert_eq!(oldest.divisor, 3, "the three oldest were dropped");
+        assert_eq!(t.pairs(), n, "aggregate count survives ring eviction");
+        assert_eq!(t.outcome_count(Outcome::RejectedNoGain), n);
+        assert_eq!(t.pair_histogram().count(), n);
     }
 
     #[test]
     fn slowest_pairs_are_sorted_and_bounded() {
-        let mut t = Tracer::with_config(
-            "basic",
-            TracerConfig {
-                ring_capacity: 64,
-                top_k: 2,
-                hot_targets: 4,
-            },
-        );
-        t.begin_pass(1);
-        for d in [2, 0, 3, 1] {
+        let mut t = Tracer::new("basic");
+        // Durations rise with the divisor id; record them out of order.
+        let n = TOP_K as u32 + 2;
+        for d in (0..n).rev().step_by(2).chain((0..n).step_by(2)) {
             run_pair(&mut t, 1, d, Outcome::RejectedNoGain, 0);
         }
         let slowest: Vec<u32> = t.slowest_pairs().iter().map(|s| s.divisor).collect();
-        assert_eq!(slowest, vec![3, 2], "the two longest, slowest first");
+        let expected: Vec<u32> = (2..n).rev().collect();
+        assert_eq!(slowest, expected, "the {TOP_K} longest, slowest first");
     }
 
     #[test]

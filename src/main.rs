@@ -51,7 +51,6 @@ USAGE:
   boolsubst serve [--addr <host:port>] [--workers <n>] [--max-queue <n>]
                   [--tenant-cap <n>] [--journal <path>]
                   [--drain-deadline <secs>] [--default-deadline-ms <ms>]
-                  [--threads-per-job <n>]
 
 Netlist paths may be BLIF (.blif), ASCII AIGER (.aag) or binary AIGER
 (.aig); the format is chosen by extension on both input and output.
@@ -526,16 +525,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "bad --default-deadline-ms value")?;
                 config.default_deadline_ms = (ms > 0).then_some(ms);
-            }
-            "--threads-per-job" => {
-                config.threads_per_job = it
-                    .next()
-                    .ok_or("--threads-per-job needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --threads-per-job value")?;
-                if config.threads_per_job == 0 {
-                    return Err("bad --threads-per-job value (must be >= 1)".into());
-                }
             }
             other => return Err(format!("unexpected argument {other:?}")),
         }

@@ -6,7 +6,7 @@
 use boolsubst::core::{all_configs, Session, SubstStats};
 use boolsubst::trace::export::{chrome_trace_string, jsonl_string};
 use boolsubst::trace::json::Json;
-use boolsubst::trace::{Outcome, PairSpan, Stage, TraceEvent, Tracer};
+use boolsubst::trace::{Outcome, PairRecord, Stage, TraceEvent, Tracer};
 use boolsubst::workloads::generator::{random_network, GeneratorParams};
 use boolsubst::MetricsHandle;
 use std::collections::HashMap;
@@ -48,16 +48,14 @@ fn jsonl_roundtrips_field_for_field() {
             meta.get("pairs").and_then(Json::as_u64),
             Some(tracer.pairs())
         );
+        assert!(meta.get("passes").is_none(), "a run is one sweep");
 
         for (ev, line) in tracer.events().zip(&lines[1..]) {
             let v = Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(v.get("pass").is_none(), "{line}: no pass field");
             match ev {
                 TraceEvent::Pair(p) => {
                     assert_eq!(v.get("type").and_then(Json::as_str), Some("pair"));
-                    assert_eq!(
-                        v.get("pass").and_then(Json::as_u64),
-                        Some(u64::from(p.pass))
-                    );
                     assert_eq!(
                         v.get("target").and_then(Json::as_u64),
                         Some(u64::from(p.target))
@@ -66,7 +64,10 @@ fn jsonl_roundtrips_field_for_field() {
                         v.get("divisor").and_then(Json::as_u64),
                         Some(u64::from(p.divisor))
                     );
-                    assert_eq!(v.get("start_ns").and_then(Json::as_u64), Some(p.start_ns));
+                    assert_eq!(
+                        v.get("start_ns").and_then(Json::as_u64),
+                        Some(tracer.start_ns(p))
+                    );
                     assert_eq!(v.get("dur_ns").and_then(Json::as_u64), Some(p.dur_ns));
                     assert_eq!(
                         v.get("enumerate_ns").and_then(Json::as_u64),
@@ -99,18 +100,6 @@ fn jsonl_roundtrips_field_for_field() {
                     assert_eq!(
                         v.get("bound_skip").and_then(Json::as_bool),
                         Some(p.bound_skip)
-                    );
-                }
-                TraceEvent::Pass(p) => {
-                    assert_eq!(v.get("type").and_then(Json::as_str), Some("pass"));
-                    assert_eq!(v.get("pairs").and_then(Json::as_u64), Some(p.pairs));
-                    assert_eq!(
-                        v.get("substitutions").and_then(Json::as_u64),
-                        Some(p.substitutions)
-                    );
-                    assert_eq!(
-                        v.get("literal_gain").and_then(Json::as_i64),
-                        Some(p.literal_gain)
                     );
                 }
                 TraceEvent::ShadowBuild { dur_ns, .. } => {
@@ -204,7 +193,7 @@ fn funnel_reconciles_with_stats_counters() {
     }
 }
 
-fn pair_spans(tracer: &Tracer) -> impl Iterator<Item = &PairSpan> {
+fn pair_spans(tracer: &Tracer) -> impl Iterator<Item = &PairRecord> {
     tracer.events().filter_map(|e| match e {
         TraceEvent::Pair(p) => Some(p),
         _ => None,
@@ -329,16 +318,6 @@ fn reconcile(mode: &str, tracer: &Tracer, stats: &SubstStats, handle: &MetricsHa
         Some(stats.literal_gain),
         "{mode}: engine.literal_gain"
     );
-
-    // The pass summaries cover every pair and acceptance.
-    let pass_pairs: u64 = tracer.pass_summaries().iter().map(|p| p.pairs).sum();
-    let pass_subs: u64 = tracer
-        .pass_summaries()
-        .iter()
-        .map(|p| p.substitutions)
-        .sum();
-    assert_eq!(pass_pairs, tracer.pairs(), "{mode}: pass pairs");
-    assert_eq!(pass_subs as usize, stats.substitutions, "{mode}: pass subs");
 
     // RAR checks and shadow builds: spans, registry and stats agree
     // (and stay zero outside GDC).
