@@ -100,16 +100,6 @@ fn kernel_rec(
     }
 }
 
-/// Level-0 kernels only: kernels that themselves contain no kernels other
-/// than themselves (no literal appears in two or more cubes).
-#[must_use]
-pub fn level0_kernels(f: &Cover) -> Vec<Kernel> {
-    kernels(f)
-        .into_iter()
-        .filter(|k| frequent_literals(&k.kernel, 2).is_empty())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,14 +143,6 @@ mod tests {
                     "cube {c} of kernel product not in f"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn level0_are_literal_disjoint() {
-        let f = parse_sop(7, "adf + aef + bdf + bef + cdf + cef + g").expect("p");
-        for k in level0_kernels(&f) {
-            assert!(frequent_literals(&k.kernel, 2).is_empty());
         }
     }
 }

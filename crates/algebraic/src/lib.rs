@@ -33,7 +33,7 @@ pub use division::{common_cube, divide_by_cube, make_cube_free, weak_divide, Alg
 pub use extract::{gcx, gkx, ExtractOptions, ExtractStats};
 pub use factor::{factor, factored_literals, factored_literals_lower_bound, FactorTree};
 pub use fx::{fx, FxOptions, FxStats};
-pub use kernels::{kernels, level0_kernels, Kernel};
+pub use kernels::{kernels, Kernel};
 pub use resub::{
     algebraic_resub, apply_substitution, network_factored_literals, try_algebraic_substitution,
     ResubOptions, ResubStats, SubstitutionPlan,

@@ -156,50 +156,6 @@ pub fn fault_coverage(
     }
 }
 
-/// Structural fault collapsing: partitions the fault list into equivalence
-/// classes using the classical gate-local rules and returns one
-/// representative per class.
-///
-/// Rules used (sound, not exhaustive):
-/// * AND gate: every input s-a-0 is equivalent to the output-driving
-///   wires' s-a-0 *when the gate has a single fanout* — here we collapse
-///   the gate-local part: all input s-a-0 of an AND are equivalent to each
-///   other; dually all input s-a-1 of an OR.
-/// * NOT/BUF: input faults are equivalent to the (unique) output-side
-///   fault of the driven pin when that pin is the driver's only fanout.
-#[must_use]
-pub fn collapse_faults(circuit: &Circuit) -> Vec<Fault> {
-    use crate::GateKind;
-    let faults = enumerate_faults(circuit);
-    let fanouts = circuit.fanout_wires();
-    let mut keep: Vec<Fault> = Vec::new();
-    for fault in faults {
-        let g = fault.wire.gate;
-        let kind = circuit.kind(g);
-        // Gate-local equivalence: keep only the first pin's controlled
-        // fault for AND(s-a-0)/OR(s-a-1).
-        let controlled = match kind {
-            GateKind::And => !fault.stuck,
-            GateKind::Or => fault.stuck,
-            _ => false,
-        };
-        if controlled && fault.wire.pin > 0 {
-            continue; // equivalent to pin 0's controlled fault
-        }
-        // Buffer/inverter chains: a fault on the input pin of a BUF/NOT is
-        // equivalent to the corresponding fault on the wire it drives when
-        // the driver feeds only this gate; keep the most downstream one.
-        if matches!(kind, GateKind::Buf | GateKind::Not) {
-            let downstream = &fanouts[g.index()];
-            if downstream.len() == 1 {
-                continue; // represented by the fault on the driven pin
-            }
-        }
-        keep.push(fault);
-    }
-    keep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,42 +223,6 @@ mod tests {
         let report = fault_coverage(&c, 0, 1, 10_000);
         assert_eq!(report.aborted, 0);
         assert_eq!(report.detected + report.redundant, report.classes.len());
-    }
-
-    #[test]
-    fn collapsing_is_sound_and_smaller() {
-        // Every collapsed-away fault must be equivalent to some kept fault
-        // in the detection sense: a circuit is fully tested by vectors
-        // detecting all representatives. We check the weaker, decisive
-        // property: detectability status (testable vs redundant) of the
-        // whole list matches between the full and collapsed analyses.
-        let c = consensus();
-        let full = enumerate_faults(&c);
-        let collapsed = collapse_faults(&c);
-        assert!(collapsed.len() < full.len(), "collapsing saved nothing");
-        // Any test set detecting all collapsed faults detects all
-        // testable faults: verify against exhaustive detection.
-        let mut vectors: Vec<Vec<bool>> = Vec::new();
-        for fault in &collapsed {
-            if let crate::TestSearch::Testable(v) = crate::find_test(&c, *fault, 100_000) {
-                vectors.push(v);
-            }
-        }
-        for fault in &full {
-            if crate::is_testable_exhaustive(&c, *fault) {
-                let detected = vectors.iter().any(|v| {
-                    let good = c.eval(v);
-                    let bad = c.eval_faulty(v, fault.wire, fault.stuck);
-                    c.outputs()
-                        .iter()
-                        .any(|o| good[o.index()] != bad[o.index()])
-                });
-                assert!(
-                    detected,
-                    "collapsed test set misses testable fault {fault:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod search;
 
 pub use checker::FaultChecker;
 pub use circuit::{Circuit, GateId, GateKind, Wire};
-pub use coverage::{collapse_faults, enumerate_faults, fault_coverage, CoverageReport, FaultClass};
+pub use coverage::{enumerate_faults, fault_coverage, CoverageReport, FaultClass};
 pub use fault::{check_fault, is_testable_exhaustive, Fault, FaultStatus, UntestableReason};
 pub use imply::{Conflict, Implier, ImplyOptions, Value};
 pub use rar::{rar_optimize, RarOptions, RarStats};

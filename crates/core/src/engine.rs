@@ -459,8 +459,12 @@ impl<'a> SubstEngine<'a> {
             }
         }
         if let Some(sim) = &self.sim {
-            self.stats.sim_patterns = sim.patterns();
-            self.stats.sim_words = sim.words();
+            let pool = SubstStats {
+                sim_patterns: sim.patterns(),
+                sim_words: sim.words(),
+                ..SubstStats::default()
+            };
+            self.book(&pool, None);
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             // Extended rewrites mint fresh core nodes mid-run; refresh the
@@ -472,13 +476,21 @@ impl<'a> SubstEngine<'a> {
 
     /// The one booking path. Folds `delta` into the session's
     /// [`SubstStats`] and the metrics registry. A finished pair passes its
-    /// `rec`, which goes to the tracer and the pair-latency histogram;
-    /// work booked outside any pair (`rec` is `None`: enumeration) is
-    /// sampled into the tracer's stage histograms instead.
+    /// `rec`, which goes to the tracer and the pair-latency histogram.
+    /// Work booked outside any pair (`rec` is `None`: enumeration, the
+    /// expired deadline, the sim pool at run end) has no record; its
+    /// enumeration time is sampled into the tracer's stage histograms.
     pub(crate) fn book(&mut self, delta: &SubstStats, rec: Option<&PairRecord>) {
-        self.stats.merge(delta);
         if let Some(m) = &self.metrics {
-            m.add(delta);
+            if delta.interrupted && self.stats.interrupted {
+                // `interrupted` latches: the registry counts a run once.
+                m.add(&SubstStats {
+                    interrupted: false,
+                    ..*delta
+                });
+            } else {
+                m.add(delta);
+            }
             if let Some(rec) = rec {
                 m.pair_ns.observe(rec.dur_ns);
             }
@@ -488,6 +500,7 @@ impl<'a> SubstEngine<'a> {
                 m.peak_nodes.max(nodes);
             }
         }
+        self.stats.merge(delta);
         if let Some(t) = self.tracer.as_deref_mut() {
             match rec {
                 Some(rec) => t.record_pair(rec),
@@ -504,11 +517,12 @@ impl<'a> SubstEngine<'a> {
     /// attempts, so an expiring deadline always leaves a valid network —
     /// just one with fewer rewrites applied.
     pub(crate) fn deadline_expired(&mut self) -> bool {
-        if self.stats.interrupted {
-            return true;
-        }
-        if self.opts.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.stats.interrupted = true;
+        if !self.stats.interrupted && self.opts.deadline.is_some_and(|d| Instant::now() >= d) {
+            let expired = SubstStats {
+                interrupted: true,
+                ..SubstStats::default()
+            };
+            self.book(&expired, None);
         }
         self.stats.interrupted
     }

@@ -69,7 +69,8 @@ pub use netcircuit::{network_from_circuit, NetCircuit, ShadowBase};
 pub use session::Session;
 pub use sos::{is_pos_of_compl, is_sos_of, lemma1_holds, lemma2_holds};
 pub use subst::{
-    all_configs, boolean_substitute_legacy, Acceptance, SubstMode, SubstOptions, SubstStats,
+    all_configs, boolean_substitute_legacy, Acceptance, StatValue, SubstMode, SubstOptions,
+    SubstStats,
 };
 pub use txn::TxnSnapshot;
 pub use verify::{network_bdds, networks_equivalent, networks_equivalent_modulo_dc};

@@ -9,17 +9,20 @@
 //! `sweep.worker.<i>.*` keys exist (at zero) even for workers that
 //! never get to run, keeping the exposition schema stable across runs.
 //!
-//! The counter-derived instruments are bumped by the engine's one
-//! booking path (`SubstEngine::book`): every `SubstStats` delta it folds
-//! into the session's stats goes through [`EngineMetrics::add`] too, so
-//! the registry and the stats block cannot disagree. A pair's booking
-//! also samples its wall time into `engine.pair_ns`. Progress gauges
-//! (targets, nodes) and the sweep utilization counters are bumped where
-//! the sweep does that work. Each bump is one relaxed atomic op.
+//! Every [`SubstStats`] field has one instrument, named
+//! `engine.<field>` and resolved from [`SubstStats::fields`]: counts and
+//! times are counters, and `literal_gain` is a gauge. They are bumped
+//! by the engine's one booking path (`SubstEngine::book`): every
+//! `SubstStats` delta it folds into the session's stats goes through
+//! [`EngineMetrics::add`] too, so the registry and the stats block
+//! cannot disagree. A pair's booking also samples its wall time into
+//! `engine.pair_ns`. Progress gauges (targets, nodes) and the sweep
+//! utilization counters are kept by hand and bumped where the sweep does
+//! that work. Each bump is one relaxed atomic op.
 
 use boolsubst_metrics::{Counter, Gauge, Histogram, MetricsHandle};
 
-use crate::subst::SubstStats;
+use crate::subst::{StatValue, SubstStats};
 
 /// Utilization instruments for one speculative-sweep worker.
 #[derive(Debug, Clone)]
@@ -35,12 +38,18 @@ pub(crate) struct WorkerMetrics {
     pub(crate) pairs: Counter,
 }
 
+/// The instrument of one [`SubstStats`] field.
+#[derive(Debug)]
+enum FieldInstrument {
+    Counter(Counter),
+    Gauge(Gauge),
+}
+
 /// The engine's resolved instrument bundle; see the module docs.
 #[derive(Debug)]
 pub(crate) struct EngineMetrics {
-    pairs: Counter,
-    accepts: Counter,
-    literal_gain: Gauge,
+    /// One instrument per [`SubstStats`] field, in field order.
+    fields: Vec<FieldInstrument>,
     pub(crate) pair_ns: Histogram,
     pub(crate) targets_total: Gauge,
     pub(crate) targets_done: Gauge,
@@ -52,30 +61,22 @@ pub(crate) struct EngineMetrics {
     pub(crate) sweep_wait_ns: Counter,
     pub(crate) sweep_idle_ns: Counter,
     pub(crate) workers: Vec<WorkerMetrics>,
-    stage_enumerate_ns: Counter,
-    stage_filter_ns: Counter,
-    stage_sim_ns: Counter,
-    stage_divide_ns: Counter,
-    stage_apply_ns: Counter,
-    rar_checks: Counter,
-    discovery_proposed: Counter,
-    discovery_proofs_run: Counter,
-    discovery_accepted: Counter,
-    sim_screened: Counter,
-    sim_refuted: Counter,
-    sim_false_passes: Counter,
-    sim_audits: Counter,
-    local_bound_skips: Counter,
-    quarantined: Gauge,
-    engine_faults: Gauge,
-    shadow_cache_hits: Counter,
-    shadow_cache_misses: Counter,
 }
 
 impl EngineMetrics {
     /// Resolves every engine instrument (including `workers` slots for
     /// worker indices `0..threads`) against `handle`.
     pub(crate) fn resolve(handle: &MetricsHandle, threads: usize) -> EngineMetrics {
+        let fields = SubstStats::default()
+            .fields()
+            .map(|(name, value)| {
+                let key = format!("engine.{name}");
+                match value {
+                    StatValue::Count(_) => FieldInstrument::Counter(handle.counter(&key)),
+                    StatValue::Signed(_) => FieldInstrument::Gauge(handle.gauge(&key)),
+                }
+            })
+            .collect();
         let workers = (0..threads)
             .map(|w| WorkerMetrics {
                 proof_ns: handle.counter(&format!("sweep.worker.{w}.proof_ns")),
@@ -85,9 +86,7 @@ impl EngineMetrics {
             })
             .collect();
         EngineMetrics {
-            pairs: handle.counter("engine.pairs"),
-            accepts: handle.counter("engine.accepts"),
-            literal_gain: handle.gauge("engine.literal_gain"),
+            fields,
             pair_ns: handle.histogram("engine.pair_ns"),
             targets_total: handle.gauge("engine.targets_total"),
             targets_done: handle.gauge("engine.targets_done"),
@@ -99,52 +98,19 @@ impl EngineMetrics {
             sweep_wait_ns: handle.counter("sweep.wait_ns"),
             sweep_idle_ns: handle.counter("sweep.idle_ns"),
             workers,
-            stage_enumerate_ns: handle.counter("engine.stage.enumerate_ns"),
-            stage_filter_ns: handle.counter("engine.stage.filter_ns"),
-            stage_sim_ns: handle.counter("engine.stage.sim_ns"),
-            stage_divide_ns: handle.counter("engine.stage.divide_ns"),
-            stage_apply_ns: handle.counter("engine.stage.apply_ns"),
-            rar_checks: handle.counter("engine.rar_checks"),
-            discovery_proposed: handle.counter("discovery.proposed"),
-            discovery_proofs_run: handle.counter("discovery.proofs_run"),
-            discovery_accepted: handle.counter("discovery.accepted"),
-            sim_screened: handle.counter("sim.pairs_screened"),
-            sim_refuted: handle.counter("sim.pairs_refuted"),
-            sim_false_passes: handle.counter("sim.false_passes"),
-            sim_audits: handle.counter("sim.audits"),
-            local_bound_skips: handle.counter("engine.local_bound_skips"),
-            quarantined: handle.gauge("engine.quarantined"),
-            engine_faults: handle.gauge("engine.faults"),
-            shadow_cache_hits: handle.counter("engine.shadow_cache_hits"),
-            shadow_cache_misses: handle.counter("engine.shadow_cache_misses"),
         }
     }
 
-    /// Adds one booked `SubstStats` delta to every counter-derived
-    /// instrument.
+    /// Adds one booked `SubstStats` delta to the field instruments,
+    /// skipping its zero fields.
     pub(crate) fn add(&self, d: &SubstStats) {
-        let n = |v: usize| u64::try_from(v).unwrap_or(u64::MAX);
-        let g = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
-        self.pairs.add(n(d.candidates_enumerated));
-        self.accepts.add(n(d.substitutions));
-        self.literal_gain.add(d.literal_gain);
-        self.stage_enumerate_ns.add(d.enumerate_nanos);
-        self.stage_filter_ns.add(d.filter_nanos);
-        self.stage_sim_ns.add(d.sim_nanos);
-        self.stage_divide_ns.add(d.divide_nanos);
-        self.stage_apply_ns.add(d.apply_nanos);
-        self.rar_checks.add(n(d.rar_checks));
-        self.discovery_proposed.add(n(d.discovery_proposed));
-        self.discovery_proofs_run.add(n(d.discovery_proofs_run));
-        self.discovery_accepted.add(n(d.discovery_accepted));
-        self.sim_screened.add(n(d.sim_pairs_screened));
-        self.sim_refuted.add(n(d.sim_pairs_refuted));
-        self.sim_false_passes.add(n(d.sim_false_passes));
-        self.sim_audits.add(n(d.sim_audits));
-        self.local_bound_skips.add(n(d.local_bound_skips));
-        self.shadow_cache_hits.add(n(d.shadow_cache_hits));
-        self.shadow_cache_misses.add(n(d.shadow_cache_misses));
-        self.quarantined.add(g(d.quarantined));
-        self.engine_faults.add(g(d.engine_faults));
+        for ((_, value), instrument) in d.fields().zip(&self.fields) {
+            match (value, instrument) {
+                (StatValue::Count(0) | StatValue::Signed(0), _) => {}
+                (StatValue::Count(n), FieldInstrument::Counter(c)) => c.add(n),
+                (StatValue::Signed(n), FieldInstrument::Gauge(g)) => g.add(n),
+                _ => unreachable!("`resolve` picks each instrument from its field's kind"),
+            }
+        }
     }
 }

@@ -116,7 +116,7 @@ impl<'n, 't> Session<'n, 't> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subst::SubstOptions;
+    use crate::subst::{StatValue, SubstOptions};
     use boolsubst_cube::parse_sop;
     use boolsubst_network::write_blif;
     use boolsubst_trace::Tracer;
@@ -154,7 +154,6 @@ mod tests {
 
     #[test]
     fn metrics_attachment_is_invisible() {
-        use boolsubst_metrics::MetricsHandle;
         for opts in crate::subst::all_configs() {
             for threads in [1usize, 4] {
                 let mut plain = small_net();
@@ -172,43 +171,50 @@ mod tests {
                 );
                 assert_eq!(sp.substitutions, sm.substitutions, "{:?}", opts.mode);
                 assert_eq!(sp.literal_gain, sm.literal_gain, "{:?}", opts.mode);
-                assert!(
-                    handle.counter_value("engine.pairs").unwrap_or(0) > 0,
-                    "metrics saw no pairs"
-                );
-                assert_eq!(
-                    handle.counter_value("engine.accepts"),
-                    Some(u64::try_from(sm.substitutions).unwrap())
-                );
-                // The registry is a view of the same booking as the stats
-                // block: every pair, live or speculated, is counted once.
-                let pairs = u64::try_from(sm.candidates_enumerated).unwrap();
-                let mode = opts.mode;
-                assert_eq!(
-                    handle.counter_value("engine.pairs"),
-                    Some(pairs),
-                    "{mode:?} threads={threads}: engine.pairs"
+                assert!(sm.candidates_enumerated > 0, "the run saw no pairs");
+                assert_registry_matches(
+                    &handle,
+                    &sm,
+                    &format!("{:?} threads={threads}", opts.mode),
                 );
                 assert_eq!(
                     handle.histogram("engine.pair_ns").count(),
-                    pairs,
-                    "{mode:?} threads={threads}: engine.pair_ns samples"
+                    u64::try_from(sm.candidates_enumerated).unwrap(),
+                    "{:?} threads={threads}: engine.pair_ns samples",
+                    opts.mode
                 );
-                for (stage, nanos) in [
-                    ("enumerate", sm.enumerate_nanos),
-                    ("filter", sm.filter_nanos),
-                    ("sim", sm.sim_nanos),
-                    ("divide", sm.divide_nanos),
-                    ("apply", sm.apply_nanos),
-                ] {
-                    assert_eq!(
-                        handle.counter_value(&format!("engine.stage.{stage}_ns")),
-                        Some(nanos),
-                        "{mode:?} threads={threads}: engine.stage.{stage}_ns"
-                    );
-                }
             }
         }
+    }
+
+    /// The registry is a view of the same booking as the stats block:
+    /// every field reads the same under `engine.<field>`.
+    fn assert_registry_matches(handle: &MetricsHandle, stats: &SubstStats, run: &str) {
+        let mut fields = 0;
+        for (name, value) in stats.fields() {
+            let key = format!("engine.{name}");
+            let read = match value {
+                StatValue::Count(_) => handle.counter_value(&key).map(StatValue::Count),
+                StatValue::Signed(_) => handle.gauge_value(&key).map(StatValue::Signed),
+            };
+            assert_eq!(read, Some(value), "{run}: {key}");
+            fields += 1;
+        }
+        assert_eq!(fields, 37, "{run}: every SubstStats field is checked");
+    }
+
+    #[test]
+    fn interrupted_run_is_counted_once() {
+        let handle = MetricsHandle::new();
+        for threads in [1usize, 4] {
+            let mut net = small_net();
+            let opts = SubstOptions::extended()
+                .with_threads(threads)
+                .with_deadline(std::time::Instant::now());
+            let stats = Session::new(&mut net, opts).metrics(&handle).run();
+            assert!(stats.interrupted);
+        }
+        assert_eq!(handle.counter_value("engine.interrupted"), Some(2));
     }
 
     #[test]

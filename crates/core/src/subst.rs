@@ -15,7 +15,6 @@ use boolsubst_guard::{GuardConfig, TierPolicy};
 use boolsubst_network::{Network, NodeId};
 use boolsubst_sat::SatOptions;
 use boolsubst_sim::{CoverScreen, SimConfig, SimFilter};
-use boolsubst_trace::json::JsonObj;
 use boolsubst_trace::Outcome;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -238,115 +237,209 @@ pub fn all_configs() -> [SubstOptions; 3] {
     ]
 }
 
-/// Statistics of a substitution run, with stage-level observability.
-///
-/// The acceptance-relevant fields (`substitutions`, `pos_substitutions`,
-/// `extended_decompositions`, `literal_gain`, `divisions_tried`) are
-/// identical between [`crate::session::Session`] (the engine path) and
-/// [`boolean_substitute_legacy`]. The stage counters describe
-/// *how* each path got there and differ by construction: the legacy sweep
-/// enumerates every (target, divisor) pair and rejects most of them one
-/// filter at a time, while the engine enumerates only the fanouts of the
-/// target's fanins and never surfaces the rest.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SubstStats {
-    /// Division attempts (pairs surviving every filter).
-    pub divisions_tried: usize,
-    /// Accepted substitutions (SOP form).
-    pub substitutions: usize,
-    /// Accepted substitutions in product-of-sum form.
-    pub pos_substitutions: usize,
-    /// Extended divisions that decomposed a divisor.
-    pub extended_decompositions: usize,
-    /// Total factored-literal gain.
-    pub literal_gain: i64,
-    /// Divisor candidates enumerated across every target visit (the top
-    /// of the funnel: proposed → proofs-run → accepted).
-    pub discovery_proposed: usize,
-    /// Proposed pairs that survived every cheap filter and reached the
-    /// division proof.
-    pub discovery_proofs_run: usize,
-    /// Proposed pairs whose division proof succeeded and whose rewrite was
-    /// committed (equals `substitutions` plus accepted extended moves).
-    pub discovery_accepted: usize,
-    /// Candidate pairs individually examined.
-    pub candidates_enumerated: usize,
-    /// Pairs rejected as self/input/existing-fanin pairs.
-    pub filtered_structural: usize,
-    /// Pairs rejected because the divisor lies in the target's transitive
-    /// fanout (substituting would create a cycle).
-    pub filtered_tfo: usize,
-    /// Pairs rejected by the divisor cube-count bound.
-    pub filtered_divisor_size: usize,
-    /// Pairs rejected by the joint-variable-space bound.
-    pub filtered_joint_space: usize,
-    /// Pairs rejected because the supports do not overlap (legacy path
-    /// only — the engine's enumeration implies overlap).
-    pub filtered_support: usize,
-    /// Fault checks run by whole-network (GDC) redundancy removal.
-    pub rar_checks: usize,
-    /// GDC attempts that reused the per-target shadow-circuit snapshot.
-    pub shadow_cache_hits: usize,
-    /// GDC shadow-circuit snapshots built from scratch.
-    pub shadow_cache_misses: usize,
-    /// Pairs screened by the simulation filter (engine path with
-    /// [`SubstOptions::sim`] enabled).
-    pub sim_pairs_screened: usize,
-    /// Pairs rejected purely by signature witnesses — every applicable
-    /// strategy refuted, no proof work run.
-    pub sim_pairs_refuted: usize,
-    /// Pairs the screen let through to at least one proof stage that the
-    /// full check then rejected anyway.
-    pub sim_false_passes: usize,
-    /// Pairs on which the forced-literal bound
-    /// ([`crate::forced_literal_bound`]) skipped at least one strategy the
-    /// screen had not refuted: no cover of the target through the divisor
-    /// could beat its literal count.
-    pub local_bound_skips: usize,
-    /// Dividend cubes whose extended-division fault checks were skipped:
-    /// the vote table is seeded only from wires surviving the screen.
-    pub sim_ext_wires_skipped: usize,
-    /// Checked-mode signature audits: the pair's two rows recomputed from
-    /// their fanins and compared with the table, once per pair that
-    /// passed the cheap filters, live or speculated.
-    pub sim_audits: usize,
-    /// Patterns in the pool at the end of the run.
-    pub sim_patterns: usize,
-    /// Signature width in 64-bit words.
-    pub sim_words: usize,
-    /// Wall time enumerating targets and candidates (engine path).
-    pub enumerate_nanos: u64,
-    /// Wall time in the cheap per-pair filters (engine path).
-    pub filter_nanos: u64,
-    /// Wall time dividing and evaluating gains (engine path).
-    pub divide_nanos: u64,
-    /// Wall time patching side tables after acceptances (engine path).
-    pub apply_nanos: u64,
-    /// Wall time screening pairs, refining the pool, and patching
-    /// signatures (engine path).
-    pub sim_nanos: u64,
-    /// Accepted rewrites the checked-mode guard refuted and rolled back.
-    pub guard_rejections: usize,
-    /// Checked-mode guard verdicts that degraded to a sampled pass: every
-    /// exact tier (BDD, SAT) was out of budget, so the rewrite stands on
-    /// the random pool alone. Zero means every accepted rewrite was
-    /// *proved* equivalence-preserving.
-    pub guard_pass_sampled: usize,
-    /// Checked-mode guard checks that escalated to the tier C SAT miter.
-    pub guard_sat_runs: usize,
-    /// Per-pair faults survived in checked mode: panics caught and rolled
-    /// back, typed apply errors, and detected signature corruption.
-    pub engine_faults: usize,
-    /// (target, divisor) pairs given up after a guard rejection or an
-    /// engine fault. A plain count: a pass settles each pair once, so no
-    /// pair is met again to be skipped.
-    pub quarantined: usize,
-    /// Divisions whose redundancy removal stopped early on the per-pair
-    /// check budget ([`DivisionOptions::max_checks`]).
-    pub check_budget_exhausted: usize,
-    /// The run stopped early on [`SubstOptions::deadline`]: the network is
-    /// valid and equivalent, but the sweep did not finish.
-    pub interrupted: bool,
+/// One sweep counter's value, as [`SubstStats::fields`] yields it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatValue {
+    /// An unsigned count, or `interrupted` as 0 or 1: never decreases
+    /// within a run.
+    Count(u64),
+    /// A signed total (`literal_gain`).
+    Signed(i64),
+}
+
+/// How a field type of [`SubstStats`] merges and reads out.
+trait StatField: Copy {
+    fn merge(&mut self, other: Self);
+    fn value(self) -> StatValue;
+}
+
+impl StatField for usize {
+    fn merge(&mut self, other: usize) {
+        *self = self.saturating_add(other);
+    }
+    fn value(self) -> StatValue {
+        StatValue::Count(u64::try_from(self).unwrap_or(u64::MAX))
+    }
+}
+
+impl StatField for u64 {
+    fn merge(&mut self, other: u64) {
+        *self = self.saturating_add(other);
+    }
+    fn value(self) -> StatValue {
+        StatValue::Count(self)
+    }
+}
+
+impl StatField for i64 {
+    fn merge(&mut self, other: i64) {
+        *self = self.saturating_add(other);
+    }
+    fn value(self) -> StatValue {
+        StatValue::Signed(self)
+    }
+}
+
+impl StatField for bool {
+    fn merge(&mut self, other: bool) {
+        *self |= other;
+    }
+    fn value(self) -> StatValue {
+        StatValue::Count(u64::from(self))
+    }
+}
+
+/// Declares [`SubstStats`] from its one field list, and from the same
+/// list its [`SubstStats::merge`] and [`SubstStats::fields`]: a new sweep
+/// counter is one line of the struct, and the metrics registry picks it
+/// up under `engine.<field>`.
+macro_rules! sweep_counters {
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* pub $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// Accumulates `other` into `self` field by field: counts and
+            /// times add, saturating on overflow, and `interrupted` is
+            /// or-ed. Lets callers combine runs (benchmark reps, the
+            /// three paper modes). The pool-snapshot fields
+            /// (`sim_patterns`, `sim_words`) sum like the rest: a merged
+            /// value reads as "total pool capacity touched".
+            pub fn merge(&mut self, other: &$name) {
+                $(StatField::merge(&mut self.$field, other.$field);)*
+            }
+
+            /// Every field as `(name, value)`, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, StatValue)> {
+                [$((stringify!($field), StatField::value(self.$field))),*].into_iter()
+            }
+        }
+    };
+}
+
+sweep_counters! {
+    /// Statistics of a substitution run, with stage-level observability.
+    ///
+    /// The acceptance-relevant fields (`substitutions`, `pos_substitutions`,
+    /// `extended_decompositions`, `literal_gain`, `divisions_tried`) are
+    /// identical between [`crate::session::Session`] (the engine path) and
+    /// [`boolean_substitute_legacy`]. The stage counters describe
+    /// *how* each path got there and differ by construction: the legacy sweep
+    /// enumerates every (target, divisor) pair and rejects most of them one
+    /// filter at a time, while the engine enumerates only the fanouts of the
+    /// target's fanins and never surfaces the rest.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct SubstStats {
+        /// Division attempts (pairs surviving every filter).
+        pub divisions_tried: usize,
+        /// Accepted rewrites of every form: SOP, product-of-sum and
+        /// extended. The next two fields count subsets of these.
+        pub substitutions: usize,
+        /// Accepted substitutions in product-of-sum form.
+        pub pos_substitutions: usize,
+        /// Extended divisions that decomposed a divisor.
+        pub extended_decompositions: usize,
+        /// Total factored-literal gain.
+        pub literal_gain: i64,
+        /// Divisor candidates enumerated across every target visit (the top
+        /// of the funnel: proposed → proofs-run → accepted).
+        pub discovery_proposed: usize,
+        /// Proposed pairs that survived every cheap filter and reached the
+        /// division proof.
+        pub discovery_proofs_run: usize,
+        /// Proposed pairs whose division proof succeeded and whose rewrite was
+        /// committed (equals `substitutions` on the engine path).
+        pub discovery_accepted: usize,
+        /// Candidate pairs individually examined.
+        pub candidates_enumerated: usize,
+        /// Pairs rejected as self/input/existing-fanin pairs.
+        pub filtered_structural: usize,
+        /// Pairs rejected because the divisor lies in the target's transitive
+        /// fanout (substituting would create a cycle).
+        pub filtered_tfo: usize,
+        /// Pairs rejected by the divisor cube-count bound.
+        pub filtered_divisor_size: usize,
+        /// Pairs rejected by the joint-variable-space bound.
+        pub filtered_joint_space: usize,
+        /// Pairs rejected because the supports do not overlap (legacy path
+        /// only — the engine's enumeration implies overlap).
+        pub filtered_support: usize,
+        /// Fault checks run by whole-network (GDC) redundancy removal.
+        pub rar_checks: usize,
+        /// GDC attempts that reused the per-target shadow-circuit snapshot.
+        pub shadow_cache_hits: usize,
+        /// GDC shadow-circuit snapshots built from scratch.
+        pub shadow_cache_misses: usize,
+        /// Pairs screened by the simulation filter (engine path with
+        /// [`SubstOptions::sim`] enabled).
+        pub sim_pairs_screened: usize,
+        /// Pairs rejected purely by signature witnesses — every applicable
+        /// strategy refuted, no proof work run.
+        pub sim_pairs_refuted: usize,
+        /// Pairs the screen let through to at least one proof stage that the
+        /// full check then rejected anyway.
+        pub sim_false_passes: usize,
+        /// Pairs on which the forced-literal bound
+        /// ([`crate::forced_literal_bound`]) skipped at least one strategy the
+        /// screen had not refuted: no cover of the target through the divisor
+        /// could beat its literal count.
+        pub local_bound_skips: usize,
+        /// Dividend cubes whose extended-division fault checks were skipped:
+        /// the vote table is seeded only from wires surviving the screen.
+        pub sim_ext_wires_skipped: usize,
+        /// Checked-mode signature audits: the pair's two rows recomputed from
+        /// their fanins and compared with the table, once per pair that
+        /// passed the cheap filters, live or speculated.
+        pub sim_audits: usize,
+        /// Patterns in the pool at the end of the run.
+        pub sim_patterns: usize,
+        /// Signature width in 64-bit words.
+        pub sim_words: usize,
+        /// Wall time enumerating targets and candidates (engine path).
+        pub enumerate_nanos: u64,
+        /// Wall time in the cheap per-pair filters (engine path).
+        pub filter_nanos: u64,
+        /// Wall time dividing and evaluating gains (engine path). It
+        /// includes the sim-screen time spent inside a pair's division,
+        /// which `sim_nanos` also counts, so the two overlap; the pair
+        /// record books that time under Sim only.
+        pub divide_nanos: u64,
+        /// Wall time patching side tables after acceptances (engine path).
+        pub apply_nanos: u64,
+        /// Wall time screening pairs, refining the pool, and patching
+        /// signatures (engine path). The per-pair screen also falls
+        /// inside `divide_nanos`.
+        pub sim_nanos: u64,
+        /// Accepted rewrites the checked-mode guard refuted and rolled back.
+        pub guard_rejections: usize,
+        /// Checked-mode guard verdicts that degraded to a sampled pass: every
+        /// exact tier (BDD, SAT) was out of budget, so the rewrite stands on
+        /// the random pool alone. Zero means every accepted rewrite was
+        /// *proved* equivalence-preserving.
+        pub guard_pass_sampled: usize,
+        /// Checked-mode guard checks that escalated to the tier C SAT miter.
+        pub guard_sat_runs: usize,
+        /// Per-pair faults survived in checked mode: panics caught and rolled
+        /// back, typed apply errors, and detected signature corruption.
+        pub engine_faults: usize,
+        /// (target, divisor) pairs given up after a guard rejection or an
+        /// engine fault. A plain count: a pass settles each pair once, so no
+        /// pair is met again to be skipped.
+        pub quarantined: usize,
+        /// Divisions whose redundancy removal stopped early on the per-pair
+        /// check budget ([`DivisionOptions::max_checks`]).
+        pub check_budget_exhausted: usize,
+        /// The run stopped early on [`SubstOptions::deadline`]: the network is
+        /// valid and equivalent, but the sweep did not finish.
+        pub interrupted: bool,
+    }
 }
 
 impl fmt::Display for SubstStats {
@@ -445,135 +538,6 @@ impl fmt::Display for SubstStats {
             ms(self.apply_nanos),
             ms(self.sim_nanos),
         )
-    }
-}
-
-impl SubstStats {
-    /// Accumulates `other` into `self` field by field, saturating on
-    /// overflow. Lets callers combine runs (benchmark reps, the three
-    /// paper modes) without hand-listing every counter at each call site.
-    /// The pool-snapshot fields (`sim_patterns`, `sim_words`) sum like the
-    /// rest — a merged value reads as "total pool capacity touched".
-    pub fn merge(&mut self, other: &SubstStats) {
-        self.divisions_tried = self.divisions_tried.saturating_add(other.divisions_tried);
-        self.substitutions = self.substitutions.saturating_add(other.substitutions);
-        self.pos_substitutions = self
-            .pos_substitutions
-            .saturating_add(other.pos_substitutions);
-        self.extended_decompositions = self
-            .extended_decompositions
-            .saturating_add(other.extended_decompositions);
-        self.literal_gain = self.literal_gain.saturating_add(other.literal_gain);
-        self.discovery_proposed = self
-            .discovery_proposed
-            .saturating_add(other.discovery_proposed);
-        self.discovery_proofs_run = self
-            .discovery_proofs_run
-            .saturating_add(other.discovery_proofs_run);
-        self.discovery_accepted = self
-            .discovery_accepted
-            .saturating_add(other.discovery_accepted);
-        self.candidates_enumerated = self
-            .candidates_enumerated
-            .saturating_add(other.candidates_enumerated);
-        self.filtered_structural = self
-            .filtered_structural
-            .saturating_add(other.filtered_structural);
-        self.filtered_tfo = self.filtered_tfo.saturating_add(other.filtered_tfo);
-        self.filtered_divisor_size = self
-            .filtered_divisor_size
-            .saturating_add(other.filtered_divisor_size);
-        self.filtered_joint_space = self
-            .filtered_joint_space
-            .saturating_add(other.filtered_joint_space);
-        self.filtered_support = self.filtered_support.saturating_add(other.filtered_support);
-        self.rar_checks = self.rar_checks.saturating_add(other.rar_checks);
-        self.shadow_cache_hits = self
-            .shadow_cache_hits
-            .saturating_add(other.shadow_cache_hits);
-        self.shadow_cache_misses = self
-            .shadow_cache_misses
-            .saturating_add(other.shadow_cache_misses);
-        self.sim_pairs_screened = self
-            .sim_pairs_screened
-            .saturating_add(other.sim_pairs_screened);
-        self.sim_pairs_refuted = self
-            .sim_pairs_refuted
-            .saturating_add(other.sim_pairs_refuted);
-        self.sim_false_passes = self.sim_false_passes.saturating_add(other.sim_false_passes);
-        self.local_bound_skips = self
-            .local_bound_skips
-            .saturating_add(other.local_bound_skips);
-        self.sim_ext_wires_skipped = self
-            .sim_ext_wires_skipped
-            .saturating_add(other.sim_ext_wires_skipped);
-        self.sim_audits = self.sim_audits.saturating_add(other.sim_audits);
-        self.sim_patterns = self.sim_patterns.saturating_add(other.sim_patterns);
-        self.sim_words = self.sim_words.saturating_add(other.sim_words);
-        self.guard_rejections = self.guard_rejections.saturating_add(other.guard_rejections);
-        self.guard_pass_sampled = self
-            .guard_pass_sampled
-            .saturating_add(other.guard_pass_sampled);
-        self.guard_sat_runs = self.guard_sat_runs.saturating_add(other.guard_sat_runs);
-        self.engine_faults = self.engine_faults.saturating_add(other.engine_faults);
-        self.quarantined = self.quarantined.saturating_add(other.quarantined);
-        self.check_budget_exhausted = self
-            .check_budget_exhausted
-            .saturating_add(other.check_budget_exhausted);
-        self.interrupted |= other.interrupted;
-        self.enumerate_nanos = self.enumerate_nanos.saturating_add(other.enumerate_nanos);
-        self.filter_nanos = self.filter_nanos.saturating_add(other.filter_nanos);
-        self.divide_nanos = self.divide_nanos.saturating_add(other.divide_nanos);
-        self.apply_nanos = self.apply_nanos.saturating_add(other.apply_nanos);
-        self.sim_nanos = self.sim_nanos.saturating_add(other.sim_nanos);
-    }
-
-    /// Single-line JSON object with every counter, via the shared
-    /// [`JsonObj`] writer. Field names match the struct fields.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        fn u(v: usize) -> u64 {
-            u64::try_from(v).unwrap_or(u64::MAX)
-        }
-        JsonObj::new()
-            .u64("divisions_tried", u(self.divisions_tried))
-            .u64("substitutions", u(self.substitutions))
-            .u64("pos_substitutions", u(self.pos_substitutions))
-            .u64("extended_decompositions", u(self.extended_decompositions))
-            .i64("literal_gain", self.literal_gain)
-            .u64("discovery_proposed", u(self.discovery_proposed))
-            .u64("discovery_proofs_run", u(self.discovery_proofs_run))
-            .u64("discovery_accepted", u(self.discovery_accepted))
-            .u64("candidates_enumerated", u(self.candidates_enumerated))
-            .u64("filtered_structural", u(self.filtered_structural))
-            .u64("filtered_tfo", u(self.filtered_tfo))
-            .u64("filtered_divisor_size", u(self.filtered_divisor_size))
-            .u64("filtered_joint_space", u(self.filtered_joint_space))
-            .u64("filtered_support", u(self.filtered_support))
-            .u64("rar_checks", u(self.rar_checks))
-            .u64("shadow_cache_hits", u(self.shadow_cache_hits))
-            .u64("shadow_cache_misses", u(self.shadow_cache_misses))
-            .u64("sim_pairs_screened", u(self.sim_pairs_screened))
-            .u64("sim_pairs_refuted", u(self.sim_pairs_refuted))
-            .u64("sim_false_passes", u(self.sim_false_passes))
-            .u64("local_bound_skips", u(self.local_bound_skips))
-            .u64("sim_ext_wires_skipped", u(self.sim_ext_wires_skipped))
-            .u64("sim_audits", u(self.sim_audits))
-            .u64("sim_patterns", u(self.sim_patterns))
-            .u64("sim_words", u(self.sim_words))
-            .u64("guard_rejections", u(self.guard_rejections))
-            .u64("guard_pass_sampled", u(self.guard_pass_sampled))
-            .u64("guard_sat_runs", u(self.guard_sat_runs))
-            .u64("engine_faults", u(self.engine_faults))
-            .u64("quarantined", u(self.quarantined))
-            .u64("check_budget_exhausted", u(self.check_budget_exhausted))
-            .u64("interrupted", u64::from(self.interrupted))
-            .u64("enumerate_nanos", self.enumerate_nanos)
-            .u64("filter_nanos", self.filter_nanos)
-            .u64("divide_nanos", self.divide_nanos)
-            .u64("apply_nanos", self.apply_nanos)
-            .u64("sim_nanos", self.sim_nanos)
-            .finish()
     }
 }
 

@@ -41,17 +41,6 @@ impl Cover {
             .map(|c| 1u128 << (n - c.literal_count() as u32))
             .sum()
     }
-
-    /// Fraction of the input space covered (0.0–1.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universe exceeds 127 variables.
-    #[must_use]
-    pub fn density(&self) -> f64 {
-        let n = self.num_vars() as u32;
-        self.minterm_count() as f64 / (1u128 << n) as f64
-    }
 }
 
 /// `a \ b` as a list of pairwise-disjoint cubes (the classical disjoint
@@ -135,7 +124,6 @@ mod tests {
     fn constants() {
         assert_eq!(Cover::new(4).minterm_count(), 0);
         assert_eq!(Cover::one(4).minterm_count(), 16);
-        assert!((Cover::one(4).density() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub struct TickState {
 pub fn format_tick(handle: &MetricsHandle, state: &mut TickState, elapsed_secs: f64) -> String {
     let c = |k: &str| handle.counter_value(k).unwrap_or(0);
     let g = |k: &str| handle.gauge_value(k).unwrap_or(0);
-    let pairs = c("engine.pairs");
-    let accepts = c("engine.accepts");
+    let pairs = c("engine.candidates_enumerated");
+    let accepts = c("engine.substitutions");
     let dt = (elapsed_secs - state.last_elapsed).max(1e-9);
     let rate = (pairs.saturating_sub(state.last_pairs)) as f64 / dt;
     state.last_pairs = pairs;
@@ -150,8 +150,8 @@ mod tests {
     #[test]
     fn tick_formats_rates_and_eta() {
         let m = MetricsHandle::new();
-        m.counter("engine.pairs").add(100);
-        m.counter("engine.accepts").add(4);
+        m.counter("engine.candidates_enumerated").add(100);
+        m.counter("engine.substitutions").add(4);
         m.gauge("engine.literal_gain").set(9);
         m.counter("guard.tier.sim").add(90);
         m.counter("guard.tier.bdd").add(10);
@@ -166,7 +166,7 @@ mod tests {
         assert!(line.contains("targets 10/40"), "{line}");
         assert!(line.contains("eta 6s"), "{line}");
         // Second tick: rate over the delta only.
-        m.counter("engine.pairs").add(50);
+        m.counter("engine.candidates_enumerated").add(50);
         let line = format_tick(&m, &mut state, 3.0);
         assert!(line.contains("pairs 150 (50.0/s)"), "{line}");
     }
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn drop_flushes_a_final_line_before_any_tick() {
         let m = MetricsHandle::new();
-        m.counter("engine.pairs").add(7);
+        m.counter("engine.candidates_enumerated").add(7);
         let (lines, sink) = capture();
         let hb = Heartbeat::start_with_sink(m, Duration::from_secs(60), sink);
         drop(hb);
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn final_line_survives_a_panic_unwind() {
         let m = MetricsHandle::new();
-        m.counter("engine.pairs").add(3);
+        m.counter("engine.candidates_enumerated").add(3);
         let (lines, sink) = capture();
         let hb = Heartbeat::start_with_sink(m, Duration::from_secs(60), sink);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {

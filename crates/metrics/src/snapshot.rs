@@ -6,7 +6,7 @@
 //!
 //! ```json
 //! {"type": "metrics",
-//!  "counters": {"engine.pairs": 42, ...},
+//!  "counters": {"engine.candidates_enumerated": 42, ...},
 //!  "gauges": {"mem.live_bytes": 1024, ...},
 //!  "histograms": {"engine.pair_ns":
 //!     {"count": 3, "sum": 10, "buckets": [[0, 1], [7, 2]]}, ...}}

@@ -67,7 +67,7 @@ impl fmt::Display for Format {
     }
 }
 
-/// Errors from [`ingest`] / [`ingest_with`].
+/// Errors from [`ingest`].
 #[derive(Debug)]
 pub enum IngestError {
     /// The bytes are not valid UTF-8 but the format is text-based.
@@ -123,20 +123,7 @@ impl From<AigerError> for IngestError {
 ///
 /// Returns [`IngestError`] on malformed input; never panics.
 pub fn ingest(bytes: &[u8], format: Format, model: &str) -> Result<Network, IngestError> {
-    ingest_with(bytes, format, model, BridgeOptions::default())
-}
-
-/// [`ingest`] with explicit AIG→SOP collapse options.
-///
-/// # Errors
-///
-/// Returns [`IngestError`] on malformed input; never panics.
-pub fn ingest_with(
-    bytes: &[u8],
-    format: Format,
-    model: &str,
-    opts: BridgeOptions,
-) -> Result<Network, IngestError> {
+    let opts = BridgeOptions::default();
     match format {
         Format::Blif => {
             let text =

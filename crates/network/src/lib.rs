@@ -38,7 +38,7 @@ mod transform;
 pub use blif::{parse_blif, write_blif, ParseBlifError};
 pub use bridge::{aig_from_network, network_from_aig, BridgeOptions};
 pub use dot::to_dot;
-pub use io::{egress, ingest, ingest_with, Format, IngestError};
+pub use io::{egress, ingest, Format, IngestError};
 pub use net::{EvalScratch, Network, NetworkError, Node, NodeFunc, NodeId};
 pub use side::{SideTables, VersionStamp};
 pub use transform::COLLAPSE_CUBE_LIMIT;

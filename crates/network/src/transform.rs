@@ -2,7 +2,7 @@
 //! SIS-style `eliminate`, and `sweep`.
 
 use crate::{Network, NetworkError, NodeId};
-use boolsubst_cube::{Cover, Cube, Lit, Phase};
+use boolsubst_cube::{Cover, Lit};
 
 /// Limit on the cube count of a collapsed cover; collapses that would
 /// exceed it are skipped to avoid SOP blowup (mirrors SIS behaviour of
@@ -210,64 +210,6 @@ impl Network {
             }
         }
     }
-
-    /// Fully collapses every primary output into a two-level SOP over the
-    /// primary inputs (for small networks only; used by tests and the BDD
-    /// oracle cross-checks). Returns covers in PI order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a collapse exceeds the cube limit.
-    #[must_use]
-    pub fn collapse_to_pi_covers(&self) -> Vec<(String, Cover)> {
-        let n = self.inputs.len();
-        let mut covers: Vec<Option<Cover>> = vec![None; self.nodes.len()];
-        for (i, &pi) in self.inputs.iter().enumerate() {
-            let mut c = Cover::new(n);
-            c.push(Cube::from_lits(
-                n,
-                &[Lit {
-                    var: i,
-                    phase: Phase::Pos,
-                }],
-            ));
-            covers[pi.index()] = Some(c);
-        }
-        for id in self.topo_order() {
-            let node = self.node(id);
-            if node.is_input() {
-                continue;
-            }
-            let local = node.cover().expect("internal");
-            let mut acc = Cover::new(n);
-            for cube in local.cubes() {
-                let mut term = Cover::one(n);
-                for l in cube.lits() {
-                    let fan = node.fanins()[l.var];
-                    let fan_cover = covers[fan.index()].as_ref().expect("topo order");
-                    let factor = match l.phase {
-                        Phase::Pos => fan_cover.clone(),
-                        Phase::Neg => fan_cover.complement(),
-                    };
-                    term = term.and(&factor);
-                    term.remove_contained_cubes();
-                    assert!(term.len() <= COLLAPSE_CUBE_LIMIT, "collapse blowup");
-                }
-                acc.extend_cover(&term);
-            }
-            acc.remove_contained_cubes();
-            covers[id.index()] = Some(acc);
-        }
-        self.outputs
-            .iter()
-            .map(|(name, o)| {
-                (
-                    name.clone(),
-                    covers[o.index()].clone().expect("driver computed"),
-                )
-            })
-            .collect()
-    }
 }
 
 /// Counts how many literals of `target` (either phase) occur in the cover
@@ -439,15 +381,6 @@ mod tests {
         // f is now ab' directly over the PIs.
         let c = net.node(f).cover().expect("cover");
         assert!(c.equivalent(&parse_sop(2, "ab'").expect("p")));
-    }
-
-    #[test]
-    fn collapse_to_pi_covers_matches_eval() {
-        let (net, ..) = chain();
-        let covers = net.collapse_to_pi_covers();
-        assert_eq!(covers.len(), 1);
-        let (_, c) = &covers[0];
-        assert!(c.equivalent(&parse_sop(3, "ab + c").expect("p")));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! once: a second crash under the same job marks it `poisoned` instead
 //! of retrying forever (the job itself is the prime suspect).
 
-use boolsubst_core::SubstMode;
+use boolsubst_core::{SubstMode, SubstStats};
 use boolsubst_network::Format;
 
 /// How many times a job may be observed `started` without a terminal
@@ -52,7 +52,7 @@ pub struct JobSpec {
 /// in memory — the journal records the outcome, not the artifact).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobOutcome {
-    /// Accepted substitutions.
+    /// Accepted rewrites of every form ([`SubstStats::substitutions`]).
     pub substitutions: usize,
     /// Total factored-literal gain.
     pub literal_gain: i64,
@@ -63,6 +63,20 @@ pub struct JobOutcome {
     pub guard_pass_sampled: usize,
     /// Wall time the job spent in its worker, milliseconds.
     pub wall_ms: u64,
+}
+
+impl JobOutcome {
+    /// The summary of a finished run's `stats`, which took `wall_ms`.
+    #[must_use]
+    pub fn from_stats(stats: &SubstStats, wall_ms: u64) -> JobOutcome {
+        JobOutcome {
+            substitutions: stats.substitutions,
+            literal_gain: stats.literal_gain,
+            interrupted: stats.interrupted,
+            guard_pass_sampled: stats.guard_pass_sampled,
+            wall_ms,
+        }
+    }
 }
 
 /// Where a job currently is. Terminal states carry their attribution.
@@ -168,6 +182,19 @@ mod tests {
             assert_eq!(mode_from_name(m.name()), Some(m));
         }
         assert_eq!(mode_from_name("bogus"), None);
+    }
+
+    #[test]
+    fn outcome_counts_a_pos_rewrite_once() {
+        let stats = SubstStats {
+            substitutions: 1,
+            pos_substitutions: 1,
+            literal_gain: 2,
+            ..SubstStats::default()
+        };
+        let outcome = JobOutcome::from_stats(&stats, 5);
+        assert_eq!(outcome.substitutions, 1);
+        assert_eq!((outcome.literal_gain, outcome.wall_ms), (2, 5));
     }
 
     #[test]

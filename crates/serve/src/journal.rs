@@ -154,9 +154,9 @@ pub struct Replay {
     /// Jobs accepted but not terminal, seen `started` fewer than
     /// [`MAX_STARTS`] times: re-queue these (attempts so far attached).
     pub requeue: Vec<(JobSpec, u32)>,
-    /// Jobs accepted but not terminal with too many starts: the caller
-    /// must journal these as poisoned.
-    pub poison: Vec<u64>,
+    /// Jobs accepted but not terminal with too many starts (attempts
+    /// attached): the caller must journal these as poisoned.
+    pub poison: Vec<(JobSpec, u32)>,
     /// Terminal state label per already-finished job id.
     pub terminal: BTreeMap<u64, String>,
     /// First id not yet used (`max accepted id + 1`).
@@ -257,7 +257,7 @@ pub fn replay(path: impl AsRef<Path>) -> io::Result<Replay> {
             out.terminal.insert(id, t);
         } else if let Some(spec) = entry.spec {
             if entry.starts >= MAX_STARTS {
-                out.poison.push(id);
+                out.poison.push((spec, entry.starts));
             } else {
                 out.requeue.push((spec, entry.starts));
             }
@@ -379,7 +379,7 @@ mod tests {
         }
         let replayed = replay(&path).expect("replay");
         assert!(replayed.requeue.is_empty());
-        assert_eq!(replayed.poison, vec![3]);
+        assert_eq!(replayed.poison, vec![(sample_spec(3), 2)]);
     }
 
     #[test]

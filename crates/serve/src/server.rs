@@ -54,15 +54,8 @@ impl Server {
             .metrics
             .counter("serve.journal.torn_lines")
             .add(replayed.torn_lines as u64);
-        for id in &replayed.poison {
-            // Spec bytes for poisoned jobs may be gone (torn accepted
-            // line); journal the verdict either way.
-            state
-                .journal
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .poisoned(*id);
-            state.metrics.counter("serve.jobs.poisoned").inc();
+        for (spec, attempts) in replayed.poison {
+            state.mark_poisoned(spec, attempts);
         }
         for (spec, attempts) in replayed.requeue {
             state.requeue_replayed(spec, attempts);
@@ -468,13 +461,8 @@ fn run_job(
     }
     let (stats, guard) = session.run_returning_guard();
     let result = egress(&net, spec.format);
-    let outcome = JobOutcome {
-        substitutions: stats.substitutions + stats.pos_substitutions,
-        literal_gain: stats.literal_gain,
-        interrupted: stats.interrupted,
-        guard_pass_sampled: stats.guard_pass_sampled,
-        wall_ms: u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX),
-    };
+    let wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
+    let outcome = JobOutcome::from_stats(&stats, wall_ms);
     Ok((result, outcome, guard))
 }
 

@@ -208,6 +208,27 @@ impl State {
         self.work.notify_one();
     }
 
+    /// Records a job replay poisoned: journaled and terminal without
+    /// running, so it takes no queue slot and no tenant in-flight count.
+    pub fn mark_poisoned(&self, mut spec: JobSpec, attempts: u32) {
+        let id = spec.id;
+        spec.payload = Vec::new();
+        self.journal
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .poisoned(id);
+        self.metrics.counter("serve.jobs.poisoned").inc();
+        self.lock().jobs.insert(
+            id,
+            JobRecord {
+                spec,
+                status: JobStatus::Poisoned,
+                attempts,
+                result: None,
+            },
+        );
+    }
+
     /// Worker hand-off: blocks until a job is available (returning its
     /// spec and 1-based attempt number, with `started` journaled) or the
     /// daemon is draining with an empty queue (`None`: the worker exits).

@@ -48,7 +48,6 @@ fn main() {
     }
     println!("== merged stats across modes ==\n");
     println!("{merged}");
-    println!("\nmerged json: {}", merged.to_json());
 
     if let Some(path) = flag_value("--trace") {
         let text: String = tracers.iter().map(jsonl_string).collect();

@@ -5,7 +5,8 @@
 
 use boolsubst::core::verify::networks_equivalent;
 use boolsubst::network::{ingest, write_blif, Format};
-use boolsubst::serve::{Client, JobRequest, JobSpec, ServeConfig, Server, Shed};
+use boolsubst::serve::{Client, JobRequest, JobSpec, Journal, ServeConfig, Server, Shed};
+use boolsubst::trace::json::Json;
 use boolsubst::workloads::generator::{random_network, GeneratorParams};
 use boolsubst::SubstMode;
 use std::path::PathBuf;
@@ -199,6 +200,35 @@ fn journal_replay_finishes_jobs_the_previous_daemon_left_behind() {
     assert!(server2.join());
     let audit = boolsubst::serve::audit(&journal).expect("audit");
     assert_eq!(audit.accepted, 1);
+    assert!(audit.lost.is_empty(), "lost: {:?}", audit.lost);
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn replay_poisoned_job_answers_poisoned_not_404() {
+    // A previous incarnation accepted job 3 and died twice while running
+    // it: replay poisons it instead of re-queueing.
+    let config = test_config("poisoned");
+    {
+        let mut journal = Journal::open(&config.journal_path).expect("open");
+        journal.accepted(&JobSpec {
+            id: 3,
+            ..spec("default", payload(44))
+        });
+        journal.started(3, 1);
+        journal.started(3, 2);
+    }
+    let journal = config.journal_path.clone();
+    let server = Server::start(config).expect("start");
+    let client = Client::new(server.local_addr().to_string());
+    let resp = client.request("GET", "/jobs/3", &[], b"").expect("poll");
+    assert_eq!(resp.status, 200, "a poisoned job is known");
+    let view = resp.json().expect("json");
+    assert_eq!(view.get("state").and_then(Json::as_str), Some("poisoned"));
+    assert_eq!(view.get("attempt").and_then(Json::as_u64), Some(2));
+    assert!(server.join());
+    let audit = boolsubst::serve::audit(&journal).expect("audit");
+    assert_eq!(audit.terminal.get("poisoned"), Some(&1));
     assert!(audit.lost.is_empty(), "lost: {:?}", audit.lost);
     let _ = std::fs::remove_file(&journal);
 }
