@@ -75,5 +75,5 @@ fn main() {
         "cpu (s)             | {:>9.2} {:>9.2} | {:>9.2} {:>9.2} | {:>9.2} {:>9.2}",
         cpu[0], cpu[1], cpu[2], cpu[3], cpu[4], cpu[5]
     );
-    println!("\n(best-gain costs extra dry-runs; where it beats first-gain, the\n paper's explanation of its Table V anomaly is corroborated)");
+    println!("\n(best-gain evaluates every candidate of a target; where it beats\n first-gain, the paper's explanation of its Table V anomaly is corroborated)");
 }

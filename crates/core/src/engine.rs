@@ -50,8 +50,8 @@
 use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    apply_plan, core_outcome, Acceptance, SubstMode, SubstOptions, SubstPlan, SubstStats,
-    TargetForms, MAX_DIVISOR_CUBES, MAX_JOINT_VARS,
+    apply_plan, core_outcome, SubstMode, SubstOptions, SubstPlan, SubstStats, TargetForms,
+    MAX_DIVISOR_CUBES, MAX_JOINT_VARS,
 };
 use crate::txn::TxnSnapshot;
 use boolsubst_algebraic::JointSpace;
@@ -59,7 +59,7 @@ use boolsubst_cube::Cover;
 use boolsubst_guard::{Guard, GuardDecision};
 use boolsubst_metrics::MetricsHandle;
 use boolsubst_network::{Network, NodeId, SideTables};
-use boolsubst_sim::SimFilter;
+use boolsubst_sim::{SimConfig, SimFilter};
 use boolsubst_trace::{GuardTier, Outcome, PairRecord, Stage, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -315,9 +315,10 @@ pub(crate) struct SubstEngine<'a> {
     /// The current target's divisor-independent dividend forms, shared by
     /// every divisor of the visit (see [`SubstEngine::ensure_forms`]).
     pub(crate) forms: Option<TargetForms>,
-    /// Simulation-signature pre-filter (built when `opts.sim.enabled`);
+    /// Simulation-signature pre-filter over the default pattern pool:
+    /// the refute-only screen every pair passes before its proofs,
     /// patched alongside the side tables after every acceptance.
-    pub(crate) sim: Option<SimFilter>,
+    pub(crate) sim: SimFilter,
     /// Structured trace recorder; `None` unless attached via
     /// [`SubstEngine::with_tracer`]. Attaching a tracer never changes the
     /// accepted rewrites, and with neither a tracer nor metrics attached
@@ -339,12 +340,12 @@ impl<'a> SubstEngine<'a> {
     /// network's current state.
     pub fn new(net: &'a mut Network, opts: SubstOptions) -> SubstEngine<'a> {
         let side = SideTables::build(net);
-        let mut stats = SubstStats::default();
         let t0 = Instant::now();
-        let sim = opts.sim.enabled.then(|| SimFilter::new(net, &opts.sim));
-        if sim.is_some() {
-            stats.sim_nanos += nanos(t0);
-        }
+        let sim = SimFilter::new(net, &SimConfig::default());
+        let stats = SubstStats {
+            sim_nanos: nanos(t0),
+            ..SubstStats::default()
+        };
         let guard = opts.checked.then(|| {
             let mut guard = Guard::new(opts.guard);
             guard.set_deadline(opts.deadline);
@@ -364,9 +365,9 @@ impl<'a> SubstEngine<'a> {
         }
     }
 
-    /// Opens a session with a trace recorder attached: every pair
-    /// attempt, pass, shadow build, and guard check is recorded on
-    /// `tracer`, labelled with the network's node names.
+    /// Opens a session with a trace recorder attached: every evaluated
+    /// pair, shadow build, and guard check is recorded on `tracer`,
+    /// labelled with the network's node names.
     pub fn with_tracer(
         net: &'a mut Network,
         opts: SubstOptions,
@@ -395,9 +396,7 @@ impl<'a> SubstEngine<'a> {
         if let Some(guard) = self.guard.as_mut() {
             guard.attach_metrics(handle);
         }
-        if let Some(sim) = self.sim.as_mut() {
-            sim.attach_metrics(handle);
-        }
+        self.sim.attach_metrics(handle);
         self.metrics = Some(metrics);
     }
 
@@ -451,20 +450,12 @@ impl<'a> SubstEngine<'a> {
                     break;
                 }
                 if self.net.node_opt(target).is_some() {
-                    self.visit_target(target);
+                    self.visit(target);
                 }
                 if let Some(m) = &self.metrics {
                     m.targets_done.add(1);
                 }
             }
-        }
-        if let Some(sim) = &self.sim {
-            let pool = SubstStats {
-                sim_patterns: sim.patterns(),
-                sim_words: sim.words(),
-                ..SubstStats::default()
-            };
-            self.book(&pool, None);
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             // Extended rewrites mint fresh core nodes mid-run; refresh the
@@ -478,7 +469,7 @@ impl<'a> SubstEngine<'a> {
     /// [`SubstStats`] and the metrics registry. A finished pair passes its
     /// `rec`, which goes to the tracer and the pair-latency histogram.
     /// Work booked outside any pair (`rec` is `None`: enumeration, the
-    /// expired deadline, the sim pool at run end) has no record; its
+    /// expired deadline) has no record; its
     /// enumeration time is sampled into the tracer's stage histograms.
     pub(crate) fn book(&mut self, delta: &SubstStats, rec: Option<&PairRecord>) {
         if let Some(m) = &self.metrics {
@@ -536,10 +527,7 @@ impl<'a> SubstEngine<'a> {
         // deletes pre-existing nodes, so this cannot fail in practice.
         let rolled = snap.rollback(self.net);
         debug_assert!(rolled.is_ok(), "rollback failed: {rolled:?}");
-        delta.substitutions = 0;
-        delta.pos_substitutions = 0;
-        delta.extended_decompositions = 0;
-        delta.literal_gain = 0;
+        delta.clear_acceptance();
     }
 
     /// Reconstructs the pre-rewrite network (rollback applied to a clone
@@ -640,16 +628,6 @@ impl<'a> SubstEngine<'a> {
         };
         self.book(&delta, None);
         cands
-    }
-
-    /// One target's visit under the configured acceptance policy. Both
-    /// policies evaluate pairs read-only in epochs and commit the winner's
-    /// stored plan; see `crate::parallel`.
-    fn visit_target(&mut self, target: NodeId) {
-        match self.opts.acceptance {
-            Acceptance::FirstGain => self.first_gain_visit(target),
-            Acceptance::BestGain => self.best_gain_visit(target),
-        }
     }
 
     /// Replaces the cached shadow entry unless it is for this target and
@@ -799,11 +777,9 @@ impl<'a> SubstEngine<'a> {
         }
         delta.apply_nanos += nanos(t1);
         if edited {
-            if let Some(sim) = self.sim.as_mut() {
-                let ts = Instant::now();
-                sim.patch(self.net, &self.side, &[target, divisor]);
-                delta.sim_nanos += nanos(ts);
-            }
+            let ts = Instant::now();
+            self.sim.patch(self.net, &self.side, &[target, divisor]);
+            delta.sim_nanos += nanos(ts);
         }
         if result.is_some() {
             delta.discovery_accepted += 1;
@@ -895,7 +871,7 @@ mod tests {
             net.add_output(name, id).expect("o");
         }
         let mut engine = SubstEngine::new(&mut net, SubstOptions::basic());
-        engine.first_gain_visit(f);
+        engine.visit(f);
         let stats = engine.stats;
         assert_eq!(stats.substitutions, 1, "{stats}");
         assert!(net.node(f).fanins().contains(&d), "d was not accepted");

@@ -1,6 +1,6 @@
-//! Read-only pair evaluation in epochs: the one first-gain visit and the
-//! best-gain visit, at every thread count. Proofs fan out, commits stay
-//! serial, and the results are the same at every width.
+//! Read-only pair evaluation in epochs: the one target visit, under both
+//! acceptance policies and at every thread count. Proofs fan out, commits
+//! stay serial, and the results are the same at every width.
 //!
 //! # Protocol
 //!
@@ -14,8 +14,8 @@
 //!   ([`SideTables::in_tfo`]) is a level-bounded read of the shared
 //!   tables,
 //! * the shared `&SimFilter` for the checked-mode signature audit and the
-//!   refute-only screen (its pattern pool is fixed, so both are pure
-//!   reads),
+//!   refute-only screen every pair passes before its proofs (its pattern
+//!   pool is fixed, so both are pure reads),
 //! * the committer's [`TargetForms`] for the target (old literal count
 //!   and complement; each is computed once, by whichever worker needs it
 //!   first, and equals the per-call value),
@@ -34,25 +34,28 @@
 //!
 //! # Commit
 //!
-//! Under [`Acceptance::FirstGain`] the committer books the epoch in pair
-//! order, each pair through `SubstEngine::book` with its own stat delta
-//! and one record, up to the lowest accepting pair. That winner's stored
-//! plan goes to `SubstEngine::commit`, which applies it once — the
-//! division is not proved again — under checked mode's txn snapshot,
-//! panic isolation and guard, and patches the side tables and the
-//! signature table. The winner's record is built after the
-//! commit, from its evaluation delta plus the commit's. A kept commit
-//! re-enumerates the target's candidates past the accepted divisor; a
-//! faulting or guard-refuted one is rolled back and counted as
-//! quarantined, and the sweep resumes at the next pair of the same
-//! enumeration. A pass therefore settles each (target, divisor) pair at
-//! most once, so no pair has to be remembered as given up.
+//! Each epoch picks its winner: under [`Acceptance::FirstGain`] its
+//! lowest stopping pair (an accepting pair, or a failed audit), under
+//! [`Acceptance::BestGain`] the lowest-index pair of the highest gain. The
+//! committer settles every other evaluated pair in pair order, each
+//! through `SubstEngine::book` with its own stat delta and one record; a
+//! best-gain pair that gained but lost drops its plan and is booked as
+//! [`Outcome::RejectedOutranked`]. The winner is settled last. An
+//! accepting winner's stored plan goes to `SubstEngine::commit`, which
+//! applies it once — the division is not proved again — under checked
+//! mode's txn snapshot, panic isolation and guard, and patches the side
+//! tables and the signature table. The winner's record is built after the
+//! commit, from its evaluation delta plus the commit's.
 //!
-//! Under [`Acceptance::BestGain`] one epoch evaluates every candidate with
-//! no early exit. These are dry runs: their deltas and records are
-//! discarded, and only a fault is booked (and counted as quarantined). The
-//! lowest-index best gain's plan is then committed and booked as above.
-//! No dry run clones the network.
+//! Under first-gain a kept commit re-enumerates the target's candidates
+//! past the accepted divisor; a faulting or guard-refuted one is rolled
+//! back and counted as quarantined, and the sweep resumes at the next
+//! pair of the same enumeration. A run therefore settles each (target,
+//! divisor) pair at most once, so no pair has to be remembered as given
+//! up. Under best-gain one epoch evaluates every candidate with no early
+//! exit, and the visit ends with its commit. Under both policies the
+//! deadline is checked before each epoch, and an evaluated epoch is
+//! settled in full. No evaluation clones the network.
 //!
 //! # Determinism contract
 //!
@@ -73,10 +76,10 @@
 //! an engine fault and as quarantined, and the committer keeps going — a
 //! dying worker cannot poison the shared state because evaluation never
 //! mutates it. A failed signature audit is booked the same way, and the
-//! committer rebuilds the signature table before the next epoch or
-//! commit. Under first-gain the epoch stops at the first such pair, as it
-//! stops at a winner, so the pairs after it are evaluated against the
-//! repaired table.
+//! committer rebuilds the signature table when it settles the pair, so
+//! before the next epoch or commit. Under first-gain the epoch stops at
+//! the first such pair, as it stops at a winner, so the pairs after it
+//! are evaluated against the repaired table.
 
 use crate::engine::{cheap_filters, id32, nanos, ShadowEntry, SubstEngine};
 use crate::subst::{
@@ -86,6 +89,7 @@ use crate::subst::{
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimFilter;
 use boolsubst_trace::{Outcome, PairRecord, StageNanos};
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -96,7 +100,7 @@ use std::time::Instant;
 const PAR_MIN_PAIRS: usize = 16;
 
 /// One evaluated pair: the stat delta its evaluation booked, its outcome
-/// and, when it accepted, the plan a commit applies. An `EngineFault`
+/// and, when it gained, the plan a commit applies. An `EngineFault`
 /// outcome means the evaluation panicked or, with `audit_failed`, that
 /// the checked-mode signature audit found a rotted row.
 struct PairEval {
@@ -161,7 +165,7 @@ fn speculate_pair(
     side: &SideTables,
     shadow: Option<&ShadowEntry>,
     forms: &TargetForms,
-    sim: Option<&SimFilter>,
+    sim: &SimFilter,
     opts: &SubstOptions,
     target: NodeId,
     divisor: NodeId,
@@ -186,14 +190,13 @@ fn speculate_pair(
     // Checked mode recomputes the pair's signature rows from their fanins
     // and compares them with the table; the committer repairs the table
     // after a mismatch.
-    let audit_failed = filtered.is_ok()
-        && sim.filter(|_| opts.checked).is_some_and(|sim| {
-            let ts = Instant::now();
-            let ok = sim.audit(net, &[target, divisor]);
-            delta.sim_audits += 1;
-            delta.sim_nanos += nanos(ts);
-            !ok
-        });
+    let audit_failed = filtered.is_ok() && opts.checked && {
+        let ts = Instant::now();
+        let ok = sim.audit(net, &[target, divisor]);
+        delta.sim_audits += 1;
+        delta.sim_nanos += nanos(ts);
+        !ok
+    };
     // Sim time so far is the audit's; the rest is the division window's
     // screen, which the record counts under Sim rather than Divide.
     let audit_ns = delta.sim_nanos;
@@ -225,7 +228,7 @@ fn speculate_pair(
                     delta,
                     &scope,
                     Some(forms),
-                    sim,
+                    Some(sim),
                 )
             }));
             delta.divide_nanos += nanos(t1);
@@ -289,24 +292,23 @@ impl SubstEngine<'_> {
     /// Rebuilds the signature table after an audit failed, booking the
     /// time into `delta`.
     fn repair_sim(&mut self, delta: &mut SubstStats) {
-        if let Some(sim) = self.sim.as_mut() {
-            let ts = Instant::now();
-            sim.rebuild(self.net);
-            delta.sim_nanos += nanos(ts);
-        }
+        let ts = Instant::now();
+        self.sim.rebuild(self.net);
+        delta.sim_nanos += nanos(ts);
     }
 
     /// One epoch: read-only evaluation of `cands` against the frozen
     /// network through one drain. Returns the evaluations of a prefix of
     /// `cands` with their indices, in order: under first-gain the prefix
     /// ends at the epoch's lowest stopping pair (the sweep would never
-    /// reach the pairs past it), otherwise, and for best-gain dry runs, it
-    /// is every candidate.
+    /// reach the pairs past it); otherwise, and always under best-gain,
+    /// it is every candidate.
     fn speculate_epoch(&mut self, target: NodeId, cands: &[NodeId]) -> Vec<(usize, Box<PairEval>)> {
         #[cfg(feature = "chaos")]
-        if let Some(sim) = self.sim.as_mut().filter(|_| self.opts.checked) {
+        if self.opts.checked {
             if let Some(r) = crate::chaos::should_poison_signature() {
-                sim.chaos_poison_signature(target, usize::try_from(r).unwrap_or(0));
+                self.sim
+                    .chaos_poison_signature(target, usize::try_from(r).unwrap_or(0));
             }
         }
         let gdc = self.opts.mode == SubstMode::ExtendedGdc;
@@ -321,7 +323,7 @@ impl SubstEngine<'_> {
         let opts = &self.opts;
         let shadow = self.shadow.as_ref().filter(|_| gdc);
         let forms = self.forms.as_ref().expect("ensured above");
-        let sim = self.sim.as_ref();
+        let sim = &self.sim;
         let metrics = self.metrics.as_ref();
         if let Some(m) = metrics {
             m.sweep_epochs.inc();
@@ -421,10 +423,14 @@ impl SubstEngine<'_> {
         found
     }
 
-    /// The first-gain visit at every thread count: epochs of read-only
-    /// evaluation, each settled in pair order up to its lowest accepting
-    /// pair, whose stored plan is committed.
-    pub(crate) fn first_gain_visit(&mut self, target: NodeId) {
+    /// One target's visit, at every thread count and under both
+    /// acceptance policies: epochs of read-only evaluation, each settled
+    /// in pair order with its winner last (see the module docs).
+    /// First-gain re-enumerates after a kept commit and resumes past its
+    /// divisor; best-gain's one epoch holds every candidate, so its visit
+    /// ends with that epoch.
+    pub(crate) fn visit(&mut self, target: NodeId) {
+        let best_gain = self.opts.acceptance == Acceptance::BestGain;
         let bound = self.net.id_bound();
         let mut cursor: Option<NodeId> = None;
         let mut prev: Vec<NodeId> = Vec::new();
@@ -433,20 +439,36 @@ impl SubstEngine<'_> {
                 return;
             }
             let cands = self.discover(target, bound, cursor, &prev);
-            // An epoch ends at its stopping pair. A commit that did not
-            // stand and a failed audit consume their pair without changing
-            // the target, so the sweep continues inside the *same*
-            // enumeration from `start`.
+            // A first-gain epoch ends at its stopping pair. A commit that
+            // did not stand and a failed audit consume their pair without
+            // changing the target, so the sweep continues inside the
+            // *same* enumeration from `start`.
             let mut start = 0usize;
             while start < cands.len() {
                 if self.deadline_expired() {
                     return;
                 }
                 let base = start;
-                for (i, eval) in self.speculate_epoch(target, &cands[base..]) {
+                let mut evals = self.speculate_epoch(target, &cands[base..]);
+                start = base + evals.len();
+                let winner = if best_gain {
+                    best_plan(&evals)
+                } else {
+                    evals
+                        .last()
+                        .filter(|(_, eval)| eval.stops_epoch())
+                        .map(|_| evals.len() - 1)
+                }
+                .map(|w| evals.remove(w));
+                for (i, mut eval) in evals {
+                    if eval.plan.take().is_some() {
+                        eval.outcome = Outcome::RejectedOutranked;
+                    }
+                    self.settle(target, cands[base + i], eval);
+                }
+                if let Some((i, eval)) = winner {
                     let divisor = cands[base + i];
-                    start = base + i + 1;
-                    if self.settle(target, divisor, eval) {
+                    if self.settle(target, divisor, eval) && !best_gain {
                         // The target's fanins changed: re-enumerate and
                         // resume past this divisor.
                         cursor = Some(divisor);
@@ -455,51 +477,21 @@ impl SubstEngine<'_> {
                     }
                 }
             }
-            // Every pair was settled without a commit: the visit is over
-            // (an unused shadow build stays unbooked).
+            // Every candidate is settled and no commit is left to resume
+            // after: the visit is over (an unused shadow build stays
+            // unbooked).
             return;
         }
     }
+}
 
-    /// The best-gain visit at every thread count: one epoch dry-runs every
-    /// candidate, faulting pairs are counted as quarantined, and the
-    /// lowest-index best gain's stored plan is committed.
-    pub(crate) fn best_gain_visit(&mut self, target: NodeId) {
-        let cands = self.discover(target, self.net.id_bound(), None, &[]);
-        if cands.is_empty() || self.deadline_expired() {
-            return;
-        }
-        let evals = self.speculate_epoch(target, &cands);
-        let mut best: Option<(i64, NodeId, Box<PairEval>)> = None;
-        let mut repaired = false;
-        for (i, eval) in evals {
-            let divisor = cands[i];
-            if eval.outcome == Outcome::EngineFault {
-                let mut delta = SubstStats {
-                    engine_faults: 1,
-                    quarantined: 1,
-                    ..SubstStats::default()
-                };
-                if eval.audit_failed && !repaired {
-                    // Every dry run read the same table: one repair.
-                    self.repair_sim(&mut delta);
-                    repaired = true;
-                }
-                self.book(&delta, None);
-                continue;
-            }
-            let Some(gain) = eval.plan.as_ref().map(SubstPlan::gain) else {
-                continue;
-            };
-            if best.as_ref().is_none_or(|&(g, ..)| gain > g) {
-                best = Some((gain, divisor, eval));
-            }
-        }
-        // The dry runs may have outlived the deadline.
-        if let Some((_, divisor, eval)) = best {
-            if !self.deadline_expired() {
-                self.settle(target, divisor, eval);
-            }
-        }
-    }
+/// The position in `evals` of the lowest-index pair with the highest
+/// gain, if any pair gained.
+fn best_plan(evals: &[(usize, Box<PairEval>)]) -> Option<usize> {
+    evals
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, (_, eval))| Some((eval.plan.as_ref()?.gain(), Reverse(pos))))
+        .max()
+        .map(|(_, Reverse(pos))| pos)
 }

@@ -52,9 +52,9 @@ impl<'n, 't> Session<'n, 't> {
         }
     }
 
-    /// Attaches a structured trace recorder: every pair attempt, pass,
-    /// shadow build, and guard check is recorded on `tracer`, labelled
-    /// with the network's node names.
+    /// Attaches a structured trace recorder: every evaluated pair, shadow
+    /// build, and guard check is recorded on `tracer`, labelled with the
+    /// network's node names.
     #[must_use]
     pub fn tracer(mut self, tracer: &'t mut Tracer) -> Session<'n, 't> {
         self.tracer = Some(tracer);
@@ -200,7 +200,7 @@ mod tests {
             assert_eq!(read, Some(value), "{run}: {key}");
             fields += 1;
         }
-        assert_eq!(fields, 37, "{run}: every SubstStats field is checked");
+        assert_eq!(fields, 35, "{run}: every SubstStats field is checked");
     }
 
     #[test]

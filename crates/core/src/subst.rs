@@ -14,7 +14,7 @@ use boolsubst_cube::{Cover, Cube, Lit, Phase};
 use boolsubst_guard::{GuardConfig, TierPolicy};
 use boolsubst_network::{Network, NodeId};
 use boolsubst_sat::SatOptions;
-use boolsubst_sim::{CoverScreen, SimConfig, SimFilter};
+use boolsubst_sim::{CoverScreen, SimFilter};
 use boolsubst_trace::Outcome;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -69,8 +69,8 @@ pub enum Acceptance {
 /// let opts = SubstOptions::basic().with_checked(true).with_threads(4);
 /// ```
 ///
-/// Deliberately *not* `Copy`: the options block keeps growing non-trivial
-/// fields, so clones are explicit at every hand-off.
+/// Deliberately *not* `Copy`, although every field is: each hand-off of
+/// the options to a session is an explicit clone.
 #[derive(Debug, Clone)]
 pub struct SubstOptions {
     /// Configuration (paper: `basic` / `ext` / `ext GDC`).
@@ -79,10 +79,6 @@ pub struct SubstOptions {
     pub division: DivisionOptions,
     /// Acceptance policy (paper: first positive gain).
     pub acceptance: Acceptance,
-    /// Simulation-signature pre-filter (engine path only). Refute-only:
-    /// the screen never rejects a pair the proofs would accept, so the
-    /// accepted rewrites are identical with the filter on or off.
-    pub sim: SimConfig,
     /// Checked apply (engine path only): every accepted rewrite is
     /// re-verified by the post-apply guard pipeline against the
     /// reconstructed pre-state, refuted moves are rolled back and the pair
@@ -132,7 +128,6 @@ impl SubstOptions {
             mode: SubstMode::Basic,
             division: DivisionOptions::paper_default(),
             acceptance: Acceptance::FirstGain,
-            sim: SimConfig::default(),
             checked: false,
             guard: GuardConfig::default(),
             deadline: None,
@@ -198,13 +193,6 @@ impl SubstOptions {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Instant) -> SubstOptions {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Replaces the simulation pre-filter configuration.
-    #[must_use]
-    pub fn with_sim(mut self, sim: SimConfig) -> SubstOptions {
-        self.sim = sim;
         self
     }
 
@@ -309,9 +297,7 @@ macro_rules! sweep_counters {
             /// Accumulates `other` into `self` field by field: counts and
             /// times add, saturating on overflow, and `interrupted` is
             /// or-ed. Lets callers combine runs (benchmark reps, the
-            /// three paper modes). The pool-snapshot fields
-            /// (`sim_patterns`, `sim_words`) sum like the rest: a merged
-            /// value reads as "total pool capacity touched".
+            /// three paper modes).
             pub fn merge(&mut self, other: &$name) {
                 $(StatField::merge(&mut self.$field, other.$field);)*
             }
@@ -330,7 +316,8 @@ sweep_counters! {
     /// The acceptance-relevant fields (`substitutions`, `pos_substitutions`,
     /// `extended_decompositions`, `literal_gain`, `divisions_tried`) are
     /// identical between [`crate::session::Session`] (the engine path) and
-    /// [`boolean_substitute_legacy`]. The stage counters describe
+    /// [`boolean_substitute_legacy`] under either [`Acceptance`] policy.
+    /// The stage counters describe
     /// *how* each path got there and differ by construction: the legacy sweep
     /// enumerates every (target, divisor) pair and rejects most of them one
     /// filter at a time, while the engine enumerates only the fanouts of the
@@ -377,8 +364,8 @@ sweep_counters! {
         pub shadow_cache_hits: usize,
         /// GDC shadow-circuit snapshots built from scratch.
         pub shadow_cache_misses: usize,
-        /// Pairs screened by the simulation filter (engine path with
-        /// [`SubstOptions::sim`] enabled).
+        /// Pairs screened by the simulation filter (engine path: the
+        /// legacy sweep never screens).
         pub sim_pairs_screened: usize,
         /// Pairs rejected purely by signature witnesses — every applicable
         /// strategy refuted, no proof work run.
@@ -398,10 +385,6 @@ sweep_counters! {
         /// their fanins and compared with the table, once per pair that
         /// passed the cheap filters, live or speculated.
         pub sim_audits: usize,
-        /// Patterns in the pool at the end of the run.
-        pub sim_patterns: usize,
-        /// Signature width in 64-bit words.
-        pub sim_words: usize,
         /// Wall time enumerating targets and candidates (engine path).
         pub enumerate_nanos: u64,
         /// Wall time in the cheap per-pair filters (engine path).
@@ -439,6 +422,18 @@ sweep_counters! {
         /// The run stopped early on [`SubstOptions::deadline`]: the network is
         /// valid and equivalent, but the sweep did not finish.
         pub interrupted: bool,
+    }
+}
+
+impl SubstStats {
+    /// Clears the acceptance counters of one pair's delta, keeping its
+    /// work counters: the pair's division work really happened, but its
+    /// rewrite was rolled back or lost to a better one.
+    pub(crate) fn clear_acceptance(&mut self) {
+        self.substitutions = 0;
+        self.pos_substitutions = 0;
+        self.extended_decompositions = 0;
+        self.literal_gain = 0;
     }
 }
 
@@ -496,11 +491,6 @@ impl fmt::Display for SubstStats {
             self.sim_pairs_refuted,
             self.sim_false_passes,
             self.sim_ext_wires_skipped,
-        )?;
-        writeln!(
-            f,
-            "  sim pool               {:>8}  patterns x {} words",
-            self.sim_patterns, self.sim_words,
         )?;
         if self.sim_audits > 0 {
             writeln!(f, "  sim audits (checked)   {:>8}", self.sim_audits)?;
@@ -820,10 +810,12 @@ impl SubstPlan {
 ///
 /// When `sim` is given, the dividend is screened against the divisor's
 /// simulation signature first and refuted strategies skip their proof
-/// work. The screen is refute-only (a witness pattern is a concrete
-/// counterexample), so every skipped strategy would have returned no gain
-/// anyway: the accepted rewrites — and the pinned acceptance stats — are
-/// identical with and without a filter.
+/// work. The engine always passes its filter; only the legacy `try_pair`,
+/// the unscreened reference, passes none. The screen is refute-only (a
+/// witness pattern is a concrete counterexample), so every skipped
+/// strategy would have returned no gain anyway: the accepted rewrites —
+/// and the pinned acceptance stats — are identical with and without a
+/// filter.
 ///
 /// Before any proof, [`forced_literal_bound`] may show that no SOP, `-d`
 /// or POS rewrite can beat the target's literal count; those strategies
@@ -1254,20 +1246,26 @@ pub fn boolean_substitute_legacy(net: &mut Network, opts: &SubstOptions) -> Subs
             }
             Acceptance::BestGain => {
                 // Dry-run every divisor on a scratch copy, then apply
-                // only the best one for real.
-                let mut best: Option<(NodeId, i64)> = None;
-                for &divisor in &divisors {
+                // only the best one for real. Every other dry run books
+                // its work with its acceptance counters cleared, as the
+                // engine books an outranked pair; the best one is booked
+                // by its real run.
+                let mut best: Option<(NodeId, i64, SubstStats)> = None;
+                for divisor in divisors {
                     let mut scratch = net.clone();
-                    let mut scratch_stats = SubstStats::default();
-                    if let Some(gain) =
-                        try_pair(&mut scratch, target, divisor, opts, &mut scratch_stats)
-                    {
-                        if best.is_none_or(|(_, g)| gain > g) {
-                            best = Some((divisor, gain));
+                    let mut dry = SubstStats::default();
+                    let gain = try_pair(&mut scratch, target, divisor, opts, &mut dry);
+                    dry.clear_acceptance();
+                    match gain {
+                        Some(gain) if best.as_ref().is_none_or(|&(_, g, _)| gain > g) => {
+                            if let Some((.., outranked)) = best.replace((divisor, gain, dry)) {
+                                stats.merge(&outranked);
+                            }
                         }
+                        _ => stats.merge(&dry),
                     }
                 }
-                if let Some((divisor, _)) = best {
+                if let Some((divisor, ..)) = best {
                     let _ = try_pair(net, target, divisor, opts, &mut stats);
                 }
             }

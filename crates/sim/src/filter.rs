@@ -93,18 +93,6 @@ impl SimFilter {
         self.screens = Some(handle.counter("sim.screens"));
     }
 
-    /// Number of patterns in the pool.
-    #[must_use]
-    pub fn patterns(&self) -> usize {
-        self.pool.patterns()
-    }
-
-    /// Signature width in words.
-    #[must_use]
-    pub fn words(&self) -> usize {
-        self.pool.words()
-    }
-
     /// Patches the signature table after an engine edit; `side` must
     /// already be synchronised. `seeds` are the rewired node ids (see
     /// [`SimTable::patch`]).

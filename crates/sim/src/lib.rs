@@ -36,12 +36,11 @@ pub use filter::{CoverScreen, SimFilter};
 pub use pool::PatternPool;
 pub use table::SimTable;
 
-/// Configuration for the simulation filter; rides inside the engine's
-/// `SubstOptions` (cheap plain-data `Copy`).
+/// Configuration for the simulation filter's pattern pool. The engine
+/// builds its filter from [`SimConfig::default`]; the other shapes are
+/// for tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Master switch; when false the engine builds no filter at all.
-    pub enabled: bool,
     /// Signature width in 64-bit words: `64 × words` seeded patterns.
     pub words: usize,
     /// Seed for the deterministic pattern pool.
@@ -55,7 +54,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig {
-            enabled: true,
             words: 3,
             seed: 0x5EED_B001_0001,
             exhaustive: false,
@@ -64,15 +62,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// A disabled configuration (engine runs unfiltered).
-    #[must_use]
-    pub fn disabled() -> SimConfig {
-        SimConfig {
-            enabled: false,
-            ..SimConfig::default()
-        }
-    }
-
     /// An exhaustive configuration: all `2^n` minterms.
     #[must_use]
     pub fn exhaustive() -> SimConfig {

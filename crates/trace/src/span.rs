@@ -77,6 +77,10 @@ pub enum Outcome {
     RejectedSimRefuted,
     /// Survived every filter but no division strategy produced gain.
     RejectedNoGain,
+    /// Best-gain only: a division strategy gained, but another divisor of
+    /// the same target gained more (or as much at a lower index); the
+    /// plan was dropped.
+    RejectedOutranked,
     /// Accepted by division but refuted by the post-apply guard pipeline;
     /// the rewrite was rolled back and the pair given up.
     GuardRejected,
@@ -87,7 +91,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// Every outcome, acceptance kinds first.
-    pub const ALL: [Outcome; 11] = [
+    pub const ALL: [Outcome; 12] = [
         Outcome::AcceptedSop,
         Outcome::AcceptedPos,
         Outcome::AcceptedExtended,
@@ -97,6 +101,7 @@ impl Outcome {
         Outcome::RejectedJointSpace,
         Outcome::RejectedSimRefuted,
         Outcome::RejectedNoGain,
+        Outcome::RejectedOutranked,
         Outcome::GuardRejected,
         Outcome::EngineFault,
     ];
@@ -117,6 +122,7 @@ impl Outcome {
             Outcome::RejectedJointSpace => "reject_joint_space",
             Outcome::RejectedSimRefuted => "reject_sim_refuted",
             Outcome::RejectedNoGain => "reject_no_gain",
+            Outcome::RejectedOutranked => "reject_outranked",
             Outcome::GuardRejected => "guard_rejected",
             Outcome::EngineFault => "engine_fault",
         }
@@ -150,8 +156,9 @@ impl Outcome {
             Outcome::RejectedJointSpace => 6,
             Outcome::RejectedSimRefuted => 7,
             Outcome::RejectedNoGain => 8,
-            Outcome::GuardRejected => 9,
-            Outcome::EngineFault => 10,
+            Outcome::RejectedOutranked => 9,
+            Outcome::GuardRejected => 10,
+            Outcome::EngineFault => 11,
         }
     }
 }

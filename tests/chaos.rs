@@ -11,6 +11,7 @@ use boolsubst::core::chaos::{configure, counts, disarm, ChaosConfig, ChaosCounts
 use boolsubst::core::verify::networks_equivalent;
 use boolsubst::core::{Acceptance, Session, SubstOptions, SubstStats};
 use boolsubst::network::Network;
+use boolsubst::trace::{Outcome, Tracer};
 use boolsubst::workloads::generator::{random_network, GeneratorParams};
 
 const SEEDS: [u64; 3] = [11, 23, 47];
@@ -140,9 +141,9 @@ fn unchecked_sequential_sweep_isolates_proof_panics() {
     }
 }
 
-/// A best-gain dry run that faults is counted once, as one fault and one
-/// quarantined pair: across up to three repeated runs every fault is one
-/// quarantine.
+/// A best-gain evaluation that faults is counted once, as one fault, one
+/// quarantined pair and one `EngineFault` span: across up to three
+/// repeated runs every fault is one quarantine and one span.
 #[test]
 fn best_gain_dry_run_faults_are_counted_once() {
     for threads in [1usize, 4] {
@@ -158,9 +159,14 @@ fn best_gain_dry_run_faults_are_counted_once() {
                 .with_checked(true)
                 .with_threads(threads);
             let mut stats = SubstStats::default();
+            let mut fault_spans = 0;
             for _ in 0..3 {
-                let run = Session::new(&mut net, opts.clone()).run();
+                let mut tracer = Tracer::new("ext");
+                let run = Session::new(&mut net, opts.clone())
+                    .tracer(&mut tracer)
+                    .run();
                 stats.merge(&run);
+                fault_spans += tracer.outcome_count(Outcome::EngineFault);
                 if run.substitutions == 0 {
                     break;
                 }
@@ -170,6 +176,11 @@ fn best_gain_dry_run_faults_are_counted_once() {
             assert_eq!(
                 stats.engine_faults, stats.quarantined,
                 "seed {seed} t{threads}: faults re-counted"
+            );
+            assert_eq!(
+                fault_spans,
+                u64::try_from(stats.engine_faults).expect("count"),
+                "seed {seed} t{threads}: one span per fault"
             );
         }
     }

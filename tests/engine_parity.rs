@@ -348,6 +348,7 @@ fn engine_matches_legacy_under_best_gain_and_multipass() {
                         );
                         assert_eq!(engine.substitutions, legacy.substitutions, "{case}");
                         assert_eq!(engine.literal_gain, legacy.literal_gain, "{case}");
+                        assert_eq!(engine.divisions_tried, legacy.divisions_tried, "{case}");
                         assert_eq!(engine_runs, legacy_runs, "{case}");
                         assert_eq!(engine.quarantined, 0, "{case}");
                     }

@@ -3,7 +3,7 @@
 //! monotonic timestamps per thread, and the tracer's funnel, the metrics
 //! registry and the engine's `SubstStats` reconcile exactly.
 
-use boolsubst::core::{all_configs, Session, StatValue, SubstStats};
+use boolsubst::core::{all_configs, Acceptance, Session, StatValue, SubstStats};
 use boolsubst::trace::export::{chrome_trace_string, jsonl_string};
 use boolsubst::trace::json::Json;
 use boolsubst::trace::{Outcome, PairRecord, Stage, TraceEvent, Tracer};
@@ -12,7 +12,7 @@ use boolsubst::MetricsHandle;
 use std::collections::HashMap;
 
 /// One traced and metered run per mode on the same generated network.
-fn traced_runs(threads: usize) -> Vec<(Tracer, SubstStats, MetricsHandle)> {
+fn traced_runs(threads: usize, acceptance: Acceptance) -> Vec<(Tracer, SubstStats, MetricsHandle)> {
     let base = random_network(11, &GeneratorParams::default());
     ["basic", "ext", "ext-gdc"]
         .into_iter()
@@ -21,7 +21,8 @@ fn traced_runs(threads: usize) -> Vec<(Tracer, SubstStats, MetricsHandle)> {
             let mut net = base.clone();
             let mut tracer = Tracer::new(name);
             let handle = MetricsHandle::new();
-            let stats = Session::new(&mut net, opts.with_threads(threads))
+            let opts = opts.with_threads(threads).with_acceptance(acceptance);
+            let stats = Session::new(&mut net, opts)
                 .tracer(&mut tracer)
                 .metrics(&handle)
                 .run();
@@ -32,7 +33,10 @@ fn traced_runs(threads: usize) -> Vec<(Tracer, SubstStats, MetricsHandle)> {
 
 #[test]
 fn jsonl_roundtrips_field_for_field() {
-    for (tracer, ..) in traced_runs(1) {
+    let runs = [Acceptance::FirstGain, Acceptance::BestGain]
+        .into_iter()
+        .flat_map(|acceptance| traced_runs(1, acceptance));
+    for (tracer, ..) in runs {
         let text = jsonl_string(&tracer);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
@@ -126,7 +130,7 @@ fn chrome_trace_is_valid_with_monotonic_timestamps() {
 /// The Chrome checks at one thread count: at 2 threads the speculative
 /// worker lanes carry spans too, and each lane must run forward in time.
 fn chrome_trace_is_valid_at(threads: usize) {
-    let runs = traced_runs(threads);
+    let runs = traced_runs(threads, Acceptance::FirstGain);
     let refs: Vec<&Tracer> = runs.iter().map(|(t, ..)| t).collect();
     let text = chrome_trace_string(&refs);
     let v = Json::parse(&text).expect("chrome trace parses as JSON");
@@ -170,26 +174,35 @@ fn chrome_trace_is_valid_at(threads: usize) {
 
 #[test]
 fn funnel_reconciles_with_stats_counters() {
+    let mut outranked = 0;
     for threads in [1, 2] {
-        for (tracer, stats, handle) in traced_runs(threads) {
-            let mode = format!("{} threads={threads}", tracer.mode());
-            reconcile(&mode, &tracer, &stats, &handle);
-            if threads == 1 {
-                // No sim work is booked outside a pair on a sequential
-                // run, so every stage sample is one pair's share.
-                for stage in [Stage::Filter, Stage::Sim, Stage::Divide, Stage::Apply] {
-                    let spans = pair_spans(&tracer)
-                        .filter(|p| p.stages.get(stage) > 0)
-                        .count();
-                    assert_eq!(
-                        tracer.stage_histogram(stage).count(),
-                        spans as u64,
-                        "{mode}: one {} sample per pair span",
-                        stage.name()
-                    );
+        for acceptance in [Acceptance::FirstGain, Acceptance::BestGain] {
+            for (tracer, stats, handle) in traced_runs(threads, acceptance) {
+                let mode = format!("{} {acceptance:?} threads={threads}", tracer.mode());
+                reconcile(&mode, acceptance, &tracer, &stats, &handle);
+                outranked += tracer.outcome_count(Outcome::RejectedOutranked);
+                if threads == 1 {
+                    stage_samples_match_spans(&mode, &tracer);
                 }
             }
         }
+    }
+    assert!(outranked > 0, "no best-gain pair was outranked");
+}
+
+/// No sim work is booked outside a pair on a sequential run, so every
+/// stage sample is one pair's share.
+fn stage_samples_match_spans(mode: &str, tracer: &Tracer) {
+    for stage in [Stage::Filter, Stage::Sim, Stage::Divide, Stage::Apply] {
+        let spans = pair_spans(tracer)
+            .filter(|p| p.stages.get(stage) > 0)
+            .count();
+        assert_eq!(
+            tracer.stage_histogram(stage).count(),
+            spans as u64,
+            "{mode}: one {} sample per pair span",
+            stage.name()
+        );
     }
 }
 
@@ -201,8 +214,15 @@ fn pair_spans(tracer: &Tracer) -> impl Iterator<Item = &PairRecord> {
 }
 
 /// The tracer funnel, the metrics registry and `SubstStats` are views of
-/// one per-pair booking: every count they share must agree.
-fn reconcile(mode: &str, tracer: &Tracer, stats: &SubstStats, handle: &MetricsHandle) {
+/// one per-pair booking: every count they share must agree, under either
+/// acceptance policy.
+fn reconcile(
+    mode: &str,
+    acceptance: Acceptance,
+    tracer: &Tracer,
+    stats: &SubstStats,
+    handle: &MetricsHandle,
+) {
     let count = |o: Outcome| usize::try_from(tracer.outcome_count(o)).expect("count");
     let n = |v: usize| u64::try_from(v).expect("count");
     assert_eq!(tracer.dropped(), 0, "{mode}: every span is retained");
@@ -231,6 +251,22 @@ fn reconcile(mode: &str, tracer: &Tracer, stats: &SubstStats, handle: &MetricsHa
     );
     let funnel_total: u64 = tracer.funnel().iter().map(|&(_, c)| c).sum();
     assert_eq!(funnel_total, tracer.pairs(), "{mode}: funnel total");
+
+    // Each evaluated pair was proposed once. A best-gain visit evaluates
+    // every candidate it proposes; a first-gain visit may leave the
+    // candidates past a commit that its re-enumeration drops.
+    match acceptance {
+        Acceptance::BestGain => assert_eq!(
+            stats.candidates_enumerated, stats.discovery_proposed,
+            "{mode}: every proposed pair evaluated"
+        ),
+        Acceptance::FirstGain => assert!(
+            stats.candidates_enumerated <= stats.discovery_proposed,
+            "{mode}: {} pairs evaluated of {} proposed",
+            stats.candidates_enumerated,
+            stats.discovery_proposed
+        ),
+    }
 
     // Filter rejects map one-to-one onto the stats counters.
     assert_eq!(
@@ -276,12 +312,16 @@ fn reconcile(mode: &str, tracer: &Tracer, stats: &SubstStats, handle: &MetricsHa
     );
 
     // Whatever survived the filters and wasn't accepted or refuted
-    // fell through every strategy without gain.
+    // fell through every strategy without gain, or (best-gain only)
+    // gained but lost to the target's winner.
     assert_eq!(
-        count(Outcome::RejectedNoGain),
+        count(Outcome::RejectedNoGain) + count(Outcome::RejectedOutranked),
         stats.divisions_tried - stats.substitutions - stats.sim_pairs_refuted,
         "{mode}: no gain"
     );
+    if acceptance == Acceptance::FirstGain {
+        assert_eq!(count(Outcome::RejectedOutranked), 0, "{mode}: outranked");
+    }
 
     // Pairs the forced-literal bound skipped a strategy on.
     let bound_spans = pair_spans(tracer).filter(|p| p.bound_skip).count();
@@ -338,7 +378,7 @@ fn reconcile(mode: &str, tracer: &Tracer, stats: &SubstStats, handle: &MetricsHa
 
 #[test]
 fn report_renders_funnel_and_stages() {
-    let (tracer, stats, _) = traced_runs(1).remove(2); // ext-gdc
+    let (tracer, stats, _) = traced_runs(1, Acceptance::FirstGain).remove(2); // ext-gdc
     let text = tracer.report().to_string();
     assert!(text.contains("mode ext-gdc"));
     assert!(text.contains("-- outcome funnel --"));
