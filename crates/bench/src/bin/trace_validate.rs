@@ -10,7 +10,8 @@
 //!
 //! * JSONL: non-empty; every line parses as a JSON object with a known
 //!   `type`; the first line of each mode block is a `meta` line; pair
-//!   lines carry a known outcome name and all five stage-nanos fields.
+//!   lines carry a known outcome name and all five stage-nanos fields;
+//!   guard lines a known tier and scope.
 //! * Chrome: the whole file parses as a JSON array; every event is a
 //!   `ph: "M"` metadata or `ph: "X"` complete event with numeric
 //!   `ts`/`dur`; `ts` is monotonically non-decreasing per `(pid, tid)`.
@@ -23,7 +24,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use boolsubst_trace::json::Json;
-use boolsubst_trace::{GuardTier, Outcome};
+use boolsubst_trace::{GuardScope, GuardTier, Outcome};
 
 const STAGE_FIELDS: [&str; 5] = [
     "enumerate_ns",
@@ -84,6 +85,13 @@ fn validate_jsonl(text: &str) -> Result<(), String> {
                     .ok_or_else(|| format!("line {}: guard without tier", i + 1))?;
                 if !GuardTier::ALL.iter().any(|t| t.name() == tier) {
                     return Err(format!("line {}: unknown guard tier {tier:?}", i + 1));
+                }
+                let scope = v
+                    .get("scope")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| format!("line {}: guard without scope", i + 1))?;
+                if !GuardScope::ALL.iter().any(|s| s.name() == scope) {
+                    return Err(format!("line {}: unknown guard scope {scope:?}", i + 1));
                 }
                 for field in ["passed", "exact"] {
                     if v.get(field).and_then(Json::as_bool).is_none() {
@@ -375,21 +383,32 @@ mod tests {
         assert!(err.contains("meta line"), "{err}");
     }
 
-    fn guard_line(tier: &str) -> String {
+    fn guard_line(tier: &str, scope: &str) -> String {
         format!(
-            "{{\"type\":\"guard\",\"tier\":\"{tier}\",\"passed\":false,\
-             \"exact\":false,\"dur_ns\":3}}"
+            "{{\"type\":\"guard\",\"tier\":\"{tier}\",\"scope\":\"{scope}\",\
+             \"passed\":false,\"exact\":false,\"dur_ns\":3}}"
         )
     }
 
     #[test]
     fn jsonl_accepts_every_guard_tier_and_rejects_others() {
         for tier in GuardTier::ALL {
-            let text = format!("{META}\n{}\n", guard_line(tier.name()));
+            let text = format!("{META}\n{}\n", guard_line(tier.name(), "cut"));
             assert_eq!(validate_jsonl(&text), Ok(()), "{}", tier.name());
         }
-        let err = validate_jsonl(&format!("{META}\n{}\n", guard_line("oracle"))).unwrap_err();
+        let err =
+            validate_jsonl(&format!("{META}\n{}\n", guard_line("oracle", "cut"))).unwrap_err();
         assert!(err.contains("unknown guard tier"), "{err}");
+    }
+
+    #[test]
+    fn jsonl_accepts_every_guard_scope_and_rejects_others() {
+        for scope in GuardScope::ALL {
+            let text = format!("{META}\n{}\n", guard_line("sim", scope.name()));
+            assert_eq!(validate_jsonl(&text), Ok(()), "{}", scope.name());
+        }
+        let err = validate_jsonl(&format!("{META}\n{}\n", guard_line("sim", "cone"))).unwrap_err();
+        assert!(err.contains("unknown guard scope"), "{err}");
     }
 
     fn chrome(ts: [u32; 2]) -> String {

@@ -60,7 +60,7 @@ use boolsubst_guard::{Guard, GuardDecision};
 use boolsubst_metrics::MetricsHandle;
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::{SimConfig, SimFilter};
-use boolsubst_trace::{GuardTier, Outcome, PairRecord, Stage, Tracer};
+use boolsubst_trace::{GuardScope, GuardTier, Outcome, PairRecord, Stage, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -85,133 +85,103 @@ fn count_missing(new: &[NodeId], old: &[NodeId]) -> usize {
         .count()
 }
 
-/// Cone-restricted guard compare for local-function-preserving rewrites:
-/// runs the guard on the single-output TFI cone of every node the rewrite
-/// changed (`target` always; `divisor` too when an extended rewrite
-/// re-expressed it). The pre-rewrite cone is built straight from the
-/// mutated network with the snapshot's captured images as an overlay, so
-/// the whole-network clone the fallback path needs is never made here.
-/// Returns the combined decision when every cone passes — the least
-/// exact of the individual verdicts, so a sampled cone pass is never
-/// reported as a proof — or `None` when any cone was refuted, ran out of
-/// time, or could not be extracted; the caller falls back to the
-/// whole-network compare.
-fn cone_checked(
-    guard: &mut Guard,
+/// The pre and post networks of a checked rewrite's cut. The changed set
+/// is `target`, `divisor` and every node minted since `snap`; only these
+/// can have a new definition. Walking from the two roots over the pre
+/// definitions (the snapshot's images) and over the live post
+/// definitions, each walk stops at the first nodes outside the changed
+/// set. The union of those leaves, sorted by id, is the cut. Both
+/// networks take the cut as their primary inputs, in that order, and
+/// have one output per root, so [`Guard::check`] compares the roots'
+/// functions of the cut. `None` when a walk meets a definition it cannot
+/// resolve or a cycle; the caller falls back to the whole-network
+/// compare.
+fn cut_networks(
+    net: &Network,
     snap: &TxnSnapshot,
-    post: &Network,
     target: NodeId,
     divisor: NodeId,
-) -> Option<GuardDecision> {
-    let mut decision: Option<GuardDecision> = None;
-    for root in [target, divisor] {
-        let node = post.node_opt(root)?;
-        let changed = match snap.image_of(root) {
-            Some((fanins, cover)) => fanins != node.fanins() || Some(cover) != node.cover(),
-            None => false, // never captured: the attempt could not touch it
-        };
-        if !changed {
-            continue; // plain substitution: the divisor is untouched
-        }
-        // Union primary-input support of the pre and post cones, in the
-        // shared input order, so the two cones compare positionally.
-        let mut support = vec![false; post.id_bound()];
-        for n in post.tfi(root) {
-            support[n.index()] = true;
-        }
-        pre_support(post, snap, root, &mut support);
-        let inputs: Vec<NodeId> = post
-            .inputs()
-            .iter()
-            .copied()
-            .filter(|i| support[i.index()])
-            .collect();
-        let pre = pre_cone(post, snap, root, &inputs)?;
-        let post_cone = post.extract_cone(root, &inputs).ok()?;
-        let d = guard.check(&pre, &post_cone);
-        if !d.passed() {
-            return None;
-        }
-        decision = Some(match decision {
-            Some(prev) if !prev.exact() => prev,
-            _ => d,
-        });
-    }
-    decision
+) -> Option<(Network, Network)> {
+    let roots = [target, divisor];
+    let changed = move |id: NodeId| id == target || id == divisor || snap.minted(id);
+    let pre_def = move |id: NodeId| snap.image_of(id);
+    let post_def = move |id: NodeId| {
+        let node = net.node_opt(id)?;
+        Some((node.fanins(), node.cover()?))
+    };
+    let mut leaves = Vec::new();
+    let pre_order = cut_walk(&roots, changed, pre_def, &mut leaves)?;
+    let post_order = cut_walk(&roots, changed, post_def, &mut leaves)?;
+    leaves.sort_unstable();
+    let pre = cut_network(net, "pre", &leaves, &pre_order, pre_def, &roots)?;
+    let post = cut_network(net, "post", &leaves, &post_order, post_def, &roots)?;
+    Some((pre, post))
 }
 
-/// Resolves a node's pre-rewrite definition: the snapshot's captured
-/// image when the attempt touched it, the live definition otherwise.
-fn pre_def<'a>(
-    net: &'a Network,
-    snap: &'a TxnSnapshot,
-    id: NodeId,
-) -> (&'a [NodeId], Option<&'a Cover>) {
-    match snap.image_of(id) {
-        Some((fanins, cover)) => (fanins, Some(cover)),
-        None => {
-            let node = net.node(id);
-            (node.fanins(), node.cover())
-        }
-    }
-}
-
-/// Marks the primary inputs of `root`'s pre-rewrite cone in `support`
-/// (overlay walk over the mutated network).
-fn pre_support(net: &Network, snap: &TxnSnapshot, root: NodeId, support: &mut [bool]) {
-    let mut seen = vec![false; net.id_bound()];
-    let mut stack = vec![root];
-    while let Some(n) = stack.pop() {
-        if seen[n.index()] {
-            continue;
-        }
-        seen[n.index()] = true;
-        let (fanins, cover) = pre_def(net, snap, n);
-        if cover.is_none() {
-            support[n.index()] = true;
-            continue;
-        }
-        stack.extend(fanins.iter().copied());
-    }
-}
-
-/// Builds the pre-rewrite TFI cone of `root` directly from the mutated
-/// network plus the snapshot overlay — no whole-network clone. Mirrors
-/// [`Network::extract_cone`] with definitions resolved through
-/// [`pre_def`]. `None` when the walk reaches a primary input missing
-/// from `inputs` or cone construction fails.
-fn pre_cone(net: &Network, snap: &TxnSnapshot, root: NodeId, inputs: &[NodeId]) -> Option<Network> {
-    let mut cone = Network::new(format!("{}:pre-cone", net.name()));
-    let mut map: Vec<Option<NodeId>> = vec![None; net.id_bound()];
-    for &pi in inputs {
-        map[pi.index()] = Some(cone.add_input(net.node(pi).name()).ok()?);
-    }
-    let mut open = vec![false; net.id_bound()];
-    let mut stack = vec![(root, false)];
+/// Walks `def` from `roots` through the `changed` nodes and returns them
+/// in topological order; every node outside the changed set the walk
+/// reaches is added to `leaves` (once). `None` on an unresolved
+/// definition or a cycle.
+fn cut_walk<'n>(
+    roots: &[NodeId],
+    changed: impl Fn(NodeId) -> bool,
+    def: impl Fn(NodeId) -> Option<(&'n [NodeId], &'n Cover)>,
+    leaves: &mut Vec<NodeId>,
+) -> Option<Vec<NodeId>> {
+    let mut order: Vec<NodeId> = Vec::new();
+    let mut open: Vec<NodeId> = Vec::new();
+    let mut stack: Vec<(NodeId, bool)> = roots.iter().map(|&r| (r, false)).collect();
     while let Some((n, emit)) = stack.pop() {
-        let (fanins, cover) = pre_def(net, snap, n);
         if emit {
-            let mut mapped = Vec::with_capacity(fanins.len());
-            for &f in fanins {
-                mapped.push(map[f.index()]?);
+            order.push(n);
+        } else if !changed(n) {
+            if !leaves.contains(&n) {
+                leaves.push(n);
             }
-            let cover = cover.expect("internal").clone();
-            map[n.index()] = Some(cone.add_node(net.node(n).name(), mapped, cover).ok()?);
-            continue;
-        }
-        if open[n.index()] || map[n.index()].is_some() {
-            continue;
-        }
-        cover?; // a primary input the caller did not list
-        open[n.index()] = true;
-        stack.push((n, true));
-        for &f in fanins {
-            stack.push((f, false));
+        } else if !order.contains(&n) {
+            // An open node met again before it is emitted lies on a cycle.
+            if open.contains(&n) {
+                return None;
+            }
+            open.push(n);
+            stack.push((n, true));
+            stack.extend(def(n)?.0.iter().map(|&f| (f, false)));
         }
     }
-    let out = map[root.index()]?;
-    cone.add_output(net.node(root).name(), out).ok()?;
-    Some(cone)
+    Some(order)
+}
+
+/// One side of the cut compare: `leaves` as primary inputs, the changed
+/// nodes of `order` under their `def` definitions, one output per root.
+fn cut_network<'n>(
+    net: &Network,
+    side: &str,
+    leaves: &[NodeId],
+    order: &[NodeId],
+    def: impl Fn(NodeId) -> Option<(&'n [NodeId], &'n Cover)>,
+    roots: &[NodeId],
+) -> Option<Network> {
+    let name = |id: NodeId| net.node_opt(id).map(|n| n.name().to_string());
+    let mut cut = Network::new(format!("{}:{side}-cut", net.name()));
+    let mut map: Vec<(NodeId, NodeId)> = Vec::with_capacity(leaves.len() + order.len());
+    let lookup = |map: &[(NodeId, NodeId)], id: NodeId| {
+        map.iter().find(|&&(from, _)| from == id).map(|&(_, to)| to)
+    };
+    for &leaf in leaves {
+        map.push((leaf, cut.add_input(name(leaf)?).ok()?));
+    }
+    for &n in order {
+        let (fanins, cover) = def(n)?;
+        let mapped = fanins
+            .iter()
+            .map(|&f| lookup(&map, f))
+            .collect::<Option<Vec<_>>>()?;
+        map.push((n, cut.add_node(name(n)?, mapped, cover.clone()).ok()?));
+    }
+    for &root in roots {
+        cut.add_output(name(root)?, lookup(&map, root)?).ok()?;
+    }
+    Some(cut)
 }
 
 /// The trace tier of a guard verdict.
@@ -530,24 +500,24 @@ impl<'a> SubstEngine<'a> {
         delta.clear_acceptance();
     }
 
-    /// Reconstructs the pre-rewrite network (rollback applied to a clone
-    /// of the post state) and asks the guard whether the rewrite
-    /// preserved every primary-output function. Records the verdict (and
-    /// which tier produced it) in `delta` and on the tracer.
-    /// `None` means no guard is installed (unchecked run): the rewrite
-    /// stands on the division proof alone.
+    /// Asks the guard whether the applied rewrite preserved every
+    /// primary-output function. Records the verdict (its tier, and whether
+    /// the cut or the whole network decided it) in `delta` and on the
+    /// tracer. `None` means no guard is installed (unchecked run): the
+    /// rewrite stands on the division proof alone. The guard reads only
+    /// the network and the snapshot, never the plan.
     ///
-    /// Outside GDC mode every division strategy is pure cover algebra
-    /// over the joint space, so an accepted rewrite preserves each
-    /// changed node's function over the primary inputs *exactly* —
-    /// comparing just the changed nodes' single-output TFI cones is both
-    /// sound (identical cones imply identical outputs, everything else
-    /// being untouched) and complete. The guard therefore runs on the
-    /// cone pair first; only a cone that fails to pass falls back to the
-    /// whole-network compare, which preserves the original verdict
-    /// semantics (circuit-level observability may still save a rewrite a
-    /// cone compare refutes). GDC rewrites exploit observability across
-    /// the whole circuit by design, so they always take the full compare.
+    /// Outside GDC mode every division strategy is cover algebra over the
+    /// pair's joint space, so the guard first compares the changed nodes
+    /// over their cut ([`cut_networks`]). A proved pass there is a proof
+    /// for the whole network: no node outside the changed set changes its
+    /// fanins, so by induction in post-topological order every node keeps
+    /// its function (DESIGN.md §12). Any other cut verdict falls through
+    /// to the whole-network compare (rollback applied to a clone of the
+    /// post state), which decides it exactly as before: observability may
+    /// still save a rewrite the cut refutes. GDC rewrites use don't-cares
+    /// of the whole circuit by design, so they always take the
+    /// whole-network compare.
     fn guard_verdict(
         &mut self,
         snap: &TxnSnapshot,
@@ -558,22 +528,28 @@ impl<'a> SubstEngine<'a> {
         let guard = self.guard.as_mut()?;
         let t0 = Instant::now();
         let sat_runs0 = guard.sat_runs();
-        let cone_pass = (self.opts.mode != SubstMode::ExtendedGdc)
-            .then(|| cone_checked(guard, snap, self.net, target, divisor))
-            .flatten();
-        let decision = match cone_pass {
+        let cut_proof = (self.opts.mode != SubstMode::ExtendedGdc)
+            .then(|| cut_networks(self.net, snap, target, divisor))
+            .flatten()
+            .map(|(pre, post)| guard.check(&pre, &post))
+            .filter(|d| d.passed() && d.exact());
+        let scope = if cut_proof.is_some() {
+            GuardScope::Cut
+        } else {
+            GuardScope::Network
+        };
+        let decision = match cut_proof {
             Some(d) => d,
             None => {
-                // Whole-network fallback: reconstruct the pre-state
-                // (rollback applied to a clone of the post state).
+                delta.guard_network_checks += 1;
                 let mut pre = self.net.clone();
-                if snap.rollback(&mut pre).is_err() {
+                match snap.rollback(&mut pre) {
+                    Ok(()) => guard.check(&pre, self.net),
                     // No pre-state to compare against: reject conservatively.
-                    return Some(GuardDecision::RefutedSim {
+                    Err(_) => GuardDecision::RefutedSim {
                         output: "<pre-state reconstruction failed>".to_string(),
-                    });
+                    },
                 }
-                guard.check(&pre, self.net)
             }
         };
         delta.guard_sat_runs += usize::try_from(guard.sat_runs() - sat_runs0).unwrap_or(0);
@@ -585,6 +561,7 @@ impl<'a> SubstEngine<'a> {
                 id32(target),
                 id32(divisor),
                 guard_tier(&decision),
+                scope,
                 decision.passed(),
                 decision.exact(),
                 nanos(t0),
@@ -795,6 +772,7 @@ mod tests {
     use crate::subst::boolean_substitute_legacy;
     use boolsubst_cube::parse_sop;
     use boolsubst_network::write_blif;
+    use boolsubst_trace::TraceEvent;
 
     fn small_net() -> Network {
         let mut net = Network::new("engine_t");
@@ -920,6 +898,82 @@ mod tests {
             assert_eq!(guard_tier(&decision), tier, "{decision:?}");
             assert_eq!(tier.name(), decision.tier_name(), "{decision:?}");
         }
+    }
+
+    /// `f = ab + c + z` and `d = ab + c + e` (the paper's extended
+    /// division scenario) with the extended rewrite applied by hand
+    /// behind a snapshot: a minted core `k = ab + c`, then `d = k + e`
+    /// and `f = k + z` (or `f = k`, the `z` cube dropped, when
+    /// `drop_cube`). Returns the guard's verdict, the pair's stats delta
+    /// and the traced guard events.
+    fn guard_hand_ext_rewrite(drop_cube: bool) -> (GuardDecision, SubstStats, Vec<TraceEvent>) {
+        let mut net = Network::new("cut_t");
+        let [a, b, c, e, z] = ["a", "b", "c", "e", "z"].map(|n| net.add_input(n).expect("pi"));
+        let sop = |n, s| parse_sop(n, s).expect("sop");
+        let f = net
+            .add_node("f", vec![a, b, c, z], sop(4, "ab + c + d"))
+            .expect("f");
+        let d = net
+            .add_node("d", vec![a, b, c, e], sop(4, "ab + c + d"))
+            .expect("d");
+        net.add_output("f", f).expect("o");
+        net.add_output("d", d).expect("o");
+        let mut tracer = Tracer::new("ext");
+        let opts = SubstOptions::extended().with_checked(true);
+        let mut engine = SubstEngine::with_tracer(&mut net, opts, &mut tracer);
+        let snap = TxnSnapshot::capture(engine.net, &[f, d]);
+        let post = &mut *engine.net;
+        let k = post
+            .add_node(post.fresh_name(), vec![a, b, c], sop(3, "ab + c"))
+            .expect("core");
+        assert!(snap.minted(k) && !snap.minted(d));
+        post.replace_function(d, vec![k, e], sop(2, "a + b"))
+            .expect("d");
+        let f_sop = if drop_cube { "a" } else { "a + b" };
+        post.replace_function(f, vec![k, z], sop(2, f_sop))
+            .expect("f");
+        let mut delta = SubstStats::default();
+        let decision = engine
+            .guard_verdict(&snap, f, d, &mut delta)
+            .expect("checked engine");
+        drop(engine);
+        (decision, delta, tracer.events().cloned().collect())
+    }
+
+    fn guard_scopes(events: &[TraceEvent]) -> Vec<GuardScope> {
+        events
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Guard { scope, .. } => Some(*scope),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An extended rewrite that mints a core node is proved on its cut —
+    /// the five leaves `a b c e z`, exhaustively — and never needs the
+    /// whole network.
+    #[test]
+    fn minting_ext_rewrite_passes_on_its_cut() {
+        let (decision, delta, events) = guard_hand_ext_rewrite(false);
+        assert_eq!(decision, GuardDecision::PassExhaustive);
+        assert_eq!(delta.guard_network_checks, 0);
+        assert_eq!(guard_scopes(&events), [GuardScope::Cut]);
+    }
+
+    /// A rewrite with a dropped cube fails its cut, falls through to the
+    /// whole-network compare, and is refuted there.
+    #[test]
+    fn dropped_cube_fails_the_cut_and_is_refuted_on_the_network() {
+        let (decision, delta, events) = guard_hand_ext_rewrite(true);
+        assert_eq!(
+            decision,
+            GuardDecision::RefutedSim {
+                output: "f".to_string()
+            }
+        );
+        assert_eq!(delta.guard_network_checks, 1);
+        assert_eq!(guard_scopes(&events), [GuardScope::Network]);
     }
 
     /// A guard carried over from an earlier job takes this engine's

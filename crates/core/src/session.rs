@@ -200,7 +200,7 @@ mod tests {
             assert_eq!(read, Some(value), "{run}: {key}");
             fields += 1;
         }
-        assert_eq!(fields, 35, "{run}: every SubstStats field is checked");
+        assert_eq!(fields, 36, "{run}: every SubstStats field is checked");
     }
 
     #[test]

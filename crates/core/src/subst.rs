@@ -409,6 +409,10 @@ sweep_counters! {
         pub guard_pass_sampled: usize,
         /// Checked-mode guard checks that escalated to the tier C SAT miter.
         pub guard_sat_runs: usize,
+        /// Checked rewrites whose verdict needed the whole-network compare:
+        /// every GDC rewrite, and any other whose cut compare did not
+        /// prove it (DESIGN.md §12).
+        pub guard_network_checks: usize,
         /// Per-pair faults survived in checked mode: panics caught and rolled
         /// back, typed apply errors, and detected signature corruption.
         pub engine_faults: usize,
@@ -501,6 +505,7 @@ impl fmt::Display for SubstStats {
             + self.check_budget_exhausted
             + self.guard_pass_sampled
             + self.guard_sat_runs
+            + self.guard_network_checks
             > 0
             || self.interrupted
         {
@@ -515,8 +520,8 @@ impl fmt::Display for SubstStats {
             )?;
             writeln!(
                 f,
-                "  guard escalation       {:>8}  sat-tier runs, {} sampled passes",
-                self.guard_sat_runs, self.guard_pass_sampled,
+                "  guard escalation       {:>8}  sat-tier runs, {} sampled passes, {} network checks",
+                self.guard_sat_runs, self.guard_pass_sampled, self.guard_network_checks,
             )?;
         }
         write!(

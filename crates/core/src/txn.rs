@@ -81,6 +81,13 @@ impl TxnSnapshot {
             .map(|img| (img.fanins.as_slice(), &img.cover))
     }
 
+    /// Whether `id` was minted after the capture: its slot lies at or
+    /// past the captured id bound, so it has no pre-image.
+    #[must_use]
+    pub fn minted(&self, id: NodeId) -> bool {
+        id.index() >= self.id_bound
+    }
+
     /// Whether `net` has been mutated since this snapshot was captured.
     #[must_use]
     pub fn dirty(&self, net: &Network) -> bool {
@@ -123,10 +130,7 @@ impl TxnSnapshot {
 
         // Delete minted nodes, newest first so consumers go before
         // producers (helper chains are appended in dependency order).
-        let mut minted: Vec<NodeId> = net
-            .internal_ids()
-            .filter(|id| id.index() >= self.id_bound)
-            .collect();
+        let mut minted: Vec<NodeId> = net.internal_ids().filter(|&id| self.minted(id)).collect();
         minted.sort_by_key(|id| std::cmp::Reverse(id.index()));
         for id in minted {
             net.remove_node(id)?;

@@ -304,11 +304,12 @@ mod tests {
     }
 
     /// The flat kernels against their per-variable references over 0–70
-    /// variables (one-, two- and three-word cubes), on covers that may
-    /// hold empty and universal cubes: `complement` cube for cube,
-    /// `lits`, `extended`, `remapped`, `is_universe`, and `eval` of a
-    /// cover built with `from_cubes`; a cover remapped by a map that
-    /// sends several variables to one keeps no empty cube.
+    /// variables (one-, two- and three-word cubes), on cube lists that
+    /// may hold empty and universal cubes: `complement` cube for cube,
+    /// `lits`, `support`, `extended`, `remapped`, `is_universe`, and
+    /// `eval` of a cover built with `from_cubes`. Neither that cover nor
+    /// one remapped by a map that sends several variables to one keeps
+    /// an empty cube.
     #[test]
     fn flat_kernels_match_per_variable_references() {
         // `ab'` with both variables sent to one is the constant 0.
@@ -334,6 +335,14 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(c.lits().collect::<Vec<_>>(), scan, "lits of {c}");
+                // `support` names the variables `eval` reads: none for an
+                // empty cube.
+                let vars: Vec<usize> = if c.is_empty() {
+                    Vec::new()
+                } else {
+                    scan.iter().map(|l| l.var).collect()
+                };
+                assert_eq!(c.support().collect::<Vec<_>>(), vars, "support of {c}");
                 assert_eq!(c.is_universe(), *c == Cube::universe(n), "{c}");
                 let m = n + (next() % 40) as usize;
                 let e = c.extended(m);
@@ -366,6 +375,10 @@ mod tests {
                 assert_eq!(r.is_empty(), c.is_empty(), "{c} remapped by {map:?}");
             }
             let f = Cover::from_cubes(n, cubes.clone());
+            assert!(
+                f.cubes().iter().all(|c| !c.is_empty()),
+                "{f} keeps an empty cube"
+            );
             // `eval` against a slot-by-slot reading of the cubes as given,
             // empty ones included (an empty cube is 0 everywhere): every
             // minterm up to 4 variables, 16 random ones above.

@@ -247,9 +247,11 @@ impl Cube {
         })
     }
 
-    /// Variables constrained by this cube (either phase).
+    /// Variables the cube's value depends on: those with a literal. An
+    /// empty cube is 0 everywhere ([`Cube::eval`]), so it has none.
     pub fn support(&self) -> impl Iterator<Item = usize> + '_ {
-        self.lits().map(|l| l.var)
+        let empty = self.is_empty();
+        self.lits().filter(move |_| !empty).map(|l| l.var)
     }
 
     /// Intersection (Boolean AND) of two cubes.

@@ -241,8 +241,8 @@ impl Client {
         ))
     }
 
-    /// Polls `GET /jobs/<id>` until the job is terminal or `timeout`
-    /// passes.
+    /// Polls `GET /jobs/<id>` until the job is terminal (an evicted
+    /// record, HTTP 410, reads as state `evicted`) or `timeout` passes.
     ///
     /// # Errors
     ///
@@ -251,7 +251,7 @@ impl Client {
         let deadline = Instant::now() + timeout;
         loop {
             let resp = self.request("GET", &format!("/jobs/{id}"), &[], b"")?;
-            if resp.status == 200 {
+            if resp.status == 200 || resp.status == 410 {
                 let j = resp.json()?;
                 let state = j
                     .get("state")

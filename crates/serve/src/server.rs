@@ -313,13 +313,24 @@ fn job_status(state: &Arc<State>, stream: &TcpStream, path: &str) {
         return;
     };
     let Some(record) = state.job(id) else {
-        write_response(
-            stream,
-            404,
-            "application/json",
-            &[],
-            &json_error("unknown job"),
-        );
+        if !state.evicted(id) {
+            write_response(
+                stream,
+                404,
+                "application/json",
+                &[],
+                &json_error("unknown job"),
+            );
+        } else if want_result {
+            write_response(stream, 410, "application/json", &[], &json_error("evicted"));
+        } else {
+            let body = JsonObj::new()
+                .u64("id", id)
+                .str("state", "evicted")
+                .finish()
+                .into_bytes();
+            write_response(stream, 410, "application/json", &[], &body);
+        }
         return;
     };
     if want_result {

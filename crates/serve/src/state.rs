@@ -72,15 +72,37 @@ pub struct JobRecord {
     pub result: Option<Vec<u8>>,
 }
 
+/// How many finished job records (with their result netlists) the daemon
+/// keeps for polls. The oldest finished record is evicted first, and an
+/// evicted id answers `evicted` (HTTP 410). Queued and running jobs are
+/// never evicted, so a client that fetches its result soon after the job
+/// finishes always finds it.
+pub const MAX_FINISHED_JOBS: usize = 256;
+
 #[derive(Debug, Default)]
 struct Inner {
     queue: VecDeque<u64>,
     jobs: BTreeMap<u64, JobRecord>,
+    /// Ids of terminal records in `jobs`, oldest finish first.
+    finished: VecDeque<u64>,
     tenant_inflight: HashMap<String, usize>,
     next_id: u64,
     running: usize,
     workers_alive: usize,
     draining: bool,
+}
+
+impl Inner {
+    /// Files the terminal record `id` as the newest finished one and
+    /// evicts the oldest past [`MAX_FINISHED_JOBS`].
+    fn retire(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(old) = self.finished.pop_front() {
+                self.jobs.remove(&old);
+            }
+        }
+    }
 }
 
 /// The shared state block behind every connection handler and worker.
@@ -218,7 +240,8 @@ impl State {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .poisoned(id);
         self.metrics.counter("serve.jobs.poisoned").inc();
-        self.lock().jobs.insert(
+        let mut inner = self.lock();
+        inner.jobs.insert(
             id,
             JobRecord {
                 spec,
@@ -227,6 +250,7 @@ impl State {
                 result: None,
             },
         );
+        inner.retire(id);
     }
 
     /// Worker hand-off: blocks until a job is available (returning its
@@ -272,6 +296,7 @@ impl State {
             if let Some(n) = inner.tenant_inflight.get_mut(&tenant) {
                 *n = n.saturating_sub(1);
             }
+            inner.retire(id);
         }
         inner.running = inner.running.saturating_sub(1);
         drop(inner);
@@ -320,6 +345,14 @@ impl State {
     #[must_use]
     pub fn job(&self, id: u64) -> Option<JobRecord> {
         self.lock().jobs.get(&id).cloned()
+    }
+
+    /// Whether `id` was issued but its record is gone: evicted past
+    /// [`MAX_FINISHED_JOBS`], or finished by an earlier incarnation.
+    #[must_use]
+    pub fn evicted(&self, id: u64) -> bool {
+        let inner = self.lock();
+        id < inner.next_id && !inner.jobs.contains_key(&id)
     }
 
     /// Starts the drain: no new admissions, workers exit once the queue
@@ -386,5 +419,53 @@ impl State {
         drop(inner);
         self.metrics.gauge("serve.queue_depth").set(depth);
         self.metrics.gauge("serve.running").set(running);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use boolsubst_core::SubstMode;
+    use boolsubst_network::Format;
+
+    /// Finished records beyond the bound are evicted oldest first; an
+    /// evicted id is told apart from one never issued.
+    #[test]
+    fn finished_records_are_bounded_oldest_first() {
+        let path = std::env::temp_dir().join(format!(
+            "boolsubst-state-evict-{}.jsonl",
+            std::process::id()
+        ));
+        let journal = Journal::open(&path).expect("journal");
+        let config = ServeConfig {
+            tenant_cap: usize::MAX,
+            ..ServeConfig::default()
+        };
+        let state = State::new(config, journal, 1);
+        let total = MAX_FINISHED_JOBS as u64 + 3;
+        for _ in 0..total {
+            let spec = JobSpec {
+                id: 0,
+                tenant: "t".to_string(),
+                format: Format::Blif,
+                mode: SubstMode::Extended,
+                deadline_ms: None,
+                sat_conflicts: 0,
+                rar_checks: 0,
+                chaos: None,
+                payload: b"x".to_vec(),
+            };
+            let id = state.submit(spec).expect("admitted");
+            let (spec, _) = state.next_job().expect("queued");
+            assert_eq!(spec.id, id);
+            state.fail(id, "bad netlist");
+        }
+        for id in 1..=3 {
+            assert!(state.job(id).is_none() && state.evicted(id), "job {id}");
+        }
+        assert!(state.job(4).is_some() && !state.evicted(4));
+        assert!(state.job(total).is_some());
+        assert!(!state.evicted(total + 1), "never issued");
+        let _ = std::fs::remove_file(&path);
     }
 }

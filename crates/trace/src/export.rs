@@ -42,6 +42,7 @@ fn event_to_json(t: &Tracer, ev: &TraceEvent) -> String {
             target,
             divisor,
             tier,
+            scope,
             passed,
             exact,
             start_ns,
@@ -51,6 +52,7 @@ fn event_to_json(t: &Tracer, ev: &TraceEvent) -> String {
             .u64("target", u64::from(*target))
             .u64("divisor", u64::from(*divisor))
             .str("tier", tier.name())
+            .str("scope", scope.name())
             .bool("passed", *passed)
             .bool("exact", *exact)
             .u64("start_ns", *start_ns)
@@ -77,6 +79,7 @@ pub fn write_jsonl<W: Write>(t: &Tracer, w: &mut W) -> io::Result<()> {
         .u64("shadow_builds", shadow_builds)
         .u64("shadow_ns", shadow_ns)
         .u64("guard_checks", guard_checks)
+        .u64("guard_network_checks", t.guard_network_checks())
         .u64("guard_ns", guard_ns);
     for tier in crate::span::GuardTier::ALL {
         meta.u64(&format!("guard_{}", tier.name()), t.guard_tier_count(tier));
@@ -236,6 +239,7 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
                     target,
                     divisor,
                     tier,
+                    scope,
                     passed,
                     exact,
                     start_ns,
@@ -245,6 +249,7 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
                         .str("target", &t.node_name(*target))
                         .str("divisor", &t.node_name(*divisor))
                         .str("tier", tier.name())
+                        .str("scope", scope.name())
                         .bool("passed", *passed)
                         .bool("exact", *exact)
                         .finish();
@@ -297,7 +302,15 @@ mod tests {
         t.set_node_names(vec!["n0".into(), "n1".into(), "n2".into()]);
         t.record_pair(&record(0, Outcome::AcceptedSop, 5, 7));
         t.shadow_build(1, 11);
-        t.guard_check(1, 2, crate::span::GuardTier::Sat, true, true, 21);
+        t.guard_check(
+            1,
+            2,
+            crate::span::GuardTier::Sat,
+            crate::span::GuardScope::Network,
+            true,
+            true,
+            21,
+        );
         t
     }
 
@@ -335,10 +348,15 @@ mod tests {
         let guard = Json::parse(lines[3]).expect("guard parses");
         assert_eq!(guard.get("type").and_then(Json::as_str), Some("guard"));
         assert_eq!(guard.get("tier").and_then(Json::as_str), Some("sat"));
+        assert_eq!(guard.get("scope").and_then(Json::as_str), Some("network"));
         assert_eq!(guard.get("passed").and_then(Json::as_bool), Some(true));
         assert_eq!(guard.get("exact").and_then(Json::as_bool), Some(true));
         assert_eq!(guard.get("dur_ns").and_then(Json::as_u64), Some(21));
         assert_eq!(meta.get("guard_checks").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            meta.get("guard_network_checks").and_then(Json::as_u64),
+            Some(1)
+        );
         assert_eq!(meta.get("guard_sat").and_then(Json::as_u64), Some(1));
         assert_eq!(meta.get("guard_bdd").and_then(Json::as_u64), Some(0));
     }

@@ -39,5 +39,5 @@ pub mod tracer;
 
 pub use hist::{bucket_ceil, bucket_floor, bucket_index, LatencyHistogram, BUCKETS};
 pub use report::TraceReport;
-pub use span::{GuardTier, Outcome, PairRecord, Stage, StageNanos, TraceEvent};
+pub use span::{GuardScope, GuardTier, Outcome, PairRecord, Stage, StageNanos, TraceEvent};
 pub use tracer::{TargetAgg, Tracer};

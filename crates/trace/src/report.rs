@@ -188,7 +188,12 @@ impl fmt::Display for TraceReport<'_> {
                     pct(count, guard_checks)
                 )?;
             }
-            writeln!(f, "checks: {guard_checks}   time: {}", fmt_ns(guard_ns))?;
+            writeln!(
+                f,
+                "checks: {guard_checks} (network {})   time: {}",
+                t.guard_network_checks(),
+                fmt_ns(guard_ns)
+            )?;
         }
 
         let (shadow_builds, shadow_ns) = t.shadow_stats();

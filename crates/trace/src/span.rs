@@ -287,6 +287,30 @@ impl GuardTier {
     }
 }
 
+/// Which networks a guard verdict compared: the changed nodes over their
+/// cut, or the whole network before and after the rewrite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GuardScope {
+    /// The changed nodes' functions of the cut leaves.
+    Cut,
+    /// Every primary output of the whole network.
+    Network,
+}
+
+impl GuardScope {
+    /// Every scope, narrowest first.
+    pub const ALL: [GuardScope; 2] = [GuardScope::Cut, GuardScope::Network];
+
+    /// Stable lowercase label used by both exporters.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            GuardScope::Cut => "cut",
+            GuardScope::Network => "network",
+        }
+    }
+}
+
 /// Everything the ring buffer records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -309,6 +333,8 @@ pub enum TraceEvent {
         divisor: u32,
         /// Tier that produced the verdict.
         tier: GuardTier,
+        /// Which networks the deciding compare ran on.
+        scope: GuardScope,
         /// Whether the rewrite was allowed to stand.
         passed: bool,
         /// Whether the verdict is a proof (vs. a sampled pass).

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use crate::hist::LatencyHistogram;
 use crate::report::TraceReport;
-use crate::span::{GuardTier, Outcome, PairRecord, Stage, TraceEvent};
+use crate::span::{GuardScope, GuardTier, Outcome, PairRecord, Stage, TraceEvent};
 
 /// Maximum events kept in the ring buffer; older events are dropped
 /// (aggregates stay exact regardless).
@@ -56,6 +56,7 @@ pub struct Tracer {
     shadow_ns: u64,
     guard_checks: u64,
     guard_tier_counts: [u64; GuardTier::ALL.len()],
+    guard_network_checks: u64,
     guard_ns: u64,
 }
 
@@ -82,6 +83,7 @@ impl Tracer {
             shadow_ns: 0,
             guard_checks: 0,
             guard_tier_counts: [0; GuardTier::ALL.len()],
+            guard_network_checks: 0,
             guard_ns: 0,
         }
     }
@@ -183,25 +185,29 @@ impl Tracer {
     }
 
     /// Records one post-apply guard check of an accepted rewrite
-    /// (checked mode): which tier decided, whether the rewrite stood,
-    /// and whether the verdict was a proof.
+    /// (checked mode): which tier and scope decided, whether the rewrite
+    /// stood, and whether the verdict was a proof.
+    #[allow(clippy::too_many_arguments)]
     pub fn guard_check(
         &mut self,
         target: u32,
         divisor: u32,
         tier: GuardTier,
+        scope: GuardScope,
         passed: bool,
         exact: bool,
         dur_ns: u64,
     ) {
         self.guard_checks += 1;
         self.guard_tier_counts[tier.idx()] += 1;
+        self.guard_network_checks += u64::from(scope == GuardScope::Network);
         self.guard_ns = self.guard_ns.saturating_add(dur_ns);
         let start_ns = self.now_ns().saturating_sub(dur_ns);
         self.push(TraceEvent::Guard {
             target,
             divisor,
             tier,
+            scope,
             passed,
             exact,
             start_ns,
@@ -213,6 +219,12 @@ impl Tracer {
     #[must_use]
     pub fn guard_stats(&self) -> (u64, u64) {
         (self.guard_checks, self.guard_ns)
+    }
+
+    /// How many guard checks needed the whole-network compare.
+    #[must_use]
+    pub fn guard_network_checks(&self) -> u64 {
+        self.guard_network_checks
     }
 
     /// How many guard checks were decided by `tier`.

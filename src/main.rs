@@ -305,12 +305,13 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         }
         if checked {
             eprintln!(
-                "checked apply: {} guard-rejected, {} engine fault(s), {} pair(s) quarantined, {} SAT-tier run(s), {} sampled pass(es)",
+                "checked apply: {} guard-rejected, {} engine fault(s), {} pair(s) quarantined, {} SAT-tier run(s), {} sampled pass(es), {} network check(s)",
                 stats.guard_rejections,
                 stats.engine_faults,
                 stats.quarantined,
                 stats.guard_sat_runs,
-                stats.guard_pass_sampled
+                stats.guard_pass_sampled,
+                stats.guard_network_checks
             );
         }
         if stats.interrupted {

@@ -7,6 +7,7 @@
 use boolsubst::core::subst::boolean_substitute_legacy;
 use boolsubst::core::{all_configs, Acceptance, Session, SubstOptions, SubstStats};
 use boolsubst::network::{write_blif, Network};
+use boolsubst::workloads::full_suite;
 use boolsubst::workloads::generator::{
     planted_network, random_network, GeneratorParams, PlantedParams,
 };
@@ -396,6 +397,29 @@ fn checked_mode_is_bit_identical_on_healthy_engine() {
             assert!(!checked.interrupted, "seed {seed} {name}");
         }
     }
+}
+
+/// Outside GDC every checked rewrite is proved on its cut: over the whole
+/// paper suite, basic and extended checked runs write byte-identical
+/// output to the unchecked runs, and not one verdict needs the
+/// whole-network compare.
+#[test]
+fn checked_paper_suite_is_proved_on_cuts() {
+    let mut accepted = 0;
+    for base in full_suite() {
+        for opts in [SubstOptions::basic(), SubstOptions::extended()] {
+            let mut plain_net = base.clone();
+            Session::new(&mut plain_net, opts.clone()).run();
+            let mut checked_net = base.clone();
+            let checked = Session::new(&mut checked_net, opts.clone().with_checked(true)).run();
+            let case = format!("{} {:?}", base.name(), opts.mode);
+            assert_eq!(write_blif(&checked_net), write_blif(&plain_net), "{case}");
+            assert_eq!(checked.guard_network_checks, 0, "{case}");
+            assert_eq!(checked.guard_rejections, 0, "{case}");
+            accepted += checked.substitutions;
+        }
+    }
+    assert!(accepted > 0, "the suite must exercise the guard");
 }
 
 /// An already-expired deadline must stop the sweep before any attempt:

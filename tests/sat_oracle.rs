@@ -187,13 +187,15 @@ fn multiplier_corruption_caught_by_sat_tier_where_bdd_tier_samples() {
 
 /// Acceptance: a checked multiplier run under the SAT tier resolves
 /// every guard decision exactly — zero `PassSampled` — with default
-/// budgets. Deadline-bounded so it holds in debug and release alike.
+/// budgets. GDC mode keeps the whole-network compare, so tier C really
+/// runs (a basic rewrite is proved on its few-leaf cut by exhaustive
+/// simulation). Deadline-bounded so it holds in debug and release alike.
 #[test]
 fn checked_multiplier_run_has_zero_sampled_passes() {
     let mut net = large_network(Family::Multiplier, 600, 7);
     let stats = Session::new(
         &mut net,
-        SubstOptions::basic()
+        SubstOptions::extended_gdc()
             .with_checked(true)
             .with_guard_tier(TierPolicy::Sat)
             .with_deadline(Instant::now() + Duration::from_secs(10)),
@@ -216,7 +218,8 @@ fn checked_multiplier_run_has_zero_sampled_passes() {
 
 /// Bit-identity of the engine with the SAT tier enabled, across worker
 /// counts. The instance has 20 inputs so tier A samples (no exhaustive
-/// pool) and every acceptance really flows through tier C.
+/// pool), and GDC mode compares whole networks, so every acceptance
+/// really flows through tier C.
 #[test]
 fn engine_with_sat_tier_is_bit_identical_across_threads() {
     let params = GeneratorParams {
@@ -229,7 +232,7 @@ fn engine_with_sat_tier_is_bit_identical_across_threads() {
         let mut net = base.clone();
         let stats = Session::new(
             &mut net,
-            SubstOptions::basic()
+            SubstOptions::extended_gdc()
                 .with_checked(true)
                 .with_guard_tier(TierPolicy::Sat)
                 .with_threads(threads),
