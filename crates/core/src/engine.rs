@@ -41,17 +41,17 @@
 //! policies. The one pair a visit accepts is then applied from its
 //! stored plan by `SubstEngine::commit`, which owns every mutation: the
 //! txn snapshot, the guard, rollback and quarantine, and the side-table
-//! and sim patching. Each pair is described as one [`PairRecord`] plus
-//! its own [`SubstStats`] delta, and `SubstEngine::book` is the only
-//! place either is booked: it folds the delta into the session's stats
-//! and the metrics registry and the record into the tracer, so the three
+//! and sim patching. Each pair is described by one [`PairRecord`], and
+//! `SubstEngine::book` is the only place it is booked: it folds the
+//! record into the session's stats and the metrics registry
+//! ([`SubstStats::of_pair`]) and hands it to the tracer, so the three
 //! views cannot disagree.
 
 use crate::metrics::EngineMetrics;
 use crate::netcircuit::ShadowBase;
 use crate::subst::{
-    apply_plan, core_outcome, SubstMode, SubstOptions, SubstPlan, SubstStats, TargetForms,
-    MAX_DIVISOR_CUBES, MAX_JOINT_VARS,
+    apply_plan, SubstMode, SubstOptions, SubstPlan, SubstStats, TargetForms, MAX_DIVISOR_CUBES,
+    MAX_JOINT_VARS,
 };
 use crate::txn::TxnSnapshot;
 use boolsubst_algebraic::JointSpace;
@@ -60,7 +60,9 @@ use boolsubst_guard::{Guard, GuardDecision};
 use boolsubst_metrics::MetricsHandle;
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::{SimConfig, SimFilter};
-use boolsubst_trace::{GuardScope, GuardTier, Outcome, PairRecord, Stage, Tracer};
+use boolsubst_trace::{
+    GuardScope, GuardTier, Outcome, PairGuard, PairRecord, ShadowUse, Stage, Tracer,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -206,38 +208,32 @@ fn node_names(net: &Network) -> Vec<String> {
 
 /// The cheap filter chain every pair passes before its division proof:
 /// structural, cycle (the level-bounded [`SideTables::in_tfo`]), divisor
-/// size and joint space. Books the matching `filtered_*` counter and
-/// returns the reject outcome, or the pair's joint space.
+/// size and joint space. Returns the reject outcome, or the pair's joint
+/// space.
 pub(crate) fn cheap_filters(
     net: &Network,
     side: &SideTables,
-    stats: &mut SubstStats,
     target: NodeId,
     divisor: NodeId,
 ) -> Result<JointSpace, Outcome> {
     // Candidates are fanouts, hence internal; only the self-pair and
     // existing-fanin checks remain from the legacy structural filter.
     if target == divisor || net.node(target).fanins().contains(&divisor) {
-        stats.filtered_structural += 1;
         return Err(Outcome::RejectedStructural);
     }
     if side.in_tfo(net, divisor, target) {
-        stats.filtered_tfo += 1;
         return Err(Outcome::RejectedTfo);
     }
     // Candidates come from fanout lists, so a missing cover means the
     // index and the network disagree — reject rather than panic.
     let Some(d_cover_len) = net.node(divisor).cover().map(Cover::len) else {
-        stats.filtered_structural += 1;
         return Err(Outcome::RejectedStructural);
     };
     if d_cover_len == 0 || d_cover_len > MAX_DIVISOR_CUBES {
-        stats.filtered_divisor_size += 1;
         return Err(Outcome::RejectedDivisorSize);
     }
     let space = JointSpace::union_of_fanins(net, &[target, divisor]);
     if space.len() > MAX_JOINT_VARS {
-        stats.filtered_joint_space += 1;
         return Err(Outcome::RejectedJointSpace);
     }
     Ok(space)
@@ -253,7 +249,7 @@ pub(crate) struct ShadowEntry {
     /// The snapshot and its build time, once a pair has needed it.
     base: OnceLock<(ShadowBase, u64)>,
     /// Whether a booked pair has used this snapshot yet: the first use
-    /// books the cache miss (and the traced build), every later one a hit.
+    /// is the cache miss (and the traced build), every later one a hit.
     booked: bool,
 }
 
@@ -292,7 +288,7 @@ pub(crate) struct SubstEngine<'a> {
     /// Structured trace recorder; `None` unless attached via
     /// [`SubstEngine::with_tracer`]. Attaching a tracer never changes the
     /// accepted rewrites, and with neither a tracer nor metrics attached
-    /// no pair reads the clock beyond its `SubstStats` timers.
+    /// no pair reads the clock beyond its stage timers.
     pub(crate) tracer: Option<&'a mut Tracer>,
     /// Post-apply equivalence guard (built when `opts.checked`). A
     /// rewrite the guard refutes is rolled back via [`TxnSnapshot`] and
@@ -370,28 +366,6 @@ impl<'a> SubstEngine<'a> {
         self.metrics = Some(metrics);
     }
 
-    /// Replaces the checked-mode guard with one carried over from an
-    /// earlier run, preserving its lazily-built pattern pools and learned
-    /// SAT cost model across jobs. The guard adopts this engine's
-    /// [`SubstOptions::guard`] config (dropping stale-shaped pools if the
-    /// pool tunables differ) and its [`SubstOptions::deadline`], so it
-    /// never keeps an earlier run's deadline. No-op when the engine is
-    /// unchecked — an unchecked run has no guard to reuse.
-    pub fn install_guard(&mut self, mut guard: Guard) {
-        if self.opts.checked {
-            guard.adopt_config(self.opts.guard);
-            guard.set_deadline(self.opts.deadline);
-            self.guard = Some(guard);
-        }
-    }
-
-    /// Takes the guard out of a finished checked engine so a caller can
-    /// carry its warmed pools into the next run (see
-    /// [`SubstEngine::install_guard`]). `None` for unchecked engines.
-    pub fn take_guard(&mut self) -> Option<Guard> {
-        self.guard.take()
-    }
-
     /// Runs one sweep over every target, largest cover first (matching
     /// the legacy order), and returns the statistics. No target is
     /// visited when the deadline has already passed. A caller that wants
@@ -403,13 +377,7 @@ impl<'a> SubstEngine<'a> {
             targets.sort_by_key(|&id| {
                 std::cmp::Reverse(self.net.node(id).cover().map_or(0, Cover::literal_count))
             });
-            self.book(
-                &SubstStats {
-                    enumerate_nanos: nanos(t0),
-                    ..SubstStats::default()
-                },
-                None,
-            );
+            self.book_enumeration(t0, 0);
             if let Some(m) = &self.metrics {
                 m.targets_total
                     .set(i64::try_from(targets.len()).unwrap_or(i64::MAX));
@@ -435,41 +403,56 @@ impl<'a> SubstEngine<'a> {
         self.stats
     }
 
-    /// The one booking path. Folds `delta` into the session's
-    /// [`SubstStats`] and the metrics registry. A finished pair passes its
-    /// `rec`, which goes to the tracer and the pair-latency histogram.
-    /// Work booked outside any pair (`rec` is `None`: enumeration, the
-    /// expired deadline) has no record; its
-    /// enumeration time is sampled into the tracer's stage histograms.
-    pub(crate) fn book(&mut self, delta: &SubstStats, rec: Option<&PairRecord>) {
+    /// The one booking path of a pair: folds its record into the
+    /// session's [`SubstStats`] and the metrics registry
+    /// ([`SubstStats::of_pair`]) and hands it to the tracer and the
+    /// pair-latency histogram.
+    pub(crate) fn book(&mut self, rec: &PairRecord) {
+        self.add(&SubstStats::of_pair(rec));
         if let Some(m) = &self.metrics {
-            if delta.interrupted && self.stats.interrupted {
-                // `interrupted` latches: the registry counts a run once.
-                m.add(&SubstStats {
-                    interrupted: false,
-                    ..*delta
-                });
-            } else {
-                m.add(delta);
-            }
-            if let Some(rec) = rec {
-                m.pair_ns.observe(rec.dur_ns);
-            }
-            if delta.substitutions > 0 {
+            m.pair_ns.observe(rec.dur_ns);
+            if rec.outcome.accepted() {
                 let nodes = i64::try_from(self.net.node_ids().count()).unwrap_or(i64::MAX);
                 m.nodes.set(nodes);
                 m.peak_nodes.max(nodes);
             }
         }
-        self.stats.merge(delta);
         if let Some(t) = self.tracer.as_deref_mut() {
-            match rec {
-                Some(rec) => t.record_pair(rec),
-                None if delta.enumerate_nanos > 0 => {
-                    t.stage(Stage::Enumerate, delta.enumerate_nanos);
-                }
-                None => {}
-            }
+            t.record_pair(rec);
+        }
+    }
+
+    /// Adds `delta` to the session's stats and the metrics registry: a
+    /// pair's fold, or a run event.
+    fn add(&mut self, delta: &SubstStats) {
+        if let Some(m) = &self.metrics {
+            m.add(delta);
+        }
+        self.stats.merge(delta);
+    }
+
+    /// Books one enumeration, a run event: its time, which the tracer
+    /// samples into its stage histogram, and the candidates it newly
+    /// proposed.
+    fn book_enumeration(&mut self, since: Instant, proposed: usize) {
+        let ns = nanos(since);
+        self.add(&SubstStats {
+            discovery_proposed: proposed,
+            enumerate_nanos: ns,
+            ..SubstStats::default()
+        });
+        if let Some(t) = self.tracer.as_deref_mut().filter(|_| ns > 0) {
+            t.stage(Stage::Enumerate, ns);
+        }
+    }
+
+    /// Latches `stats.interrupted`, a run event booked once per run.
+    fn interrupt(&mut self) {
+        if !self.stats.interrupted {
+            self.add(&SubstStats {
+                interrupted: true,
+                ..SubstStats::default()
+            });
         }
     }
 
@@ -479,33 +462,28 @@ impl<'a> SubstEngine<'a> {
     /// just one with fewer rewrites applied.
     pub(crate) fn deadline_expired(&mut self) -> bool {
         if !self.stats.interrupted && self.opts.deadline.is_some_and(|d| Instant::now() >= d) {
-            let expired = SubstStats {
-                interrupted: true,
-                ..SubstStats::default()
-            };
-            self.book(&expired, None);
+            self.interrupt();
         }
         self.stats.interrupted
     }
 
-    /// Rolls the live network back to `snap` and clears the acceptance
-    /// counters of the attempt's `delta`; work counters (divisions tried,
-    /// filter tallies, timings) are kept, since that work really happened.
-    fn recover(&mut self, snap: &TxnSnapshot, delta: &mut SubstStats) {
+    /// Rolls the live network back to `snap`. The pair's work stays
+    /// booked, since it really happened; its outcome says the rewrite did
+    /// not stand.
+    fn recover(&mut self, snap: &TxnSnapshot) {
         // Rollback only replays covers captured from live nodes and
         // deletes nodes minted after the snapshot; the sweep never
         // deletes pre-existing nodes, so this cannot fail in practice.
         let rolled = snap.rollback(self.net);
         debug_assert!(rolled.is_ok(), "rollback failed: {rolled:?}");
-        delta.clear_acceptance();
     }
 
     /// Asks the guard whether the applied rewrite preserved every
-    /// primary-output function. Records the verdict (its tier, and whether
-    /// the cut or the whole network decided it) in `delta` and on the
-    /// tracer. `None` means no guard is installed (unchecked run): the
-    /// rewrite stands on the division proof alone. The guard reads only
-    /// the network and the snapshot, never the plan.
+    /// primary-output function. Records the verdict (its tier, whether
+    /// the cut or the whole network decided it, and the SAT runs) in the
+    /// pair's `rec` and on the tracer. `None` means no guard is installed
+    /// (unchecked run): the rewrite stands on the division proof alone.
+    /// The guard reads only the network and the snapshot, never the plan.
     ///
     /// Outside GDC mode every division strategy is cover algebra over the
     /// pair's joint space, so the guard first compares the changed nodes
@@ -523,7 +501,7 @@ impl<'a> SubstEngine<'a> {
         snap: &TxnSnapshot,
         target: NodeId,
         divisor: NodeId,
-        delta: &mut SubstStats,
+        rec: &mut PairRecord,
     ) -> Option<GuardDecision> {
         let guard = self.guard.as_mut()?;
         let t0 = Instant::now();
@@ -541,7 +519,6 @@ impl<'a> SubstEngine<'a> {
         let decision = match cut_proof {
             Some(d) => d,
             None => {
-                delta.guard_network_checks += 1;
                 let mut pre = self.net.clone();
                 match snap.rollback(&mut pre) {
                     Ok(()) => guard.check(&pre, self.net),
@@ -552,15 +529,17 @@ impl<'a> SubstEngine<'a> {
                 }
             }
         };
-        delta.guard_sat_runs += usize::try_from(guard.sat_runs() - sat_runs0).unwrap_or(0);
-        if decision == GuardDecision::PassSampled {
-            delta.guard_pass_sampled += 1;
-        }
+        let tier = guard_tier(&decision);
+        rec.guard = Some(PairGuard {
+            tier,
+            scope,
+            sat_runs: u32::try_from(guard.sat_runs() - sat_runs0).unwrap_or(u32::MAX),
+        });
         if let Some(t) = self.tracer.as_deref_mut() {
             t.guard_check(
                 id32(target),
                 id32(divisor),
-                guard_tier(&decision),
+                tier,
                 scope,
                 decision.passed(),
                 decision.exact(),
@@ -598,20 +577,15 @@ impl<'a> SubstEngine<'a> {
         }
         cands.sort_unstable();
         cands.dedup();
-        let delta = SubstStats {
-            discovery_proposed: count_missing(&cands, prev),
-            enumerate_nanos: nanos(t0),
-            ..SubstStats::default()
-        };
-        self.book(&delta, None);
+        self.book_enumeration(t0, count_missing(&cands, prev));
         cands
     }
 
     /// Replaces the cached shadow entry unless it is for this target and
     /// the current network version. A new entry is empty: the first pair
     /// that reaches its division proof builds the snapshot
-    /// ([`ShadowEntry::base`]), and the build is booked when a booked pair
-    /// first uses it ([`SubstEngine::use_shadow`]).
+    /// ([`ShadowEntry::base`]), and the build is traced when a booked
+    /// pair first uses it ([`SubstEngine::use_shadow`]).
     pub(crate) fn ensure_shadow(&mut self, target: NodeId) {
         let valid = self
             .shadow
@@ -627,21 +601,21 @@ impl<'a> SubstEngine<'a> {
         }
     }
 
-    /// Books one pair's use of the shadow snapshot: the first use of an
-    /// entry is the cache miss (and the traced build), every later one a
-    /// hit.
-    pub(crate) fn use_shadow(&mut self, target: NodeId, delta: &mut SubstStats) {
-        match self.shadow.as_mut() {
+    /// Records one pair's use of the shadow snapshot in its `rec`: the
+    /// first use of an entry is the cache miss (and the traced build),
+    /// every later one a hit.
+    pub(crate) fn use_shadow(&mut self, target: NodeId, rec: &mut PairRecord) {
+        rec.shadow = Some(match self.shadow.as_mut() {
             Some(e) if !e.booked => {
                 e.booked = true;
-                delta.shadow_cache_misses += 1;
                 let ns = e.base.get().map_or(0, |(_, ns)| *ns);
                 if let Some(t) = self.tracer.as_deref_mut() {
                     t.shadow_build(id32(target), ns);
                 }
+                ShadowUse::Miss
             }
-            _ => delta.shadow_cache_hits += 1,
-        }
+            _ => ShadowUse::Hit,
+        });
     }
 
     /// Replaces the cached dividend forms if they belong to a different
@@ -660,24 +634,25 @@ impl<'a> SubstEngine<'a> {
     /// division it came from is never proved a second time. Checked mode
     /// snapshots the two covers the plan can rewrite, isolates a panic in
     /// the apply and asks the guard for a verdict; a faulting or refuted
-    /// rewrite is rolled back and the pair counted as quarantined. Any
-    /// edit, kept or rolled back, is then carried into the side tables and
-    /// the signature table. Books into the pair's `delta` (the apply, the
-    /// guard and the table patching as apply time, the signature patch as
-    /// sim time) and returns the pair's outcome with the committed gain.
+    /// rewrite is rolled back and the pair given up. Any edit, kept or
+    /// rolled back, is then carried into the side tables and the
+    /// signature table. Records in the pair's `rec` its outcome, the
+    /// committed gain, the commit's time (the apply, the guard and the
+    /// table patching under Apply, the signature patch under Sim) and the
+    /// guard's verdict; returns whether the rewrite stands.
     pub(crate) fn commit(
         &mut self,
         target: NodeId,
         divisor: NodeId,
         plan: SubstPlan,
-        delta: &mut SubstStats,
-    ) -> (Outcome, Option<i64>) {
+        rec: &mut PairRecord,
+    ) -> bool {
         let t1 = Instant::now();
         let v0 = self.net.version();
         let old_tgt = self.net.node(target).fanins().to_vec();
         let old_div = self.net.node(divisor).fanins().to_vec();
         let old_bound = self.net.id_bound();
-        let accepted = core_outcome(Some(&plan), delta);
+        let accepted = plan.outcome();
         // Checked mode snapshots the minimal pre-state (the two covers
         // this pair can rewrite plus the id bound for minted nodes) so a
         // faulting or guard-refuted apply can be undone in O(changed).
@@ -687,48 +662,41 @@ impl<'a> SubstEngine<'a> {
             .then(|| TxnSnapshot::capture(self.net, &[target, divisor]));
         let applied = {
             let net = &mut *self.net;
-            let apply = || apply_plan(net, plan, delta);
+            let apply = || apply_plan(net, plan);
             if snap.is_some() {
                 catch_unwind(AssertUnwindSafe(apply)).ok()
             } else {
                 Some(apply())
             }
         };
-        // A failed apply booked an engine fault and left the network as
-        // it was.
-        let (mut outcome, mut result) = match applied {
-            Some(Some(gain)) => (accepted, Some(gain)),
-            Some(None) | None => (Outcome::EngineFault, None),
+        // A typed apply error left the network as it was; a panic (caught
+        // in checked mode only) may have left it mid-rewrite.
+        let mut gain = applied.flatten();
+        rec.outcome = if gain.is_some() {
+            accepted
+        } else {
+            Outcome::EngineFault
         };
         if let Some(snap) = &snap {
             if applied.is_none() {
-                // A panic escaped the apply, possibly mid-rewrite:
-                // restore the pre-state and give the pair up.
-                self.recover(snap, delta);
-                delta.engine_faults += 1;
-                delta.quarantined += 1;
-            } else if result.is_some() {
-                match self.guard_verdict(snap, target, divisor, delta) {
-                    Some(GuardDecision::OutOfTime) => {
-                        // The remaining deadline window cannot afford an
-                        // exact verdict: undo the unproven rewrite and
-                        // latch the interrupt. The pair is innocent (no
-                        // quarantine or rejection count) — the clock ran
-                        // out, and the sweep exits with a verified
-                        // partial result as if the deadline had expired
-                        // between attempts.
-                        self.recover(snap, delta);
-                        delta.interrupted = true;
-                        (outcome, result) = (Outcome::GuardRejected, None);
-                    }
+                // Restore the pre-state and give the pair up.
+                self.recover(snap);
+            } else if gain.is_some() {
+                match self.guard_verdict(snap, target, divisor, rec) {
                     Some(decision) if !decision.passed() => {
-                        // The rewrite changed a primary-output function:
-                        // undo it and give the pair up, then keep
-                        // sweeping.
-                        self.recover(snap, delta);
-                        delta.guard_rejections += 1;
-                        delta.quarantined += 1;
-                        (outcome, result) = (Outcome::GuardRejected, None);
+                        // The rewrite changed a primary-output function,
+                        // or the remaining deadline window could not
+                        // afford an exact verdict: undo it. A refuted pair
+                        // is given up and the sweep keeps going; after a
+                        // deadline refusal (the pair is innocent) the
+                        // sweep exits with a verified partial result, as
+                        // if the deadline had expired between attempts.
+                        self.recover(snap);
+                        if decision == GuardDecision::OutOfTime {
+                            self.interrupt();
+                        }
+                        rec.outcome = Outcome::GuardRejected;
+                        gain = None;
                     }
                     _ => {}
                 }
@@ -752,16 +720,14 @@ impl<'a> SubstEngine<'a> {
                 e.version = self.net.version();
             }
         }
-        delta.apply_nanos += nanos(t1);
+        rec.stages.apply += nanos(t1);
         if edited {
             let ts = Instant::now();
             self.sim.patch(self.net, &self.side, &[target, divisor]);
-            delta.sim_nanos += nanos(ts);
+            rec.stages.sim += nanos(ts);
         }
-        if result.is_some() {
-            delta.discovery_accepted += 1;
-        }
-        (outcome, result)
+        rec.gain = gain.unwrap_or(0);
+        gain.is_some()
     }
 }
 
@@ -900,13 +866,42 @@ mod tests {
         }
     }
 
+    /// The engine hands its deadline to the guard it builds: past it, a
+    /// check that needs the SAT tier is refused as out of time.
+    #[test]
+    fn new_hands_its_deadline_to_the_guard() {
+        use boolsubst_guard::{GuardConfig, TierPolicy};
+        use std::time::Duration;
+        let mut net = small_net();
+        let reference = net.clone();
+        // A random pool only samples, so every check escalates to tier C.
+        let guard = GuardConfig {
+            exhaustive_inputs: 0,
+            tier: TierPolicy::Sat,
+            ..GuardConfig::default()
+        };
+        let past = Instant::now() - Duration::from_secs(1);
+        let opts = SubstOptions {
+            guard,
+            ..SubstOptions::basic().with_checked(true).with_deadline(past)
+        };
+        let mut engine = SubstEngine::new(&mut net, opts);
+        let guard = engine.guard.as_mut().expect("checked engine");
+        assert_eq!(
+            guard.check(&reference, &reference),
+            GuardDecision::OutOfTime
+        );
+    }
+
     /// `f = ab + c + z` and `d = ab + c + e` (the paper's extended
     /// division scenario) with the extended rewrite applied by hand
     /// behind a snapshot: a minted core `k = ab + c`, then `d = k + e`
     /// and `f = k + z` (or `f = k`, the `z` cube dropped, when
-    /// `drop_cube`). Returns the guard's verdict, the pair's stats delta
-    /// and the traced guard events.
-    fn guard_hand_ext_rewrite(drop_cube: bool) -> (GuardDecision, SubstStats, Vec<TraceEvent>) {
+    /// `drop_cube`). Returns the guard's verdict, the scope the pair's
+    /// record holds, and the traced guard events.
+    fn guard_hand_ext_rewrite(
+        drop_cube: bool,
+    ) -> (GuardDecision, Option<GuardScope>, Vec<TraceEvent>) {
         let mut net = Network::new("cut_t");
         let [a, b, c, e, z] = ["a", "b", "c", "e", "z"].map(|n| net.add_input(n).expect("pi"));
         let sop = |n, s| parse_sop(n, s).expect("sop");
@@ -932,12 +927,13 @@ mod tests {
         let f_sop = if drop_cube { "a" } else { "a + b" };
         post.replace_function(f, vec![k, z], sop(2, f_sop))
             .expect("f");
-        let mut delta = SubstStats::default();
+        let mut rec = PairRecord::new(id32(f), id32(d), Instant::now());
         let decision = engine
-            .guard_verdict(&snap, f, d, &mut delta)
+            .guard_verdict(&snap, f, d, &mut rec)
             .expect("checked engine");
         drop(engine);
-        (decision, delta, tracer.events().cloned().collect())
+        let scope = rec.guard.map(|g| g.scope);
+        (decision, scope, tracer.events().cloned().collect())
     }
 
     fn guard_scopes(events: &[TraceEvent]) -> Vec<GuardScope> {
@@ -955,9 +951,9 @@ mod tests {
     /// whole network.
     #[test]
     fn minting_ext_rewrite_passes_on_its_cut() {
-        let (decision, delta, events) = guard_hand_ext_rewrite(false);
+        let (decision, scope, events) = guard_hand_ext_rewrite(false);
         assert_eq!(decision, GuardDecision::PassExhaustive);
-        assert_eq!(delta.guard_network_checks, 0);
+        assert_eq!(scope, Some(GuardScope::Cut));
         assert_eq!(guard_scopes(&events), [GuardScope::Cut]);
     }
 
@@ -965,44 +961,14 @@ mod tests {
     /// whole-network compare, and is refuted there.
     #[test]
     fn dropped_cube_fails_the_cut_and_is_refuted_on_the_network() {
-        let (decision, delta, events) = guard_hand_ext_rewrite(true);
+        let (decision, scope, events) = guard_hand_ext_rewrite(true);
         assert_eq!(
             decision,
             GuardDecision::RefutedSim {
                 output: "f".to_string()
             }
         );
-        assert_eq!(delta.guard_network_checks, 1);
+        assert_eq!(scope, Some(GuardScope::Network));
         assert_eq!(guard_scopes(&events), [GuardScope::Network]);
-    }
-
-    /// A guard carried over from an earlier job takes this engine's
-    /// deadline — here none — instead of keeping its own expired one.
-    #[test]
-    fn install_guard_replaces_a_reused_guards_deadline() {
-        use boolsubst_guard::{GuardConfig, TierPolicy};
-        use std::time::Duration;
-        let mut net = small_net();
-        let reference = net.clone();
-        // A random pool only samples, so every check escalates to tier C.
-        let config = GuardConfig {
-            exhaustive_inputs: 0,
-            tier: TierPolicy::Sat,
-            ..GuardConfig::default()
-        };
-        let mut stale = Guard::new(config);
-        stale.set_deadline(Some(Instant::now() - Duration::from_secs(1)));
-        assert_eq!(
-            stale.check(&reference, &reference),
-            GuardDecision::OutOfTime
-        );
-        let opts = SubstOptions {
-            guard: config,
-            ..SubstOptions::basic().with_checked(true)
-        };
-        let mut engine = SubstEngine::new(&mut net, opts);
-        engine.install_guard(stale);
-        let mut guard = engine.take_guard().expect("checked engine");
-        assert_eq!(guard.check(&reference, &reference), GuardDecision::PassSat);
     }
 }

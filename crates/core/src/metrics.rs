@@ -12,10 +12,11 @@
 //! Every [`SubstStats`] field has one instrument, named
 //! `engine.<field>` and resolved from [`SubstStats::fields`]: counts and
 //! times are counters, and `literal_gain` is a gauge. They are bumped
-//! by the engine's one booking path (`SubstEngine::book`): every
-//! `SubstStats` delta it folds into the session's stats goes through
-//! [`EngineMetrics::add`] too, so the registry and the stats block
-//! cannot disagree. A pair's booking also samples its wall time into
+//! by the engine's one booking path (`SubstEngine::book`): the
+//! `SubstStats` delta it folds from a pair record (or a run event's)
+//! goes into the session's stats and through [`EngineMetrics::add`]
+//! alike, so the registry and the stats block cannot disagree. A pair's
+//! booking also samples its wall time into
 //! `engine.pair_ns`. Progress gauges (targets, nodes) and the sweep
 //! utilization counters are kept by hand and bumped where the sweep does
 //! that work. Each bump is one relaxed atomic op.

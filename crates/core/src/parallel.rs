@@ -38,14 +38,14 @@
 //! lowest stopping pair (an accepting pair, or a failed audit), under
 //! [`Acceptance::BestGain`] the lowest-index pair of the highest gain. The
 //! committer settles every other evaluated pair in pair order, each
-//! through `SubstEngine::book` with its own stat delta and one record; a
-//! best-gain pair that gained but lost drops its plan and is booked as
+//! through `SubstEngine::book` with its one [`PairRecord`]; a best-gain
+//! pair that gained but lost drops its plan and is booked as
 //! [`Outcome::RejectedOutranked`]. The winner is settled last. An
 //! accepting winner's stored plan goes to `SubstEngine::commit`, which
 //! applies it once — the division is not proved again — under checked
 //! mode's txn snapshot, panic isolation and guard, and patches the side
-//! tables and the signature table. The winner's record is built after the
-//! commit, from its evaluation delta plus the commit's.
+//! tables and the signature table. The commit completes the winner's
+//! record (outcome, gain, apply time, guard verdict) before it is booked.
 //!
 //! Under first-gain a kept commit re-enumerates the target's candidates
 //! past the accepted divisor; a faulting or guard-refuted one is rolled
@@ -83,12 +83,11 @@
 
 use crate::engine::{cheap_filters, id32, nanos, ShadowEntry, SubstEngine};
 use crate::subst::{
-    core_outcome, plan_pair_core, Acceptance, GdcScope, SubstMode, SubstOptions, SubstPlan,
-    SubstStats, TargetForms,
+    plan_pair_core, Acceptance, GdcScope, SubstMode, SubstOptions, SubstPlan, TargetForms,
 };
 use boolsubst_network::{Network, NodeId, SideTables};
 use boolsubst_sim::SimFilter;
-use boolsubst_trace::{Outcome, PairRecord, StageNanos};
+use boolsubst_trace::{Outcome, PairRecord};
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,66 +98,35 @@ use std::time::Instant;
 /// spawn costs more than a couple of pair proofs.
 const PAR_MIN_PAIRS: usize = 16;
 
-/// One evaluated pair: the stat delta its evaluation booked, its outcome
-/// and, when it gained, the plan a commit applies. An `EngineFault`
-/// outcome means the evaluation panicked or, with `audit_failed`, that
-/// the checked-mode signature audit found a rotted row.
+/// One evaluated pair: its record and, when it gained, the plan a commit
+/// applies. An `EngineFault` outcome means the evaluation panicked or
+/// that the checked-mode signature audit found a rotted row.
 struct PairEval {
-    delta: SubstStats,
-    outcome: Outcome,
+    rec: PairRecord,
     plan: Option<SubstPlan>,
-    audit_failed: bool,
-    /// When the evaluation started.
-    start: Instant,
-    /// Wall time of the pair's work, measured only when traced or
-    /// metered.
-    dur_ns: u64,
-    /// The drain that evaluated the pair; 0 is the committer.
-    worker: u32,
-    /// The sim-screen time the division window booked in both
-    /// `sim_nanos` and `divide_nanos`; the record counts it once, under
-    /// Sim.
-    screen_ns: u64,
 }
 
 impl PairEval {
+    /// The checked-mode signature audit found a rotted row: the pair was
+    /// audited, and so passed the cheap filters, but never reached its
+    /// proof.
+    fn audit_failed(&self) -> bool {
+        self.rec.audited && !self.rec.proof
+    }
+
     /// True for the pairs a first-gain epoch stops at: the first of them
     /// is the last pair the committer books before it commits or repairs.
     fn stops_epoch(&self) -> bool {
-        self.audit_failed || self.plan.is_some()
-    }
-
-    /// The pair's span record, with stage shares read off its delta as
-    /// booked.
-    fn record(&self, target: NodeId, divisor: NodeId, gain: i64) -> PairRecord {
-        let d = &self.delta;
-        PairRecord {
-            target: id32(target),
-            divisor: id32(divisor),
-            start: self.start,
-            dur_ns: self.dur_ns,
-            stages: StageNanos {
-                enumerate: d.enumerate_nanos,
-                filter: d.filter_nanos,
-                sim: d.sim_nanos,
-                divide: d.divide_nanos.saturating_sub(self.screen_ns),
-                apply: d.apply_nanos,
-            },
-            outcome: self.outcome,
-            gain,
-            rar_checks: u64::try_from(d.rar_checks).unwrap_or(u64::MAX),
-            bound_skip: d.local_bound_skips > 0,
-            worker: self.worker,
-        }
+        self.audit_failed() || self.plan.is_some()
     }
 }
 
 /// Evaluates one (target, divisor) pair read-only against the epoch
 /// snapshot: the cheap filter chain, the checked-mode signature audit and
-/// the division proofs, with their stat accounting and no mutation (no
-/// table repair, no network edit). Always panic-isolated. The evaluation
-/// is built in place in its box, so settling an epoch moves pointers, not
-/// the evaluations themselves.
+/// the division proofs, recorded in the pair's record, with no mutation
+/// (no table repair, no network edit). Always panic-isolated. The
+/// evaluation is built in place in its box, so settling an epoch moves
+/// pointers, not the evaluations themselves.
 #[allow(clippy::too_many_arguments)]
 fn speculate_pair(
     net: &Network,
@@ -174,39 +142,32 @@ fn speculate_pair(
 ) -> Box<PairEval> {
     let start = Instant::now();
     let mut eval = Box::new(PairEval {
-        delta: SubstStats::default(),
-        outcome: Outcome::RejectedNoGain,
+        rec: PairRecord {
+            worker,
+            ..PairRecord::new(id32(target), id32(divisor), start)
+        },
         plan: None,
-        audit_failed: false,
-        start,
-        dur_ns: 0,
-        worker,
-        screen_ns: 0,
     });
-    let delta = &mut eval.delta;
-    delta.candidates_enumerated += 1;
-    let filtered = cheap_filters(net, side, delta, target, divisor);
-    delta.filter_nanos += nanos(start);
+    let rec = &mut eval.rec;
+    let filtered = cheap_filters(net, side, target, divisor);
+    rec.stages.filter = nanos(start);
     // Checked mode recomputes the pair's signature rows from their fanins
     // and compares them with the table; the committer repairs the table
     // after a mismatch.
     let audit_failed = filtered.is_ok() && opts.checked && {
         let ts = Instant::now();
         let ok = sim.audit(net, &[target, divisor]);
-        delta.sim_audits += 1;
-        delta.sim_nanos += nanos(ts);
+        rec.audited = true;
+        rec.stages.sim += nanos(ts);
         !ok
     };
-    // Sim time so far is the audit's; the rest is the division window's
-    // screen, which the record counts under Sim rather than Divide.
-    let audit_ns = delta.sim_nanos;
 
-    let (outcome, plan) = match filtered {
-        Err(outcome) => (outcome, None),
-        Ok(_) if audit_failed => (Outcome::EngineFault, None),
+    match filtered {
+        Err(outcome) => rec.outcome = outcome,
+        Ok(_) if audit_failed => rec.outcome = Outcome::EngineFault,
         Ok(space) => {
             // The pair survived every cheap filter: the division proof runs.
-            delta.discovery_proofs_run += 1;
+            rec.proof = true;
             let mut t1 = Instant::now();
             let planned = catch_unwind(AssertUnwindSafe(|| {
                 let scope = match shadow {
@@ -225,25 +186,27 @@ fn speculate_pair(
                     divisor,
                     &space,
                     opts,
-                    delta,
+                    rec,
                     &scope,
                     Some(forms),
                     Some(sim),
                 )
             }));
-            delta.divide_nanos += nanos(t1);
+            // The screen inside the window is booked under Sim.
+            rec.stages.divide = nanos(t1).saturating_sub(rec.screen_ns);
             match planned {
-                Ok(plan) => (core_outcome(plan.as_ref(), delta), plan),
-                Err(_) => (Outcome::EngineFault, None),
+                Ok(plan) => {
+                    if let Some(plan) = &plan {
+                        rec.outcome = plan.outcome();
+                    }
+                    eval.plan = plan;
+                }
+                Err(_) => rec.outcome = Outcome::EngineFault,
             }
         }
-    };
-    eval.screen_ns = eval.delta.sim_nanos - audit_ns;
-    eval.outcome = outcome;
-    eval.plan = plan;
-    eval.audit_failed = audit_failed;
+    }
     if timed {
-        eval.dur_ns = nanos(start);
+        eval.rec.dur_ns = nanos(start);
     }
     eval
 }
@@ -256,45 +219,41 @@ impl SubstEngine<'_> {
     }
 
     /// Books one evaluated pair in sweep order: after a failed audit the
-    /// signature-table repair, the pair's use of the shadow snapshot, a
-    /// fault's quarantine count and, for an accepting pair, the commit of its
-    /// stored plan; then its delta and its one record. Returns whether a
-    /// rewrite was committed.
+    /// signature-table repair, the pair's use of the shadow snapshot and,
+    /// for an accepting pair, the commit of its stored plan; then its one
+    /// record. Returns whether a rewrite was committed.
     fn settle(&mut self, target: NodeId, divisor: NodeId, mut eval: Box<PairEval>) -> bool {
-        if eval.audit_failed {
-            self.repair_sim(&mut eval.delta);
+        let audit_failed = eval.audit_failed();
+        let rec = &mut eval.rec;
+        if audit_failed {
+            self.repair_sim(rec);
         }
         // A pair that reached the division core used the shadow.
-        if self.opts.mode == SubstMode::ExtendedGdc && eval.delta.divisions_tried > 0 {
-            self.use_shadow(target, &mut eval.delta);
+        if self.opts.mode == SubstMode::ExtendedGdc && rec.proof {
+            self.use_shadow(target, rec);
         }
-        if eval.outcome == Outcome::EngineFault {
-            eval.delta.engine_faults += 1;
-            eval.delta.quarantined += 1;
-        }
-        let mut committed = None;
+        let mut committed = false;
         if let Some(plan) = eval.plan.take() {
             let tc = self.timed().then(Instant::now);
-            (eval.outcome, committed) = self.commit(target, divisor, plan, &mut eval.delta);
+            committed = self.commit(target, divisor, plan, rec);
             if let Some(tc) = tc {
                 let ns = nanos(tc);
-                eval.dur_ns += ns;
+                rec.dur_ns += ns;
                 if let Some(m) = &self.metrics {
                     m.sweep_commit_ns.add(ns);
                 }
             }
         }
-        let rec = eval.record(target, divisor, committed.unwrap_or(0));
-        self.book(&eval.delta, Some(&rec));
-        committed.is_some()
+        self.book(rec);
+        committed
     }
 
-    /// Rebuilds the signature table after an audit failed, booking the
-    /// time into `delta`.
-    fn repair_sim(&mut self, delta: &mut SubstStats) {
+    /// Rebuilds the signature table after an audit failed, recording the
+    /// time in the pair's `rec`.
+    fn repair_sim(&mut self, rec: &mut PairRecord) {
         let ts = Instant::now();
         self.sim.rebuild(self.net);
-        delta.sim_nanos += nanos(ts);
+        rec.stages.sim += nanos(ts);
     }
 
     /// One epoch: read-only evaluation of `cands` against the frozen
@@ -377,7 +336,7 @@ impl SubstEngine<'_> {
                     u32::try_from(worker).unwrap_or(u32::MAX),
                 );
                 if metrics.is_some() {
-                    proof_ns += eval.dur_ns;
+                    proof_ns += eval.rec.dur_ns;
                     pairs += 1;
                 }
                 if first_gain && eval.stops_epoch() {
@@ -462,7 +421,7 @@ impl SubstEngine<'_> {
                 .map(|w| evals.remove(w));
                 for (i, mut eval) in evals {
                     if eval.plan.take().is_some() {
-                        eval.outcome = Outcome::RejectedOutranked;
+                        eval.rec.outcome = Outcome::RejectedOutranked;
                     }
                     self.settle(target, cands[base + i], eval);
                 }

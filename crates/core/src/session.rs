@@ -19,14 +19,15 @@
 
 use crate::engine::SubstEngine;
 use crate::subst::{SubstOptions, SubstStats};
-use boolsubst_guard::Guard;
 use boolsubst_metrics::MetricsHandle;
 use boolsubst_network::Network;
 use boolsubst_trace::Tracer;
 
 /// A configured substitution run over one network: options (the thread
 /// count among them), an optional trace recorder and an optional metrics
-/// registry, executed by [`Session::run`].
+/// registry, executed by [`Session::run`]. Each run builds its own
+/// checked-mode guard, with the run's deadline; no guard state carries
+/// over from one run to the next.
 ///
 /// The builder borrows the network mutably for its whole life, so a
 /// `Session` cannot outlive or alias the network it rewrites. Attaching a
@@ -37,7 +38,6 @@ pub struct Session<'n, 't> {
     opts: SubstOptions,
     tracer: Option<&'t mut Tracer>,
     metrics: Option<MetricsHandle>,
-    cached_guard: Option<Guard>,
 }
 
 impl<'n, 't> Session<'n, 't> {
@@ -48,7 +48,6 @@ impl<'n, 't> Session<'n, 't> {
             opts,
             tracer: None,
             metrics: None,
-            cached_guard: None,
         }
     }
 
@@ -72,44 +71,20 @@ impl<'n, 't> Session<'n, 't> {
         self
     }
 
-    /// Seeds the checked-mode guard with one carried over from a previous
-    /// run (see [`Session::run_returning_guard`]). The guard's lazily
-    /// built pattern pools — keyed by primary-input count — and its
-    /// learned SAT cost model survive across jobs, so a long-running
-    /// service does not rebuild them per request. The guard adopts this
-    /// run's [`SubstOptions::guard`] config (stale-shaped pools are
-    /// dropped automatically); ignored when `checked` is off.
-    #[must_use]
-    pub fn cached_guard(mut self, guard: Guard) -> Session<'n, 't> {
-        self.cached_guard = Some(guard);
-        self
-    }
-
     /// Runs one sweep over every target and returns its statistics. A
     /// caller that wants another pass runs a new session on the rewritten
     /// network. The network is left valid and functionally equivalent
     /// after every possible outcome (acceptance, rejection, deadline
     /// interrupt, checked-mode rollback).
     pub fn run(self) -> SubstStats {
-        self.run_returning_guard().0
-    }
-
-    /// Like [`Session::run`], but also returns the guard so its warmed
-    /// pattern pools can be fed into the next run via
-    /// [`Session::cached_guard`]. `None` when the run was unchecked.
-    pub fn run_returning_guard(self) -> (SubstStats, Option<Guard>) {
         let mut engine = match self.tracer {
             Some(tracer) => SubstEngine::with_tracer(self.net, self.opts, tracer),
             None => SubstEngine::new(self.net, self.opts),
         };
-        if let Some(guard) = self.cached_guard {
-            engine.install_guard(guard);
-        }
         if let Some(handle) = &self.metrics {
             engine.attach_metrics(handle);
         }
-        let stats = engine.run();
-        (stats, engine.take_guard())
+        engine.run()
     }
 }
 
@@ -215,43 +190,6 @@ mod tests {
             assert!(stats.interrupted);
         }
         assert_eq!(handle.counter_value("engine.interrupted"), Some(2));
-    }
-
-    #[test]
-    fn cached_guard_reuse_is_invisible_to_the_result() {
-        let opts = || SubstOptions::extended().with_checked(true);
-        let mut fresh = small_net();
-        let sf = Session::new(&mut fresh, opts()).run();
-
-        let mut first = small_net();
-        let (s1, guard) = Session::new(&mut first, opts()).run_returning_guard();
-        let guard = guard.expect("checked run returns its guard");
-        let first_checks = guard.checks();
-        assert!(first_checks > 0, "guard saw no checks");
-
-        let mut reused = small_net();
-        let (s2, guard2) = Session::new(&mut reused, opts())
-            .cached_guard(guard)
-            .run_returning_guard();
-        assert_eq!(
-            write_blif(&fresh),
-            write_blif(&reused),
-            "a warmed guard changed the rewrites"
-        );
-        assert_eq!(sf.substitutions, s1.substitutions);
-        assert_eq!(s1.substitutions, s2.substitutions);
-        let guard2 = guard2.expect("guard survives the second run");
-        assert!(
-            guard2.checks() > first_checks,
-            "reused guard must accumulate checks across jobs"
-        );
-    }
-
-    #[test]
-    fn unchecked_run_returns_no_guard() {
-        let mut net = small_net();
-        let (_, guard) = Session::new(&mut net, SubstOptions::extended()).run_returning_guard();
-        assert!(guard.is_none());
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::division::{
     basic_divide_covers, divide_region, forced_literal_bound, pos_divide_precomplemented,
     DivisionOptions,
 };
+use crate::engine::{id32, nanos};
 use crate::extended::{extended_divide, CoreSelection, ExtendedDivision};
 use crate::netcircuit::{network_region, ShadowBase};
 use boolsubst_algebraic::{factored_literals, factored_literals_lower_bound, JointSpace};
@@ -15,7 +16,7 @@ use boolsubst_guard::{GuardConfig, TierPolicy};
 use boolsubst_network::{Network, NodeId};
 use boolsubst_sat::SatOptions;
 use boolsubst_sim::{CoverScreen, SimFilter};
-use boolsubst_trace::Outcome;
+use boolsubst_trace::{GuardScope, GuardTier, Outcome, PairGuard, PairRecord, ShadowUse};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -342,7 +343,7 @@ sweep_counters! {
         /// division proof.
         pub discovery_proofs_run: usize,
         /// Proposed pairs whose division proof succeeded and whose rewrite was
-        /// committed (equals `substitutions` on the engine path).
+        /// committed (equals `substitutions`).
         pub discovery_accepted: usize,
         /// Candidate pairs individually examined.
         pub candidates_enumerated: usize,
@@ -383,7 +384,7 @@ sweep_counters! {
         pub sim_ext_wires_skipped: usize,
         /// Checked-mode signature audits: the pair's two rows recomputed from
         /// their fanins and compared with the table, once per pair that
-        /// passed the cheap filters, live or speculated.
+        /// passed the cheap filters.
         pub sim_audits: usize,
         /// Wall time enumerating targets and candidates (engine path).
         pub enumerate_nanos: u64,
@@ -394,11 +395,12 @@ sweep_counters! {
         /// which `sim_nanos` also counts, so the two overlap; the pair
         /// record books that time under Sim only.
         pub divide_nanos: u64,
-        /// Wall time patching side tables after acceptances (engine path).
+        /// Wall time committing accepted pairs (engine path): the plan's
+        /// apply, the checked-mode guard and the side-table patching.
         pub apply_nanos: u64,
-        /// Wall time screening pairs, refining the pool, and patching
-        /// signatures (engine path). The per-pair screen also falls
-        /// inside `divide_nanos`.
+        /// Wall time building the signature table, auditing, screening and
+        /// repairing pairs, and patching signatures after a commit (engine
+        /// path). The per-pair screen also falls inside `divide_nanos`.
         pub sim_nanos: u64,
         /// Accepted rewrites the checked-mode guard refuted and rolled back.
         pub guard_rejections: usize,
@@ -413,8 +415,9 @@ sweep_counters! {
         /// every GDC rewrite, and any other whose cut compare did not
         /// prove it (DESIGN.md §12).
         pub guard_network_checks: usize,
-        /// Per-pair faults survived in checked mode: panics caught and rolled
-        /// back, typed apply errors, and detected signature corruption.
+        /// Per-pair faults survived: proof panics (isolated in every mode),
+        /// apply panics caught and rolled back in checked mode, typed apply
+        /// errors, and detected signature corruption.
         pub engine_faults: usize,
         /// (target, divisor) pairs given up after a guard rejection or an
         /// engine fault. A plain count: a pass settles each pair once, so no
@@ -430,14 +433,58 @@ sweep_counters! {
 }
 
 impl SubstStats {
-    /// Clears the acceptance counters of one pair's delta, keeping its
-    /// work counters: the pair's division work really happened, but its
-    /// rewrite was rolled back or lost to a better one.
-    pub(crate) fn clear_acceptance(&mut self) {
-        self.substitutions = 0;
-        self.pos_substitutions = 0;
-        self.extended_decompositions = 0;
-        self.literal_gain = 0;
+    /// What one evaluated pair adds to the counters: the fold from pair
+    /// records to stats, and the only place a per-pair counter is derived.
+    /// The engine's booking adds it to the session's stats and to the
+    /// metrics registry, the legacy sweep to its own stats. Per-run facts
+    /// (`discovery_proposed`, `enumerate_nanos` of the enumeration,
+    /// `interrupted`, the signature-table build) and the legacy sweep's
+    /// `filtered_support` are booked outside it.
+    pub(crate) fn of_pair(rec: &PairRecord) -> SubstStats {
+        let count = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+        let is = |outcome: Outcome| usize::from(rec.outcome == outcome);
+        let accepted = rec.outcome.accepted();
+        let guard_is =
+            |pred: fn(&PairGuard) -> bool| usize::from(rec.guard.as_ref().is_some_and(pred));
+        // A guard refutation gives the pair up; a deadline refusal only
+        // ends the run (the pair is innocent).
+        let refuted = is(Outcome::GuardRejected) & guard_is(|g| g.tier != GuardTier::Deadline);
+        SubstStats {
+            divisions_tried: usize::from(rec.proof),
+            substitutions: usize::from(accepted),
+            pos_substitutions: is(Outcome::AcceptedPos),
+            extended_decompositions: is(Outcome::AcceptedExtended),
+            literal_gain: if accepted { rec.gain } else { 0 },
+            discovery_proofs_run: usize::from(rec.proof),
+            discovery_accepted: usize::from(accepted),
+            candidates_enumerated: 1,
+            filtered_structural: is(Outcome::RejectedStructural),
+            filtered_tfo: is(Outcome::RejectedTfo),
+            filtered_divisor_size: is(Outcome::RejectedDivisorSize),
+            filtered_joint_space: is(Outcome::RejectedJointSpace),
+            rar_checks: count(rec.rar_checks),
+            shadow_cache_hits: usize::from(rec.shadow == Some(ShadowUse::Hit)),
+            shadow_cache_misses: usize::from(rec.shadow == Some(ShadowUse::Miss)),
+            sim_pairs_screened: usize::from(rec.screened),
+            sim_pairs_refuted: is(Outcome::RejectedSimRefuted),
+            sim_false_passes: usize::from(rec.screened) & is(Outcome::RejectedNoGain),
+            local_bound_skips: usize::from(rec.bound_skip),
+            sim_ext_wires_skipped: count(u64::from(rec.ext_wires_skipped)),
+            sim_audits: usize::from(rec.audited),
+            enumerate_nanos: rec.stages.enumerate,
+            filter_nanos: rec.stages.filter,
+            divide_nanos: rec.stages.divide.saturating_add(rec.screen_ns),
+            apply_nanos: rec.stages.apply,
+            sim_nanos: rec.stages.sim,
+            guard_rejections: refuted,
+            guard_pass_sampled: guard_is(|g| g.tier == GuardTier::Sampled),
+            guard_sat_runs: rec.guard.map_or(0, |g| count(u64::from(g.sat_runs))),
+            guard_network_checks: guard_is(|g| g.scope == GuardScope::Network),
+            engine_faults: is(Outcome::EngineFault),
+            quarantined: is(Outcome::EngineFault) + refuted,
+            check_budget_exhausted: count(u64::from(rec.budget_stops)),
+            ..SubstStats::default()
+        }
     }
 }
 
@@ -668,41 +715,37 @@ pub(crate) enum GdcScope<'a> {
 
 /// One substitution attempt of `divisor` into `target` with the legacy
 /// per-pair filters. Applies the first strategy with positive gain (the
-/// paper's locally greedy acceptance) and returns the gain, or `None` if
-/// nothing helped.
+/// paper's locally greedy acceptance). Returns the pair's record, which
+/// holds an accepted rewrite's outcome and gain, or `None` when the
+/// support-overlap filter, which has no outcome of its own, rejected it.
 pub(crate) fn try_pair(
     net: &mut Network,
     target: NodeId,
     divisor: NodeId,
     opts: &SubstOptions,
-    stats: &mut SubstStats,
-) -> Option<i64> {
-    stats.candidates_enumerated += 1;
+) -> Option<PairRecord> {
+    let mut rec = PairRecord::new(id32(target), id32(divisor), Instant::now());
+    let reject = |outcome| Some(PairRecord { outcome, ..rec });
     if target == divisor
         || net.node(target).is_input()
         || net.node(divisor).is_input()
         || net.node(target).fanins().contains(&divisor)
     {
-        stats.filtered_structural += 1;
-        return None;
+        return reject(Outcome::RejectedStructural);
     }
     if net.in_tfo(divisor, target) {
-        stats.filtered_tfo += 1;
-        return None;
+        return reject(Outcome::RejectedTfo);
     }
     let Some(d_cover_len) = net.node(divisor).cover().map(Cover::len) else {
         // Unreachable after the is_input filter; reject rather than panic.
-        stats.filtered_structural += 1;
-        return None;
+        return reject(Outcome::RejectedStructural);
     };
     if d_cover_len == 0 || d_cover_len > MAX_DIVISOR_CUBES {
-        stats.filtered_divisor_size += 1;
-        return None;
+        return reject(Outcome::RejectedDivisorSize);
     }
     let space = JointSpace::union_of_fanins(net, &[target, divisor]);
     if space.len() > MAX_JOINT_VARS {
-        stats.filtered_joint_space += 1;
-        return None;
+        return reject(Outcome::RejectedJointSpace);
     }
     // Cheap relevance filter: supports must overlap.
     let t_fanins = net.node(target).fanins();
@@ -712,48 +755,28 @@ pub(crate) fn try_pair(
         .iter()
         .any(|f| t_fanins.contains(f))
     {
-        stats.filtered_support += 1;
         return None;
     }
+    rec.proof = true;
     let plan = plan_pair_core(
         net,
         target,
         divisor,
         &space,
         opts,
-        stats,
+        &mut rec,
         &GdcScope::Rebuild,
         None,
         None,
-    )?;
-    apply_plan(net, plan, stats)
-}
-
-/// Books a typed apply failure (a `replace_function`/plan error that
-/// previously aborted the process) as an engine fault and rejects the
-/// pair. Every such site is validate-then-mutate or internally rolled
-/// back, so the network is unchanged when this runs.
-fn fault_reject(stats: &mut SubstStats) -> Option<i64> {
-    stats.engine_faults += 1;
-    None
-}
-
-/// How a pair that reached the division core ended, decided once for the
-/// live and the speculative path: the plan's kind when one was produced,
-/// otherwise a fault, a pure signature refutation, or no gain, read off
-/// the pair's own stat delta.
-pub(crate) fn core_outcome(plan: Option<&SubstPlan>, delta: &SubstStats) -> Outcome {
-    match plan {
-        Some(SubstPlan::Replace {
-            kind: PlanKind::Pos,
-            ..
-        }) => Outcome::AcceptedPos,
-        Some(SubstPlan::Replace { .. }) => Outcome::AcceptedSop,
-        Some(SubstPlan::Extended(_)) => Outcome::AcceptedExtended,
-        None if delta.engine_faults > 0 => Outcome::EngineFault,
-        None if delta.sim_pairs_refuted > 0 => Outcome::RejectedSimRefuted,
-        None => Outcome::RejectedNoGain,
+    );
+    if let Some(plan) = plan {
+        let accepted = plan.outcome();
+        (rec.outcome, rec.gain) = match apply_plan(net, plan) {
+            Some(gain) => (accepted, gain),
+            None => (Outcome::EngineFault, 0),
+        };
     }
+    Some(rec)
 }
 
 /// What kind of single-node rewrite a [`SubstPlan::Replace`] is — decides
@@ -801,6 +824,18 @@ impl SubstPlan {
             SubstPlan::Extended(plan) => plan.gain,
         }
     }
+
+    /// The outcome of the pair that applies this plan.
+    pub(crate) fn outcome(&self) -> Outcome {
+        match self {
+            SubstPlan::Replace {
+                kind: PlanKind::Pos,
+                ..
+            } => Outcome::AcceptedPos,
+            SubstPlan::Replace { .. } => Outcome::AcceptedSop,
+            SubstPlan::Extended(_) => Outcome::AcceptedExtended,
+        }
+    }
 }
 
 /// The read-only half of a substitution attempt: divides `target` by
@@ -830,6 +865,11 @@ impl SubstPlan {
 /// `forms` carries the target's per-visit [`TargetForms`]; without them
 /// (the legacy `try_pair`) the old literal count and the complement are
 /// computed here, per call.
+///
+/// The attempt's facts go into the pair's `rec`: the screen and its
+/// time, the bound, the RAR checks, the budget stops, the skipped
+/// extended-division wires and, when no plan comes out, whether the pair
+/// was a pure signature refutation or gained nothing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_pair_core(
     net: &Network,
@@ -837,7 +877,7 @@ pub(crate) fn plan_pair_core(
     divisor: NodeId,
     space: &JointSpace,
     opts: &SubstOptions,
-    stats: &mut SubstStats,
+    rec: &mut PairRecord,
     gdc: &GdcScope<'_>,
     forms: Option<&TargetForms>,
     sim: Option<&SimFilter>,
@@ -846,7 +886,6 @@ pub(crate) fn plan_pair_core(
     crate::chaos::maybe_panic(crate::chaos::PanicSite::PairEntry);
     let f = space.cover_of(net, target);
     let d = space.cover_of(net, divisor);
-    stats.divisions_tried += 1;
     let old_literals = forms.map_or_else(|| target_literals(net, target), |t| t.old_literals(net));
 
     // Refute-only screen of the SOP dividend: per cube, a witness pattern
@@ -856,8 +895,8 @@ pub(crate) fn plan_pair_core(
     let screen = sim.map(|s| {
         let t0 = Instant::now();
         let sc = s.screen_cover(net, &f, &space.vars, divisor);
-        stats.sim_nanos += crate::engine::nanos(t0);
-        stats.sim_pairs_screened += 1;
+        rec.screened = true;
+        book_screen(rec, t0);
         sc
     });
     let skip_sop = screen
@@ -874,7 +913,7 @@ pub(crate) fn plan_pair_core(
     // bounded pair always skips POS, which the screen has not seen:
     // such a pair counts as a pass of the screen, never as a refutation.
     let bounded = forced_literal_bound(&f, &d).is_some_and(|b| b as i64 >= old_literals);
-    stats.local_bound_skips += usize::from(bounded);
+    rec.bound_skip = bounded;
     // Whether the screen let the pair through to a proof or to the bound;
     // a pair it never let through is a pure signature refutation.
     let mut passed = bounded;
@@ -893,14 +932,14 @@ pub(crate) fn plan_pair_core(
             &d,
             &opts.division,
             gdc,
-            stats,
+            rec,
         )
     } else if bounded {
         None
     } else {
         passed = true;
         let r = basic_divide_covers(&f, &d, &opts.division);
-        stats.check_budget_exhausted += usize::from(r.budget_exhausted);
+        rec.budget_stops += u32::from(r.budget_exhausted);
         r.succeeded().then_some((r.quotient, r.remainder))
     };
     if let Some((quotient, remainder)) = division {
@@ -930,7 +969,7 @@ pub(crate) fn plan_pair_core(
         if !d_compl.is_empty() && d_compl.len() <= MAX_DIVISOR_CUBES {
             passed = true;
             let r = basic_divide_covers(&f, d_compl, &opts.division);
-            stats.check_budget_exhausted += usize::from(r.budget_exhausted);
+            rec.budget_stops += u32::from(r.budget_exhausted);
             if r.succeeded() {
                 let (fanins, cover) =
                     assemble(space, divisor, &r.quotient, &r.remainder, Phase::Neg);
@@ -955,12 +994,13 @@ pub(crate) fn plan_pair_core(
     if opts.mode != SubstMode::Basic && !skip_sop {
         passed = true;
         let mask = screen.as_ref().map(|sc| {
-            stats.sim_ext_wires_skipped += sc.wit_div0.iter().filter(|&&w| w).count();
+            let skipped = sc.wit_div0.iter().filter(|&&w| w).count();
+            rec.ext_wires_skipped = u32::try_from(skipped).unwrap_or(u32::MAX);
             sc.wit_div0.as_slice()
         });
         let ext = extended_divide(&f, &d, &opts.division, CoreSelection::default(), mask);
         if let Some(ext) = ext {
-            stats.check_budget_exhausted += usize::from(ext.division.budget_exhausted);
+            rec.budget_stops += u32::from(ext.division.budget_exhausted);
             // Core == whole divisor means basic already covered it.
             if ext.core_cube_indices.len() < d.len() && ext.division.succeeded() {
                 if let Some(plan) =
@@ -984,15 +1024,15 @@ pub(crate) fn plan_pair_core(
             let pos_refuted = sim.is_some_and(|s| {
                 let t0 = Instant::now();
                 let sc = s.screen_cover(net, &fc, &space.vars, divisor);
-                stats.sim_nanos += crate::engine::nanos(t0);
+                book_screen(rec, t0);
                 sc.refutes_containment_in_complement()
             });
             if pos_refuted {
-                return finish_unhelped(stats, sim.is_some(), passed);
+                return finish_unhelped(rec, passed);
             }
             passed = true;
             let r = pos_divide_precomplemented(&fc, &dc, &opts.division);
-            stats.check_budget_exhausted += usize::from(r.budget_exhausted);
+            rec.budget_stops += u32::from(r.budget_exhausted);
             if r.succeeded() {
                 // f = (d + q)·r ⇔ f' = d'·q̃ + r̃; rebuild f as the
                 // complement of the divided complement, with x_d'.
@@ -1015,66 +1055,58 @@ pub(crate) fn plan_pair_core(
             }
         }
     }
-    finish_unhelped(stats, sim.is_some(), passed)
+    finish_unhelped(rec, passed)
 }
 
 /// The mutating half of a substitution attempt: applies a plan produced
-/// by [`plan_pair_core`], books the acceptance counters, and returns the
-/// gain. A typed apply error (which a healthy engine never produces) is
-/// booked as an engine fault; every apply site is validate-then-mutate or
-/// internally rolled back, so the network is unchanged on that path.
-pub(crate) fn apply_plan(
-    net: &mut Network,
-    plan: SubstPlan,
-    stats: &mut SubstStats,
-) -> Option<i64> {
+/// by [`plan_pair_core`] and returns its gain, or `None` on a typed apply
+/// error (which a healthy engine never produces). Every apply site is
+/// validate-then-mutate or internally rolled back, so the network is
+/// unchanged on that path.
+pub(crate) fn apply_plan(net: &mut Network, plan: SubstPlan) -> Option<i64> {
+    let gain = plan.gain();
+    #[cfg(feature = "chaos")]
+    let sop = matches!(
+        plan,
+        SubstPlan::Replace {
+            kind: PlanKind::Sop,
+            ..
+        }
+    );
     match plan {
         SubstPlan::Replace {
             target,
             fanins,
             cover,
-            gain,
-            kind,
-        } => {
-            if net.replace_function(target, fanins, cover).is_err() {
-                return fault_reject(stats);
-            }
-            stats.substitutions += 1;
-            stats.literal_gain += gain;
-            if kind == PlanKind::Pos {
-                stats.pos_substitutions += 1;
-            }
-            #[cfg(feature = "chaos")]
-            if kind == PlanKind::Sop {
-                crate::chaos::maybe_panic(crate::chaos::PanicSite::PostApply);
-            }
-            Some(gain)
-        }
-        SubstPlan::Extended(plan) => {
-            let gain = plan.gain;
-            if plan.apply(net).is_err() {
-                return fault_reject(stats);
-            }
-            stats.substitutions += 1;
-            stats.extended_decompositions += 1;
-            stats.literal_gain += gain;
-            Some(gain)
-        }
+            ..
+        } => net.replace_function(target, fanins, cover).ok()?,
+        SubstPlan::Extended(plan) => plan.apply(net).ok().map(drop)?,
     }
+    #[cfg(feature = "chaos")]
+    if sop {
+        crate::chaos::maybe_panic(crate::chaos::PanicSite::PostApply);
+    }
+    Some(gain)
 }
 
-/// Books a pair that produced no gain: with a filter present it counts
-/// as a false pass when the screen let it through to at least one proof
-/// or to the forced-literal bound, and as a pure signature refutation
-/// when the screen alone rejected it.
-fn finish_unhelped(stats: &mut SubstStats, screened: bool, passed: bool) -> Option<SubstPlan> {
-    if screened {
-        if passed {
-            stats.sim_false_passes += 1;
-        } else {
-            stats.sim_pairs_refuted += 1;
-        }
-    }
+/// Books a signature screen's time under Sim, and as the screen share
+/// that the division window around it also holds.
+fn book_screen(rec: &mut PairRecord, since: Instant) {
+    let ns = nanos(since);
+    rec.stages.sim += ns;
+    rec.screen_ns += ns;
+}
+
+/// Ends a pair that produced no gain: a pure signature refutation when
+/// the screen ran and alone rejected it, and otherwise (the screen let
+/// it through to at least one proof or to the forced-literal bound, or
+/// no screen ran) a pair without gain.
+fn finish_unhelped(rec: &mut PairRecord, passed: bool) -> Option<SubstPlan> {
+    rec.outcome = if rec.screened && !passed {
+        Outcome::RejectedSimRefuted
+    } else {
+        Outcome::RejectedNoGain
+    };
     None
 }
 
@@ -1215,14 +1247,14 @@ fn divide_in_network(
     d: &Cover,
     opts: &DivisionOptions,
     gdc: &GdcScope<'_>,
-    stats: &mut SubstStats,
+    rec: &mut PairRecord,
 ) -> Option<(Cover, Cover)> {
     let r = divide_region(f, d, opts, |kept, remainder| match gdc {
         GdcScope::Rebuild => network_region(net, target, divisor, &space.vars, kept, remainder),
         GdcScope::Shadow(base) => base.region(net, divisor, &space.vars, kept, remainder),
     });
-    stats.rar_checks += r.checks;
-    stats.check_budget_exhausted += usize::from(r.budget_exhausted);
+    rec.rar_checks += u64::try_from(r.checks).unwrap_or(u64::MAX);
+    rec.budget_stops += u32::from(r.budget_exhausted);
     r.succeeded().then_some((r.quotient, r.remainder))
 }
 
@@ -1231,6 +1263,16 @@ fn divide_in_network(
 /// parity baseline the engine is pinned against (and for A/B
 /// benchmarking).
 pub fn boolean_substitute_legacy(net: &mut Network, opts: &SubstOptions) -> SubstStats {
+    /// Books one attempt: its record's fold, or a support-overlap reject.
+    fn book(stats: &mut SubstStats, rec: Option<PairRecord>) {
+        match rec {
+            Some(rec) => stats.merge(&SubstStats::of_pair(&rec)),
+            None => {
+                stats.candidates_enumerated += 1;
+                stats.filtered_support += 1;
+            }
+        }
+    }
     let mut stats = SubstStats::default();
     let mut targets: Vec<NodeId> = net.internal_ids().collect();
     targets
@@ -1239,39 +1281,44 @@ pub fn boolean_substitute_legacy(net: &mut Network, opts: &SubstOptions) -> Subs
         if net.node_opt(target).is_none() {
             continue;
         }
+        // Every internal node is proposed as a divisor.
         let divisors: Vec<NodeId> = net.internal_ids().collect();
+        stats.discovery_proposed += divisors.len();
         match opts.acceptance {
             Acceptance::FirstGain => {
                 for divisor in divisors {
                     if net.node_opt(target).is_none() || net.node_opt(divisor).is_none() {
                         continue;
                     }
-                    let _ = try_pair(net, target, divisor, opts, &mut stats);
+                    book(&mut stats, try_pair(net, target, divisor, opts));
                 }
             }
             Acceptance::BestGain => {
                 // Dry-run every divisor on a scratch copy, then apply
-                // only the best one for real. Every other dry run books
-                // its work with its acceptance counters cleared, as the
-                // engine books an outranked pair; the best one is booked
-                // by its real run.
-                let mut best: Option<(NodeId, i64, SubstStats)> = None;
+                // only the best one for real. Every other dry run that
+                // gained is booked as outranked, as the engine books it;
+                // the best one is booked by its real run.
+                let mut best: Option<(NodeId, PairRecord)> = None;
                 for divisor in divisors {
                     let mut scratch = net.clone();
-                    let mut dry = SubstStats::default();
-                    let gain = try_pair(&mut scratch, target, divisor, opts, &mut dry);
-                    dry.clear_acceptance();
-                    match gain {
-                        Some(gain) if best.as_ref().is_none_or(|&(_, g, _)| gain > g) => {
-                            if let Some((.., outranked)) = best.replace((divisor, gain, dry)) {
-                                stats.merge(&outranked);
+                    let Some(mut dry) = try_pair(&mut scratch, target, divisor, opts) else {
+                        book(&mut stats, None);
+                        continue;
+                    };
+                    if dry.outcome.accepted() {
+                        if best.as_ref().is_none_or(|(_, b)| dry.gain > b.gain) {
+                            match best.replace((divisor, dry)) {
+                                Some((_, lost)) => dry = lost,
+                                None => continue,
                             }
                         }
-                        _ => stats.merge(&dry),
+                        dry.outcome = Outcome::RejectedOutranked;
+                        dry.gain = 0;
                     }
+                    book(&mut stats, Some(dry));
                 }
-                if let Some((divisor, ..)) = best {
-                    let _ = try_pair(net, target, divisor, opts, &mut stats);
+                if let Some((divisor, _)) = best {
+                    book(&mut stats, try_pair(net, target, divisor, opts));
                 }
             }
         }
@@ -1417,6 +1464,69 @@ mod tests {
             );
             assert_eq!(forms.old_literals(&net), target_literals(&net, target));
         }
+    }
+
+    /// The non-zero fields `rec` folds into, sorted by name.
+    fn booked(rec: &PairRecord) -> Vec<(&'static str, StatValue)> {
+        let mut booked: Vec<_> = SubstStats::of_pair(rec)
+            .fields()
+            .filter(|&(_, v)| v != StatValue::Count(0) && v != StatValue::Signed(0))
+            .collect();
+        booked.sort_unstable_by_key(|&(name, _)| name);
+        booked
+    }
+
+    /// One record per outcome: each books one examined candidate and
+    /// exactly the filter, acceptance or fault counters its outcome
+    /// names, so a new outcome the fold drops fails here. A reject
+    /// carries no gain even when its record holds one, and a deadline
+    /// refusal gives no pair up.
+    #[test]
+    fn every_outcome_folds_into_its_counters() {
+        let record = |outcome, tier| PairRecord {
+            outcome,
+            gain: 3,
+            guard: (outcome == Outcome::GuardRejected).then_some(PairGuard {
+                tier,
+                scope: GuardScope::Cut,
+                sat_runs: 0,
+            }),
+            ..PairRecord::new(1, 2, Instant::now())
+        };
+        let accept = ["substitutions", "literal_gain", "discovery_accepted"];
+        for outcome in Outcome::ALL {
+            let names: Vec<&str> = match outcome {
+                Outcome::AcceptedSop => accept.to_vec(),
+                Outcome::AcceptedPos => [&accept[..], &["pos_substitutions"]].concat(),
+                Outcome::AcceptedExtended => [&accept[..], &["extended_decompositions"]].concat(),
+                Outcome::RejectedStructural => vec!["filtered_structural"],
+                Outcome::RejectedTfo => vec!["filtered_tfo"],
+                Outcome::RejectedDivisorSize => vec!["filtered_divisor_size"],
+                Outcome::RejectedJointSpace => vec!["filtered_joint_space"],
+                Outcome::RejectedSimRefuted => vec!["sim_pairs_refuted"],
+                Outcome::RejectedNoGain | Outcome::RejectedOutranked => vec![],
+                Outcome::GuardRejected => vec!["guard_rejections", "quarantined"],
+                Outcome::EngineFault => vec!["engine_faults", "quarantined"],
+            };
+            let mut want: Vec<_> = names
+                .into_iter()
+                .chain(["candidates_enumerated"])
+                .map(|name| match name {
+                    "literal_gain" => (name, StatValue::Signed(3)),
+                    _ => (name, StatValue::Count(1)),
+                })
+                .collect();
+            want.sort_unstable_by_key(|&(name, _)| name);
+            assert_eq!(
+                booked(&record(outcome, GuardTier::Bdd)),
+                want,
+                "{outcome:?}"
+            );
+        }
+        assert_eq!(
+            booked(&record(Outcome::GuardRejected, GuardTier::Deadline)),
+            [("candidates_enumerated", StatValue::Count(1))]
+        );
     }
 
     #[test]

@@ -331,24 +331,9 @@ impl Guard {
     /// afford even one conflict (or has already passed), the check
     /// returns [`GuardDecision::OutOfTime`]: the rewrite is refused and
     /// the sweep interrupts, rather than quietly degrading the evidence
-    /// to a sampled pass. [`Guard::adopt_config`] leaves it untouched.
+    /// to a sampled pass.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
-    }
-
-    /// Adopts a new configuration while keeping the learned state (the
-    /// cached pattern pools and the observed SAT rate) whenever the pool
-    /// shape is unchanged. Pools are keyed by input count but built from
-    /// `(words, seed, exhaustive_inputs)`, so a change to any of those
-    /// drops the cache rather than serving stale-shaped pools.
-    pub fn adopt_config(&mut self, config: GuardConfig) {
-        let pools_stale = config.words != self.config.words
-            || config.seed != self.config.seed
-            || config.exhaustive_inputs != self.config.exhaustive_inputs;
-        if pools_stale {
-            self.pools.clear();
-        }
-        self.config = config;
     }
 
     /// Attaches a metrics registry: every subsequent check books
@@ -939,27 +924,6 @@ mod tests {
                 output: "f".to_string()
             }
         );
-    }
-
-    #[test]
-    fn adopt_config_keeps_pools_when_shape_unchanged() {
-        let (wide, _) = wide_pair();
-        let mut guard = Guard::new(GuardConfig::default());
-        guard.check(&wide, &wide.clone());
-        assert_eq!(guard.pools.len(), 1);
-        // Same pool shape, different exact tier tunables: cache survives.
-        guard.adopt_config(GuardConfig {
-            exact_node_limit: 1,
-            tier: TierPolicy::Sim,
-            ..GuardConfig::default()
-        });
-        assert_eq!(guard.pools.len(), 1, "pool cache must survive re-tuning");
-        // A seed change invalidates the cached pools.
-        guard.adopt_config(GuardConfig {
-            seed: 1,
-            ..GuardConfig::default()
-        });
-        assert_eq!(guard.pools.len(), 0, "stale-shaped pools must be dropped");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! Worker recycling is literal: a worker whose job panics journals the
 //! quarantine, spawns a fresh replacement thread, and exits — the
-//! replacement starts with no cached state, so nothing the panicking
-//! job may have corrupted survives. Healthy workers carry their guard
-//! (pattern pools + learned SAT cost model) from job to job.
+//! replacement starts with no state, so nothing the panicking job may
+//! have corrupted survives. No engine state carries over between jobs:
+//! each job's session builds its own guard, with the job's deadline.
 
 use crate::config::ServeConfig;
 use crate::http::{read_request, write_response, Request};
@@ -14,7 +14,6 @@ use crate::job::{mode_from_name, JobOutcome, JobSpec, JobStatus};
 use crate::journal::{replay, Journal};
 use crate::state::State;
 use boolsubst_core::{Session, SubstMode, SubstOptions};
-use boolsubst_guard::Guard;
 use boolsubst_metrics::prometheus_string;
 use boolsubst_network::{egress, ingest, Format};
 use boolsubst_trace::json::JsonObj;
@@ -404,19 +403,11 @@ fn spawn_worker(state: Arc<State>, slot: usize) {
 }
 
 fn worker_entry(state: &Arc<State>, slot: usize) {
-    // Guard cache carried across jobs on a healthy worker: pattern
-    // pools (keyed by input count) and the learned SAT ns/conflict
-    // rate. Dropped on recycle — a panicking job forfeits the cache.
-    let mut cached_guard: Option<Guard> = None;
     while let Some((spec, _attempt)) = state.next_job() {
         let id = spec.id;
-        let guard_in = cached_guard.take();
-        let run = catch_unwind(AssertUnwindSafe(|| run_job(state, &spec, guard_in)));
+        let run = catch_unwind(AssertUnwindSafe(|| run_job(state, &spec)));
         match run {
-            Ok(Ok((result, outcome, guard_out))) => {
-                cached_guard = guard_out;
-                state.complete(id, outcome, result);
-            }
+            Ok(Ok((result, outcome))) => state.complete(id, outcome, result),
             Ok(Err(message)) => state.fail(id, &message),
             Err(panic) => {
                 let message = panic_message(panic.as_ref());
@@ -443,14 +434,9 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs one job start-to-finish on the calling worker thread. Returns
-/// the optimized netlist bytes, the outcome summary, and the guard for
-/// the worker to cache. Panics propagate to the quarantine path above.
-#[allow(clippy::type_complexity)]
-fn run_job(
-    state: &Arc<State>,
-    spec: &JobSpec,
-    cached_guard: Option<Guard>,
-) -> Result<(Vec<u8>, JobOutcome, Option<Guard>), String> {
+/// the optimized netlist bytes and the outcome summary. Panics propagate
+/// to the quarantine path above.
+fn run_job(state: &Arc<State>, spec: &JobSpec) -> Result<(Vec<u8>, JobOutcome), String> {
     let t0 = Instant::now();
     chaos_hook(spec);
     let mut net = ingest(&spec.payload, spec.format, &format!("job{}", spec.id))
@@ -466,15 +452,11 @@ fn run_job(
     if let Some(ms) = spec.deadline_ms {
         opts = opts.with_deadline(t0 + Duration::from_millis(ms));
     }
-    let mut session = Session::new(&mut net, opts).metrics(&state.metrics);
-    if let Some(guard) = cached_guard {
-        session = session.cached_guard(guard);
-    }
-    let (stats, guard) = session.run_returning_guard();
+    let stats = Session::new(&mut net, opts).metrics(&state.metrics).run();
     let result = egress(&net, spec.format);
     let wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
     let outcome = JobOutcome::from_stats(&stats, wall_ms);
-    Ok((result, outcome, guard))
+    Ok((result, outcome))
 }
 
 /// Honours the job's `X-Chaos` directive when the `chaos` feature is

@@ -280,9 +280,6 @@ mod tests {
     /// shares are filter 3 ns, divide 40 ns.
     fn record(worker: u32, outcome: Outcome, gain: i64, rar_checks: u64) -> PairRecord {
         PairRecord {
-            target: 1,
-            divisor: 2,
-            start: std::time::Instant::now(),
             dur_ns: 50,
             stages: StageNanos {
                 filter: 3,
@@ -292,8 +289,8 @@ mod tests {
             outcome,
             gain,
             rar_checks,
-            bound_skip: false,
             worker,
+            ..PairRecord::new(1, 2, std::time::Instant::now())
         }
     }
 

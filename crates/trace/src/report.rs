@@ -228,16 +228,11 @@ mod tests {
         let mut t = Tracer::new("basic");
         t.set_node_names(vec!["a".into(), "b".into(), "c".into()]);
         let pair = |target, outcome, gain, stages| PairRecord {
-            target,
-            divisor: 1,
-            start: std::time::Instant::now(),
             dur_ns: 1_000,
             stages,
             outcome,
             gain,
-            rar_checks: 0,
-            bound_skip: false,
-            worker: 0,
+            ..PairRecord::new(target, 1, std::time::Instant::now())
         };
         t.record_pair(&pair(
             0,

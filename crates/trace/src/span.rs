@@ -15,7 +15,8 @@ pub enum Stage {
     Sim,
     /// Division proper: proofs, RAR/ATPG checks, gain evaluation.
     Divide,
-    /// Side-table and signature patching after an accepted rewrite.
+    /// Committing a winner: its plan's apply, the checked-mode guard and
+    /// the side-table patching (the signature patch is booked under Sim).
     Apply,
 }
 
@@ -174,7 +175,7 @@ pub struct StageNanos {
     pub sim: u64,
     /// Division/proof time (simulation screen time already subtracted).
     pub divide: u64,
-    /// Post-acceptance side-table patch time.
+    /// Commit time: the plan's apply, the guard and the side-table patch.
     pub apply: u64,
 }
 
@@ -200,9 +201,11 @@ impl StageNanos {
     }
 }
 
-/// One traced (target, divisor) attempt: where the time went and how the
-/// pair was disposed of. The engine fills one per evaluated pair and
-/// books it with [`Tracer::record_pair`](crate::Tracer::record_pair).
+/// One evaluated (target, divisor) pair: where the time went, how the
+/// pair was disposed of, and every per-pair fact the engine's stats block
+/// counts. The engine fills one per evaluated pair and books only it:
+/// the stats block and the metrics registry fold it into their counters
+/// and [`Tracer::record_pair`](crate::Tracer::record_pair) records it.
 /// It carries the instant the evaluation started; the exporters measure
 /// it against the tracer's epoch ([`Tracer::start_ns`](crate::Tracer::start_ns)),
 /// so a record booked after its evaluation keeps the start it had on its
@@ -215,23 +218,94 @@ pub struct PairRecord {
     pub divisor: u32,
     /// When the attempt started.
     pub start: Instant,
-    /// Wall-clock duration of the attempt (includes untimed gaps such as
-    /// GDC shadow-snapshot builds, so it can exceed the stage sum).
+    /// Wall-clock duration of the attempt, measured only when traced or
+    /// metered (includes untimed gaps such as GDC shadow-snapshot builds,
+    /// so it can exceed the stage sum).
     pub dur_ns: u64,
     /// Per-stage attribution.
     pub stages: StageNanos,
+    /// The share of `stages.sim` the signature screen spent inside the
+    /// division window. The stats block's `divide_nanos` counts it too.
+    pub screen_ns: u64,
     /// How the attempt ended.
     pub outcome: Outcome,
     /// Factored-literal gain of the accepted rewrite (0 on rejects).
     pub gain: i64,
     /// RAR/ATPG fault checks the GDC-mode division ran for this pair.
     pub rar_checks: u64,
+    /// Division strategies whose redundancy removal stopped early on the
+    /// per-pair check budget.
+    pub budget_stops: u32,
+    /// The pair passed every cheap filter (and the checked-mode audit),
+    /// so its division proof ran.
+    pub proof: bool,
+    /// The simulation screen ran on the pair's dividend.
+    pub screened: bool,
     /// The forced-literal bound skipped at least one division strategy.
     pub bound_skip: bool,
+    /// The checked-mode signature audit ran on the pair's two rows.
+    pub audited: bool,
+    /// Dividend cubes whose extended-division fault checks the screen
+    /// skipped.
+    pub ext_wires_skipped: u32,
+    /// The pair's use of the target's GDC shadow snapshot.
+    pub shadow: Option<ShadowUse>,
+    /// The checked-mode guard's verdict on the pair's applied rewrite.
+    pub guard: Option<PairGuard>,
     /// Sweep lane the pair was evaluated on: `0` for the committer,
     /// `w` for pool worker `w`. Chrome export maps lanes to named
     /// threads.
     pub worker: u32,
+}
+
+impl PairRecord {
+    /// A record of a pair whose evaluation starts at `start`: every count,
+    /// time and flag zero, and the outcome [`Outcome::RejectedNoGain`]
+    /// until the evaluation says otherwise.
+    #[must_use]
+    pub fn new(target: u32, divisor: u32, start: Instant) -> PairRecord {
+        PairRecord {
+            target,
+            divisor,
+            start,
+            dur_ns: 0,
+            stages: StageNanos::default(),
+            screen_ns: 0,
+            outcome: Outcome::RejectedNoGain,
+            gain: 0,
+            rar_checks: 0,
+            budget_stops: 0,
+            proof: false,
+            screened: false,
+            bound_skip: false,
+            audited: false,
+            ext_wires_skipped: 0,
+            shadow: None,
+            guard: None,
+            worker: 0,
+        }
+    }
+}
+
+/// How a GDC pair used its target's shadow snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ShadowUse {
+    /// The snapshot was already built for an earlier pair.
+    Hit,
+    /// The pair was the snapshot's first user, which books its build.
+    Miss,
+}
+
+/// The guard's verdict on one pair's applied rewrite, as its record holds
+/// it (the full check is a [`TraceEvent::Guard`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PairGuard {
+    /// Tier that produced the verdict.
+    pub tier: GuardTier,
+    /// Which networks the deciding compare ran on.
+    pub scope: GuardScope,
+    /// Tier C SAT miters the check ran.
+    pub sat_runs: u32,
 }
 
 /// Which guard tier produced a verdict. Mirrors the guard crate's

@@ -331,9 +331,6 @@ mod tests {
 
     fn run_pair(t: &mut Tracer, target: u32, divisor: u32, outcome: Outcome, gain: i64) {
         t.record_pair(&PairRecord {
-            target,
-            divisor,
-            start: Instant::now(),
             dur_ns: 100 * u64::from(divisor) + 110,
             stages: StageNanos {
                 filter: 10,
@@ -342,9 +339,7 @@ mod tests {
             },
             outcome,
             gain,
-            rar_checks: 0,
-            bound_skip: false,
-            worker: 0,
+            ..PairRecord::new(target, divisor, Instant::now())
         });
     }
 

@@ -88,7 +88,7 @@ fn craft() -> (Network, NodeId, NodeId) {
 /// A false pass costs one proof and nothing else: the rewrites equal
 /// the unfiltered legacy sweep.
 #[test]
-fn engine_refines_pool_on_false_pass() {
+fn false_pass_matches_legacy() {
     let (base, t, dvr) = craft();
     // Precondition: the default pool really misses the witness, so the
     // first (t, dvr) attempt is a false pass.

@@ -6,13 +6,17 @@
 use boolsubst::core::{all_configs, Acceptance, Session, StatValue, SubstStats};
 use boolsubst::trace::export::{chrome_trace_string, jsonl_string};
 use boolsubst::trace::json::Json;
-use boolsubst::trace::{Outcome, PairRecord, Stage, TraceEvent, Tracer};
+use boolsubst::trace::{GuardScope, GuardTier, Outcome, PairRecord, Stage, TraceEvent, Tracer};
 use boolsubst::workloads::generator::{random_network, GeneratorParams};
 use boolsubst::MetricsHandle;
 use std::collections::HashMap;
 
 /// One traced and metered run per mode on the same generated network.
-fn traced_runs(threads: usize, acceptance: Acceptance) -> Vec<(Tracer, SubstStats, MetricsHandle)> {
+fn traced_runs(
+    threads: usize,
+    acceptance: Acceptance,
+    checked: bool,
+) -> Vec<(Tracer, SubstStats, MetricsHandle)> {
     let base = random_network(11, &GeneratorParams::default());
     ["basic", "ext", "ext-gdc"]
         .into_iter()
@@ -21,7 +25,10 @@ fn traced_runs(threads: usize, acceptance: Acceptance) -> Vec<(Tracer, SubstStat
             let mut net = base.clone();
             let mut tracer = Tracer::new(name);
             let handle = MetricsHandle::new();
-            let opts = opts.with_threads(threads).with_acceptance(acceptance);
+            let opts = opts
+                .with_threads(threads)
+                .with_acceptance(acceptance)
+                .with_checked(checked);
             let stats = Session::new(&mut net, opts)
                 .tracer(&mut tracer)
                 .metrics(&handle)
@@ -35,7 +42,7 @@ fn traced_runs(threads: usize, acceptance: Acceptance) -> Vec<(Tracer, SubstStat
 fn jsonl_roundtrips_field_for_field() {
     let runs = [Acceptance::FirstGain, Acceptance::BestGain]
         .into_iter()
-        .flat_map(|acceptance| traced_runs(1, acceptance));
+        .flat_map(|acceptance| traced_runs(1, acceptance, false));
     for (tracer, ..) in runs {
         let text = jsonl_string(&tracer);
         let lines: Vec<&str> = text.lines().collect();
@@ -130,7 +137,7 @@ fn chrome_trace_is_valid_with_monotonic_timestamps() {
 /// The Chrome checks at one thread count: at 2 threads the speculative
 /// worker lanes carry spans too, and each lane must run forward in time.
 fn chrome_trace_is_valid_at(threads: usize) {
-    let runs = traced_runs(threads, Acceptance::FirstGain);
+    let runs = traced_runs(threads, Acceptance::FirstGain, false);
     let refs: Vec<&Tracer> = runs.iter().map(|(t, ..)| t).collect();
     let text = chrome_trace_string(&refs);
     let v = Json::parse(&text).expect("chrome trace parses as JSON");
@@ -177,12 +184,17 @@ fn funnel_reconciles_with_stats_counters() {
     let mut outranked = 0;
     for threads in [1, 2] {
         for acceptance in [Acceptance::FirstGain, Acceptance::BestGain] {
-            for (tracer, stats, handle) in traced_runs(threads, acceptance) {
-                let mode = format!("{} {acceptance:?} threads={threads}", tracer.mode());
-                reconcile(&mode, acceptance, &tracer, &stats, &handle);
-                outranked += tracer.outcome_count(Outcome::RejectedOutranked);
-                if threads == 1 {
-                    stage_samples_match_spans(&mode, &tracer);
+            for checked in [false, true] {
+                for (tracer, stats, handle) in traced_runs(threads, acceptance, checked) {
+                    let mode = format!(
+                        "{} {acceptance:?} threads={threads} checked={checked}",
+                        tracer.mode()
+                    );
+                    reconcile(&mode, acceptance, checked, &tracer, &stats, &handle);
+                    outranked += tracer.outcome_count(Outcome::RejectedOutranked);
+                    if threads == 1 {
+                        stage_samples_match_spans(&mode, &tracer);
+                    }
                 }
             }
         }
@@ -215,10 +227,11 @@ fn pair_spans(tracer: &Tracer) -> impl Iterator<Item = &PairRecord> {
 
 /// The tracer funnel, the metrics registry and `SubstStats` are views of
 /// one per-pair booking: every count they share must agree, under either
-/// acceptance policy.
+/// acceptance policy, unchecked and checked.
 fn reconcile(
     mode: &str,
     acceptance: Acceptance,
+    checked: bool,
     tracer: &Tracer,
     stats: &SubstStats,
     handle: &MetricsHandle,
@@ -374,11 +387,51 @@ fn reconcile(
         "{mode}: span divide {divide} + screen share = divide_nanos {}",
         stats.divide_nanos
     );
+
+    // Checked mode: one audit per pair past the cheap filters, and one
+    // guard check per applied rewrite, kept or refuted; its scope and
+    // tier are the ones the stats count.
+    let past_filters = stats.candidates_enumerated
+        - stats.filtered_structural
+        - stats.filtered_tfo
+        - stats.filtered_divisor_size
+        - stats.filtered_joint_space;
+    let guards: Vec<(GuardTier, GuardScope)> = tracer
+        .events()
+        .filter_map(|e| match e {
+            TraceEvent::Guard { tier, scope, .. } => Some((*tier, *scope)),
+            _ => None,
+        })
+        .collect();
+    let guards_where = |pred: &dyn Fn(GuardTier, GuardScope) -> bool| {
+        guards.iter().filter(|&&(t, s)| pred(t, s)).count()
+    };
+    if checked {
+        assert_eq!(stats.sim_audits, past_filters, "{mode}: audits");
+        assert_eq!(
+            guards.len(),
+            stats.substitutions + stats.guard_rejections,
+            "{mode}: guard checks"
+        );
+    } else {
+        assert_eq!(stats.sim_audits, 0, "{mode}: audits");
+        assert!(guards.is_empty(), "{mode}: guard checks");
+    }
+    assert_eq!(
+        guards_where(&|_, s| s == GuardScope::Network),
+        stats.guard_network_checks,
+        "{mode}: network-scope guard checks"
+    );
+    assert_eq!(
+        guards_where(&|t, _| t == GuardTier::Sampled),
+        stats.guard_pass_sampled,
+        "{mode}: sampled guard passes"
+    );
 }
 
 #[test]
 fn report_renders_funnel_and_stages() {
-    let (tracer, stats, _) = traced_runs(1, Acceptance::FirstGain).remove(2); // ext-gdc
+    let (tracer, stats, _) = traced_runs(1, Acceptance::FirstGain, false).remove(2); // ext-gdc
     let text = tracer.report().to_string();
     assert!(text.contains("mode ext-gdc"));
     assert!(text.contains("-- outcome funnel --"));
