@@ -172,9 +172,10 @@ impl Client {
             head.push_str(&format!("{k}: {v}\r\n"));
         }
         head.push_str("\r\n");
+        let mut message = head.into_bytes();
+        message.extend_from_slice(body);
         stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body))
+            .write_all(&message)
             .map_err(|e| format!("write: {e}"))?;
         let mut raw = Vec::new();
         stream

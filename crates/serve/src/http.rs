@@ -253,8 +253,11 @@ pub fn write_response<W: Write>(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body);
+    // One write per message: a separate small head write risks a
+    // Nagle/delayed-ACK stall before the body goes out.
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    let _ = stream.write_all(&message);
     let _ = stream.flush();
 }
 

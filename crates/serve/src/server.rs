@@ -18,9 +18,8 @@ use boolsubst_metrics::prometheus_string;
 use boolsubst_network::{egress, ingest, Format};
 use boolsubst_trace::json::JsonObj;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,7 +31,6 @@ use std::time::{Duration, Instant};
 pub struct Server {
     state: Arc<State>,
     addr: SocketAddr,
-    stop_accept: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -61,25 +59,21 @@ impl Server {
         }
 
         let listener = TcpListener::bind(&state.config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         for slot in 0..state.config.workers {
             spawn_worker(Arc::clone(&state), slot);
         }
 
-        let stop_accept = Arc::new(AtomicBool::new(false));
         let accept_state = Arc::clone(&state);
-        let accept_stop = Arc::clone(&stop_accept);
         let accept_thread = std::thread::Builder::new()
             .name("serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_state, &accept_stop))
+            .spawn(move || accept_loop(&listener, &accept_state))
             .expect("spawn accept thread");
 
         Ok(Server {
             state,
             addr,
-            stop_accept,
             accept_thread: Some(accept_thread),
         })
     }
@@ -98,9 +92,22 @@ impl Server {
 
     /// Initiates a graceful drain: the listener stops accepting, queued
     /// and in-flight jobs finish, workers exit.
+    ///
+    /// The accept thread blocks in `accept()`, so this opens one
+    /// loopback connection to wake it; the loop sees the drain before
+    /// routing that connection and exits. Once the thread has exited the
+    /// connect is refused, which is fine.
     pub fn drain(&self) {
         self.state.drain();
-        self.stop_accept.store(true, Ordering::Release);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     /// Waits for drain completion under the configured drain deadline,
@@ -127,28 +134,29 @@ impl Server {
     /// then completes it as [`Server::join`] does. The CLI's foreground
     /// mode.
     pub fn serve_forever(self) -> bool {
-        while !self.state.draining() {
-            std::thread::sleep(Duration::from_millis(100));
-        }
+        self.state.wait_draining();
         self.join()
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<State>, stop: &Arc<AtomicBool>) {
+/// Blocks in `accept()` and hands each connection to its own thread.
+/// The drain check sits between `accept` returning and the hand-off, so
+/// the connection that [`Server::drain`] opens to wake the loop is never
+/// routed.
+fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
     loop {
-        if stop.load(Ordering::Acquire) || state.draining() {
+        let accepted = listener.accept();
+        if state.draining() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let state = Arc::clone(state);
                 let _ = std::thread::Builder::new()
                     .name("serve-conn".to_string())
                     .spawn(move || handle_connection(&state, stream));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // fd exhaustion and the like: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }

@@ -111,7 +111,9 @@ pub struct State {
     inner: Mutex<Inner>,
     /// Signalled when the queue gains work or drain starts.
     work: Condvar,
-    /// Signalled when a worker exits (drain-completion watchers).
+    /// Signalled when a job finishes, a worker exits or drain starts
+    /// (drain and drain-completion watchers). Kept apart from `work`, so
+    /// a foreground waiter never takes a wake-up meant for a worker.
     idle: Condvar,
     /// The append-only WAL; its own lock so admission holds both for
     /// only the accepted append (journal first, queue second).
@@ -361,12 +363,24 @@ impl State {
         self.lock().draining = true;
         self.metrics.gauge("serve.draining").set(1);
         self.work.notify_all();
+        self.idle.notify_all();
     }
 
     /// Whether drain has been requested.
     #[must_use]
     pub fn draining(&self) -> bool {
         self.lock().draining
+    }
+
+    /// Blocks until drain has been requested.
+    pub fn wait_draining(&self) {
+        let mut inner = self.lock();
+        while !inner.draining {
+            inner = self
+                .idle
+                .wait(inner)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
     }
 
     /// Bookkeeping: a worker thread is live (called before spawn, so the

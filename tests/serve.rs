@@ -346,3 +346,80 @@ fn healthz_flips_when_draining() {
     assert!(server.join());
     let _ = std::fs::remove_file(&journal);
 }
+
+/// Runs `f` on a detached helper thread, so that a hang fails the
+/// caller's `recv_timeout` instead of stalling the test run; the receiver
+/// yields its result.
+fn spawn_watched<T: Send + 'static>(
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::sync::mpsc::Receiver<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx
+}
+
+#[test]
+fn join_returns_without_traffic() {
+    // The accept thread blocks in accept(); join must wake it itself.
+    let config = ServeConfig {
+        workers: 0,
+        ..test_config("join-idle")
+    };
+    let journal = config.journal_path.clone();
+    let server = Server::start(config).expect("start");
+    let drained = spawn_watched(move || server.join())
+        .recv_timeout(Duration::from_secs(5))
+        .expect("Server::join did not return within 5 s");
+    assert!(drained);
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn shutdown_request_ends_serve_forever() {
+    // No workers: no worker exit wakes serve_forever, only the drain.
+    let config = ServeConfig {
+        workers: 0,
+        ..test_config("serve-forever")
+    };
+    let journal = config.journal_path.clone();
+    let server = Server::start(config).expect("start");
+    let client = Client::new(server.local_addr().to_string());
+    let done = spawn_watched(move || server.serve_forever());
+    client.shutdown().expect("shutdown");
+    let drained = done
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve_forever did not return within 5 s of POST /shutdown");
+    assert!(drained);
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn sequential_requests_skip_the_accept_tick() {
+    // One connection per request: a listener that sleep-polls makes each
+    // round trip wait for its tick. The median keeps a loaded host from
+    // flaking the bound.
+    let config = ServeConfig {
+        workers: 0,
+        ..test_config("accept-tick")
+    };
+    let journal = config.journal_path.clone();
+    let server = Server::start(config).expect("start");
+    let client = Client::new(server.local_addr().to_string());
+    let mut trips: Vec<Duration> = (0..21)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            assert_eq!(client.healthz(), Ok(true));
+            t0.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median /healthz round trip {median:?}: {trips:?}"
+    );
+    assert!(server.join());
+    let _ = std::fs::remove_file(&journal);
+}
