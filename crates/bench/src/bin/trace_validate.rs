@@ -9,9 +9,11 @@
 //! Exits non-zero with a diagnostic on the first violation. Checks:
 //!
 //! * JSONL: non-empty; every line parses as a JSON object with a known
-//!   `type`; the first line of each mode block is a `meta` line; pair
-//!   lines carry a known outcome name and all five stage-nanos fields;
-//!   guard lines a known tier and scope.
+//!   `type` (`meta` or `pair`); the first line of each mode block is a
+//!   `meta` line; pair lines carry a known outcome name and all five
+//!   stage-nanos fields, a `guard` object (when present) a known tier and
+//!   scope, `passed`/`exact` bools and `dur_ns`, and a `shadow` use (when
+//!   present) `hit` or `miss`.
 //! * Chrome: the whole file parses as a JSON array; every event is a
 //!   `ph: "M"` metadata or `ph: "X"` complete event with numeric
 //!   `ts`/`dur`; `ts` is monotonically non-decreasing per `(pid, tid)`.
@@ -72,34 +74,13 @@ fn validate_jsonl(text: &str) -> Result<(), String> {
                         return Err(format!("line {}: pair missing {field}", i + 1));
                     }
                 }
-            }
-            "shadow_build" => {
-                if v.get("dur_ns").and_then(Json::as_u64).is_none() {
-                    return Err(format!("line {}: shadow_build missing dur_ns", i + 1));
+                if let Some(guard) = v.get("guard") {
+                    validate_guard(guard).map_err(|e| format!("line {}: {e}", i + 1))?;
                 }
-            }
-            "guard" => {
-                let tier = v
-                    .get("tier")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {}: guard without tier", i + 1))?;
-                if !GuardTier::ALL.iter().any(|t| t.name() == tier) {
-                    return Err(format!("line {}: unknown guard tier {tier:?}", i + 1));
-                }
-                let scope = v
-                    .get("scope")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {}: guard without scope", i + 1))?;
-                if !GuardScope::ALL.iter().any(|s| s.name() == scope) {
-                    return Err(format!("line {}: unknown guard scope {scope:?}", i + 1));
-                }
-                for field in ["passed", "exact"] {
-                    if v.get(field).and_then(Json::as_bool).is_none() {
-                        return Err(format!("line {}: guard missing {field}", i + 1));
+                if let Some(shadow) = v.get("shadow") {
+                    if !matches!(shadow.as_str(), Some("hit" | "miss")) {
+                        return Err(format!("line {}: unknown shadow use {shadow:?}", i + 1));
                     }
-                }
-                if v.get("dur_ns").and_then(Json::as_u64).is_none() {
-                    return Err(format!("line {}: guard missing dur_ns", i + 1));
                 }
             }
             other => return Err(format!("line {}: unknown type {other:?}", i + 1)),
@@ -109,6 +90,34 @@ fn validate_jsonl(text: &str) -> Result<(), String> {
         return Err("empty JSONL stream".into());
     }
     println!("jsonl ok: {lines} lines, {pairs} pair spans");
+    Ok(())
+}
+
+/// A pair's nested `guard` object: a known tier and scope, the
+/// `passed`/`exact` bools and the check's `dur_ns`.
+fn validate_guard(guard: &Json) -> Result<(), String> {
+    let tier = guard
+        .get("tier")
+        .and_then(Json::as_str)
+        .ok_or("guard without tier")?;
+    if !GuardTier::ALL.iter().any(|t| t.name() == tier) {
+        return Err(format!("unknown guard tier {tier:?}"));
+    }
+    let scope = guard
+        .get("scope")
+        .and_then(Json::as_str)
+        .ok_or("guard without scope")?;
+    if !GuardScope::ALL.iter().any(|s| s.name() == scope) {
+        return Err(format!("unknown guard scope {scope:?}"));
+    }
+    for field in ["passed", "exact"] {
+        if guard.get(field).and_then(Json::as_bool).is_none() {
+            return Err(format!("guard missing {field}"));
+        }
+    }
+    if guard.get("dur_ns").and_then(Json::as_u64).is_none() {
+        return Err("guard missing dur_ns".into());
+    }
     Ok(())
 }
 
@@ -339,14 +348,16 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn pair_line(omit: Option<&str>) -> String {
+    /// A pair line without the stage field `omit`, ending in the
+    /// pre-serialized `extra` fields.
+    fn pair_line(omit: Option<&str>, extra: &str) -> String {
         let stages: Vec<String> = STAGE_FIELDS
             .iter()
             .filter(|f| Some(**f) != omit)
             .map(|f| format!(",\"{f}\":1"))
             .collect();
         format!(
-            "{{\"type\":\"pair\",\"outcome\":\"{}\"{}}}",
+            "{{\"type\":\"pair\",\"outcome\":\"{}\"{}{extra}}}",
             Outcome::AcceptedSop.name(),
             stages.concat()
         )
@@ -357,8 +368,9 @@ mod tests {
     #[test]
     fn jsonl_accepts_a_well_formed_stream() {
         let text = format!(
-            "{META}\n{}\n{{\"type\":\"shadow_build\",\"dur_ns\":5}}\n",
-            pair_line(None)
+            "{META}\n{}\n{}\n",
+            pair_line(None, ""),
+            pair_line(None, ",\"shadow\":\"miss\",\"shadow_ns\":5")
         );
         assert_eq!(validate_jsonl(&text), Ok(()));
     }
@@ -372,21 +384,25 @@ mod tests {
 
     #[test]
     fn jsonl_rejects_a_pair_missing_a_stage_field() {
-        let text = format!("{META}\n{}\n", pair_line(Some("divide_ns")));
+        let text = format!("{META}\n{}\n", pair_line(Some("divide_ns"), ""));
         let err = validate_jsonl(&text).unwrap_err();
         assert!(err.contains("pair missing divide_ns"), "{err}");
     }
 
     #[test]
     fn jsonl_rejects_a_stream_without_a_leading_meta_line() {
-        let err = validate_jsonl(&format!("{}\n", pair_line(None))).unwrap_err();
+        let err = validate_jsonl(&format!("{}\n", pair_line(None, ""))).unwrap_err();
         assert!(err.contains("meta line"), "{err}");
     }
 
+    /// A pair line carrying a guard object of `tier` and `scope`.
     fn guard_line(tier: &str, scope: &str) -> String {
-        format!(
-            "{{\"type\":\"guard\",\"tier\":\"{tier}\",\"scope\":\"{scope}\",\
-             \"passed\":false,\"exact\":false,\"dur_ns\":3}}"
+        pair_line(
+            None,
+            &format!(
+                ",\"guard\":{{\"tier\":\"{tier}\",\"scope\":\"{scope}\",\
+                 \"passed\":false,\"exact\":false,\"dur_ns\":3}}"
+            ),
         )
     }
 
@@ -409,6 +425,21 @@ mod tests {
         }
         let err = validate_jsonl(&format!("{META}\n{}\n", guard_line("sim", "cone"))).unwrap_err();
         assert!(err.contains("unknown guard scope"), "{err}");
+    }
+
+    /// Guard verdicts and shadow builds ride on their pair's line: the
+    /// old side-channel line types are unknown, and a shadow use is
+    /// `hit` or `miss`.
+    #[test]
+    fn jsonl_rejects_side_channel_lines_and_unknown_shadow_uses() {
+        for ty in ["guard", "shadow_build"] {
+            let text = format!("{META}\n{{\"type\":\"{ty}\",\"dur_ns\":5}}\n");
+            let err = validate_jsonl(&text).unwrap_err();
+            assert!(err.contains(&format!("unknown type \"{ty}\"")), "{err}");
+        }
+        let line = pair_line(None, ",\"shadow\":\"built\"");
+        let err = validate_jsonl(&format!("{META}\n{line}\n")).unwrap_err();
+        assert!(err.contains("unknown shadow use"), "{err}");
     }
 
     fn chrome(ts: [u32; 2]) -> String {

@@ -249,7 +249,7 @@ pub(crate) struct ShadowEntry {
     /// The snapshot and its build time, once a pair has needed it.
     base: OnceLock<(ShadowBase, u64)>,
     /// Whether a booked pair has used this snapshot yet: the first use
-    /// is the cache miss (and the traced build), every later one a hit.
+    /// is the cache miss (which books the build), every later one a hit.
     booked: bool,
 }
 
@@ -332,8 +332,8 @@ impl<'a> SubstEngine<'a> {
     }
 
     /// Opens a session with a trace recorder attached: every evaluated
-    /// pair, shadow build, and guard check is recorded on `tracer`,
-    /// labelled with the network's node names.
+    /// pair's record, its guard verdict and shadow use included, is booked
+    /// on `tracer`, labelled with the network's node names.
     pub fn with_tracer(
         net: &'a mut Network,
         opts: SubstOptions,
@@ -479,10 +479,12 @@ impl<'a> SubstEngine<'a> {
     }
 
     /// Asks the guard whether the applied rewrite preserved every
-    /// primary-output function. Records the verdict (its tier, whether
-    /// the cut or the whole network decided it, and the SAT runs) in the
-    /// pair's `rec` and on the tracer. `None` means no guard is installed
-    /// (unchecked run): the rewrite stands on the division proof alone.
+    /// primary-output function. Records the verdict in the pair's `rec`:
+    /// its tier, whether the cut or the whole network decided it, the SAT
+    /// runs and the check's wall time, and [`Outcome::GuardRejected`] as
+    /// the outcome when the rewrite may not stand. `None` means no guard
+    /// is installed (unchecked run): the rewrite stands on the division
+    /// proof alone.
     /// The guard reads only the network and the snapshot, never the plan.
     ///
     /// Outside GDC mode every division strategy is cover algebra over the
@@ -529,22 +531,14 @@ impl<'a> SubstEngine<'a> {
                 }
             }
         };
-        let tier = guard_tier(&decision);
         rec.guard = Some(PairGuard {
-            tier,
+            tier: guard_tier(&decision),
             scope,
             sat_runs: u32::try_from(guard.sat_runs() - sat_runs0).unwrap_or(u32::MAX),
+            dur_ns: nanos(t0),
         });
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.guard_check(
-                id32(target),
-                id32(divisor),
-                tier,
-                scope,
-                decision.passed(),
-                decision.exact(),
-                nanos(t0),
-            );
+        if !decision.passed() {
+            rec.outcome = Outcome::GuardRejected;
         }
         Some(decision)
     }
@@ -584,8 +578,8 @@ impl<'a> SubstEngine<'a> {
     /// Replaces the cached shadow entry unless it is for this target and
     /// the current network version. A new entry is empty: the first pair
     /// that reaches its division proof builds the snapshot
-    /// ([`ShadowEntry::base`]), and the build is traced when a booked
-    /// pair first uses it ([`SubstEngine::use_shadow`]).
+    /// ([`ShadowEntry::base`]), and the build is booked on the pair that
+    /// first uses it ([`SubstEngine::use_shadow`]).
     pub(crate) fn ensure_shadow(&mut self, target: NodeId) {
         let valid = self
             .shadow
@@ -602,17 +596,15 @@ impl<'a> SubstEngine<'a> {
     }
 
     /// Records one pair's use of the shadow snapshot in its `rec`: the
-    /// first use of an entry is the cache miss (and the traced build),
-    /// every later one a hit.
-    pub(crate) fn use_shadow(&mut self, target: NodeId, rec: &mut PairRecord) {
+    /// first use of an entry is the cache miss, which carries the build
+    /// time, and every later one a hit.
+    pub(crate) fn use_shadow(&mut self, rec: &mut PairRecord) {
         rec.shadow = Some(match self.shadow.as_mut() {
             Some(e) if !e.booked => {
                 e.booked = true;
-                let ns = e.base.get().map_or(0, |(_, ns)| *ns);
-                if let Some(t) = self.tracer.as_deref_mut() {
-                    t.shadow_build(id32(target), ns);
+                ShadowUse::Miss {
+                    build_ns: e.base.get().map_or(0, |(_, ns)| *ns),
                 }
-                ShadowUse::Miss
             }
             _ => ShadowUse::Hit,
         });
@@ -691,11 +683,11 @@ impl<'a> SubstEngine<'a> {
                         // deadline refusal (the pair is innocent) the
                         // sweep exits with a verified partial result, as
                         // if the deadline had expired between attempts.
+                        // The verdict already marked the pair rejected.
                         self.recover(snap);
                         if decision == GuardDecision::OutOfTime {
                             self.interrupt();
                         }
-                        rec.outcome = Outcome::GuardRejected;
                         gain = None;
                     }
                     _ => {}
@@ -738,7 +730,6 @@ mod tests {
     use crate::subst::boolean_substitute_legacy;
     use boolsubst_cube::parse_sop;
     use boolsubst_network::write_blif;
-    use boolsubst_trace::TraceEvent;
 
     fn small_net() -> Network {
         let mut net = Network::new("engine_t");
@@ -897,11 +888,9 @@ mod tests {
     /// division scenario) with the extended rewrite applied by hand
     /// behind a snapshot: a minted core `k = ab + c`, then `d = k + e`
     /// and `f = k + z` (or `f = k`, the `z` cube dropped, when
-    /// `drop_cube`). Returns the guard's verdict, the scope the pair's
-    /// record holds, and the traced guard events.
-    fn guard_hand_ext_rewrite(
-        drop_cube: bool,
-    ) -> (GuardDecision, Option<GuardScope>, Vec<TraceEvent>) {
+    /// `drop_cube`). Returns the guard's verdict and the pair's record,
+    /// accepted as the commit leaves it before the guard runs.
+    fn guard_hand_ext_rewrite(drop_cube: bool) -> (GuardDecision, PairRecord) {
         let mut net = Network::new("cut_t");
         let [a, b, c, e, z] = ["a", "b", "c", "e", "z"].map(|n| net.add_input(n).expect("pi"));
         let sop = |n, s| parse_sop(n, s).expect("sop");
@@ -913,9 +902,8 @@ mod tests {
             .expect("d");
         net.add_output("f", f).expect("o");
         net.add_output("d", d).expect("o");
-        let mut tracer = Tracer::new("ext");
         let opts = SubstOptions::extended().with_checked(true);
-        let mut engine = SubstEngine::with_tracer(&mut net, opts, &mut tracer);
+        let mut engine = SubstEngine::new(&mut net, opts);
         let snap = TxnSnapshot::capture(engine.net, &[f, d]);
         let post = &mut *engine.net;
         let k = post
@@ -927,23 +915,18 @@ mod tests {
         let f_sop = if drop_cube { "a" } else { "a + b" };
         post.replace_function(f, vec![k, z], sop(2, f_sop))
             .expect("f");
-        let mut rec = PairRecord::new(id32(f), id32(d), Instant::now());
+        let mut rec = PairRecord {
+            outcome: Outcome::AcceptedExtended,
+            ..PairRecord::new(id32(f), id32(d), Instant::now())
+        };
         let decision = engine
             .guard_verdict(&snap, f, d, &mut rec)
             .expect("checked engine");
-        drop(engine);
-        let scope = rec.guard.map(|g| g.scope);
-        (decision, scope, tracer.events().cloned().collect())
-    }
-
-    fn guard_scopes(events: &[TraceEvent]) -> Vec<GuardScope> {
-        events
-            .iter()
-            .filter_map(|ev| match ev {
-                TraceEvent::Guard { scope, .. } => Some(*scope),
-                _ => None,
-            })
-            .collect()
+        // The record alone carries the verdict the exporters write.
+        assert_eq!(rec.guard_passed(), Some(decision.passed()), "{decision:?}");
+        assert_eq!(rec.guard_exact(), Some(decision.exact()), "{decision:?}");
+        assert_eq!(rec.guard.map(|g| g.tier.name()), Some(decision.tier_name()));
+        (decision, rec)
     }
 
     /// An extended rewrite that mints a core node is proved on its cut —
@@ -951,24 +934,24 @@ mod tests {
     /// whole network.
     #[test]
     fn minting_ext_rewrite_passes_on_its_cut() {
-        let (decision, scope, events) = guard_hand_ext_rewrite(false);
+        let (decision, rec) = guard_hand_ext_rewrite(false);
         assert_eq!(decision, GuardDecision::PassExhaustive);
-        assert_eq!(scope, Some(GuardScope::Cut));
-        assert_eq!(guard_scopes(&events), [GuardScope::Cut]);
+        assert_eq!(rec.guard.map(|g| g.scope), Some(GuardScope::Cut));
+        assert_eq!(rec.outcome, Outcome::AcceptedExtended);
     }
 
     /// A rewrite with a dropped cube fails its cut, falls through to the
     /// whole-network compare, and is refuted there.
     #[test]
     fn dropped_cube_fails_the_cut_and_is_refuted_on_the_network() {
-        let (decision, scope, events) = guard_hand_ext_rewrite(true);
+        let (decision, rec) = guard_hand_ext_rewrite(true);
         assert_eq!(
             decision,
             GuardDecision::RefutedSim {
                 output: "f".to_string()
             }
         );
-        assert_eq!(scope, Some(GuardScope::Network));
-        assert_eq!(guard_scopes(&events), [GuardScope::Network]);
+        assert_eq!(rec.guard.map(|g| g.scope), Some(GuardScope::Network));
+        assert_eq!(rec.outcome, Outcome::GuardRejected);
     }
 }

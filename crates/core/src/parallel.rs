@@ -230,7 +230,7 @@ impl SubstEngine<'_> {
         }
         // A pair that reached the division core used the shadow.
         if self.opts.mode == SubstMode::ExtendedGdc && rec.proof {
-            self.use_shadow(target, rec);
+            self.use_shadow(rec);
         }
         let mut committed = false;
         if let Some(plan) = eval.plan.take() {

@@ -51,9 +51,9 @@ impl<'n, 't> Session<'n, 't> {
         }
     }
 
-    /// Attaches a structured trace recorder: every evaluated pair, shadow
-    /// build, and guard check is recorded on `tracer`, labelled with the
-    /// network's node names.
+    /// Attaches a structured trace recorder: every evaluated pair's
+    /// record, its guard verdict and shadow use included, is booked on
+    /// `tracer`, labelled with the network's node names.
     #[must_use]
     pub fn tracer(mut self, tracer: &'t mut Tracer) -> Session<'n, 't> {
         self.tracer = Some(tracer);

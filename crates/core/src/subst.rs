@@ -464,7 +464,7 @@ impl SubstStats {
             filtered_joint_space: is(Outcome::RejectedJointSpace),
             rar_checks: count(rec.rar_checks),
             shadow_cache_hits: usize::from(rec.shadow == Some(ShadowUse::Hit)),
-            shadow_cache_misses: usize::from(rec.shadow == Some(ShadowUse::Miss)),
+            shadow_cache_misses: usize::from(matches!(rec.shadow, Some(ShadowUse::Miss { .. }))),
             sim_pairs_screened: usize::from(rec.screened),
             sim_pairs_refuted: is(Outcome::RejectedSimRefuted),
             sim_false_passes: usize::from(rec.screened) & is(Outcome::RejectedNoGain),
@@ -1490,6 +1490,7 @@ mod tests {
                 tier,
                 scope: GuardScope::Cut,
                 sat_runs: 0,
+                dur_ns: 0,
             }),
             ..PairRecord::new(1, 2, Instant::now())
         };

@@ -244,12 +244,16 @@ impl Client {
 
     /// Polls `GET /jobs/<id>` until the job is terminal (an evicted
     /// record, HTTP 410, reads as state `evicted`) or `timeout` passes.
+    /// The pause between polls starts at 1 ms and doubles up to 25 ms, so
+    /// a short job is seen done soon after it finishes and a long one is
+    /// not polled more than 40 times a second.
     ///
     /// # Errors
     ///
     /// Returns a message on timeout or transport failure.
     pub fn wait(&self, id: u64, timeout: Duration) -> Result<JobView, String> {
         let deadline = Instant::now() + timeout;
+        let mut pause = Duration::from_millis(1);
         loop {
             let resp = self.request("GET", &format!("/jobs/{id}"), &[], b"")?;
             if resp.status == 200 || resp.status == 410 {
@@ -278,7 +282,8 @@ impl Client {
             if Instant::now() >= deadline {
                 return Err(format!("job {id} not terminal within {timeout:?}"));
             }
-            std::thread::sleep(Duration::from_millis(25));
+            std::thread::sleep(pause);
+            pause = (pause * 2).min(Duration::from_millis(25));
         }
     }
 

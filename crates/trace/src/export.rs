@@ -1,68 +1,62 @@
-//! Trace exporters: newline-delimited JSON events and the Chrome
+//! Trace exporters: newline-delimited JSON pair records and the Chrome
 //! trace-event format (loadable in `chrome://tracing` and Perfetto).
 
 use std::io::{self, Write};
 
 use crate::json::JsonObj;
-use crate::span::TraceEvent;
+use crate::span::{PairRecord, ShadowUse};
 use crate::tracer::Tracer;
 
-/// Serializes one of `t`'s ring-buffer events as a single-line JSON
-/// object.
-fn event_to_json(t: &Tracer, ev: &TraceEvent) -> String {
-    match ev {
-        TraceEvent::Pair(p) => JsonObj::new()
-            .str("type", "pair")
-            .u64("target", u64::from(p.target))
-            .u64("divisor", u64::from(p.divisor))
-            .u64("start_ns", t.start_ns(p))
-            .u64("dur_ns", p.dur_ns)
-            .u64("enumerate_ns", p.stages.enumerate)
-            .u64("filter_ns", p.stages.filter)
-            .u64("sim_ns", p.stages.sim)
-            .u64("divide_ns", p.stages.divide)
-            .u64("apply_ns", p.stages.apply)
-            .str("outcome", p.outcome.name())
-            .i64("gain", p.gain)
-            .u64("rar_checks", p.rar_checks)
-            .bool("bound_skip", p.bound_skip)
-            .u64("worker", u64::from(p.worker))
-            .finish(),
-        TraceEvent::ShadowBuild {
-            target,
-            start_ns,
-            dur_ns,
-        } => JsonObj::new()
-            .str("type", "shadow_build")
-            .u64("target", u64::from(*target))
-            .u64("start_ns", *start_ns)
-            .u64("dur_ns", *dur_ns)
-            .finish(),
-        TraceEvent::Guard {
-            target,
-            divisor,
-            tier,
-            scope,
-            passed,
-            exact,
-            start_ns,
-            dur_ns,
-        } => JsonObj::new()
-            .str("type", "guard")
-            .u64("target", u64::from(*target))
-            .u64("divisor", u64::from(*divisor))
-            .str("tier", tier.name())
-            .str("scope", scope.name())
-            .bool("passed", *passed)
-            .bool("exact", *exact)
-            .u64("start_ns", *start_ns)
-            .u64("dur_ns", *dur_ns)
-            .finish(),
+/// Adds a pair's guard verdict and shadow use to its JSON object, the
+/// same fields on the JSONL line and in the Chrome span's args: a nested
+/// `guard` object (tier, scope, whether the rewrite stood, whether it
+/// was proved, the check's wall time) and `shadow` (`hit`/`miss`, plus
+/// the snapshot build time `shadow_ns` on a miss). Both are absent on a
+/// pair the guard or the GDC shadow never saw.
+fn verdict_fields(obj: &mut JsonObj, p: &PairRecord) {
+    if let (Some(g), Some(passed), Some(exact)) = (p.guard, p.guard_passed(), p.guard_exact()) {
+        let guard = JsonObj::new()
+            .str("tier", g.tier.name())
+            .str("scope", g.scope.name())
+            .bool("passed", passed)
+            .bool("exact", exact)
+            .u64("dur_ns", g.dur_ns)
+            .finish();
+        obj.raw("guard", &guard);
+    }
+    if let Some(shadow) = p.shadow {
+        obj.str("shadow", shadow.name());
+        if let ShadowUse::Miss { build_ns } = shadow {
+            obj.u64("shadow_ns", build_ns);
+        }
     }
 }
 
+/// Serializes one of `t`'s retained pair records as a single-line JSON
+/// object.
+fn pair_to_json(t: &Tracer, p: &PairRecord) -> String {
+    let mut obj = JsonObj::new();
+    obj.str("type", "pair")
+        .u64("target", u64::from(p.target))
+        .u64("divisor", u64::from(p.divisor))
+        .u64("start_ns", t.start_ns(p))
+        .u64("dur_ns", p.dur_ns)
+        .u64("enumerate_ns", p.stages.enumerate)
+        .u64("filter_ns", p.stages.filter)
+        .u64("sim_ns", p.stages.sim)
+        .u64("divide_ns", p.stages.divide)
+        .u64("apply_ns", p.stages.apply)
+        .str("outcome", p.outcome.name())
+        .i64("gain", p.gain)
+        .u64("rar_checks", p.rar_checks)
+        .bool("bound_skip", p.bound_skip)
+        .u64("worker", u64::from(p.worker));
+    verdict_fields(&mut obj, p);
+    obj.finish()
+}
+
 /// Writes the trace as newline-delimited JSON: one `meta` line with the
-/// mode and run-level aggregates, then one line per retained event.
+/// mode and run-level aggregates, then one line per retained pair record.
 ///
 /// # Errors
 ///
@@ -86,8 +80,8 @@ pub fn write_jsonl<W: Write>(t: &Tracer, w: &mut W) -> io::Result<()> {
     }
     let meta = meta.finish();
     writeln!(w, "{meta}")?;
-    for ev in t.events() {
-        writeln!(w, "{}", event_to_json(t, ev))?;
+    for p in t.records() {
+        writeln!(w, "{}", pair_to_json(t, p))?;
     }
     Ok(())
 }
@@ -104,46 +98,6 @@ fn micros(ns: u64) -> String {
     #[allow(clippy::cast_precision_loss)]
     let us = ns as f64 / 1000.0;
     format!("{us:.3}")
-}
-
-/// Thread ids used in the Chrome export: pair spans.
-const TID_PAIRS: u64 = 0;
-/// Thread ids used in the Chrome export: shadow builds and guard checks.
-const TID_AUX: u64 = 1;
-/// The committer's pairs (`worker == 0`) sit on the `pairs` lane; a pair
-/// span evaluated by pool worker `w >= 1` lands on tid `TID_AUX + w`,
-/// labelled `worker w` by a `thread_name` metadata row.
-fn pair_tid(worker: u32) -> u64 {
-    if worker == 0 {
-        TID_PAIRS
-    } else {
-        TID_AUX + u64::from(worker)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn chrome_complete(
-    out: &mut Vec<String>,
-    name: &str,
-    cat: &str,
-    pid: u64,
-    tid: u64,
-    start_ns: u64,
-    dur_ns: u64,
-    args: String,
-) {
-    out.push(
-        JsonObj::new()
-            .str("name", name)
-            .str("cat", cat)
-            .str("ph", "X")
-            .raw("ts", &micros(start_ns))
-            .raw("dur", &micros(dur_ns))
-            .u64("pid", pid)
-            .u64("tid", tid)
-            .raw("args", &args)
-            .finish(),
-    );
 }
 
 fn chrome_metadata(out: &mut Vec<String>, name: &str, pid: u64, tid: u64, label: &str) {
@@ -164,107 +118,44 @@ fn chrome_metadata(out: &mut Vec<String>, name: &str, pid: u64, tid: u64, label:
 pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
     let mut rows: Vec<String> = Vec::new();
     for (pid, t) in (0u64..).zip(tracers.iter()) {
-        chrome_metadata(
-            &mut rows,
-            "process_name",
-            pid,
-            TID_PAIRS,
-            &format!("boolsubst {}", t.mode()),
-        );
-        chrome_metadata(&mut rows, "thread_name", pid, TID_PAIRS, "pairs");
-        chrome_metadata(&mut rows, "thread_name", pid, TID_AUX, "engine aux");
-        // Label every pool-worker lane that actually carries spans, so
-        // the viewer shows "worker 3" instead of a raw tid.
-        let mut worker_lanes: Vec<u32> = t
-            .events()
-            .filter_map(|ev| match ev {
-                TraceEvent::Pair(p) if p.worker > 0 => Some(p.worker),
-                _ => None,
-            })
-            .collect();
+        // A pair span sits on its sweep lane's tid: the committer's
+        // (`worker == 0`) on tid 0, labelled `pairs`, and pool worker
+        // `w`'s on tid `w`, labelled `worker w` when it carries spans, so
+        // the viewer never shows a raw tid.
+        let label = format!("boolsubst {}", t.mode());
+        chrome_metadata(&mut rows, "process_name", pid, 0, &label);
+        chrome_metadata(&mut rows, "thread_name", pid, 0, "pairs");
+        let mut worker_lanes: Vec<u32> = t.records().map(|p| p.worker).filter(|&w| w > 0).collect();
         worker_lanes.sort_unstable();
         worker_lanes.dedup();
-        for &lane in &worker_lanes {
-            chrome_metadata(
-                &mut rows,
-                "thread_name",
-                pid,
-                pair_tid(lane),
-                &format!("worker {lane}"),
-            );
+        for lane in worker_lanes {
+            let label = format!("worker {lane}");
+            chrome_metadata(&mut rows, "thread_name", pid, u64::from(lane), &label);
         }
 
-        for ev in t.events() {
-            match ev {
-                TraceEvent::Pair(p) => {
-                    let args = JsonObj::new()
-                        .str("target", &t.node_name(p.target))
-                        .str("divisor", &t.node_name(p.divisor))
-                        .i64("gain", p.gain)
-                        .u64("rar_checks", p.rar_checks)
-                        .u64("filter_ns", p.stages.filter)
-                        .u64("sim_ns", p.stages.sim)
-                        .u64("divide_ns", p.stages.divide)
-                        .u64("apply_ns", p.stages.apply)
-                        .finish();
-                    chrome_complete(
-                        &mut rows,
-                        p.outcome.name(),
-                        "pair",
-                        pid,
-                        pair_tid(p.worker),
-                        t.start_ns(p),
-                        p.dur_ns,
-                        args,
-                    );
-                }
-                TraceEvent::ShadowBuild {
-                    target,
-                    start_ns,
-                    dur_ns,
-                } => {
-                    let args = JsonObj::new().str("target", &t.node_name(*target)).finish();
-                    chrome_complete(
-                        &mut rows,
-                        "shadow_build",
-                        "aux",
-                        pid,
-                        TID_AUX,
-                        *start_ns,
-                        *dur_ns,
-                        args,
-                    );
-                }
-                TraceEvent::Guard {
-                    target,
-                    divisor,
-                    tier,
-                    scope,
-                    passed,
-                    exact,
-                    start_ns,
-                    dur_ns,
-                } => {
-                    let args = JsonObj::new()
-                        .str("target", &t.node_name(*target))
-                        .str("divisor", &t.node_name(*divisor))
-                        .str("tier", tier.name())
-                        .str("scope", scope.name())
-                        .bool("passed", *passed)
-                        .bool("exact", *exact)
-                        .finish();
-                    chrome_complete(
-                        &mut rows,
-                        &format!("guard_{}", tier.name()),
-                        "guard",
-                        pid,
-                        TID_AUX,
-                        *start_ns,
-                        *dur_ns,
-                        args,
-                    );
-                }
-            }
+        for p in t.records() {
+            let mut args = JsonObj::new();
+            args.str("target", &t.node_name(p.target))
+                .str("divisor", &t.node_name(p.divisor))
+                .i64("gain", p.gain)
+                .u64("rar_checks", p.rar_checks)
+                .u64("filter_ns", p.stages.filter)
+                .u64("sim_ns", p.stages.sim)
+                .u64("divide_ns", p.stages.divide)
+                .u64("apply_ns", p.stages.apply);
+            verdict_fields(&mut args, p);
+            rows.push(
+                JsonObj::new()
+                    .str("name", p.outcome.name())
+                    .str("cat", "pair")
+                    .str("ph", "X")
+                    .raw("ts", &micros(t.start_ns(p)))
+                    .raw("dur", &micros(p.dur_ns))
+                    .u64("pid", pid)
+                    .u64("tid", u64::from(p.worker))
+                    .raw("args", &args.finish())
+                    .finish(),
+            );
         }
     }
     crate::json::json_array_pretty(rows)
@@ -274,7 +165,7 @@ pub fn chrome_trace_string(tracers: &[&Tracer]) -> String {
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::span::{Outcome, PairRecord, StageNanos};
+    use crate::span::{GuardScope, GuardTier, Outcome, PairGuard, PairRecord, StageNanos};
 
     /// A pair record on lane `worker` with the given outcome; the stage
     /// shares are filter 3 ns, divide 40 ns.
@@ -294,21 +185,34 @@ mod tests {
         }
     }
 
+    /// One accepted pair that built its target's shadow snapshot (11 ns)
+    /// and passed a whole-network SAT guard check (21 ns).
     fn sample_tracer() -> Tracer {
         let mut t = Tracer::new("ext-gdc");
         t.set_node_names(vec!["n0".into(), "n1".into(), "n2".into()]);
-        t.record_pair(&record(0, Outcome::AcceptedSop, 5, 7));
-        t.shadow_build(1, 11);
-        t.guard_check(
-            1,
-            2,
-            crate::span::GuardTier::Sat,
-            crate::span::GuardScope::Network,
-            true,
-            true,
-            21,
-        );
+        t.record_pair(&PairRecord {
+            shadow: Some(ShadowUse::Miss { build_ns: 11 }),
+            guard: Some(PairGuard {
+                tier: GuardTier::Sat,
+                scope: GuardScope::Network,
+                sat_runs: 1,
+                dur_ns: 21,
+            }),
+            ..record(0, Outcome::AcceptedSop, 5, 7)
+        });
         t
+    }
+
+    /// The guard object and shadow use the sample pair carries.
+    fn assert_sample_verdicts(v: &Json) {
+        let guard = v.get("guard").expect("guard object");
+        assert_eq!(guard.get("tier").and_then(Json::as_str), Some("sat"));
+        assert_eq!(guard.get("scope").and_then(Json::as_str), Some("network"));
+        assert_eq!(guard.get("passed").and_then(Json::as_bool), Some(true));
+        assert_eq!(guard.get("exact").and_then(Json::as_bool), Some(true));
+        assert_eq!(guard.get("dur_ns").and_then(Json::as_u64), Some(21));
+        assert_eq!(v.get("shadow").and_then(Json::as_str), Some("miss"));
+        assert_eq!(v.get("shadow_ns").and_then(Json::as_u64), Some(11));
     }
 
     #[test]
@@ -316,7 +220,7 @@ mod tests {
         let t = sample_tracer();
         let text = jsonl_string(&t);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "meta + pair + shadow + guard");
+        assert_eq!(lines.len(), 2, "meta + one line per pair");
 
         let meta = Json::parse(lines[0]).expect("meta parses");
         assert_eq!(meta.get("type").and_then(Json::as_str), Some("meta"));
@@ -336,26 +240,20 @@ mod tests {
             pair.get("outcome").and_then(Json::as_str),
             Some("accept_sop")
         );
+        assert_sample_verdicts(&pair);
 
-        let shadow = Json::parse(lines[2]).expect("shadow parses");
-        assert_eq!(
-            shadow.get("type").and_then(Json::as_str),
-            Some("shadow_build")
-        );
-        let guard = Json::parse(lines[3]).expect("guard parses");
-        assert_eq!(guard.get("type").and_then(Json::as_str), Some("guard"));
-        assert_eq!(guard.get("tier").and_then(Json::as_str), Some("sat"));
-        assert_eq!(guard.get("scope").and_then(Json::as_str), Some("network"));
-        assert_eq!(guard.get("passed").and_then(Json::as_bool), Some(true));
-        assert_eq!(guard.get("exact").and_then(Json::as_bool), Some(true));
-        assert_eq!(guard.get("dur_ns").and_then(Json::as_u64), Some(21));
-        assert_eq!(meta.get("guard_checks").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            meta.get("guard_network_checks").and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(meta.get("guard_sat").and_then(Json::as_u64), Some(1));
-        assert_eq!(meta.get("guard_bdd").and_then(Json::as_u64), Some(0));
+        // The meta aggregates are folds of the pair records.
+        for (key, value) in [
+            ("shadow_builds", 1),
+            ("shadow_ns", 11),
+            ("guard_checks", 1),
+            ("guard_network_checks", 1),
+            ("guard_ns", 21),
+            ("guard_sat", 1),
+            ("guard_bdd", 0),
+        ] {
+            assert_eq!(meta.get(key).and_then(Json::as_u64), Some(value), "{key}");
+        }
     }
 
     #[test]
@@ -364,13 +262,8 @@ mod tests {
         let text = chrome_trace_string(&[&t]);
         let v = Json::parse(&text).expect("chrome trace parses");
         let rows = v.as_array().expect("array");
-        // 3 metadata rows + 3 events.
-        assert_eq!(rows.len(), 6);
-        let guard = rows
-            .iter()
-            .find(|r| r.get("cat").and_then(Json::as_str) == Some("guard"))
-            .expect("guard event present");
-        assert_eq!(guard.get("name").and_then(Json::as_str), Some("guard_sat"));
+        // 2 metadata rows + 1 pair span.
+        assert_eq!(rows.len(), 3);
         assert_eq!(
             rows[0].get("ph").and_then(Json::as_str),
             Some("M"),
@@ -385,6 +278,7 @@ mod tests {
         let args = pair.get("args").expect("args");
         assert_eq!(args.get("target").and_then(Json::as_str), Some("n1"));
         assert_eq!(args.get("divisor").and_then(Json::as_str), Some("n2"));
+        assert_sample_verdicts(args);
     }
 
     #[test]
@@ -434,7 +328,8 @@ mod tests {
             .filter(|r| r.get("cat").and_then(Json::as_str) == Some("pair"))
             .filter_map(|r| r.get("tid").and_then(Json::as_u64))
             .collect();
-        assert_eq!(pair_tids, vec![TID_PAIRS, w1, w3]);
+        assert_eq!((w1, w3), (1, 3), "worker w sits on tid w");
+        assert_eq!(pair_tids, vec![0, 1, 3]);
     }
 
     #[test]

@@ -6,17 +6,19 @@
 //! why*. It provides a zero-cost-when-off tracing layer the engine
 //! threads through as an `Option<&mut Tracer>`:
 //!
-//! * a **span/event model** ([`PairRecord`], [`TraceEvent`])
-//!   carrying target/divisor ids, per-stage nanos
-//!   (enumerate/filter/sim/divide/apply), and a typed [`Outcome`]
-//!   covering every reject reason the stats counters know about plus the
-//!   SOP/POS/extended acceptance kinds;
+//! * a **pair record** ([`PairRecord`]), the one source of every trace
+//!   line: target/divisor ids, per-stage nanos
+//!   (enumerate/filter/sim/divide/apply), a typed [`Outcome`] covering
+//!   every reject reason the stats counters know about plus the
+//!   SOP/POS/extended acceptance kinds, and the pair's guard verdict
+//!   ([`PairGuard`]) and shadow-snapshot use ([`ShadowUse`]);
 //! * a **bounded ring-buffer recorder** ([`Tracer`]) — aggregates
-//!   (histograms, funnel counts, top-K slowest pairs, per-target heat)
-//!   stay exact even after the ring starts dropping old events;
+//!   (histograms, funnel counts, top-K slowest pairs, per-target heat,
+//!   guard tiers and shadow builds) are folds of the records and stay
+//!   exact even after the ring starts dropping old records;
 //! * **log2-bucket latency histograms** ([`LatencyHistogram`]) per stage
 //!   and per outcome;
-//! * two **exporters** ([`export`]): newline-delimited JSON events and
+//! * two **exporters** ([`export`]): newline-delimited JSON records and
 //!   the Chrome trace-event format loadable in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev);
 //! * a human-readable [`TraceReport`] — reject-reason funnel,
@@ -40,6 +42,6 @@ pub mod tracer;
 pub use hist::{bucket_ceil, bucket_floor, bucket_index, LatencyHistogram, BUCKETS};
 pub use report::TraceReport;
 pub use span::{
-    GuardScope, GuardTier, Outcome, PairGuard, PairRecord, ShadowUse, Stage, StageNanos, TraceEvent,
+    GuardScope, GuardTier, Outcome, PairGuard, PairRecord, ShadowUse, Stage, StageNanos,
 };
 pub use tracer::{TargetAgg, Tracer};

@@ -9,7 +9,7 @@ use crate::tracer::Tracer;
 /// A borrow of a [`Tracer`] that `Display`s as a multi-section text
 /// report: reject-reason funnel, per-stage latency summary,
 /// pair wall-time histogram, slowest pairs, hottest targets, and the
-/// guard verdicts and shadow-build side counters.
+/// guard verdicts and shadow builds the pair records carry.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceReport<'a> {
     tracer: &'a Tracer,
@@ -53,7 +53,7 @@ impl fmt::Display for TraceReport<'_> {
         writeln!(f, "=== trace report: mode {} ===", t.mode())?;
         writeln!(
             f,
-            "pairs traced: {}   events dropped: {}",
+            "pairs traced: {}   records dropped: {}",
             t.pairs(),
             t.dropped()
         )?;
@@ -212,7 +212,7 @@ impl fmt::Display for TraceReport<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{PairRecord, StageNanos};
+    use crate::span::{GuardScope, GuardTier, PairGuard, PairRecord, ShadowUse, StageNanos};
 
     #[test]
     fn fmt_ns_units() {
@@ -244,6 +244,16 @@ mod tests {
                 ..StageNanos::default()
             },
         ));
+        t.record_pair(&PairRecord {
+            shadow: Some(ShadowUse::Miss { build_ns: 2_000 }),
+            guard: Some(PairGuard {
+                tier: GuardTier::Bdd,
+                scope: GuardScope::Cut,
+                sat_runs: 0,
+                dur_ns: 300,
+            }),
+            ..pair(1, Outcome::AcceptedPos, 1, StageNanos::default())
+        });
         t.record_pair(&pair(
             2,
             Outcome::RejectedTfo,
@@ -264,5 +274,8 @@ mod tests {
         assert!(text.contains("-- slowest pairs --"));
         assert!(text.contains("-- hottest targets --"));
         assert!(text.contains('a'), "node names used");
+        assert!(text.contains("-- guard verdicts --"));
+        assert!(text.contains("checks: 1 (network 0)   time: 300ns"));
+        assert!(text.contains("shadow builds: 1 (2.0us)"));
     }
 }

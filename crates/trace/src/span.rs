@@ -1,4 +1,4 @@
-//! The span/event data model: what one traced substitution run is made of.
+//! The pair-record data model: what one traced substitution run is made of.
 
 use std::time::Instant;
 
@@ -204,8 +204,9 @@ impl StageNanos {
 /// One evaluated (target, divisor) pair: where the time went, how the
 /// pair was disposed of, and every per-pair fact the engine's stats block
 /// counts. The engine fills one per evaluated pair and books only it:
-/// the stats block and the metrics registry fold it into their counters
-/// and [`Tracer::record_pair`](crate::Tracer::record_pair) records it.
+/// the stats block and the metrics registry fold it into their counters,
+/// and [`Tracer::record_pair`](crate::Tracer::record_pair) folds it into
+/// the trace aggregates and keeps it for the exporters' one line per pair.
 /// It carries the instant the evaluation started; the exporters measure
 /// it against the tracer's epoch ([`Tracer::start_ns`](crate::Tracer::start_ns)),
 /// so a record booked after its evaluation keeps the start it had on its
@@ -285,6 +286,23 @@ impl PairRecord {
             worker: 0,
         }
     }
+
+    /// Whether the guarded rewrite stood (`GuardDecision::passed`): the
+    /// guard checked it and the pair kept its acceptance. `None` for a
+    /// pair the guard never saw.
+    #[must_use]
+    pub fn guard_passed(&self) -> Option<bool> {
+        self.guard.map(|_| self.outcome.accepted())
+    }
+
+    /// Whether the guard proved the rewrite (`GuardDecision::exact`): it
+    /// stood on a tier other than the sampled pool. `None` for a pair
+    /// the guard never saw.
+    #[must_use]
+    pub fn guard_exact(&self) -> Option<bool> {
+        self.guard
+            .map(|g| self.outcome.accepted() && g.tier != GuardTier::Sampled)
+    }
 }
 
 /// How a GDC pair used its target's shadow snapshot.
@@ -293,11 +311,28 @@ pub enum ShadowUse {
     /// The snapshot was already built for an earlier pair.
     Hit,
     /// The pair was the snapshot's first user, which books its build.
-    Miss,
+    Miss {
+        /// Wall time of the snapshot build (0 if no pair built it).
+        build_ns: u64,
+    },
 }
 
-/// The guard's verdict on one pair's applied rewrite, as its record holds
-/// it (the full check is a [`TraceEvent::Guard`]).
+impl ShadowUse {
+    /// Stable lowercase label used by both exporters.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            ShadowUse::Hit => "hit",
+            ShadowUse::Miss { .. } => "miss",
+        }
+    }
+}
+
+/// The checked-mode guard's verdict on one pair's applied rewrite: the
+/// record is the verdict's only carrier, so the stats block, the
+/// tracer's guard aggregates and the exported `guard` object all read it
+/// from here. Whether the rewrite stood is the pair's outcome
+/// ([`PairRecord::guard_passed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PairGuard {
     /// Tier that produced the verdict.
@@ -306,6 +341,9 @@ pub struct PairGuard {
     pub scope: GuardScope,
     /// Tier C SAT miters the check ran.
     pub sat_runs: u32,
+    /// Wall time of the whole check, the cut compare and any
+    /// whole-network fallback.
+    pub dur_ns: u64,
 }
 
 /// Which guard tier produced a verdict. Mirrors the guard crate's
@@ -383,41 +421,6 @@ impl GuardScope {
             GuardScope::Network => "network",
         }
     }
-}
-
-/// Everything the ring buffer records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A completed pair attempt.
-    Pair(PairRecord),
-    /// A GDC shadow-circuit snapshot was built from scratch.
-    ShadowBuild {
-        /// Target whose cone was excluded from the snapshot.
-        target: u32,
-        /// Build start, nanoseconds since the tracer epoch.
-        start_ns: u64,
-        /// Build duration.
-        dur_ns: u64,
-    },
-    /// A post-apply guard check of an accepted rewrite (checked mode).
-    Guard {
-        /// Target of the guarded rewrite.
-        target: u32,
-        /// Divisor of the guarded rewrite.
-        divisor: u32,
-        /// Tier that produced the verdict.
-        tier: GuardTier,
-        /// Which networks the deciding compare ran on.
-        scope: GuardScope,
-        /// Whether the rewrite was allowed to stand.
-        passed: bool,
-        /// Whether the verdict is a proof (vs. a sampled pass).
-        exact: bool,
-        /// Check start, nanoseconds since the tracer epoch.
-        start_ns: u64,
-        /// Check duration.
-        dur_ns: u64,
-    },
 }
 
 #[cfg(test)]

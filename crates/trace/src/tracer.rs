@@ -6,10 +6,10 @@ use std::time::Instant;
 
 use crate::hist::LatencyHistogram;
 use crate::report::TraceReport;
-use crate::span::{GuardScope, GuardTier, Outcome, PairRecord, Stage, TraceEvent};
+use crate::span::{GuardScope, GuardTier, Outcome, PairRecord, ShadowUse, Stage};
 
-/// Maximum events kept in the ring buffer; older events are dropped
-/// (aggregates stay exact regardless).
+/// Maximum pair records kept in the ring buffer; older records are
+/// dropped (aggregates stay exact regardless).
 const RING_CAPACITY: usize = 1 << 16;
 /// How many slowest pair records [`Tracer::slowest_pairs`] retains.
 const TOP_K: usize = 16;
@@ -29,9 +29,12 @@ pub struct TargetAgg {
     pub gain: i64,
 }
 
-/// Records one traced substitution run: a bounded event ring plus exact
-/// aggregates (stage/outcome/pair histograms, outcome funnel, top-K
-/// slowest pairs, per-target heat, shadow-build and guard counters).
+/// Records one traced substitution run: a bounded ring of pair records
+/// plus exact aggregates (stage/outcome/pair histograms, outcome funnel,
+/// top-K slowest pairs, per-target heat, shadow-build and guard
+/// counters). Every aggregate but the enumeration samples of
+/// [`Tracer::stage`] is a fold of the records [`Tracer::record_pair`]
+/// books, so the trace cannot disagree with the stats block.
 ///
 /// Exported timestamps are nanoseconds since the tracer's construction
 /// instant (its *epoch*); a pair record keeps its start as an `Instant`
@@ -42,7 +45,7 @@ pub struct Tracer {
     epoch: Instant,
     mode: String,
     names: Vec<String>,
-    ring: VecDeque<TraceEvent>,
+    ring: VecDeque<PairRecord>,
     dropped: u64,
     stage_hist: [LatencyHistogram; Stage::ALL.len()],
     outcome_hist: [LatencyHistogram; Outcome::COUNT],
@@ -94,12 +97,6 @@ impl Tracer {
         &self.mode
     }
 
-    /// Nanoseconds since the tracer epoch.
-    #[must_use]
-    pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
     /// A pair's start in nanoseconds since the tracer epoch (0 for a
     /// record that started before the tracer existed).
     #[must_use]
@@ -123,14 +120,6 @@ impl Tracer {
         }
     }
 
-    fn push(&mut self, ev: TraceEvent) {
-        if self.ring.len() >= RING_CAPACITY {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(ev);
-    }
-
     /// Samples `ns` of `stage` work booked outside any pair span
     /// (enumeration) into the stage histogram.
     pub fn stage(&mut self, stage: Stage, ns: u64) {
@@ -138,9 +127,10 @@ impl Tracer {
     }
 
     /// Books one finished pair attempt: every stage with a non-zero share
-    /// gets one histogram sample, and the outcome funnel, per-target
-    /// heat, top-K and the event ring all see the record. Call in sweep
-    /// order so exported spans read like the greedy sweep they record.
+    /// gets one histogram sample; the outcome funnel, per-target heat,
+    /// top-K, the guard and shadow-build aggregates and the ring all see
+    /// the record. Call in sweep order so exported spans read like the
+    /// greedy sweep they record.
     pub fn record_pair(&mut self, rec: &PairRecord) {
         for stage in Stage::ALL {
             let ns = rec.stages.get(stage);
@@ -169,53 +159,25 @@ impl Tracer {
             self.slowest.truncate(TOP_K);
         }
 
-        self.push(TraceEvent::Pair(*rec));
+        if let Some(g) = rec.guard {
+            self.guard_checks += 1;
+            self.guard_tier_counts[g.tier.idx()] += 1;
+            self.guard_network_checks += u64::from(g.scope == GuardScope::Network);
+            self.guard_ns = self.guard_ns.saturating_add(g.dur_ns);
+        }
+        if let Some(ShadowUse::Miss { build_ns }) = rec.shadow {
+            self.shadow_builds += 1;
+            self.shadow_ns = self.shadow_ns.saturating_add(build_ns);
+        }
+
+        if self.ring.len() >= RING_CAPACITY {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+        self.ring.push_back(*rec);
     }
 
-    /// Records a from-scratch GDC shadow-circuit snapshot build.
-    pub fn shadow_build(&mut self, target: u32, dur_ns: u64) {
-        self.shadow_builds += 1;
-        self.shadow_ns = self.shadow_ns.saturating_add(dur_ns);
-        let start_ns = self.now_ns().saturating_sub(dur_ns);
-        self.push(TraceEvent::ShadowBuild {
-            target,
-            start_ns,
-            dur_ns,
-        });
-    }
-
-    /// Records one post-apply guard check of an accepted rewrite
-    /// (checked mode): which tier and scope decided, whether the rewrite
-    /// stood, and whether the verdict was a proof.
-    #[allow(clippy::too_many_arguments)]
-    pub fn guard_check(
-        &mut self,
-        target: u32,
-        divisor: u32,
-        tier: GuardTier,
-        scope: GuardScope,
-        passed: bool,
-        exact: bool,
-        dur_ns: u64,
-    ) {
-        self.guard_checks += 1;
-        self.guard_tier_counts[tier.idx()] += 1;
-        self.guard_network_checks += u64::from(scope == GuardScope::Network);
-        self.guard_ns = self.guard_ns.saturating_add(dur_ns);
-        let start_ns = self.now_ns().saturating_sub(dur_ns);
-        self.push(TraceEvent::Guard {
-            target,
-            divisor,
-            tier,
-            scope,
-            passed,
-            exact,
-            start_ns,
-            dur_ns,
-        });
-    }
-
-    /// `(checks, total_ns)` of post-apply guard checks.
+    /// `(checks, total_ns)` of post-apply guard checks (checked mode).
     #[must_use]
     pub fn guard_stats(&self) -> (u64, u64) {
         (self.guard_checks, self.guard_ns)
@@ -233,12 +195,12 @@ impl Tracer {
         self.guard_tier_counts[tier.idx()]
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    /// The retained pair records, oldest first.
+    pub fn records(&self) -> impl Iterator<Item = &PairRecord> {
         self.ring.iter()
     }
 
-    /// Events evicted from the ring because it was full.
+    /// Pair records evicted from the ring because it was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -370,8 +332,8 @@ mod tests {
         assert_eq!(hot[0].1.accepts, 1);
         assert_eq!(hot[0].1.gain, 2);
 
-        // Every pair event fits in the ring.
-        assert_eq!(t.events().count(), 3);
+        // Every pair record fits in the ring.
+        assert_eq!(t.records().count(), 3);
         assert_eq!(t.dropped(), 0);
     }
 
@@ -382,11 +344,9 @@ mod tests {
         for d in 0..n {
             run_pair(&mut t, 1, d as u32, Outcome::RejectedNoGain, 0);
         }
-        assert_eq!(t.events().count(), RING_CAPACITY);
+        assert_eq!(t.records().count(), RING_CAPACITY);
         assert_eq!(t.dropped(), 3);
-        let Some(TraceEvent::Pair(oldest)) = t.events().next() else {
-            panic!("the ring holds pair events");
-        };
+        let oldest = t.records().next().expect("the ring holds records");
         assert_eq!(oldest.divisor, 3, "the three oldest were dropped");
         assert_eq!(t.pairs(), n, "aggregate count survives ring eviction");
         assert_eq!(t.outcome_count(Outcome::RejectedNoGain), n);

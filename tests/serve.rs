@@ -338,11 +338,10 @@ fn healthz_flips_when_draining() {
     let client = Client::new(server.local_addr().to_string());
     assert_eq!(client.healthz(), Ok(true));
     server.state().drain();
-    // The accept loop may close at any moment after drain; when the
-    // probe still gets through, it must report not-serving.
-    if let Ok(healthy) = client.healthz() {
-        assert!(!healthy, "draining daemon claimed healthy");
-    }
+    // The accept loop drops every connection it accepts after the drain
+    // unrouted and then closes the listener, so no probe gets through.
+    let probe = client.healthz();
+    assert!(probe.is_err(), "draining daemon answered {probe:?}");
     assert!(server.join());
     let _ = std::fs::remove_file(&journal);
 }

@@ -6,7 +6,7 @@
 use boolsubst::core::{all_configs, Acceptance, Session, StatValue, SubstStats};
 use boolsubst::trace::export::{chrome_trace_string, jsonl_string};
 use boolsubst::trace::json::Json;
-use boolsubst::trace::{GuardScope, GuardTier, Outcome, PairRecord, Stage, TraceEvent, Tracer};
+use boolsubst::trace::{GuardScope, GuardTier, Outcome, PairRecord, ShadowUse, Stage, Tracer};
 use boolsubst::workloads::generator::{random_network, GeneratorParams};
 use boolsubst::MetricsHandle;
 use std::collections::HashMap;
@@ -42,14 +42,21 @@ fn traced_runs(
 fn jsonl_roundtrips_field_for_field() {
     let runs = [Acceptance::FirstGain, Acceptance::BestGain]
         .into_iter()
-        .flat_map(|acceptance| traced_runs(1, acceptance, false));
-    for (tracer, ..) in runs {
+        .flat_map(|acceptance| [false, true].map(|checked| (acceptance, checked)))
+        .flat_map(|(acceptance, checked)| traced_runs(1, acceptance, checked));
+    let (mut guarded, mut misses) = (0, 0);
+    for (tracer, stats, _) in runs {
+        guarded += tracer.records().filter(|p| p.guard.is_some()).count();
+        misses += tracer
+            .records()
+            .filter(|p| matches!(p.shadow, Some(ShadowUse::Miss { .. })))
+            .count();
         let text = jsonl_string(&tracer);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines.len(),
-            1 + tracer.events().count(),
-            "meta line + one line per event"
+            1 + tracer.records().count(),
+            "meta line + one line per retained pair"
         );
 
         let meta = Json::parse(lines[0]).expect("meta parses");
@@ -60,71 +67,130 @@ fn jsonl_roundtrips_field_for_field() {
             Some(tracer.pairs())
         );
         assert!(meta.get("passes").is_none(), "a run is one sweep");
+        meta_folds_records(&meta, &tracer, &stats);
 
-        for (ev, line) in tracer.events().zip(&lines[1..]) {
+        for (p, line) in tracer.records().zip(&lines[1..]) {
             let v = Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert!(v.get("pass").is_none(), "{line}: no pass field");
-            match ev {
-                TraceEvent::Pair(p) => {
-                    assert_eq!(v.get("type").and_then(Json::as_str), Some("pair"));
-                    assert_eq!(
-                        v.get("target").and_then(Json::as_u64),
-                        Some(u64::from(p.target))
-                    );
-                    assert_eq!(
-                        v.get("divisor").and_then(Json::as_u64),
-                        Some(u64::from(p.divisor))
-                    );
-                    assert_eq!(
-                        v.get("start_ns").and_then(Json::as_u64),
-                        Some(tracer.start_ns(p))
-                    );
-                    assert_eq!(v.get("dur_ns").and_then(Json::as_u64), Some(p.dur_ns));
-                    assert_eq!(
-                        v.get("enumerate_ns").and_then(Json::as_u64),
-                        Some(p.stages.enumerate)
-                    );
-                    assert_eq!(
-                        v.get("filter_ns").and_then(Json::as_u64),
-                        Some(p.stages.filter)
-                    );
-                    assert_eq!(v.get("sim_ns").and_then(Json::as_u64), Some(p.stages.sim));
-                    assert_eq!(
-                        v.get("divide_ns").and_then(Json::as_u64),
-                        Some(p.stages.divide)
-                    );
-                    assert_eq!(
-                        v.get("apply_ns").and_then(Json::as_u64),
-                        Some(p.stages.apply)
-                    );
-                    assert_eq!(
-                        v.get("outcome")
-                            .and_then(Json::as_str)
-                            .and_then(Outcome::from_name),
-                        Some(p.outcome)
-                    );
-                    assert_eq!(v.get("gain").and_then(Json::as_i64), Some(p.gain));
-                    assert_eq!(
-                        v.get("rar_checks").and_then(Json::as_u64),
-                        Some(p.rar_checks)
-                    );
-                    assert_eq!(
-                        v.get("bound_skip").and_then(Json::as_bool),
-                        Some(p.bound_skip)
-                    );
-                }
-                TraceEvent::ShadowBuild { dur_ns, .. } => {
-                    assert_eq!(v.get("type").and_then(Json::as_str), Some("shadow_build"));
-                    assert_eq!(v.get("dur_ns").and_then(Json::as_u64), Some(*dur_ns));
-                }
-                TraceEvent::Guard { tier, dur_ns, .. } => {
-                    assert_eq!(v.get("type").and_then(Json::as_str), Some("guard"));
-                    assert_eq!(v.get("tier").and_then(Json::as_str), Some(tier.name()));
-                    assert_eq!(v.get("dur_ns").and_then(Json::as_u64), Some(*dur_ns));
-                }
-            }
+            assert_eq!(v.get("type").and_then(Json::as_str), Some("pair"));
+            assert_eq!(
+                v.get("target").and_then(Json::as_u64),
+                Some(u64::from(p.target))
+            );
+            assert_eq!(
+                v.get("divisor").and_then(Json::as_u64),
+                Some(u64::from(p.divisor))
+            );
+            assert_eq!(
+                v.get("start_ns").and_then(Json::as_u64),
+                Some(tracer.start_ns(p))
+            );
+            assert_eq!(v.get("dur_ns").and_then(Json::as_u64), Some(p.dur_ns));
+            assert_eq!(
+                v.get("enumerate_ns").and_then(Json::as_u64),
+                Some(p.stages.enumerate)
+            );
+            assert_eq!(
+                v.get("filter_ns").and_then(Json::as_u64),
+                Some(p.stages.filter)
+            );
+            assert_eq!(v.get("sim_ns").and_then(Json::as_u64), Some(p.stages.sim));
+            assert_eq!(
+                v.get("divide_ns").and_then(Json::as_u64),
+                Some(p.stages.divide)
+            );
+            assert_eq!(
+                v.get("apply_ns").and_then(Json::as_u64),
+                Some(p.stages.apply)
+            );
+            assert_eq!(
+                v.get("outcome")
+                    .and_then(Json::as_str)
+                    .and_then(Outcome::from_name),
+                Some(p.outcome)
+            );
+            assert_eq!(v.get("gain").and_then(Json::as_i64), Some(p.gain));
+            assert_eq!(
+                v.get("rar_checks").and_then(Json::as_u64),
+                Some(p.rar_checks)
+            );
+            assert_eq!(
+                v.get("bound_skip").and_then(Json::as_bool),
+                Some(p.bound_skip)
+            );
+            verdicts_roundtrip(line, &v, p);
         }
     }
+    assert!(guarded > 0, "no guarded pair line compared");
+    assert!(misses > 0, "no shadow-miss pair line compared");
+}
+
+/// The pair line's nested `guard` object and its `shadow` use carry the
+/// record's verdict field for field, and are absent when it has none.
+fn verdicts_roundtrip(line: &str, v: &Json, p: &PairRecord) {
+    let guard = v.get("guard");
+    assert_eq!(guard.is_some(), p.guard.is_some(), "{line}: guard presence");
+    if let (Some(guard), Some(g)) = (guard, p.guard) {
+        let field = |k: &str| guard.get(k).unwrap_or_else(|| panic!("{line}: guard.{k}"));
+        assert_eq!(field("tier").as_str(), Some(g.tier.name()), "{line}");
+        assert_eq!(field("scope").as_str(), Some(g.scope.name()), "{line}");
+        assert_eq!(field("passed").as_bool(), p.guard_passed(), "{line}");
+        assert_eq!(field("exact").as_bool(), p.guard_exact(), "{line}");
+        assert_eq!(field("dur_ns").as_u64(), Some(g.dur_ns), "{line}");
+    }
+    assert_eq!(
+        v.get("shadow").and_then(Json::as_str),
+        p.shadow.map(ShadowUse::name),
+        "{line}: shadow"
+    );
+    let build_ns = match p.shadow {
+        Some(ShadowUse::Miss { build_ns }) => Some(build_ns),
+        _ => None,
+    };
+    assert_eq!(
+        v.get("shadow_ns").and_then(Json::as_u64),
+        build_ns,
+        "{line}: shadow_ns"
+    );
+}
+
+/// The meta line's guard and shadow keys are folds of the pair records,
+/// and equal the stats block's counts of the same facts.
+fn meta_folds_records(meta: &Json, tracer: &Tracer, stats: &SubstStats) {
+    let mode = tracer.mode();
+    let key = |k: &str| {
+        meta.get(k)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{mode}: meta {k}"))
+    };
+    let n = |v: usize| u64::try_from(v).expect("count");
+    let count =
+        |pred: &dyn Fn(&PairRecord) -> bool| n(tracer.records().filter(|p| pred(p)).count());
+    let guards: Vec<_> = tracer.records().filter_map(|p| p.guard).collect();
+    let builds: Vec<u64> = tracer
+        .records()
+        .filter_map(|p| match p.shadow {
+            Some(ShadowUse::Miss { build_ns }) => Some(build_ns),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(key("guard_checks"), n(guards.len()), "{mode}: guard checks");
+    assert_eq!(
+        key("guard_ns"),
+        guards.iter().map(|g| g.dur_ns).sum::<u64>(),
+        "{mode}: guard ns"
+    );
+    let network = count(&|p| p.guard.is_some_and(|g| g.scope == GuardScope::Network));
+    assert_eq!(key("guard_network_checks"), network, "{mode}");
+    assert_eq!(network, n(stats.guard_network_checks), "{mode}");
+    for tier in GuardTier::ALL {
+        let folded = count(&|p| p.guard.is_some_and(|g| g.tier == tier));
+        assert_eq!(key(&format!("guard_{}", tier.name())), folded, "{mode}");
+    }
+    assert_eq!(key("guard_sampled"), n(stats.guard_pass_sampled), "{mode}");
+    assert_eq!(key("shadow_builds"), n(builds.len()), "{mode}");
+    assert_eq!(key("shadow_builds"), n(stats.shadow_cache_misses), "{mode}");
+    assert_eq!(key("shadow_ns"), builds.iter().sum::<u64>(), "{mode}");
 }
 
 #[test]
@@ -206,9 +272,7 @@ fn funnel_reconciles_with_stats_counters() {
 /// stage sample is one pair's share.
 fn stage_samples_match_spans(mode: &str, tracer: &Tracer) {
     for stage in [Stage::Filter, Stage::Sim, Stage::Divide, Stage::Apply] {
-        let spans = pair_spans(tracer)
-            .filter(|p| p.stages.get(stage) > 0)
-            .count();
+        let spans = tracer.records().filter(|p| p.stages.get(stage) > 0).count();
         assert_eq!(
             tracer.stage_histogram(stage).count(),
             spans as u64,
@@ -216,13 +280,6 @@ fn stage_samples_match_spans(mode: &str, tracer: &Tracer) {
             stage.name()
         );
     }
-}
-
-fn pair_spans(tracer: &Tracer) -> impl Iterator<Item = &PairRecord> {
-    tracer.events().filter_map(|e| match e {
-        TraceEvent::Pair(p) => Some(p),
-        _ => None,
-    })
 }
 
 /// The tracer funnel, the metrics registry and `SubstStats` are views of
@@ -337,7 +394,7 @@ fn reconcile(
     }
 
     // Pairs the forced-literal bound skipped a strategy on.
-    let bound_spans = pair_spans(tracer).filter(|p| p.bound_skip).count();
+    let bound_spans = tracer.records().filter(|p| p.bound_skip).count();
     assert_eq!(bound_spans, stats.local_bound_skips, "{mode}: bound spans");
     assert_eq!(
         tracer.bound_skips(),
@@ -348,12 +405,12 @@ fn reconcile(
     // Histogram sample counts agree with the span count, and the
     // accepted rewrites carry the total literal gain.
     assert_eq!(tracer.pair_histogram().count(), tracer.pairs(), "{mode}");
-    let span_gain: i64 = pair_spans(tracer).map(|p| p.gain).sum();
+    let span_gain: i64 = tracer.records().map(|p| p.gain).sum();
     assert_eq!(span_gain, stats.literal_gain, "{mode}: gain over spans");
 
     // RAR checks and shadow builds: spans, registry and stats agree
     // (and stay zero outside GDC).
-    let rar: u64 = pair_spans(tracer).map(|p| p.rar_checks).sum();
+    let rar: u64 = tracer.records().map(|p| p.rar_checks).sum();
     assert_eq!(rar, n(stats.rar_checks), "{mode}: rar checks over spans");
     assert_eq!(
         tracer.shadow_stats().0,
@@ -368,7 +425,7 @@ fn reconcile(
     // Stage time: filter and apply time is only ever booked inside a
     // pair, enumeration only outside one. `divide_nanos` also holds the
     // sim-screen time that the spans count under Sim only.
-    let span_sum = |stage: Stage| -> u64 { pair_spans(tracer).map(|p| p.stages.get(stage)).sum() };
+    let span_sum = |stage: Stage| -> u64 { tracer.records().map(|p| p.stages.get(stage)).sum() };
     assert_eq!(
         span_sum(Stage::Filter),
         stats.filter_nanos,
@@ -397,11 +454,8 @@ fn reconcile(
         - stats.filtered_divisor_size
         - stats.filtered_joint_space;
     let guards: Vec<(GuardTier, GuardScope)> = tracer
-        .events()
-        .filter_map(|e| match e {
-            TraceEvent::Guard { tier, scope, .. } => Some((*tier, *scope)),
-            _ => None,
-        })
+        .records()
+        .filter_map(|p| p.guard.map(|g| (g.tier, g.scope)))
         .collect();
     let guards_where = |pred: &dyn Fn(GuardTier, GuardScope) -> bool| {
         guards.iter().filter(|&&(t, s)| pred(t, s)).count()
